@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -91,22 +91,17 @@ def _config(args) -> RunConfig:
     return cfg
 
 
-def _ctx(cfg: RunConfig) -> PrecisionContext:
-    return PrecisionContext(cfg.digits)
-
-
-def _trunc(cfg: RunConfig) -> TruncationParams:
-    return TruncationParams(cfg.pmax, cfg.radius)
-
-
-def _pair(cfg: RunConfig):
+def _setup(cfg: RunConfig):
+    """(table, pair, ctx, trunc) of a run on one wedge pair."""
+    table = build_tables(cfg.n_exponent, cfg.pmax)
     pairs = pt_pairs(cfg.n_exponent)
     if cfg.pair_index >= len(pairs):
         raise ParameterError(
             f"N={cfg.n_exponent} has {len(pairs)} wedge pairs; pair index "
             f"{cfg.pair_index} is out of range"
         )
-    return pairs[cfg.pair_index]
+    trunc = TruncationParams(cfg.pmax, cfg.radius)
+    return table, pairs[cfg.pair_index], PrecisionContext(cfg.digits), trunc
 
 
 def _num(x, digits: int) -> str:
@@ -147,6 +142,26 @@ def _emit_json(obj, cfg: RunConfig) -> None:
     _emit(json.dumps(obj, indent=2) + "\n", cfg)
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
+
+
+def _emit_rows(cfg: RunConfig, command: str, doc: dict, columns: tuple, rows) -> int:
+    """Write doc as JSON, or the rows' columns as CSV under the
+    parameter comment and a header line."""
+    if cfg.fmt == "json":
+        _emit_json(doc, cfg)
+    else:
+        lines = [_params_comment(cfg, command), ",".join(columns)]
+        lines += [",".join(_csv_cell(row[col]) for col in columns) for row in rows]
+        _emit("\n".join(lines) + "\n", cfg)
+    return 0
+
+
 def _level_json(level, cfg: RunConfig) -> dict:
     return {
         "n": level.n,
@@ -177,22 +192,7 @@ def _health_json(report) -> dict:
     }
 
 
-def _parity_levels(table, parity, n_levels, trunc, ctx, step, e_max):
-    """Parity spectrum, interleaving both parities by |E| when asked
-    for 'both' (parity spectra alternate even/odd as |E| grows)."""
-    if parity in ("even", "odd"):
-        return quantize_p_symmetric(table, parity, n_levels, trunc, ctx, step, e_max)
-    even_n = (n_levels + 1) // 2
-    odd_n = n_levels // 2
-    levels = list(quantize_p_symmetric(table, "even", even_n, trunc, ctx, step, e_max))
-    if odd_n:
-        levels += list(quantize_p_symmetric(table, "odd", odd_n, trunc, ctx, step, e_max))
-    levels.sort(key=lambda lv: abs(lv.E))
-    return tuple(replace(lv, n=i) for i, lv in enumerate(levels))
-
-
-def _levels_for(cfg, args, table, pair, n_levels, trunc, ctx):
-    parity = getattr(args, "parity", "both")
+def _levels_for(cfg, table, pair, n_levels, trunc, ctx, parity, **scan):
     if pair.parity_swapped():
         if not pair.p_symmetric:
             flagged = [p.index for p in pt_pairs(cfg.n_exponent) if p.p_symmetric]
@@ -201,8 +201,8 @@ def _levels_for(cfg, args, table, pair, n_levels, trunc, ctx):
                 f"pair {pair.index} is parity-degenerate but not the p-symmetric "
                 f"pair; no quantization method applies to it{hint}"
             )
-        return _parity_levels(table, parity, n_levels, trunc, ctx, args.step, args.emax)
-    return spectrum(table, pair, n_levels, trunc, ctx, e_max=args.emax, step=args.step)
+        return quantize_p_symmetric(table, parity, n_levels, trunc, ctx, **scan)
+    return spectrum(table, pair, n_levels, trunc, ctx, **scan)
 
 
 def _resolve_level(cfg, args, table, pair, index, trunc, ctx):
@@ -210,10 +210,7 @@ def _resolve_level(cfg, args, table, pair, index, trunc, ctx):
         raise ParameterError(f"level index must be >= 0, got {index}")
     # level lookup always scans at the default energy grid; --step on
     # sampling commands refers to their own output grid
-    scan_args = argparse.Namespace(
-        parity=getattr(args, "parity", "both"), step="0.05", emax="100"
-    )
-    return _levels_for(cfg, scan_args, table, pair, index + 1, trunc, ctx)[index]
+    return _levels_for(cfg, table, pair, index + 1, trunc, ctx, args.parity)[index]
 
 
 # ---------------------------------------------------------------------------
@@ -222,74 +219,41 @@ def _resolve_level(cfg, args, table, pair, index, trunc, ctx):
 
 def _cmd_wedges(cfg: RunConfig, args) -> int:
     pairs = pt_pairs(cfg.n_exponent)
-    ctx = _ctx(cfg)
-    rows = []
-    for p in pairs:
-        rows.append(
-            {
-                "index": p.index,
-                "theta_right_pi": str(p.theta_right),
-                "theta_right_rad": _num(angle_radians(p.theta_right, ctx), cfg.digits),
-                "theta_left_pi": str(p.theta_left),
-                "theta_left_rad": _num(angle_radians(p.theta_left, ctx), cfg.digits),
-                "half_width_pi": str(p.half_width),
-                "p_symmetric": p.p_symmetric,
-            }
-        )
-    if cfg.fmt == "json":
-        _emit_json({"N": cfg.n_exponent, "pairs": rows}, cfg)
-    else:
-        lines = [
-            _params_comment(cfg, "wedges"),
-            "index,theta_right_pi,theta_right_rad,theta_left_pi,theta_left_rad,"
-            "half_width_pi,p_symmetric",
-        ]
-        for r in rows:
-            lines.append(
-                f"{r['index']},{r['theta_right_pi']},{r['theta_right_rad']},"
-                f"{r['theta_left_pi']},{r['theta_left_rad']},{r['half_width_pi']},"
-                f"{str(r['p_symmetric']).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", cfg)
-    return 0
+    ctx = PrecisionContext(cfg.digits)
+    rows = [
+        {
+            "index": p.index,
+            "theta_right_pi": str(p.theta_right),
+            "theta_right_rad": _num(angle_radians(p.theta_right, ctx), cfg.digits),
+            "theta_left_pi": str(p.theta_left),
+            "theta_left_rad": _num(angle_radians(p.theta_left, ctx), cfg.digits),
+            "half_width_pi": str(p.half_width),
+            "p_symmetric": p.p_symmetric,
+        }
+        for p in pairs
+    ]
+    doc = {"N": cfg.n_exponent, "pairs": rows}
+    return _emit_rows(cfg, "wedges", doc, tuple(rows[0]), rows)
 
 
 def _cmd_scan(cfg: RunConfig, args) -> int:
-    table = build_tables(cfg.n_exponent, cfg.pmax)
-    pair = _pair(cfg)
-    ctx, trunc = _ctx(cfg), _trunc(cfg)
+    table, pair, ctx, trunc = _setup(cfg)
     points = scan_im_c(table, pair, args.emin, args.emax, args.step, trunc, ctx)
-    if cfg.fmt == "json":
-        _emit_json(
-            {
-                "params": _params_dict(cfg),
-                "points": [
-                    {
-                        "E": _num(p.E, cfg.digits),
-                        "re_c": _num(p.c_re, cfg.digits),
-                        "im_c": _num(p.c_im, cfg.digits),
-                        "flag": p.flag,
-                    }
-                    for p in points
-                ],
-            },
-            cfg,
-        )
-    else:
-        lines = [_params_comment(cfg, "scan"), "E,re_c,im_c,flag"]
-        for p in points:
-            lines.append(
-                f"{_num(p.E, cfg.digits)},{_num(p.c_re, cfg.digits)},"
-                f"{_num(p.c_im, cfg.digits)},{p.flag}"
-            )
-        _emit("\n".join(lines) + "\n", cfg)
-    return 0
+    rows = [
+        {
+            "E": _num(p.E, cfg.digits),
+            "re_c": _num(p.c_re, cfg.digits),
+            "im_c": _num(p.c_im, cfg.digits),
+            "flag": p.flag,
+        }
+        for p in points
+    ]
+    doc = {"params": _params_dict(cfg), "points": rows}
+    return _emit_rows(cfg, "scan", doc, ("E", "re_c", "im_c", "flag"), rows)
 
 
 def _cmd_spectrum(cfg: RunConfig, args) -> int:
-    table = build_tables(cfg.n_exponent, cfg.pmax)
-    pair = _pair(cfg)
-    ctx, trunc = _ctx(cfg), _trunc(cfg)
+    table, pair, ctx, trunc = _setup(cfg)
     health = health_check(table, trunc, args.health_emax, ctx)
     if not health.passed and not args.force:
         _emit_json(
@@ -306,26 +270,13 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
             file=sys.stderr,
         )
         return 1
-    levels = _levels_for(cfg, args, table, pair, args.levels, trunc, ctx)
-    if cfg.fmt == "json":
-        _emit_json(
-            {
-                "params": _params_dict(cfg),
-                "health": _health_json(health),
-                "levels": [_level_json(lv, cfg) for lv in levels],
-            },
-            cfg,
-        )
-    else:
-        lines = [_params_comment(cfg, "spectrum"), "n,E,c,parity,est_error,stable"]
-        for lv in levels:
-            c_txt = "" if lv.c is None else _num(lv.c, cfg.digits)
-            lines.append(
-                f"{lv.n},{_num(lv.E, cfg.digits)},{c_txt},{lv.parity or ''},"
-                f"{_num(lv.diagnostics.est_error, 3)},{str(lv.diagnostics.stable).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", cfg)
-    return 0
+    levels = _levels_for(
+        cfg, table, pair, args.levels, trunc, ctx, args.parity, e_max=args.emax, step=args.step
+    )
+    rows = [_level_json(lv, cfg) for lv in levels]
+    doc = {"params": _params_dict(cfg), "health": _health_json(health), "levels": rows}
+    columns = ("n", "E", "c", "parity", "est_error", "stable")
+    return _emit_rows(cfg, "spectrum", doc, columns, rows)
 
 
 def _parse_region(raw: Optional[str]):
@@ -340,9 +291,7 @@ def _parse_region(raw: Optional[str]):
 
 
 def _cmd_nodes(cfg: RunConfig, args) -> int:
-    table = build_tables(cfg.n_exponent, cfg.pmax)
-    pair = _pair(cfg)
-    ctx, trunc = _ctx(cfg), _trunc(cfg)
+    table, pair, ctx, trunc = _setup(cfg)
     level = _resolve_level(cfg, args, table, pair, args.level, trunc, ctx)
     nodeset = find_nodes(
         table, level, _parse_region(args.region), args.grid_step, None, trunc, ctx
@@ -353,29 +302,25 @@ def _cmd_nodes(cfg: RunConfig, args) -> int:
             {"re": _num(z.real, cfg.digits), "im": _num(z.imag, cfg.digits)} for z in zs
         ]
 
-    if cfg.fmt == "json":
-        _emit_json(
-            {
-                "params": _params_dict(cfg),
-                "level": _level_json(level, cfg),
-                "axis_nodes": zrows(nodeset.axis_nodes),
-                "arch_nodes": zrows(nodeset.arch_nodes),
-                "turning_points": zrows(nodeset.turning_points),
-                "failed_seeds": zrows(nodeset.failed_seeds),
-            },
-            cfg,
-        )
-    else:
-        lines = [_params_comment(cfg, "nodes"), "kind,re,im"]
-        for kind, zs in (
-            ("axis", nodeset.axis_nodes),
-            ("arch", nodeset.arch_nodes),
-            ("turning", nodeset.turning_points),
-        ):
-            for z in zs:
-                lines.append(f"{kind},{_num(z.real, cfg.digits)},{_num(z.imag, cfg.digits)}")
-        _emit("\n".join(lines) + "\n", cfg)
-    return 0
+    axis, arch, turning = (
+        zrows(nodeset.axis_nodes),
+        zrows(nodeset.arch_nodes),
+        zrows(nodeset.turning_points),
+    )
+    doc = {
+        "params": _params_dict(cfg),
+        "level": _level_json(level, cfg),
+        "axis_nodes": axis,
+        "arch_nodes": arch,
+        "turning_points": turning,
+        "failed_seeds": zrows(nodeset.failed_seeds),
+    }
+    rows = [
+        {"kind": kind, **z}
+        for kind, zs in (("axis", axis), ("arch", arch), ("turning", turning))
+        for z in zs
+    ]
+    return _emit_rows(cfg, "nodes", doc, ("kind", "re", "im"), rows)
 
 
 def _parse_moments(raw: str):
@@ -389,83 +334,57 @@ def _parse_moments(raw: str):
 
 
 def _cmd_expect(cfg: RunConfig, args) -> int:
-    table = build_tables(cfg.n_exponent, cfg.pmax)
-    pair = _pair(cfg)
-    ctx, trunc = _ctx(cfg), _trunc(cfg)
+    table, pair, ctx, trunc = _setup(cfg)
     level = _resolve_level(cfg, args, table, pair, args.level, trunc, ctx)
     contour = build_contour(pair, cfg.lam, args.contour)
     moments = _parse_moments(args.moments)
     results = [expectation(table, level, m, contour, trunc, ctx) for m in moments]
     identities = identity_checks(table, [level], trunc, ctx, contour=contour).rows[0]
-    if cfg.fmt == "json":
-        _emit_json(
-            {
-                "params": _params_dict(cfg),
-                "contour": {"style": contour.style, "lambda": str(contour.lam)},
-                "level": _level_json(level, cfg),
-                "moments": [
-                    {
-                        "m": r.m,
-                        "re_value": _num(r.value.real, cfg.digits),
-                        "im_value": _num(r.value.imag, cfg.digits),
-                        "est_error": _num(r.est_error, 3),
-                    }
-                    for r in results
-                ],
-                "identities": {
-                    "ehrenfest_abs": _num(identities.ehrenfest_abs, 3),
-                    "ehrenfest_ok": identities.ehrenfest_ok,
-                    "virial_abs": None
-                    if identities.virial_abs is None
-                    else _num(identities.virial_abs, 3),
-                    "virial_ok": identities.virial_ok,
-                },
-            },
-            cfg,
-        )
-    else:
-        lines = [_params_comment(cfg, "expect"), "n,m,re_value,im_value,est_error"]
-        for r in results:
-            lines.append(
-                f"{r.n},{r.m},{_num(r.value.real, cfg.digits)},"
-                f"{_num(r.value.imag, cfg.digits)},{_num(r.est_error, 3)}"
-            )
-        _emit("\n".join(lines) + "\n", cfg)
-    return 0
+    rows = [
+        {
+            "m": r.m,
+            "re_value": _num(r.value.real, cfg.digits),
+            "im_value": _num(r.value.imag, cfg.digits),
+            "est_error": _num(r.est_error, 3),
+        }
+        for r in results
+    ]
+    doc = {
+        "params": _params_dict(cfg),
+        "contour": {"style": contour.style, "lambda": str(contour.lam)},
+        "level": _level_json(level, cfg),
+        "moments": rows,
+        "identities": {
+            "ehrenfest_abs": _num(identities.ehrenfest_abs, 3),
+            "ehrenfest_ok": identities.ehrenfest_ok,
+            "virial_abs": None
+            if identities.virial_abs is None
+            else _num(identities.virial_abs, 3),
+            "virial_ok": identities.virial_ok,
+        },
+    }
+    # the CSV rows also carry the level index n, which JSON keeps in "level"
+    csv_rows = [{"n": r.n, **row} for r, row in zip(results, rows)]
+    columns = ("n", "m", "re_value", "im_value", "est_error")
+    return _emit_rows(cfg, "expect", doc, columns, csv_rows)
 
 
 def _cmd_wavefunction(cfg: RunConfig, args) -> int:
-    table = build_tables(cfg.n_exponent, cfg.pmax)
-    pair = _pair(cfg)
-    ctx, trunc = _ctx(cfg), _trunc(cfg)
+    table, pair, ctx, trunc = _setup(cfg)
     level = _resolve_level(cfg, args, table, pair, args.level, trunc, ctx)
     samples = wavefunction_samples(
         table, level, args.xmin, args.xmax, args.step, trunc, ctx
     )
-    if cfg.fmt == "json":
-        _emit_json(
-            {
-                "params": _params_dict(cfg),
-                "level": _level_json(level, cfg),
-                "samples": [
-                    {
-                        "x": _num(x, cfg.digits),
-                        "re_psi": _num(v.real, cfg.digits),
-                        "im_psi": _num(v.imag, cfg.digits),
-                    }
-                    for x, v in samples
-                ],
-            },
-            cfg,
-        )
-    else:
-        lines = [_params_comment(cfg, "wavefunction"), "x,re_psi,im_psi"]
-        for x, v in samples:
-            lines.append(
-                f"{_num(x, cfg.digits)},{_num(v.real, cfg.digits)},{_num(v.imag, cfg.digits)}"
-            )
-        _emit("\n".join(lines) + "\n", cfg)
-    return 0
+    rows = [
+        {
+            "x": _num(x, cfg.digits),
+            "re_psi": _num(v.real, cfg.digits),
+            "im_psi": _num(v.imag, cfg.digits),
+        }
+        for x, v in samples
+    ]
+    doc = {"params": _params_dict(cfg), "level": _level_json(level, cfg), "samples": rows}
+    return _emit_rows(cfg, "wavefunction", doc, ("x", "re_psi", "im_psi"), rows)
 
 
 def _cmd_selfcheck(args) -> int:

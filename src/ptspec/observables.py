@@ -149,8 +149,7 @@ def _gl_rule(order: int, dps: int):
     return result
 
 
-_SAMPLE_CACHE: dict = {}
-_SAMPLE_CACHE_CAP = 32
+_SAMPLE_CACHE = series.BoundedCache(32)
 
 
 def _contour_samples(
@@ -192,11 +191,7 @@ def _contour_samples(
                     z = center + half * x
                     psi = series.poly_psi(poly, z)
                     samples.append((z, wt * half * psi * psi))
-        samples = tuple(samples)
-    if len(_SAMPLE_CACHE) >= _SAMPLE_CACHE_CAP:
-        del _SAMPLE_CACHE[next(iter(_SAMPLE_CACHE))]
-    _SAMPLE_CACHE[key] = samples
-    return samples
+    return _SAMPLE_CACHE.put(key, tuple(samples))
 
 
 @dataclass(frozen=True)

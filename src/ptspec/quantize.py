@@ -19,7 +19,8 @@ throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -189,24 +190,22 @@ def scan_im_c(
     return tuple(points)
 
 
-def _brackets(points) -> list:
-    """Sign-change intervals of c_im between consecutive ok points."""
-    out = []
-    prev = None
-    for pt in points:
-        if pt.flag != "ok":
-            prev = None
-            continue
-        if prev is not None and mp.sign(prev.c_im) * mp.sign(pt.c_im) < 0:
-            out.append((prev.E, pt.E))
-        prev = pt
-    return out
-
-
-def _hybrid_root(f: Callable, lo, hi, f_lo, f_hi, tol) -> RealHP:
-    """Bracketed root of a smooth real function: bisection to moderate
-    width, then bracket-safeguarded secant down to tol (on E)."""
-    lo, hi = mp.mpf(lo), mp.mpf(hi)
+def _hybrid_root(f: Callable, bracket, tol) -> RealHP:
+    """Root of a smooth real function f that changes sign on bracket:
+    bisection to moderate width, then bracket-safeguarded secant down
+    to tol (on E).  Raises BracketError when f has no sign change."""
+    lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
+    if not lo < hi:
+        raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0:
+        return lo
+    if f_hi == 0:
+        return hi
+    if mp.sign(f_lo) == mp.sign(f_hi):
+        raise BracketError(
+            f"no sign change on [{mp.nstr(lo, 12)}, {mp.nstr(hi, 12)}]"
+        )
     coarse = max(mp.mpf("1e-5"), tol)
     while hi - lo > coarse:
         mid = (lo + hi) / 2
@@ -242,27 +241,64 @@ def _hybrid_root(f: Callable, lo, hi, f_lo, f_hi, tol) -> RealHP:
     return (lo + hi) / 2
 
 
-def _refine_im_c(table, pair, bracket, tol, trunc, ctx, which_side) -> RealHP:
-    z_star = _z_probe(pair, which_side, trunc.radius, ctx)
-    poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
+# ---------------------------------------------------------------------------
+# the pipeline shared by the Im-c and parity routes: a reader maps a probe
+# radius r to a real f(E) whose sign changes are the levels
 
-    def f(ev):
-        return _c_from_polys(poly_a, poly_b, ev, ctx).imag
 
-    with ctx.workdps():
-        lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
-        if not lo < hi:
-            raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo == 0:
-            return lo
-        if f_hi == 0:
-            return hi
-        if mp.sign(f_lo) == mp.sign(f_hi):
-            raise BracketError(
-                f"Im c has no sign change on [{mp.nstr(lo, 12)}, {mp.nstr(hi, 12)}]"
+def _root_and_estimate(reader: Callable, radius: Fraction, bracket, tol):
+    """(root of reader(radius) in bracket, est_error).
+
+    est_error is the shift of the root under reader(0.9*radius),
+    searched on a +-delta window around the root, then on the whole
+    bracket; inf when neither window holds a sign change.
+    """
+    e_root = _hybrid_root(reader(radius), bracket, tol)
+    delta = max(mp.mpf("1e-6"), 100 * tol * max(mp.mpf(1), abs(e_root)))
+    est = mp.inf
+    for window in ((e_root - delta, e_root + delta), bracket):
+        try:
+            est = abs(e_root - _hybrid_root(reader(radius * Fraction(9, 10)), window, tol))
+            break
+        except (BracketError, PoleError):
+            continue
+    return e_root, est
+
+
+def _diagnostics(trunc: TruncationParams, ctx: PrecisionContext, est) -> LevelDiagnostics:
+    """The stability rule: a level is stable when est_error <= 10**(-digits/2)."""
+    stable = bool(est <= mp.mpf(10) ** (-(ctx.digits // 2)))
+    return LevelDiagnostics(trunc.pmax, trunc.radius, ctx.digits, est, stable)
+
+
+def _scan_levels(samples: Callable, refine: Callable, n_levels: int, step: Fraction, cap: Fraction):
+    """Bracket and refine the first n_levels sign changes outward from E=0.
+
+    samples(lo, hi) yields (E, f(E)) on the grid of |E| from lo to hi,
+    f None at a pole, which breaks the bracket chain.  Windows of
+    _WINDOW_STEPS steps are consumed lazily until enough levels are
+    found; refine(bracket, n) turns one sign change into a level.
+    """
+    levels: list = []
+    prev = None
+    window_lo = Fraction(0)
+    while True:
+        if window_lo >= cap:
+            raise TruncationError(
+                f"only {len(levels)} of {n_levels} levels found with |E| below e_max={cap}"
             )
-        return _hybrid_root(f, lo, hi, f_lo, f_hi, mp.mpf(tol))
+        window_hi = min(window_lo + _WINDOW_STEPS * step, cap)
+        for ev, fv in samples(window_lo, window_hi):
+            if fv is None:
+                prev = None
+                continue
+            if prev is not None and mp.sign(prev[1]) * mp.sign(fv) < 0:
+                bracket = (prev[0], ev) if prev[0] < ev else (ev, prev[0])
+                levels.append(refine(bracket, len(levels)))
+                if len(levels) >= n_levels:
+                    return tuple(levels)
+            prev = (ev, fv)
+        window_lo = window_hi
 
 
 def refine_root(
@@ -278,30 +314,23 @@ def refine_root(
     """Refine one Im c sign change to an EnergyLevel.
 
     est_error is the shift of the root when the probe radius drops to
-    0.9r; it bounds the finite-radius truncation error.  The stable
-    flag clears when est_error exceeds 10**(-digits/2).  The level
-    index n is only recorded, not used.
+    0.9r, an estimate (not a bound) of the finite-radius truncation
+    error.  The stable flag clears when est_error exceeds
+    10**(-digits/2).  The level index n is only recorded, not used.
     """
     with ctx.workdps():
         tol = mp.mpf(tol)
         if tol <= 0:
             raise ParameterError("tol must be positive")
-        e_root = _refine_im_c(table, pair, bracket, tol, trunc, ctx, which_side)
-        c_val = connection_coefficient(table, pair, e_root, trunc, ctx, which_side)
 
-        inner = trunc.scaled_radius(9, 10)
-        delta = max(mp.mpf("1e-6"), 100 * tol * max(mp.mpf(1), abs(e_root)))
-        est = mp.inf
-        for lo, hi in ((e_root - delta, e_root + delta), bracket):
-            try:
-                e_inner = _refine_im_c(table, pair, (lo, hi), tol, inner, ctx, which_side)
-                est = abs(e_root - e_inner)
-                break
-            except (BracketError, PoleError):
-                continue
-        stable = bool(est <= mp.mpf(10) ** (-(ctx.digits // 2)))
-        diags = LevelDiagnostics(trunc.pmax, trunc.radius, ctx.digits, est, stable)
-        return EnergyLevel(n, e_root, c_val.real, pair, diags)
+        def reader(radius: Fraction):
+            z_star = _z_probe(pair, which_side, radius, ctx)
+            poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
+            return lambda ev: _c_from_polys(poly_a, poly_b, ev, ctx).imag
+
+        e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol)
+        c_val = connection_coefficient(table, pair, e_root, trunc, ctx, which_side)
+        return EnergyLevel(n, e_root, c_val.real, pair, _diagnostics(trunc, ctx, est))
 
 
 def spectrum(
@@ -326,29 +355,16 @@ def spectrum(
             "Im c vanishes identically on a parity pair; use quantize_p_symmetric"
         )
     step_f = as_fraction(step)
-    cap = as_fraction(e_max)
     tol = ctx.tolerance(5)
 
-    points: list = []
-    levels: list = []
-    window_lo = Fraction(0)
-    while len(levels) < n_levels:
-        if window_lo >= cap:
-            raise TruncationError(
-                f"only {len(levels)} of {n_levels} levels found below e_max={cap}"
-            )
-        window_hi = min(window_lo + _WINDOW_STEPS * step_f, cap)
-        chunk = scan_im_c(table, pair, window_lo, window_hi, step_f, trunc, ctx, which_side)
-        points.extend(chunk if not points else chunk[1:])
-        brackets = _brackets(points)
-        for bracket in brackets[len(levels):]:
-            if len(levels) >= n_levels:
-                break
-            levels.append(
-                refine_root(table, pair, bracket, tol, trunc, ctx, len(levels), which_side)
-            )
-        window_lo = window_hi
-    return tuple(levels)
+    def samples(lo, hi):
+        for pt in scan_im_c(table, pair, lo, hi, step_f, trunc, ctx, which_side):
+            yield pt.E, pt.c_im if pt.flag == "ok" else None
+
+    def refine(bracket, n):
+        return refine_root(table, pair, bracket, tol, trunc, ctx, n, which_side)
+
+    return _scan_levels(samples, refine, n_levels, step_f, as_fraction(e_max))
 
 
 def _parity_geometry(pair: WedgePair):
@@ -380,10 +396,12 @@ def quantize_p_symmetric(
     (even) or psi2 (odd) evaluated on the pair's symmetry axis at
     radius r.  On the probe axis that series is real (after stripping
     the constant phase of psi2), so plain sign-change scanning applies.
-    n orders levels by distance from zero; c is undefined.
+    parity "both" interleaves the two by |E|, as parity spectra
+    alternate even/odd as |E| grows.  n orders levels by distance from
+    zero; c is undefined.
     """
-    if parity not in ("even", "odd"):
-        raise ParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if parity not in ("even", "odd", "both"):
+        raise ParameterError(f"parity must be 'even', 'odd' or 'both', got {parity!r}")
     if not isinstance(n_levels, int) or n_levels < 1:
         raise ParameterError(f"n_levels must be a positive integer, got {n_levels!r}")
     psym = [p for p in pt_pairs(table.n_exponent) if p.p_symmetric]
@@ -391,64 +409,41 @@ def quantize_p_symmetric(
         raise ParameterError(f"N={table.n_exponent} has no p-symmetric pair (N must be even)")
     pair = psym[0]
     axis, direction = _parity_geometry(pair)
-
-    def make_reader(radius: Fraction):
-        z_star = _z_probe(pair, "right", radius, ctx)
-        poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
-        if parity == "even":
-            poly = poly_a
-            part = "re"
-        else:
-            poly = poly_b
-            # at z = r the odd series is purely imaginary, at z = i*r real
-            part = "im" if axis == "real" else "re"
-
-        def f(ev):
-            val = series.eval_energy_poly(poly, ev)
-            return val.real if part == "re" else val.imag
-
-        return f
-
-    step_f = as_fraction(step)
-    cap = as_fraction(e_max)
+    step_f, cap = as_fraction(step), as_fraction(e_max)
     tol = ctx.tolerance(5)
 
-    with ctx.workdps():
-        f_outer = make_reader(trunc.radius)
-        f_inner = make_reader(trunc.radius * Fraction(9, 10))
-        levels: list = []
-        window_lo = Fraction(0)
-        prev_e = None
-        prev_f = None
-        while len(levels) < n_levels:
-            if window_lo >= cap:
-                raise TruncationError(
-                    f"only {len(levels)} of {n_levels} parity levels found below |E|={cap}"
-                )
-            window_hi = min(window_lo + _WINDOW_STEPS * step_f, cap)
-            grid = _fraction_grid(window_lo, window_hi, step_f)
-            for ef in grid:
+    def route(which: str, count: int):
+        """Levels of one parity, n counted from zero within it."""
+        # at z = r the odd series is purely imaginary, at z = i*r real
+        part = "imag" if which == "odd" and axis == "real" else "real"
+
+        @functools.lru_cache(maxsize=None)
+        def reader(radius: Fraction):
+            z_star = _z_probe(pair, "right", radius, ctx)
+            poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
+            poly = poly_a if which == "even" else poly_b
+            return lambda ev: getattr(series.eval_energy_poly(poly, ev), part)
+
+        def samples(lo, hi):
+            f = reader(trunc.radius)
+            for ef in _fraction_grid(lo, hi, step_f):
                 ev = ctx.mpf(direction * ef)
-                fv = f_outer(ev)
-                if prev_f is not None and mp.sign(prev_f) * mp.sign(fv) < 0:
-                    lo, hi = (prev_e, ev) if prev_e < ev else (ev, prev_e)
-                    e_root = _hybrid_root(f_outer, lo, hi, f_outer(lo), f_outer(hi), tol)
-                    delta = max(mp.mpf("1e-6"), 100 * tol * max(mp.mpf(1), abs(e_root)))
-                    est = mp.inf
-                    g_lo, g_hi = f_inner(e_root - delta), f_inner(e_root + delta)
-                    if mp.sign(g_lo) * mp.sign(g_hi) < 0:
-                        e_in = _hybrid_root(f_inner, e_root - delta, e_root + delta, g_lo, g_hi, tol)
-                        est = abs(e_root - e_in)
-                    stable = bool(est <= mp.mpf(10) ** (-(ctx.digits // 2)))
-                    diags = LevelDiagnostics(trunc.pmax, trunc.radius, ctx.digits, est, stable)
-                    levels.append(
-                        EnergyLevel(len(levels), e_root, None, pair, diags, parity)
-                    )
-                    if len(levels) >= n_levels:
-                        break
-                prev_e, prev_f = ev, fv
-            window_lo = window_hi
-        return tuple(levels)
+                yield ev, f(ev)
+
+        def refine(bracket, n):
+            e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol)
+            return EnergyLevel(n, e_root, None, pair, _diagnostics(trunc, ctx, est), which)
+
+        return _scan_levels(samples, refine, count, step_f, cap)
+
+    with ctx.workdps():
+        if parity != "both":
+            return route(parity, n_levels)
+        levels = list(route("even", (n_levels + 1) // 2))
+        if n_levels // 2:
+            levels += route("odd", n_levels // 2)
+    levels.sort(key=lambda lv: abs(lv.E))
+    return tuple(replace(lv, n=i) for i, lv in enumerate(levels))
 
 
 @dataclass(frozen=True)

@@ -138,11 +138,26 @@ def build_tables(n_exponent: int, pmax: int) -> CoefficientTable:
     return table
 
 
+class BoundedCache(dict):
+    """Insertion-ordered cache holding at most cap entries: put() drops
+    the oldest entry first when the cache is full (FIFO, no refresh on
+    hits)."""
+
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.cap = cap
+
+    def put(self, key, value):
+        if len(self) >= self.cap:
+            del self[next(iter(self))]
+        self[key] = value
+        return value
+
+
 # ---------------------------------------------------------------------------
 # float-coefficient snapshots, converted once per (N, pmax, dps)
 
-_FLOAT_CACHE: dict = {}
-_FLOAT_CACHE_CAP = 16
+_FLOAT_CACHE = BoundedCache(16)
 
 
 def _float_entries(table: CoefficientTable, dps: int):
@@ -169,11 +184,7 @@ def _float_entries(table: CoefficientTable, dps: int):
                         mp.mpf(bf.numerator) / bf.denominator,
                     )
                 )
-    entries = tuple(entries)
-    if len(_FLOAT_CACHE) >= _FLOAT_CACHE_CAP:
-        del _FLOAT_CACHE[next(iter(_FLOAT_CACHE))]
-    _FLOAT_CACHE[key] = entries
-    return entries
+    return _FLOAT_CACHE.put(key, tuple(entries))
 
 
 def _powers(base: ComplexHP, top: int) -> list:
@@ -327,11 +338,8 @@ def wronskian(table: CoefficientTable, z, E, ctx: PrecisionContext) -> ComplexHP
 # ---------------------------------------------------------------------------
 # collapsed polynomial forms
 
-_ENERGY_CACHE: dict = {}
-_ENERGY_CACHE_CAP = 64
-
-_SPACE_CACHE: dict = {}
-_SPACE_CACHE_CAP = 64
+_ENERGY_CACHE = BoundedCache(64)
+_SPACE_CACHE = BoundedCache(64)
 
 
 def energy_polynomials(table: CoefficientTable, z, ctx: PrecisionContext):
@@ -358,10 +366,7 @@ def energy_polynomials(table: CoefficientTable, z, ctx: PrecisionContext):
             acc_a[q] += af * wpow[m]
             acc_b[q] += bf * wpow[m + 1]
         result = (tuple(acc_a), tuple(acc_b))
-    if len(_ENERGY_CACHE) >= _ENERGY_CACHE_CAP:
-        del _ENERGY_CACHE[next(iter(_ENERGY_CACHE))]
-    _ENERGY_CACHE[key] = result
-    return result
+    return _ENERGY_CACHE.put(key, result)
 
 
 def eval_energy_poly(coeffs: Sequence[ComplexHP], E) -> ComplexHP:
@@ -410,10 +415,7 @@ def space_polynomial(
             coeffs[m] += al * af * eq
             coeffs[m + 1] += be * bf * eq
         result = tuple(coeffs)
-    if len(_SPACE_CACHE) >= _SPACE_CACHE_CAP:
-        del _SPACE_CACHE[next(iter(_SPACE_CACHE))]
-    _SPACE_CACHE[key] = result
-    return result
+    return _SPACE_CACHE.put(key, result)
 
 
 def poly_psi(coeffs: Sequence[ComplexHP], z) -> ComplexHP:

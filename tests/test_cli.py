@@ -178,6 +178,28 @@ def test_nodes_json(capsys):
     assert doc["failed_seeds"] == []
 
 
+def test_nodes_csv(capsys):
+    # CSV lists axis, arch and turning rows as kind,re,im; failed seeds
+    # appear only in JSON
+    args = ["nodes", "--N", "3", "--level", "1", "--grid-step", "0.1",
+            "--digits", "20", "--pmax", "60"]
+    rc, out, err = run(args + ["--format", "csv"], capsys)
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "# ptspec nodes N=3 pmax=60 radius=8 digits=20 pair=0"
+    assert lines[1] == "kind,re,im"
+    rows = [ln.split(",") for ln in lines[2:]]
+    assert [r[0] for r in rows] == ["arch", "turning", "turning"]
+    assert rows[0][1] == "0.0" and rows[0][2].startswith("-0.661296")
+    rc, out, err = run(args, capsys)
+    doc = json.loads(out)
+    want = [[kind, z["re"], z["im"]]
+            for kind, key in (("axis", "axis_nodes"), ("arch", "arch_nodes"),
+                              ("turning", "turning_points"))
+            for z in doc[key]]
+    assert rows == want
+
+
 def test_nodes_region_parse_error(capsys):
     rc, out, err = run(["nodes", "--N", "3", "--region", "1,2,3"], capsys)
     assert rc == 2
@@ -197,6 +219,27 @@ def test_expect_json(capsys):
     idn = doc["identities"]
     assert idn["ehrenfest_ok"] is True and idn["virial_ok"] is True
     assert float(idn["virial_abs"]) < 1e-8
+
+
+def test_expect_csv(capsys):
+    # the CSV rows carry the level index n, which JSON keeps under "level"
+    args = ["expect", "--N", "3", "--level", "1", "--moments", "0,2",
+            "--digits", "20", "--pmax", "60"]
+    rc, out, err = run(args + ["--format", "csv"], capsys)
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "# ptspec expect N=3 pmax=60 radius=8 digits=20 pair=0"
+    assert lines[1] == "n,m,re_value,im_value,est_error"
+    rows = [ln.split(",") for ln in lines[2:]]
+    assert [r[:2] for r in rows] == [["1", "0"], ["1", "2"]]
+    assert rows[0][2:4] == ["1.0", "0.0"]
+    rc, out, err = run(args, capsys)
+    doc = json.loads(out)
+    assert doc["level"]["n"] == 1
+    assert "n" not in doc["moments"][0]
+    want = [[str(doc["level"]["n"]), str(m["m"]), m["re_value"], m["im_value"], m["est_error"]]
+            for m in doc["moments"]]
+    assert rows == want
 
 
 def test_expect_bad_moments(capsys):

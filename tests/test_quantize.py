@@ -193,6 +193,19 @@ def test_parity_n4_regression_and_oracle(table4, ctx40):
         assert abs(float(-odd[0].E) - eps1) < 1e-10
 
 
+def test_parity_both_interleaves(table2, trunc8, ctx40):
+    # the oscillator levels 1,3,5,7,9 alternate even/odd, renumbered 0..4
+    with ctx40.workdps():
+        both = quantize_p_symmetric(table2, "both", 5, trunc8, ctx40)
+        assert [lv.n for lv in both] == [0, 1, 2, 3, 4]
+        assert [lv.parity for lv in both] == ["even", "odd", "even", "odd", "even"]
+        for lv, want in zip(both, (1, 3, 5, 7, 9)):
+            assert abs(lv.E - want) < mp.mpf("1e-15")
+    for bad in ("all", "Both", None):
+        with pytest.raises(ParameterError):
+            quantize_p_symmetric(table2, bad, 2, trunc8, ctx40)
+
+
 def test_parity_requires_even_n(table3, trunc8, ctx40):
     with pytest.raises(ParameterError):
         quantize_p_symmetric(table3, "even", 1, trunc8, ctx40)
