@@ -10,11 +10,13 @@ contour independent.  Two piecewise-linear styles are offered: the
 real segment [-lambda, lambda] (valid when the wedges straddle the
 real axis) and the two anti-Stokes rays through the origin.
 
-Quadrature is composite Gauss-Legendre, 64 panels per segment.  The
-same point set is evaluated at order 20 and order 40; the order-40
-result is reported with est_error = |order40 - order20|.  All psi
-values along a contour are computed once per level and reused across
-moments.
+psi at fixed E is a polynomial C in w = iz, so with S = C*C and
+z = -iw each integral is exact from the antiderivative,
+(-i)^(m+1) [sum_j S_j w^(j+m+1) / (j+m+1)] between the contour's first
+and last vertex.  Those sums cancel (kappa = sum |term| / |sum| is
+~1e18 for the ground state on [-5, 5]), so a pass at the working dps
+measures kappa of the norm and the values come from a second pass at
+dps + log10(kappa); est_error is that pass's rounding bound.
 """
 
 from __future__ import annotations
@@ -38,15 +40,12 @@ from .precision import (
     PrecisionContext,
     RealHP,
     as_fraction,
-    complex_str,
 )
 from .quantize import EnergyLevel, level_weights
 from .series import CoefficientTable, TruncationParams
 from .wedges import WedgePair, polar_point
 
 __all__ = [
-    "PANELS",
-    "QUAD_ORDERS",
     "EHRENFEST_TOL",
     "VIRIAL_TOL",
     "Contour",
@@ -58,9 +57,6 @@ __all__ = [
     "identity_checks",
     "wavefunction_samples",
 ]
-
-PANELS = 64
-QUAD_ORDERS = (20, 40)
 
 EHRENFEST_TOL = "1e-9"
 VIRIAL_TOL = "1e-8"
@@ -114,102 +110,84 @@ def build_contour(pair: WedgePair, lam: Fractionable, style: str) -> Contour:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre machinery
-
-_GL_CACHE: dict = {}
+# exact integration
 
 
-def _gl_rule(order: int, dps: int):
-    """Nodes and weights on [-1, 1], computed by Newton on the Legendre
-    recurrence at working precision.  Cached per (order, dps)."""
-    key = (order, dps)
-    hit = _GL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    with mp.workdps(dps + 10):
-        nodes = []
-        for k in range(1, order + 1):
-            x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (order + mp.mpf(1) / 2))
-            for _ in range(60):
-                p_prev, p_cur = mp.mpf(1), x
-                for j in range(2, order + 1):
-                    p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-                dp = order * (x * p_cur - p_prev) / (x * x - 1)
-                dx = p_cur / dp
-                x = x - dx
-                if abs(dx) < mp.mpf(10) ** (-(dps + 5)):
-                    break
-            p_prev, p_cur = mp.mpf(1), x
-            for j in range(2, order + 1):
-                p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-            dp = order * (x * p_cur - p_prev) / (x * x - 1)
-            nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
-    result = tuple(nodes)
-    _GL_CACHE[key] = result
-    return result
+def _square(coeffs) -> tuple:
+    """Coefficients of the square of the polynomial sum_k coeffs[k] w**k."""
+    out = []
+    for j in range(2 * len(coeffs) - 1):
+        lo = max(0, j - len(coeffs) + 1)
+        acc = 2 * mp.fdot((coeffs[k], coeffs[j - k]) for k in range(lo, (j + 1) // 2))
+        if j % 2 == 0:
+            acc += coeffs[j // 2] ** 2
+        out.append(acc)
+    return tuple(out)
 
 
-_SAMPLE_CACHE = series.BoundedCache(32)
+def _integral(square, m: int, z0, z1):
+    """(int_z0^z1 P(iz) z^m dz, sum of |terms|) for P(w) = sum_j square[j] w**j,
+    exact from the antiderivative at the two endpoints."""
+    ends = []
+    size = mp.mpf(0)
+    for z in (z0, z1):
+        w = mp.mpc(0, 1) * z
+        power = w ** (m + 1)
+        acc = mp.mpc(0)
+        for j, s in enumerate(square):
+            term = s * power / (j + m + 1)
+            acc += term
+            size += abs(term)
+            power *= w
+        ends.append(acc)
+    return mp.mpc(0, -1) ** (m + 1) * (ends[1] - ends[0]), size
 
 
-def _contour_samples(
+_SQUARE_CACHE = series.BoundedCache(32)
+
+
+def _path_integral(
     table: CoefficientTable,
     level: EnergyLevel,
+    m: int,
     contour: Contour,
-    order: int,
     ctx: PrecisionContext,
+    raised: Optional[PrecisionContext] = None,
 ):
-    """(z_i, w_i * psi(z_i)**2) along the contour, weights including the
-    complex segment direction.  Cached so that every moment of a level
-    reuses one pass of psi evaluations."""
+    """_integral of the level's psi^2 z^m over the contour at ctx.dps, or
+    at raised.dps when given.  The squared polynomial is cached per level
+    and dps; at a raised dps it is built from an uncached collapse, so no
+    raised coefficient snapshot outlives it."""
+    work = raised or ctx
     alpha, beta = level_weights(level)
-    with ctx.workdps():
-        key = (
-            table.n_exponent,
-            table.pmax,
-            ctx.dps,
-            mp.nstr(mp.mpf(level.E), ctx.dps),
-            complex_str(mp.mpc(alpha), ctx.dps),
-            complex_str(mp.mpc(beta), ctx.dps),
-            contour.cache_key(),
-            order,
-        )
-        hit = _SAMPLE_CACHE.get(key)
-        if hit is not None:
-            return hit
-        poly = series.space_polynomial(table, level.E, alpha, beta, ctx)
-        rule = _gl_rule(order, ctx.dps)
-        samples = []
-        for v0, v1 in contour.segments():
-            z0 = polar_point(v0[0], v0[1], ctx)
-            z1 = polar_point(v1[0], v1[1], ctx)
-            dz = (z1 - z0) / PANELS
-            half = dz / 2
-            for panel in range(PANELS):
-                center = z0 + panel * dz + half
-                for x, wt in rule:
-                    z = center + half * x
-                    psi = series.poly_psi(poly, z)
-                    samples.append((z, wt * half * psi * psi))
-    return _SAMPLE_CACHE.put(key, tuple(samples))
+    with work.workdps():
+        key = (table.n_exponent, table.pmax, work.dps, mp.mpf(level.E), alpha, beta)
+        square = _SQUARE_CACHE.get(key)
+        if square is None:
+            if raised is None:
+                poly = series.space_polynomial(table, level.E, alpha, beta, ctx)
+            else:
+                poly = series.space_polynomial_at(table, level.E, alpha, beta, raised.dps)
+            square = _SQUARE_CACHE.put(key, _square(poly))
+        z0 = polar_point(*contour.vertices[0], work)
+        z1 = polar_point(*contour.vertices[-1], work)
+        return _integral(square, m, z0, z1)
 
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """One PT moment <z^m>_n with its quadrature error estimate."""
+    """One PT moment <z^m>_n.
+
+    est_error bounds the rounding error of the exact endpoint sums at
+    the working precision; it does not cover the series truncation or
+    the finite contour (psi^2 z^m is not zero at the endpoints).
+    """
 
     n: int
     m: int
     value: ComplexHP
     norm: ComplexHP
     est_error: RealHP
-
-
-def _moment(samples, m: int) -> ComplexHP:
-    acc = mp.mpc(0)
-    for z, wpsi2 in samples:
-        acc += wpsi2 if m == 0 else wpsi2 * z ** m
-    return acc
 
 
 def expectation(
@@ -220,27 +198,32 @@ def expectation(
     trunc: TruncationParams,
     ctx: PrecisionContext,
 ) -> ExpectationResult:
-    """<z^m> of a level over the given contour."""
+    """<z^m> of a level over the given contour.
+
+    Raises DegenerateNormError when the norm integral lies inside its
+    rounding bound at the working precision.
+    """
     if not isinstance(m, int) or m < 0:
         raise ParameterError(f"moment order must be a non-negative integer, got {m!r}")
     if contour.max_radius() > trunc.radius:
         raise RadiusError(
             f"contour extends to {contour.max_radius()} beyond the validated radius {trunc.radius}"
         )
-    low = _contour_samples(table, level, contour, QUAD_ORDERS[0], ctx)
-    high = _contour_samples(table, level, contour, QUAD_ORDERS[1], ctx)
+    norm, norm_size = _path_integral(table, level, 0, contour, ctx)
     with ctx.workdps():
-        norm_high = _moment(high, 0)
-        scale = mp.mpf(0)
-        for _, wpsi2 in high:
-            scale += abs(wpsi2)
-        if abs(norm_high) < ctx.tolerance() * scale:
+        if abs(norm) <= norm_size * mp.mpf(10) ** -ctx.dps:
             raise DegenerateNormError(
-                f"normalization integral vanished for level n={level.n}"
+                f"normalization integral of level n={level.n} is inside its rounding"
+                f" bound at {ctx.dps} digits (it vanishes or needs more digits)"
             )
-        value = _moment(high, m) / norm_high
-        value_low = _moment(low, m) / _moment(low, 0)
-        return ExpectationResult(level.n, m, value, norm_high, abs(value - value_low))
+        raised = PrecisionContext(ctx.digits + int(mp.ceil(mp.log10(norm_size / abs(norm)))))
+    norm, norm_size = _path_integral(table, level, 0, contour, ctx, raised)
+    total, size = _path_integral(table, level, m, contour, ctx, raised)
+    with raised.workdps():
+        value = total / norm
+        est = (size + abs(value) * norm_size) / abs(norm) * mp.mpf(10) ** -raised.dps
+    with ctx.workdps():
+        return ExpectationResult(level.n, m, +value, +norm, +est)
 
 
 @dataclass(frozen=True)

@@ -190,14 +190,15 @@ def scan_im_c(
     return tuple(points)
 
 
-def _hybrid_root(f: Callable, bracket, tol) -> RealHP:
+def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
     """Root of a smooth real function f that changes sign on bracket:
     bisection to moderate width, then bracket-safeguarded secant down
-    to tol (on E).  Raises BracketError when f has no sign change."""
+    to tol (on E), reusing f at the bracket ends when the caller passes
+    them.  Raises BracketError when f has no sign change."""
     lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
     if not lo < hi:
         raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = ends if ends is not None else (f(lo), f(hi))
     if f_lo == 0:
         return lo
     if f_hi == 0:
@@ -246,14 +247,15 @@ def _hybrid_root(f: Callable, bracket, tol) -> RealHP:
 # radius r to a real f(E) whose sign changes are the levels
 
 
-def _root_and_estimate(reader: Callable, radius: Fraction, bracket, tol):
-    """(root of reader(radius) in bracket, est_error).
+def _root_and_estimate(reader: Callable, radius: Fraction, bracket, tol, ends=None):
+    """(root of reader(radius) in bracket, est_error); ends, if given,
+    are reader(radius) at the bracket ends.
 
     est_error is the shift of the root under reader(0.9*radius),
     searched on a +-delta window around the root, then on the whole
     bracket; inf when neither window holds a sign change.
     """
-    e_root = _hybrid_root(reader(radius), bracket, tol)
+    e_root = _hybrid_root(reader(radius), bracket, tol, ends)
     delta = max(mp.mpf("1e-6"), 100 * tol * max(mp.mpf(1), abs(e_root)))
     est = mp.inf
     for window in ((e_root - delta, e_root + delta), bracket):
@@ -276,8 +278,9 @@ def _scan_levels(samples: Callable, refine: Callable, n_levels: int, step: Fract
 
     samples(lo, hi) yields (E, f(E)) on the grid of |E| from lo to hi,
     f None at a pole, which breaks the bracket chain.  Windows of
-    _WINDOW_STEPS steps are consumed lazily until enough levels are
-    found; refine(bracket, n) turns one sign change into a level.
+    _WINDOW_STEPS steps, sharing no point, are consumed lazily until
+    enough levels are found; refine(bracket, ends, n) turns a sign
+    change and f at its ends into a level.
     """
     levels: list = []
     prev = None
@@ -287,14 +290,14 @@ def _scan_levels(samples: Callable, refine: Callable, n_levels: int, step: Fract
             raise TruncationError(
                 f"only {len(levels)} of {n_levels} levels found with |E| below e_max={cap}"
             )
-        window_hi = min(window_lo + _WINDOW_STEPS * step, cap)
-        for ev, fv in samples(window_lo, window_hi):
+        window_hi = window_lo + _WINDOW_STEPS * step
+        for ev, fv in samples(window_lo, cap if window_hi >= cap else window_hi - step):
             if fv is None:
                 prev = None
                 continue
             if prev is not None and mp.sign(prev[1]) * mp.sign(fv) < 0:
-                bracket = (prev[0], ev) if prev[0] < ev else (ev, prev[0])
-                levels.append(refine(bracket, len(levels)))
+                lo, hi = sorted((prev, (ev, fv)), key=lambda point: point[0])
+                levels.append(refine((lo[0], hi[0]), (lo[1], hi[1]), len(levels)))
                 if len(levels) >= n_levels:
                     return tuple(levels)
             prev = (ev, fv)
@@ -310,13 +313,15 @@ def refine_root(
     ctx: PrecisionContext,
     n: int = 0,
     which_side: str = "right",
+    ends=None,
 ) -> EnergyLevel:
     """Refine one Im c sign change to an EnergyLevel.
 
     est_error is the shift of the root when the probe radius drops to
     0.9r, an estimate (not a bound) of the finite-radius truncation
     error.  The stable flag clears when est_error exceeds
-    10**(-digits/2).  The level index n is only recorded, not used.
+    10**(-digits/2).  The level index n is only recorded, not used;
+    ends, when given, are Im c at the bracket ends as a scan sampled them.
     """
     with ctx.workdps():
         tol = mp.mpf(tol)
@@ -328,7 +333,7 @@ def refine_root(
             poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
             return lambda ev: _c_from_polys(poly_a, poly_b, ev, ctx).imag
 
-        e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol)
+        e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
         c_val = connection_coefficient(table, pair, e_root, trunc, ctx, which_side)
         return EnergyLevel(n, e_root, c_val.real, pair, _diagnostics(trunc, ctx, est))
 
@@ -361,8 +366,8 @@ def spectrum(
         for pt in scan_im_c(table, pair, lo, hi, step_f, trunc, ctx, which_side):
             yield pt.E, pt.c_im if pt.flag == "ok" else None
 
-    def refine(bracket, n):
-        return refine_root(table, pair, bracket, tol, trunc, ctx, n, which_side)
+    def refine(bracket, ends, n):
+        return refine_root(table, pair, bracket, tol, trunc, ctx, n, which_side, ends)
 
     return _scan_levels(samples, refine, n_levels, step_f, as_fraction(e_max))
 
@@ -430,8 +435,8 @@ def quantize_p_symmetric(
                 ev = ctx.mpf(direction * ef)
                 yield ev, f(ev)
 
-        def refine(bracket, n):
-            e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol)
+        def refine(bracket, ends, n):
+            e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
             return EnergyLevel(n, e_root, None, pair, _diagnostics(trunc, ctx, est), which)
 
         return _scan_levels(samples, refine, count, step_f, cap)

@@ -21,7 +21,7 @@ forms that make repeated evaluation cheap:
 * energy_polynomials: at fixed z, psi1 and psi2 become polynomials in E
   (degree pmax).  Used by eigenvalue scans.
 * space_polynomial: at fixed E, any combination alpha*psi1 + beta*psi2
-  becomes a polynomial in w = iz.  Used by node finding and quadrature.
+  becomes a polynomial in w = iz.  Used by node finding and exact moments.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "energy_polynomials",
     "eval_energy_poly",
     "space_polynomial",
+    "space_polynomial_at",
     "poly_psi",
     "poly_psi_d",
     "save_table",
@@ -166,25 +167,21 @@ def _float_entries(table: CoefficientTable, dps: int):
     hit = _FLOAT_CACHE.get(key)
     if hit is not None:
         return hit
+    return _FLOAT_CACHE.put(key, _snapshot(table, dps))
+
+
+def _snapshot(table: CoefficientTable, dps: int):
+    """Uncached body of _float_entries."""
     step = table.n_exponent + 2
     entries = []
     with mp.workdps(dps):
         for s in range(table.pmax + 1):
             for p in range(s + 1):
-                q = s - p
-                m = step * p + 2 * q
-                af = table.a[(p, q)]
-                bf = table.b[(p, q)]
-                entries.append(
-                    (
-                        p,
-                        q,
-                        m,
-                        mp.mpf(af.numerator) / af.denominator,
-                        mp.mpf(bf.numerator) / bf.denominator,
-                    )
-                )
-    return _FLOAT_CACHE.put(key, tuple(entries))
+                af, bf = table.a[(p, s - p)], table.b[(p, s - p)]
+                af = mp.mpf(af.numerator) / af.denominator
+                bf = mp.mpf(bf.numerator) / bf.denominator
+                entries.append((p, s - p, step * p + 2 * (s - p), af, bf))
+    return tuple(entries)
 
 
 def _powers(base: ComplexHP, top: int) -> list:
@@ -388,8 +385,8 @@ def space_polynomial(
     """Collapse at fixed E: alpha*psi1 + beta*psi2 as a polynomial in w = iz.
 
     Returns the coefficient tuple C with psi(z) = sum_k C[k] w**k.
-    Cached; node searches and contour quadrature reuse one collapse for
-    thousands of point evaluations.
+    Cached; node searches and wavefunction sampling reuse one collapse
+    for thousands of point evaluations.
     """
     with ctx.workdps():
         ev = mp.mpf(E)
@@ -406,16 +403,29 @@ def space_polynomial(
         hit = _SPACE_CACHE.get(key)
         if hit is not None:
             return hit
-        entries = _float_entries(table, ctx.dps)
-        epow = _powers(mp.mpc(ev), table.pmax)
-        top = (table.n_exponent + 2) * table.pmax + 2
-        coeffs = [mp.mpc(0) for _ in range(top)]
-        for p, q, m, af, bf in entries:
-            eq = epow[q]
-            coeffs[m] += al * af * eq
-            coeffs[m + 1] += be * bf * eq
-        result = tuple(coeffs)
+        result = _collapse_space(table, _float_entries(table, ctx.dps), ev, al, be)
     return _SPACE_CACHE.put(key, result)
+
+
+def space_polynomial_at(table: CoefficientTable, E, alpha, beta, dps: int):
+    """space_polynomial at working precision dps, uncached: neither the
+    collapse nor the coefficient snapshot it is built from outlives the
+    call.  For one-off computations at a raised precision."""
+    with mp.workdps(dps):
+        ev, al, be = mp.mpf(E), mp.mpc(alpha), mp.mpc(beta)
+        return _collapse_space(table, _snapshot(table, dps), ev, al, be)
+
+
+def _collapse_space(table: CoefficientTable, entries, ev, al, be):
+    """Sum the snapshot entries into the coefficients of w**k at E = ev."""
+    epow = _powers(mp.mpc(ev), table.pmax)
+    top = (table.n_exponent + 2) * table.pmax + 2
+    coeffs = [mp.mpc(0) for _ in range(top)]
+    for p, q, m, af, bf in entries:
+        eq = epow[q]
+        coeffs[m] += al * af * eq
+        coeffs[m + 1] += be * bf * eq
+    return tuple(coeffs)
 
 
 def poly_psi(coeffs: Sequence[ComplexHP], z) -> ComplexHP:

@@ -125,7 +125,7 @@ def parity_shoot_eigenvalue(power, parity, bracket, s_inf=10.0):
 def quad_moment(table, level, m, lam, trunc, ctx):
     """<z^m> on [-lam, lam] by mpmath's adaptive tanh-sinh quadrature.
 
-    Independent of the solver's fixed Gauss-Legendre panels.
+    Independent of the solver's exact endpoint antiderivative.
     """
     alpha, beta = level_weights(level)
     poly = space_polynomial(table, level.E, alpha, beta, ctx)

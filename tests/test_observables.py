@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptspec import (
     DegenerateNormError,
@@ -19,6 +21,7 @@ from ptspec import (
     pt_pairs,
     wavefunction_samples,
 )
+from ptspec.observables import _integral, _square
 from ptspec.series import poly_psi, space_polynomial
 
 # quoted reference values for the first four levels; m=1 and m=3 are
@@ -211,3 +214,61 @@ def test_weights_used_by_contour(levels3):
     alpha, beta = level_weights(levels3[0])
     assert alpha == 1
     assert beta is levels3[0].c
+
+
+def test_n2_closed_form_moments(table2, trunc8, ctx40):
+    # N=2 is the harmonic oscillator -psi'' + z^2 psi = E psi: E_n = 2n+1,
+    # psi_n = H_n(z) e^(-z^2/2), so <z^2>_n = E_n/2 = n + 1/2 (virial
+    # theorem) and <z^4>_0 = 3/4.  The contour [-lam, lam] leaves out the
+    # two tails beyond lam, each about 2^(2n) lam^(2n+m-1) e^(-lam^2) / 2
+    # against the norm sqrt(pi) 2^n n!, so the moment is off by about
+    # tail(n, m) = 2^n lam^(2n+m-1) e^(-lam^2) / (sqrt(pi) n!).  lam = 7,
+    # inside the validated radius 8, keeps every tail below 4e-16 while
+    # the levels themselves are within 1e-21 of 2n+1; the tolerance is
+    # twice the tail, which also covers the next order of its expansion.
+    from ptspec import quantize_p_symmetric
+
+    levels = quantize_p_symmetric(table2, "both", 4, trunc8, ctx40)
+    lam = 7
+    path = build_contour(levels[0].pair, lam, "real_line")
+    with ctx40.workdps():
+
+        def tail(n, m):
+            return (
+                2**n * mp.mpf(lam) ** (2 * n + m - 1) * mp.exp(-lam**2)
+                / (mp.sqrt(mp.pi) * mp.factorial(n))
+            )
+
+        for n in range(4):
+            res = expectation(table2, levels[n], 2, path, trunc8, ctx40)
+            assert abs(res.value - (n + mp.mpf(1) / 2)) < 2 * tail(n, 2), n
+        res = expectation(table2, levels[0], 4, path, trunc8, ctx40)
+        assert abs(res.value - mp.mpf(3) / 4) < 2 * tail(0, 4)
+
+
+_unit = st.floats(-1, 1, allow_nan=False)
+_complex = st.tuples(_unit, _unit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.lists(_complex, min_size=1, max_size=13),
+    m=st.integers(0, 4),
+    z0=_complex,
+    z1=_complex,
+)
+def test_exact_integral_matches_quadrature(coeffs, m, z0, z1):
+    # int_z0^z1 P(iz)^2 z^m dz from the squared polynomial's antiderivative
+    # against tanh-sinh quadrature along the straight segment z0 -> z1
+    with mp.workdps(30):
+        poly = [mp.mpc(*c) for c in coeffs]
+        a = 2 * mp.mpc(*z0)
+        b = 2 * mp.mpc(*z1)
+        value, size = _integral(_square(poly), m, a, b)
+
+        def integrand(t):
+            z = a + t * (b - a)
+            return poly_psi(poly, z) ** 2 * z**m * (b - a)
+
+        want = mp.quad(integrand, [0, 1])
+        assert abs(value - want) <= mp.mpf("1e-20") * max(1, size)
