@@ -127,23 +127,21 @@ def _square(coeffs) -> tuple:
 
 def _integral(square, m: int, z0, z1):
     """(int_z0^z1 P(iz) z^m dz, sum of |terms|) for P(w) = sum_j square[j] w**j,
-    exact from the antiderivative at the two endpoints."""
+    exact from the antiderivative w**(m+1) sum_j square[j]/(j+m+1) w**j
+    at the two endpoints."""
+    antider = [s / (j + m + 1) for j, s in enumerate(square)]
+    sizes = [abs(c) for c in antider]
     ends = []
     size = mp.mpf(0)
     for z in (z0, z1):
         w = mp.mpc(0, 1) * z
-        power = w ** (m + 1)
-        acc = mp.mpc(0)
-        for j, s in enumerate(square):
-            term = s * power / (j + m + 1)
-            acc += term
-            size += abs(term)
-            power *= w
-        ends.append(acc)
+        ends.append(w ** (m + 1) * series._horner(antider, w)[0])
+        size += abs(w) ** (m + 1) * series._horner(sizes, abs(w))[0].real
     return mp.mpc(0, -1) ** (m + 1) * (ends[1] - ends[0]), size
 
 
 _SQUARE_CACHE = series.BoundedCache(32)
+_INTEGRAL_CACHE = series.BoundedCache(64)
 
 
 def _path_integral(
@@ -155,13 +153,18 @@ def _path_integral(
     raised: Optional[PrecisionContext] = None,
 ):
     """_integral of the level's psi^2 z^m over the contour at ctx.dps, or
-    at raised.dps when given.  The squared polynomial is cached per level
-    and dps; at a raised dps it is built from an uncached collapse, so no
-    raised coefficient snapshot outlives it."""
+    at raised.dps when given.  Results are cached per level, dps, m and
+    contour, and the squared polynomial per level and dps; at a raised
+    dps the square is built from an uncached collapse, so no raised
+    coefficient snapshot outlives it."""
     work = raised or ctx
     alpha, beta = level_weights(level)
     with work.workdps():
         key = (table.n_exponent, table.pmax, work.dps, mp.mpf(level.E), alpha, beta)
+        memo_key = key + (m, contour.cache_key())
+        hit = _INTEGRAL_CACHE.get(memo_key)
+        if hit is not None:
+            return hit
         square = _SQUARE_CACHE.get(key)
         if square is None:
             if raised is None:
@@ -171,7 +174,7 @@ def _path_integral(
             square = _SQUARE_CACHE.put(key, _square(poly))
         z0 = polar_point(*contour.vertices[0], work)
         z1 = polar_point(*contour.vertices[-1], work)
-        return _integral(square, m, z0, z1)
+        return _INTEGRAL_CACHE.put(memo_key, _integral(square, m, z0, z1))
 
 
 @dataclass(frozen=True)

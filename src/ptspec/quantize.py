@@ -168,15 +168,14 @@ def scan_im_c(
     step: Fractionable,
     trunc: TruncationParams,
     ctx: PrecisionContext,
-    which_side: str = "right",
 ):
-    """Sample c(E) on the exact grid e_min + j*step, j = 0..
+    """Sample c(E) at the right probe on the exact grid e_min + j*step, j = 0..
 
     Points where psi2 (nearly) vanishes are flagged "pole" and must be
     skipped when bracketing sign changes of Im c.
     """
     grid = _fraction_grid(as_fraction(e_min), as_fraction(e_max), as_fraction(step))
-    z_star = _z_probe(pair, which_side, trunc.radius, ctx)
+    z_star = _z_probe(pair, "right", trunc.radius, ctx)
     poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
     points = []
     with ctx.workdps():
@@ -312,7 +311,6 @@ def refine_root(
     trunc: TruncationParams,
     ctx: PrecisionContext,
     n: int = 0,
-    which_side: str = "right",
     ends=None,
 ) -> EnergyLevel:
     """Refine one Im c sign change to an EnergyLevel.
@@ -329,12 +327,12 @@ def refine_root(
             raise ParameterError("tol must be positive")
 
         def reader(radius: Fraction):
-            z_star = _z_probe(pair, which_side, radius, ctx)
+            z_star = _z_probe(pair, "right", radius, ctx)
             poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
             return lambda ev: _c_from_polys(poly_a, poly_b, ev, ctx).imag
 
         e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
-        c_val = connection_coefficient(table, pair, e_root, trunc, ctx, which_side)
+        c_val = connection_coefficient(table, pair, e_root, trunc, ctx)
         return EnergyLevel(n, e_root, c_val.real, pair, _diagnostics(trunc, ctx, est))
 
 
@@ -346,7 +344,6 @@ def spectrum(
     ctx: PrecisionContext,
     e_max: Fractionable = DEFAULT_ENERGY_CAP,
     step: Fractionable = DEFAULT_SCAN_STEP,
-    which_side: str = "right",
 ):
     """First n_levels eigenvalues of the pair, in increasing order.
 
@@ -363,11 +360,11 @@ def spectrum(
     tol = ctx.tolerance(5)
 
     def samples(lo, hi):
-        for pt in scan_im_c(table, pair, lo, hi, step_f, trunc, ctx, which_side):
+        for pt in scan_im_c(table, pair, lo, hi, step_f, trunc, ctx):
             yield pt.E, pt.c_im if pt.flag == "ok" else None
 
     def refine(bracket, ends, n):
-        return refine_root(table, pair, bracket, tol, trunc, ctx, n, which_side, ends)
+        return refine_root(table, pair, bracket, tol, trunc, ctx, n, ends)
 
     return _scan_levels(samples, refine, n_levels, step_f, as_fraction(e_max))
 

@@ -11,17 +11,23 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
     (m-1)*m     * a[p,q] = a[p-1,q] + a[p,q-1],   m = (N+2)*p + 2*q
     m2*(m2+1)   * b[p,q] = b[p-1,q] + b[p,q-1],   m2 = (N+2)*p + 2*q
 
-(absent neighbors count as zero).  Coefficients are exact rationals and
-depend only on (N, pmax); the series is truncated on the antidiagonal
-p + q <= pmax.
+(absent neighbors count as zero).  The module is built in layers:
 
-Besides the direct evaluator eval_psi, this module offers two collapsed
-forms that make repeated evaluation cheap:
+* exact table: build_tables gives the coefficients as Fractions for
+  (N, pmax), truncated on the antidiagonal p + q <= pmax;
+* snapshot: _float_entries converts them once per working dps;
+* reference and collapses: eval_psi sums the double series directly
+  and is the reference the collapses are tested against.  At fixed z,
+  energy_polynomials turns psi1 and psi2 into polynomials in E (degree
+  pmax, for eigenvalue scans); at fixed E, space_polynomial turns
+  alpha*psi1 + beta*psi2 into a polynomial in w = iz (for nodes and
+  exact moments, and uncached for residual);
+* kernel: _horner evaluates a polynomial and its first Taylor
+  coefficients; eval_energy_poly, poly_psi, poly_psi_d, residual,
+  tail_ratio and the moment integrals all run through it.
 
-* energy_polynomials: at fixed z, psi1 and psi2 become polynomials in E
-  (degree pmax).  Used by eigenvalue scans.
-* space_polynomial: at fixed E, any combination alpha*psi1 + beta*psi2
-  becomes a polynomial in w = iz.  Used by node finding and exact moments.
+Beside them, _rim gives the terms of the last antidiagonal p + q = pmax,
+which make up boundary_residual and the maximum in tail_ratio.
 """
 
 from __future__ import annotations
@@ -243,25 +249,25 @@ def residual(
     """
     if which not in ("psi1", "psi2"):
         raise ParameterError(f"which must be 'psi1' or 'psi2', got {which!r}")
-    entries = _float_entries(table, ctx.dps)
-    shift = 0 if which == "psi1" else 1
-    col = 3 if which == "psi1" else 4
     with ctx.workdps():
         w = mp.mpc(0, 1) * mp.mpc(z)
         ev = mp.mpf(E)
-        top = (table.n_exponent + 2) * table.pmax + table.n_exponent + 2
-        wpow = _powers(w, top)
-        epow = _powers(mp.mpc(ev), table.pmax)
+        weights = (mp.mpc(1), mp.mpc(0)) if which == "psi1" else (mp.mpc(0), mp.mpc(1))
+        coeffs = _collapse_space(table, _float_entries(table, ctx.dps), ev, *weights)
+        psi, _, half_d2 = _horner(coeffs, w, 2)
+        # d/dz = i d/dw, so -psi'' in z is P''(w)
+        return 2 * half_d2 - (w ** table.n_exponent + ev) * psi
 
-        psi = mp.mpc(0)
-        d2 = mp.mpc(0)  # second derivative in z equals -sum m(m-1) c w**(m-2)
-        for entry in entries:
-            m = entry[2] + shift
-            term = entry[col] * epow[entry[1]]
-            psi += term * wpow[m]
-            if m > 1:
-                d2 += term * m * (m - 1) * wpow[m - 2]
-        return d2 - wpow[table.n_exponent] * psi - ev * psi
+
+def _rim(table: CoefficientTable, w, ev, dps: int, which: str) -> list:
+    """Terms c[p,q] * E**q * w**m of psi1 (c = a) or psi2 (c = b, m + 1)
+    on the last antidiagonal p + q = pmax: the snapshot's last pmax + 1
+    entries."""
+    col, shift = (3, 0) if which == "psi1" else (4, 1)
+    return [
+        entry[col] * ev ** entry[1] * w ** (entry[2] + shift)
+        for entry in _float_entries(table, dps)[-(table.pmax + 1):]
+    ]
 
 
 def boundary_residual(
@@ -271,27 +277,16 @@ def boundary_residual(
     ctx: PrecisionContext,
     which: str = "psi1",
 ):
-    """Closed form of the residual: -sum over the last antidiagonal of
-    c[p,q] * (w**(m+N) E**q + w**m E**(q+1)).  Cheap, and must agree
-    with residual() to working precision.
+    """Closed form of the residual: -(w**N + E) times the sum of the rim
+    terms c[p,q] * E**q * w**m.  Cheap, and must agree with residual()
+    to working precision.
     """
     if which not in ("psi1", "psi2"):
         raise ParameterError(f"which must be 'psi1' or 'psi2', got {which!r}")
-    coeffs = table.a if which == "psi1" else table.b
-    shift = 0 if which == "psi1" else 1
-    step = table.n_exponent + 2
     with ctx.workdps():
         w = mp.mpc(0, 1) * mp.mpc(z)
         ev = mp.mpf(E)
-        wn = w ** table.n_exponent
-        acc = mp.mpc(0)
-        for p in range(table.pmax + 1):
-            q = table.pmax - p
-            m = step * p + 2 * q + shift
-            c = coeffs[(p, q)]
-            cf = mp.mpf(c.numerator) / c.denominator
-            acc += cf * (ev ** q) * (w ** m) * (wn + ev)
-        return -acc
+        return -(w ** table.n_exponent + ev) * mp.fsum(_rim(table, w, ev, ctx.dps, which))
 
 
 def tail_ratio(
@@ -305,24 +300,13 @@ def tail_ratio(
     This is the convergence diagnostic: well inside the reliable region
     the last antidiagonal is negligible against the sum.
     """
-    entries = _float_entries(table, ctx.dps)
     with ctx.workdps():
-        w = mp.mpc(0, 1) * mp.mpc(z)
         ev = mp.mpf(E)
-        top = (table.n_exponent + 2) * table.pmax
-        wpow = _powers(w, top)
-        epow = _powers(mp.mpc(ev), table.pmax)
-        psi1 = mp.mpc(0)
-        worst = mp.mpf(0)
-        for p, q, m, af, bf in entries:
-            term = af * epow[q] * wpow[m]
-            psi1 += term
-            if p + q == table.pmax:
-                worst = max(worst, abs(term))
-        denom = abs(psi1)
+        denom = abs(_horner(energy_polynomials(table, z, ctx)[0], ev)[0])
         if denom == 0:
             return mp.inf
-        return worst / denom
+        w = mp.mpc(0, 1) * mp.mpc(z)
+        return max(abs(term) for term in _rim(table, w, ev, ctx.dps, "psi1")) / denom
 
 
 def wronskian(table: CoefficientTable, z, E, ctx: PrecisionContext) -> ComplexHP:
@@ -368,11 +352,7 @@ def energy_polynomials(table: CoefficientTable, z, ctx: PrecisionContext):
 
 def eval_energy_poly(coeffs: Sequence[ComplexHP], E) -> ComplexHP:
     """Horner evaluation of an energy polynomial at real E."""
-    ev = mp.mpf(E)
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * ev + c
-    return acc
+    return _horner(coeffs, mp.mpf(E))[0]
 
 
 def space_polynomial(
@@ -430,22 +410,36 @@ def _collapse_space(table: CoefficientTable, entries, ev, al, be):
 
 def poly_psi(coeffs: Sequence[ComplexHP], z) -> ComplexHP:
     """Evaluate a space polynomial at z (Horner in w = iz)."""
-    w = mp.mpc(0, 1) * mp.mpc(z)
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * w + c
-    return acc
+    return _horner(coeffs, mp.mpc(0, 1) * mp.mpc(z))[0]
 
 
 def poly_psi_d(coeffs: Sequence[ComplexHP], z):
     """Evaluate (psi, dpsi/dz) of a space polynomial at z."""
-    w = mp.mpc(0, 1) * mp.mpc(z)
-    acc = mp.mpc(0)
-    dacc = mp.mpc(0)
+    psi, dpsi = _horner(coeffs, mp.mpc(0, 1) * mp.mpc(z), 1)
+    return psi, mp.mpc(0, 1) * dpsi
+
+
+# ---------------------------------------------------------------------------
+# the evaluation kernel
+
+
+def _horner(coeffs: Sequence[ComplexHP], x, order: int = 0) -> list:
+    """[P(x), P'(x), ..., P^(order)(x)/order!] for P(x) = sum_k coeffs[k] x**k.
+
+    Horner's rule carried to the Taylor coefficients of P at x: each
+    coefficient updates the highest order first.  Every polynomial
+    evaluation in ptspec runs through this loop; at order 0 it is one
+    multiply-add per coefficient, the cost of node seeding.
+    """
+    value = mp.mpc(0)
+    taylor = [mp.mpc(0)] * order  # taylor[k-1] accumulates P^(k)(x)/k!
     for c in reversed(coeffs):
-        dacc = dacc * w + acc
-        acc = acc * w + c
-    return acc, mp.mpc(0, 1) * dacc
+        if order:
+            for k in range(order - 1, 0, -1):
+                taylor[k] = taylor[k] * x + taylor[k - 1]
+            taylor[0] = taylor[0] * x + value
+        value = value * x + c
+    return [value] + taylor
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ from ptspec import (
     pt_pairs,
     wavefunction_samples,
 )
+from ptspec import observables
+from ptspec.cli import main
 from ptspec.observables import _integral, _square
-from ptspec.series import poly_psi, space_polynomial
+from ptspec.series import BoundedCache, poly_psi, space_polynomial
 
 # quoted reference values for the first four levels; m=1 and m=3 are
 # pure imaginary, m=4 real, all to ten digits after the point
@@ -272,3 +274,23 @@ def test_exact_integral_matches_quadrature(coeffs, m, z0, z1):
 
         want = mp.quad(integrand, [0, 1])
         assert abs(value - want) <= mp.mpf("1e-20") * max(1, size)
+
+
+def test_expect_integrates_each_endpoint_sum_once(monkeypatch, capsys):
+    # four moments plus the Ehrenfest (m=2) and virial (m=3) checks need
+    # the norm at the working and at the raised dps and m = 1..4 at the
+    # raised dps: six distinct integrals
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _integral(*args)
+
+    monkeypatch.setattr(observables, "_integral", counted)
+    monkeypatch.setattr(observables, "_INTEGRAL_CACHE", BoundedCache(64))
+    monkeypatch.setattr(observables, "_SQUARE_CACHE", BoundedCache(32))
+    rc = main(["expect", "--N", "3", "--level", "0", "--moments", "1,2,3,4",
+               "--digits", "20", "--pmax", "60"])
+    capsys.readouterr()
+    assert rc == 0
+    assert sorted(calls) == [0, 0, 1, 2, 3, 4]

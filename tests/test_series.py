@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ptspec import (
@@ -20,6 +22,7 @@ from ptspec import (
     wronskian,
 )
 from ptspec.series import (
+    _horner,
     energy_polynomials,
     eval_energy_poly,
     poly_psi,
@@ -176,6 +179,59 @@ def test_tail_ratio_grows_with_radius(table7, ctx40):
         near = tail_ratio(table7, mp.mpf(3), mp.mpf(30), ctx40)
         far = tail_ratio(table7, mp.mpf(8), mp.mpf(30), ctx40)
         assert near < mp.mpf("1e-10") < far
+
+
+def test_tail_ratio_matches_definition(table7, ctx40):
+    # max over the rim p + q = P of |a[p,P-p] E^q w^m|, over |psi1| from
+    # the direct double sum
+    pmax, step = table7.pmax, table7.n_exponent + 2
+    with ctx40.workdps():
+        e_val = mp.mpf(30)
+        for radius in (3, 8):
+            z = mp.mpf(radius)
+            w = mp.mpc(0, 1) * z
+            rim = [(table7.a[(p, pmax - p)], pmax - p, step * p + 2 * (pmax - p))
+                   for p in range(pmax + 1)]
+            worst = max(abs(mp.mpf(a.numerator) / a.denominator * e_val**q * w**m)
+                        for a, q, m in rim)
+            want = worst / abs(eval_psi(table7, z, e_val, ctx40)[0])
+            got = tail_ratio(table7, z, e_val, ctx40)
+            assert abs(got - want) <= mp.mpf("1e-30") * want, radius
+
+
+def _majorant_taylor(coeffs, t, order):
+    """order-th Taylor coefficient at t of sum_k |c_k| x**k, term by term."""
+    return mp.fsum(mp.binomial(k, order) * abs(c) * t ** (k - order)
+                   for k, c in enumerate(coeffs) if k >= order)
+
+
+_unit = st.floats(-1, 1, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=41),
+    dps=st.integers(15, 80),
+    x=st.tuples(st.floats(0, 2, allow_nan=False), st.floats(-1, 1, allow_nan=False)),
+    real_x=st.booleans(),
+)
+def test_horner_matches_polyval(coeffs, dps, x, real_x):
+    # _horner at dps against mpmath at dps + 20, within the running
+    # error bound 10^-dps * deg * (Taylor coefficient of sum |c_k| x^k)
+    with mp.workdps(dps):
+        poly = [mp.mpc(*c) for c in coeffs]
+        point = mp.mpf(x[0]) if real_x else mp.mpf(x[0]) * mp.expjpi(x[1])
+        got = _horner(poly, point, 2)
+        assert _horner(poly, point, 1) == got[:2]
+        assert _horner(poly, point)[0] == got[0]
+    deg = len(poly) - 1
+    with mp.workdps(dps + 20):
+        value, slope = mp.polyval(poly[::-1], point, derivative=True)
+        half_curv = mp.fsum(mp.binomial(k, 2) * c * point ** (k - 2)
+                            for k, c in enumerate(poly) if k >= 2)
+        for order, want in enumerate((value, slope, half_curv)):
+            bound = mp.mpf(10) ** -dps * max(deg, 1) * _majorant_taylor(poly, abs(point), order)
+            assert abs(got[order] - want) <= bound, order
 
 
 def test_save_load_roundtrip(table3, tmp_path):
