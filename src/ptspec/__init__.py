@@ -19,6 +19,7 @@ from .errors import (
     PtspecError,
     RadiusError,
     TruncationError,
+    WindingError,
 )
 from .nodes import NodeSet, find_nodes, newton_zero, turning_points
 from .observables import (
@@ -75,6 +76,7 @@ __all__ = [
     "GeometryError",
     "DegenerateNormError",
     "TruncationError",
+    "WindingError",
     "PrecisionContext",
     "ComplexHP",
     "RealHP",

@@ -183,7 +183,7 @@ def _health_json(report) -> dict:
                 "pair": e.pair_index,
                 "theta_right_pi": str(e.theta_right),
                 "theta_left_pi": str(e.theta_left),
-                "tail": _num(max(e.tail_right, e.tail_left), 3),
+                "tail": _num(e.tail, 3),
                 "c_discrepancy": _num(e.c_discrepancy, 3),
                 "passed": e.passed,
             }
@@ -293,33 +293,18 @@ def _parse_region(raw: Optional[str]):
 def _cmd_nodes(cfg: RunConfig, args) -> int:
     table, pair, ctx, trunc = _setup(cfg)
     level = _resolve_level(cfg, args, table, pair, args.level, trunc, ctx)
-    nodeset = find_nodes(
-        table, level, _parse_region(args.region), args.grid_step, None, trunc, ctx
-    )
-
-    def zrows(zs):
-        return [
-            {"re": _num(z.real, cfg.digits), "im": _num(z.imag, cfg.digits)} for z in zs
-        ]
-
-    axis, arch, turning = (
-        zrows(nodeset.axis_nodes),
-        zrows(nodeset.arch_nodes),
-        zrows(nodeset.turning_points),
-    )
-    doc = {
-        "params": _params_dict(cfg),
-        "level": _level_json(level, cfg),
-        "axis_nodes": axis,
-        "arch_nodes": arch,
-        "turning_points": turning,
-        "failed_seeds": zrows(nodeset.failed_seeds),
+    nodeset = find_nodes(table, level, _parse_region(args.region), trunc=trunc, ctx=ctx)
+    points = {
+        key: [{"re": _num(z.real, cfg.digits), "im": _num(z.imag, cfg.digits)} for z in zs]
+        for key, zs in (
+            ("axis_nodes", nodeset.axis_nodes),
+            ("arch_nodes", nodeset.arch_nodes),
+            ("turning_points", nodeset.turning_points),
+        )
     }
-    rows = [
-        {"kind": kind, **z}
-        for kind, zs in (("axis", axis), ("arch", arch), ("turning", turning))
-        for z in zs
-    ]
+    doc = {"params": _params_dict(cfg), "level": _level_json(level, cfg), **points}
+    # CSV rows carry the kind: axis, arch or turning
+    rows = [{"kind": key.split("_")[0], **z} for key, zs in points.items() for z in zs]
     return _emit_rows(cfg, "nodes", doc, ("kind", "re", "im"), rows)
 
 
@@ -492,7 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nodes", parents=[common], help="zeros of one eigenfunction")
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--region", default=None, help="re_min,re_max,im_min,im_max")
-    p.add_argument("--grid-step", dest="grid_step", default="0.05")
 
     p = sub.add_parser("expect", parents=[common], help="PT expectation values")
     p.add_argument("--level", type=int, default=0)

@@ -29,6 +29,10 @@ class DivergenceError(PtspecError):
     """Iteration failed to converge within the iteration cap."""
 
 
+class WindingError(PtspecError):
+    """A zero on a box edge, sub-box windings that disagree, or a counted zero not placed."""
+
+
 class GeometryError(PtspecError):
     """Contour style incompatible with the wedge geometry of the pair."""
 

@@ -1,16 +1,17 @@
 """Complex zeros of eigenfunctions.
 
-At a fixed level the eigenfunction collapses to a polynomial in w = iz,
-so node hunting is: coarse |psi| minima on a rectangular grid at low
-precision, then a full-precision complex Newton polish, dedup, and
-classification.  The interesting zeros of the PT problem come in two
-families: finitely many strung along an arch below the real axis
-(their count equals the level index), and an infinite ladder up the
-positive imaginary axis.
+At a fixed level the eigenfunction is one polynomial in w = iz.  Its
+number of zeros in a box is the winding of psi along the boundary (the
+argument principle; Delves and Lyness, Math. Comp. 21 (1967) 543), and
+boxes are split until each holds one zero, which Newton polishes.  PT
+zeros come in two families: finitely many on an arch below the real
+axis, and an infinite ladder up the positive imaginary axis.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -18,16 +19,21 @@ from typing import Optional
 import mpmath as mp
 
 from . import series
-from .errors import DivergenceError, ParameterError, RadiusError
-from .precision import ComplexHP, Fractionable, PrecisionContext, as_fraction
+from .errors import DivergenceError, ParameterError, RadiusError, WindingError
+from .precision import ComplexHP, PrecisionContext, as_fraction
 from .quantize import EnergyLevel, level_weights
 from .series import CoefficientTable, TruncationParams
 
 __all__ = ["NodeSet", "turning_points", "newton_zero", "find_nodes"]
 
-_SEED_CTX = PrecisionContext(10)
 _NEWTON_CAP = 100
-_AXIS_TOL = mp.mpf("1e-10")
+_AXIS_TOL = mp.mpf("1e-10")  # coarser than the Newton tol on purpose
+_EDGE_DEPTH = 5  # 32 equal steps per edge before adaptive bisection
+_MAX_PHASE_STEP = 0.5  # radians
+_BISECT_CAP = 45  # halvings of an edge before a step counts as crossing a zero
+_TURN_TOL = 1e-6  # a closed loop's phase sum is 2*pi*k up to rounding
+_SPLIT = Fraction(1, 2) + Fraction(1, 37)  # off centre: odd-level PT nodes sit on re = 0
+_SPLIT_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -37,15 +43,13 @@ class NodeSet:
     axis_nodes lie on the positive imaginary axis; everything else is
     an arch node (including the purely imaginary node below the axis
     that odd levels have).  turning_points are the classical turning
-    points adjacent to the pair's wedges.  failed_seeds records grid
-    minima whose Newton polish did not converge.
+    points adjacent to the pair's wedges.
     """
 
     level: EnergyLevel
     axis_nodes: tuple
     arch_nodes: tuple
     turning_points: tuple
-    failed_seeds: tuple
 
     def count(self) -> int:
         return len(self.axis_nodes) + len(self.arch_nodes)
@@ -95,12 +99,13 @@ def newton_zero(
     tol,
     trunc: TruncationParams,
     ctx: PrecisionContext,
+    region: Optional[tuple] = None,
 ) -> ComplexHP:
     """Polish one seed to a zero of the eigenfunction polynomial.
 
     Stops when the Newton step drops below tol*max(1, |z|).  Raises
-    RadiusError when the iterate leaves the validated disk and
-    DivergenceError after 100 steps.
+    RadiusError when an iterate leaves the validated disk or the given
+    region (re_min, re_max, im_min, im_max), and DivergenceError after 100 steps.
     """
     poly = _level_poly(table, level, ctx)
     with ctx.workdps():
@@ -108,12 +113,13 @@ def newton_zero(
         if tol <= 0:
             raise ParameterError("tol must be positive")
         radius = trunc.radius_mpf(ctx)
+        x0, x1, y0, y1 = (ctx.mpf(v) for v in region or (0, 0, 0, 0))
         z = mp.mpc(z0)
         for _ in range(_NEWTON_CAP):
             if abs(z) > radius:
-                raise RadiusError(
-                    f"Newton iterate left the validated disk |z| <= {trunc.radius}"
-                )
+                raise RadiusError(f"Newton iterate left the validated disk |z| <= {trunc.radius}")
+            if region and not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
+                raise RadiusError("Newton iterate left the region " + ",".join(map(str, region)))
             psi, dpsi = series.poly_psi_d(poly, z)
             if dpsi == 0:
                 raise DivergenceError("psi' vanished during Newton iteration")
@@ -124,105 +130,112 @@ def newton_zero(
         raise DivergenceError(f"no convergence within {_NEWTON_CAP} Newton steps")
 
 
-def _default_region(level: EnergyLevel, ctx: PrecisionContext):
-    """Box around the sub-axis arch: |re| <= 1.2*|E|**(1/N), -1.2L <= im <= 0."""
-    with ctx.workdps():
-        n = level.pair.n_exponent
-        scale = mp.mpf(12) / 10 * abs(mp.mpf(level.E)) ** (mp.mpf(1) / n)
-        ext = as_fraction(mp.nstr(scale, 3))
-    return (-ext, ext, -ext, Fraction(0))
+def _winding_counter(poly, ctx: PrecisionContext):
+    """winding(box): the zeros of psi in box, as its winding along the boundary
+    (under ctx.workdps()).  Each edge is cut into 2**_EDGE_DEPTH equal steps, and a
+    step turning by more than _MAX_PHASE_STEP is bisected; psi is memoized per point."""
+
+    @functools.cache
+    def psi(pt):
+        value = series.poly_psi(poly, mp.mpc(ctx.mpf(pt[0]), ctx.mpf(pt[1])))
+        if value == 0:
+            raise WindingError(f"psi vanishes on a box edge at {complex(*map(float, pt))}")
+        return value
+
+    def phase(a, b, depth=0):
+        if depth >= _EDGE_DEPTH:
+            step = mp.arg(psi(b) / psi(a))
+            if abs(step) <= _MAX_PHASE_STEP:
+                return step
+            if depth == _BISECT_CAP:
+                raise WindingError(f"a zero lies on a box edge near {complex(*map(float, a))}")
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        return phase(a, mid, depth + 1) + phase(mid, b, depth + 1)
+
+    def winding(box):
+        x0, x1, y0, y1 = box
+        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
+        turns = mp.fsum(phase(a, b) for a, b in zip(corners, corners[1:])) / (2 * mp.pi)
+        if abs(turns - mp.nint(turns)) > _TURN_TOL:
+            raise WindingError(f"winding number {mp.nstr(turns, 8)} is not an integer")
+        return int(mp.nint(turns))
+
+    return winding
+
+
+def _polish(table, level, box, region, tol, trunc, ctx) -> Optional[ComplexHP]:
+    """Newton from the centre of box, given up outside region; None unless it ends in box."""
+    centre = mp.mpc(ctx.mpf((box[0] + box[1]) / 2), ctx.mpf((box[2] + box[3]) / 2))
+    try:
+        z = newton_zero(table, level, centre, tol, trunc, ctx, region)
+        if abs(z.real) < tol:  # on the PT symmetry line: iterates started on it stay on it
+            z = newton_zero(table, level, mp.mpc(0, z.imag), tol, trunc, ctx, region)
+    except (RadiusError, DivergenceError):
+        return None
+    x0, x1, y0, y1 = (ctx.mpf(v) for v in box)
+    return z if x0 <= z.real <= x1 and y0 <= z.imag <= y1 else None
 
 
 def find_nodes(
     table: CoefficientTable,
     level: EnergyLevel,
     region: Optional[tuple] = None,
-    grid_step: Fractionable = Fraction(1, 20),
-    tol=None,
     trunc: TruncationParams = None,
     ctx: PrecisionContext = None,
 ) -> NodeSet:
-    """Locate all eigenfunction zeros inside a rectangular region.
+    """All eigenfunction zeros inside region = (re_min, re_max, im_min, im_max).
 
-    region is (re_min, re_max, im_min, im_max) and defaults to the
-    arch box, where the zero count equals the level index.  Grid
-    minima of |psi| (8-neighbor, computed at low precision) seed the
-    full-precision Newton polish; results are deduplicated within
-    10*tol, classified as axis nodes (|re z| < 1e-10 and im z > 0) or
-    arch nodes, and sorted by (im, re).
+    The region must lie in the validated disk (RadiusError).  It defaults
+    to the arch box |re| <= ext, -ext <= im <= 0, ext = 1.2*|E|**(1/N) to
+    3 digits but at most radius/sqrt(2); for N=3 it holds as many zeros
+    as the level index.  Boxes are split into four until each holds one
+    zero, which Newton from the box centre polishes.  WindingError: a zero
+    on an edge, quarter windings not summing to their box's, or a counted
+    zero not placed within _SPLIT_CAP splits.  Zeros on re = 0 above the
+    axis (to 1e-10) are axis nodes, the rest arch nodes, sorted by (im, re).
     """
     if ctx is None:
         ctx = PrecisionContext()
     if trunc is None:
         trunc = TruncationParams(table.pmax)
-    if tol is None:
-        tol = ctx.tolerance()
     if region is None:
-        region = _default_region(level, ctx)
-    re_min, re_max, im_min, im_max = (as_fraction(v) for v in region)
+        with ctx.workdps():
+            scale = mp.mpf(12) / 10 * abs(mp.mpf(level.E)) ** (mp.mpf(1) / level.pair.n_exponent)
+            ext = as_fraction(mp.nstr(scale, 3))
+        ext = min(ext, Fraction(math.isqrt(int(trunc.radius**2 * 10**6 / 2)), 1000))
+        region = (-ext, ext, -ext, Fraction(0))
+    root = tuple(as_fraction(v) for v in region)
+    re_min, re_max, im_min, im_max = root
     if re_min >= re_max or im_min >= im_max:
         raise ParameterError(f"degenerate region {region!r}")
-    step = as_fraction(grid_step)
-    if step <= 0:
-        raise ParameterError(f"grid_step must be positive, got {grid_step!r}")
+    if max(re_min**2, re_max**2) + max(im_min**2, im_max**2) > trunc.radius**2:
+        raise RadiusError(f"region {region!r} leaves the validated disk |z| <= {trunc.radius}")
 
-    cols = int((re_max - re_min) / step) + 1
-    rows = int((im_max - im_min) / step) + 1
-    if cols < 3 or rows < 3:
-        raise ParameterError("region too small for the grid step (needs >= 3x3 points)")
-
-    # cheap coarse pass: |psi| on the grid at reduced precision
-    seed_poly = _level_poly(table, level, _SEED_CTX)
-    with _SEED_CTX.workdps():
-        mags = []
-        for i in range(rows):
-            im = _SEED_CTX.mpf(im_min + i * step)
-            row = []
-            for j in range(cols):
-                re = _SEED_CTX.mpf(re_min + j * step)
-                row.append(abs(series.poly_psi(seed_poly, mp.mpc(re, im))))
-            mags.append(row)
-
-    seeds = []
-    for i in range(1, rows - 1):
-        for j in range(1, cols - 1):
-            m0 = mags[i][j]
-            if all(
-                m0 <= mags[i + di][j + dj]
-                for di in (-1, 0, 1)
-                for dj in (-1, 0, 1)
-                if (di, dj) != (0, 0)
-            ):
-                seeds.append((re_min + j * step, im_min + i * step))
-
+    poly = _level_poly(table, level, ctx)
     with ctx.workdps():
-        tol = mp.mpf(tol)
-        margin = ctx.mpf(2 * step)
-        lo_re, hi_re = ctx.mpf(re_min) - margin, ctx.mpf(re_max) + margin
-        lo_im, hi_im = ctx.mpf(im_min) - margin, ctx.mpf(im_max) + margin
+        tol = ctx.tolerance()
+        winding = _winding_counter(poly, ctx)
+        count = winding(root)
+        todo = [(root, count, 0)] if count else []
         found = []
-        failed = []
-        for re_f, im_f in seeds:
-            z0 = mp.mpc(ctx.mpf(re_f), ctx.mpf(im_f))
-            try:
-                z = newton_zero(table, level, z0, tol, trunc, ctx)
-            except (RadiusError, DivergenceError):
-                failed.append(z0)
+        while todo:
+            box, count, depth = todo.pop()
+            if count == 1 and (z := _polish(table, level, box, root, tol, trunc, ctx)) is not None:
+                found.append(z)
                 continue
-            if not (lo_re <= z.real <= hi_re and lo_im <= z.imag <= hi_im):
-                continue  # wandered off to a zero outside the requested box
-            if any(abs(z - other) < 10 * tol for other in found):
-                continue
-            found.append(z)
+            if depth == _SPLIT_CAP:
+                raise WindingError(f"{count} zeros not placed after {depth} box splits")
+            x0, x1, y0, y1 = box
+            xs = (x0, x0 + (x1 - x0) * _SPLIT, x1)
+            ys = (y0, y0 + (y1 - y0) * _SPLIT, y1)
+            quarters = [(xs[i], xs[i + 1], ys[j], ys[j + 1]) for i in (0, 1) for j in (0, 1)]
+            counts = [winding(q) for q in quarters]
+            if sum(counts) != count:
+                raise WindingError(f"windings {counts} of four quarters do not sum to {count}")
+            todo += [(q, k, depth + 1) for q, k in zip(quarters, counts) if k]
 
         found.sort(key=lambda z: (z.imag, z.real))
-        on_axis = _AXIS_TOL  # coarser than the Newton tol on purpose
-        axis = tuple(z for z in found if abs(z.real) < on_axis and z.imag > 0)
-        arch = tuple(z for z in found if not (abs(z.real) < on_axis and z.imag > 0))
-    return NodeSet(
-        level=level,
-        axis_nodes=axis,
-        arch_nodes=arch,
-        turning_points=turning_points(level, ctx),
-        failed_seeds=tuple(failed),
-    )
+        axis = tuple(z for z in found if abs(z.real) < _AXIS_TOL and z.imag > 0)
+        arch = tuple(z for z in found if not (abs(z.real) < _AXIS_TOL and z.imag > 0))
+    turning = turning_points(level, ctx)
+    return NodeSet(level=level, axis_nodes=axis, arch_nodes=arch, turning_points=turning)

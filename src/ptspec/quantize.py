@@ -455,8 +455,7 @@ class HealthEntry:
     pair_index: int
     theta_right: Fraction
     theta_left: Fraction
-    tail_right: RealHP
-    tail_left: RealHP
+    tail: RealHP
     c_discrepancy: RealHP
     tail_ok: bool
     c_ok: bool
@@ -499,10 +498,9 @@ def health_check(
         ev = ctx.mpf(cap)
         inner = trunc.scaled_radius(9, 10)
         for pair in pairs:
-            z_r = _z_probe(pair, "right", trunc.radius, ctx)
-            z_l = _z_probe(pair, "left", trunc.radius, ctx)
-            tail_r = series.tail_ratio(table, z_r, ev, ctx)
-            tail_l = series.tail_ratio(table, z_l, ev, ctx)
+            # the left probe, -conj z (PT pair) or -z (parity pair), gives the
+            # same ratio: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even
+            tail = series.tail_ratio(table, _z_probe(pair, "right", trunc.radius, ctx), ev, ctx)
             c_disc = mp.inf
             for probe in (ev, ev * mp.mpf(97) / 96):
                 try:
@@ -517,10 +515,9 @@ def health_check(
                     pair_index=pair.index,
                     theta_right=pair.theta_right,
                     theta_left=pair.theta_left,
-                    tail_right=tail_r,
-                    tail_left=tail_l,
+                    tail=tail,
                     c_discrepancy=c_disc,
-                    tail_ok=bool(max(tail_r, tail_l) < tail_threshold),
+                    tail_ok=bool(tail < tail_threshold),
                     c_ok=bool(c_disc < c_threshold),
                 )
             )

@@ -429,7 +429,7 @@ def _horner(coeffs: Sequence[ComplexHP], x, order: int = 0) -> list:
     Horner's rule carried to the Taylor coefficients of P at x: each
     coefficient updates the highest order first.  Every polynomial
     evaluation in ptspec runs through this loop; at order 0 it is one
-    multiply-add per coefficient, the cost of node seeding.
+    multiply-add per coefficient, the cost of the node winding count.
     """
     value = mp.mpc(0)
     taylor = [mp.mpc(0)] * order  # taylor[k-1] accumulates P^(k)(x)/k!

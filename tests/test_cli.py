@@ -166,7 +166,7 @@ def test_wavefunction_defaults_to_csv(capsys):
 
 
 def test_nodes_json(capsys):
-    rc, out, err = run(["nodes", "--N", "3", "--level", "1", "--grid-step", "0.1"], capsys)
+    rc, out, err = run(["nodes", "--N", "3", "--level", "1"], capsys)
     assert rc == 0
     doc = json.loads(out)
     assert doc["level"]["n"] == 1
@@ -175,14 +175,11 @@ def test_nodes_json(capsys):
     assert node["re"] == "0.0"
     assert node["im"].startswith("-0.6612962264427154133088952590884430")
     assert len(doc["turning_points"]) == 2
-    assert doc["failed_seeds"] == []
 
 
 def test_nodes_csv(capsys):
-    # CSV lists axis, arch and turning rows as kind,re,im; failed seeds
-    # appear only in JSON
-    args = ["nodes", "--N", "3", "--level", "1", "--grid-step", "0.1",
-            "--digits", "20", "--pmax", "60"]
+    # CSV lists axis, arch and turning rows as kind,re,im
+    args = ["nodes", "--N", "3", "--level", "1", "--digits", "20", "--pmax", "60"]
     rc, out, err = run(args + ["--format", "csv"], capsys)
     assert rc == 0 and err == ""
     lines = out.splitlines()
@@ -204,6 +201,15 @@ def test_nodes_region_parse_error(capsys):
     rc, out, err = run(["nodes", "--N", "3", "--region", "1,2,3"], capsys)
     assert rc == 2
     assert "region" in err
+
+
+def test_nodes_region_outside_disk(capsys):
+    # corners at |z| = 6*sqrt(2) > 8: a numeric failure, like a Newton
+    # iterate that leaves the disk
+    args = ["nodes", "--N", "3", "--region=-6,6,-6,0", "--digits", "20", "--pmax", "60"]
+    rc, out, err = run(args, capsys)
+    assert rc == 1 and out == ""
+    assert "validated disk" in err
 
 
 def test_expect_json(capsys):

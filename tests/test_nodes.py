@@ -7,10 +7,17 @@ import pytest
 
 from ptspec import (
     ParameterError,
+    PrecisionContext,
     RadiusError,
+    TruncationParams,
+    WindingError,
+    build_tables,
     find_nodes,
     level_weights,
     newton_zero,
+    nodes,
+    pt_pairs,
+    spectrum,
     turning_points,
 )
 from ptspec.series import poly_psi, space_polynomial
@@ -29,7 +36,6 @@ def test_arch_counts_match_level_index(nodesets3):
     for n in range(4):
         assert len(nodesets3[n].arch_nodes) == n
         assert nodesets3[n].axis_nodes == ()  # default box sits below the axis
-        assert nodesets3[n].failed_seeds == ()
         assert nodesets3[n].count() == n
 
 
@@ -118,6 +124,12 @@ def test_newton_polish_from_nearby_seed(table3, levels3, trunc8, ctx40):
 def test_newton_rejects_outside_disk(table3, levels3, trunc8, ctx40):
     with pytest.raises(RadiusError):
         newton_zero(table3, levels3[1], mp.mpc(9, -3), ctx40.tolerance(), trunc8, ctx40)
+    # the zero at -0.661i lies below the given region
+    region = (-1, 1, Fraction(-1, 2), 0)
+    with pytest.raises(RadiusError, match="left the region"):
+        newton_zero(
+            table3, levels3[1], mp.mpc("0.05", "-0.45"), ctx40.tolerance(), trunc8, ctx40, region
+        )
 
 
 def test_newton_rejects_bad_tol(table3, levels3, trunc8, ctx40):
@@ -128,13 +140,56 @@ def test_newton_rejects_bad_tol(table3, levels3, trunc8, ctx40):
 def test_find_nodes_validation(table3, levels3, trunc8, ctx40):
     with pytest.raises(ParameterError):
         find_nodes(table3, levels3[0], region=(1, 1, 0, 1), trunc=trunc8, ctx=ctx40)
-    with pytest.raises(ParameterError):
-        find_nodes(table3, levels3[0], grid_step=0, trunc=trunc8, ctx=ctx40)
-    with pytest.raises(ParameterError):
-        find_nodes(
-            table3,
-            levels3[0],
-            region=(0, Fraction(1, 20), -1, 1),
-            trunc=trunc8,
-            ctx=ctx40,
-        )
+    with pytest.raises(RadiusError):
+        # the corner (6, -6) lies at |z| = 8.49 > 8
+        find_nodes(table3, levels3[0], region=(-6, 6, -6, 0), trunc=trunc8, ctx=ctx40)
+
+
+def test_default_box_finds_zeros_near_its_edge():
+    # the two lowest zeros of N=7, pair 1, level 3 lie 0.007 inside the
+    # bottom edge of the default box (im = -1.80); pmax 50 places them to
+    # 1e-20 at r = 3, as pmax 100 does, in half the time
+    ctx = PrecisionContext(20)
+    trunc = TruncationParams(50, Fraction(3))
+    table = build_tables(7, 50)
+    level = spectrum(table, pt_pairs(7)[1], 4, trunc, ctx)[3]
+    found = find_nodes(table, level, trunc=trunc, ctx=ctx)
+    assert found.count() == 5 and found.axis_nodes == ()
+    with ctx.workdps():
+        for re in ("0.73929744566515791549", "-0.73929744566515791549"):
+            want = mp.mpc(re, "-1.79287863991946795065")
+            assert any(abs(z - want) < mp.mpf("1e-18") for z in found.arch_nodes)
+
+
+def _planted(zeros, ctx):
+    """Coefficients in w = iz of prod (z - z_j), the layout of a space polynomial."""
+    with ctx.workdps():
+        coeffs = [mp.mpc(1)]
+        for z in zeros:
+            # (z - z_j) = -i*(w - i*z_j)
+            root = mp.mpc(0, 1) * mp.mpc(z)
+            shifted = [mp.mpc(0)] + coeffs
+            coeffs = [-mp.mpc(0, 1) * (s - root * c) for s, c in zip(shifted, coeffs + [0])]
+        return tuple(coeffs)
+
+
+def test_winding_isolates_planted_zeros(monkeypatch, table3, levels3, trunc8, ctx40):
+    # two zeros 0.01 apart inside one 0.05 cell, and one 0.005 inside
+    # the bottom edge of the region
+    with ctx40.workdps():
+        zeros = [mp.mpc("0.312", "0.215"), mp.mpc("0.322", "0.215"), mp.mpc("-0.4", "-0.995")]
+        poly = _planted(zeros, ctx40)
+        for z in zeros:
+            assert abs(poly_psi(poly, z)) < mp.mpf("1e-45")
+    monkeypatch.setattr(nodes, "_level_poly", lambda table, level, ctx: poly)
+    found = find_nodes(table3, levels3[0], region=(-1, 1, -1, 1), trunc=trunc8, ctx=ctx40)
+    assert found.count() == 3
+    with ctx40.workdps():
+        for z in zeros:
+            assert any(abs(z - w) < mp.mpf("1e-38") for w in found.arch_nodes)
+
+    # a zero exactly on the bottom edge
+    on_edge = _planted(zeros[:2] + [mp.mpc("-0.4", "-1")], ctx40)
+    monkeypatch.setattr(nodes, "_level_poly", lambda table, level, ctx: on_edge)
+    with pytest.raises(WindingError):
+        find_nodes(table3, levels3[0], region=(-1, 1, -1, 1), trunc=trunc8, ctx=ctx40)

@@ -239,8 +239,7 @@ def test_health_report_structure(table3, trunc8, ctx40):
     assert entry.pair_index == 0
     assert entry.tail_ok and entry.c_ok and entry.passed
     with PrecisionContext(40).workdps():
-        assert entry.tail_right < mp.mpf("1e-10")
-        assert entry.tail_left < mp.mpf("1e-10")
+        assert entry.tail < mp.mpf("1e-10")
         assert entry.c_discrepancy < mp.mpf("1e-10")
 
 
