@@ -89,7 +89,7 @@ def turning_points(level: EnergyLevel, ctx: PrecisionContext):
 
 def _level_poly(table: CoefficientTable, level: EnergyLevel, ctx: PrecisionContext):
     alpha, beta = level_weights(level)
-    return series.space_polynomial(table, level.E, alpha, beta, ctx)
+    return series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
 
 
 def newton_zero(
@@ -192,7 +192,8 @@ def find_nodes(
     zero, which Newton from the box centre polishes.  WindingError: a zero
     on an edge, quarter windings not summing to their box's, or a counted
     zero not placed within _SPLIT_CAP splits.  Zeros on re = 0 above the
-    axis (to 1e-10) are axis nodes, the rest arch nodes, sorted by (im, re).
+    axis (to 1e-10) are axis nodes, the rest arch nodes, sorted by im (to the
+    Newton tolerance), then re.
     """
     if ctx is None:
         ctx = PrecisionContext()
@@ -234,7 +235,9 @@ def find_nodes(
                 raise WindingError(f"windings {counts} of four quarters do not sum to {count}")
             todo += [(q, k, depth + 1) for q, k in zip(quarters, counts) if k]
 
-        found.sort(key=lambda z: (z.imag, z.real))
+        # the two members of a PT mirror pair share im up to rounding noise:
+        # order by im snapped to the Newton tolerance, then by re
+        found.sort(key=lambda z: (mp.nint(z.imag / tol), z.real))
         axis = tuple(z for z in found if abs(z.real) < _AXIS_TOL and z.imag > 0)
         arch = tuple(z for z in found if not (abs(z.real) < _AXIS_TOL and z.imag > 0))
     turning = turning_points(level, ctx)

@@ -167,11 +167,12 @@ def _path_integral(
             return hit
         square = _SQUARE_CACHE.get(key)
         if square is None:
+            radius = level.diagnostics.radius
             if raised is None:
-                poly = series.space_polynomial(table, level.E, alpha, beta, ctx)
+                poly = series.space_polynomial(table, level.E, alpha, beta, ctx, radius)
             else:
-                poly = series.space_polynomial_at(table, level.E, alpha, beta, raised.dps)
-            square = _SQUARE_CACHE.put(key, _square(poly))
+                poly = series.space_polynomial_at(table, level.E, alpha, beta, raised.dps, radius)
+            square = _SQUARE_CACHE.put(key, _square(poly.coefficients()))
         z0 = polar_point(*contour.vertices[0], work)
         z1 = polar_point(*contour.vertices[-1], work)
         return _INTEGRAL_CACHE.put(memo_key, _integral(square, m, z0, z1))
@@ -312,7 +313,7 @@ def wavefunction_samples(
             f"sample window leaves the validated disk |z| <= {trunc.radius}"
         )
     alpha, beta = level_weights(level)
-    poly = series.space_polynomial(table, level.E, alpha, beta, ctx)
+    poly = series.space_polynomial(table, level.E, alpha, beta, ctx, trunc.radius)
     out = []
     with ctx.workdps():
         n_steps = int((x_max - x_min) / step)

@@ -1,10 +1,14 @@
 """Precision management and decimal serialization.
 
-All high-precision arithmetic goes through mpmath.  A PrecisionContext
-carries the requested number of significant digits; internally every
-computation runs with GUARD_DIGITS extra digits so that the requested
-digits are fully trustworthy.  Numbers cross process boundaries (CLI
-output, saved tables) only as decimal strings, never as binary floats.
+A PrecisionContext carries the requested number of significant digits;
+internally every computation runs with GUARD_DIGITS extra digits so
+that the requested digits are fully trustworthy.  Values outside the
+series layer are mpmath numbers at that working precision.  Inside it
+(ptspec.series) the snapshot, the collapses and Horner's rule run on
+fixed-point Python integers whose bits follow from the same working
+precision, and their results come back as mpmath numbers.  Numbers
+cross process boundaries (CLI output, saved tables) only as decimal
+strings, never as binary floats.
 """
 
 from __future__ import annotations

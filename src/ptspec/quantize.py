@@ -119,12 +119,18 @@ def _z_probe(pair: WedgePair, which_side: str, radius: Fraction, ctx: PrecisionC
     return polar_point(radius, theta, ctx)
 
 
+_POLE_GUARDS = series.BoundedCache(8)
+
+
 def _c_from_polys(poly_a, poly_b, E, ctx: PrecisionContext) -> ComplexHP:
-    """c = -psi1/psi2 from collapsed polynomials, with a pole guard."""
+    """c = -psi1/psi2 from collapsed polynomials, with a pole guard
+    10**-(digits/2), computed once per context."""
     with ctx.workdps():
         p1 = series.eval_energy_poly(poly_a, E)
         p2 = series.eval_energy_poly(poly_b, E)
-        guard = mp.mpf(10) ** (-(ctx.digits // 2))
+        guard = _POLE_GUARDS.get(ctx)
+        if guard is None:
+            guard = _POLE_GUARDS.put(ctx, mp.mpf(10) ** (-(ctx.digits // 2)))
         if abs(p2) < guard * abs(p1):
             raise PoleError(
                 f"psi2 vanishes at E={mp.nstr(mp.mpf(E), 17)} (|psi2/psi1|="
@@ -193,7 +199,11 @@ def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
     """Root of a smooth real function f that changes sign on bracket:
     bisection to moderate width, then bracket-safeguarded secant down
     to tol (on E), reusing f at the bracket ends when the caller passes
-    them.  Raises BracketError when f has no sign change."""
+    them.  A secant step shorter than tol/2 is lengthened to tol/2, so
+    once the secant has settled on the root the next point lands across
+    it and the far end of the bracket moves in.  Returns the secant
+    point of the final bracket, not its midpoint.  Raises BracketError
+    when f has no sign change."""
     lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
     if not lo < hi:
         raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
@@ -225,6 +235,8 @@ def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
         x_new = None
         if f_cur != f_prev:
             cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
+            if abs(cand - x_cur) < tol / 2:
+                cand = x_cur + tol / 2 if x_cur == lo else x_cur - tol / 2
             if lo < cand < hi:
                 x_new = cand
         if x_new is None:
@@ -238,7 +250,7 @@ def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
             hi, f_hi = x_new, f_new
         x_prev, f_prev = x_cur, f_cur
         x_cur, f_cur = x_new, f_new
-    return (lo + hi) / 2
+    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
 
 
 # ---------------------------------------------------------------------------

@@ -15,31 +15,40 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
 
 * exact table: build_tables gives the coefficients as Fractions for
   (N, pmax), truncated on the antidiagonal p + q <= pmax;
-* snapshot: _float_entries converts them once per working dps;
-* reference and collapses: eval_psi sums the double series directly
-  and is the reference the collapses are tested against.  At fixed z,
-  energy_polynomials turns psi1 and psi2 into polynomials in E (degree
-  pmax, for eigenvalue scans); at fixed E, space_polynomial turns
-  alpha*psi1 + beta*psi2 into a polynomial in w = iz (for nodes and
-  exact moments, and uncached for residual);
-* kernel: _horner evaluates a polynomial and its first Taylor
-  coefficients; eval_energy_poly, poly_psi, poly_psi_d, residual,
-  tail_ratio and the moment integrals all run through it.
+* integer snapshot: _float_entries rounds them once per working
+  precision and scale R = 2**rho to integers round(a[p,q] * R**m *
+  S**q * 2**bits) with S = R**N, the fixed point in which a term is
+  A * u**m * v**q for u = w/R and v = E/S;
+* integer collapses: at fixed z, energy_polynomials sums the snapshot
+  into polynomials in E (degree pmax, for eigenvalue scans); at fixed E,
+  space_polynomial sums it into alpha*psi1 + beta*psi2 as a polynomial
+  in w = iz (for nodes, wavefunctions and exact moments; uncached for
+  eval_psi and residual).  Both return ScaledPoly: integer coefficients
+  of the scaled variable;
+* integer kernel: _horner evaluates a polynomial and its first Taylor
+  coefficients on (re, im) integer pairs at |u| <= 1, with its bits set
+  by the cancellation measured at the call point; eval_energy_poly,
+  poly_psi, poly_psi_d, eval_psi, residual, tail_ratio and the moment
+  integrals all run through it;
+* mpc at the boundary: every value handed back to quantize, nodes and
+  observables is an mpmath number at the working precision.
 
-Beside them, _rim gives the terms of the last antidiagonal p + q = pmax,
-which make up boundary_residual and the maximum in tail_ratio.
+Beside them, _rim gives the terms of the last antidiagonal p + q = pmax
+from the exact table, which make up boundary_residual and the maximum in
+tail_ratio.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_man_exp
 
-from .errors import ParameterError
+from .errors import ParameterError, RadiusError
 from .precision import (
     ComplexHP,
     PrecisionContext,
@@ -51,6 +60,7 @@ from .precision import (
 __all__ = [
     "TruncationParams",
     "CoefficientTable",
+    "ScaledPoly",
     "build_tables",
     "eval_psi",
     "residual",
@@ -162,39 +172,215 @@ class BoundedCache(dict):
 
 
 # ---------------------------------------------------------------------------
-# float-coefficient snapshots, converted once per (N, pmax, dps)
+# fixed-point integers: every quantity below is an integer I standing for
+# I * 2**-frac in units scaled by a power of two, so sums and products are
+# exact integer operations and rounding happens only in explicit shifts
+
+
+def _bits(table: CoefficientTable, dps: int) -> int:
+    """Fractional bits of snapshots and collapses at working precision dps:
+    mpmath's bits for dps plus room for the rounding of every table entry
+    and for the kernel's Taylor orders (see _resolution)."""
+    count = max(table.entry_count(), (table.n_exponent + 2) * table.pmax + 2)
+    return dps_to_prec(dps) + 3 * count.bit_length() + 1
+
+
+def _split(x):
+    """x as exact integers (xr, xi, e) with x = (xr + i*xi) * 2**e."""
+    (sr, mr, er, _), (si, mi, ei, _) = mp.mpc(x)._mpc_
+    if (not mr and er) or (not mi and ei):  # mpmath's zero has exponent 0
+        raise ParameterError(f"cannot evaluate at the non-finite point {x}")
+    if not mr:
+        er = ei
+    if not mi:
+        ei = er
+    e = min(er, ei)
+    return (-mr if sr else mr) << (er - e), (-mi if si else mi) << (ei - e), e
+
+
+def _point(x):
+    """(xr, xi, e, rho, lx) for x = (xr + i*xi) * 2**e: rho is the smallest
+    integer with |x| <= 2**rho * (1 + 2**-60), the slack keeping a point
+    rounded just outside a radius such as 8 at that radius, and lx the
+    floor of a lower bound of log2 |x|; both None for x = 0."""
+    xr, xi, e = _split(x)
+    n2 = xr * xr + xi * xi
+    if not n2:
+        return xr, xi, e, None, None
+    lx = (n2.bit_length() - 1) // 2 + e
+    n2 -= n2 >> 59
+    return xr, xi, e, e + ((n2 - 1).bit_length() + 1) // 2, lx
+
+
+def _scale_exponent(n_exponent: int, z=None, E=None, radius=None) -> int:
+    """Smallest rho with 2**rho >= |z| and radius (up to the slack of
+    _point) and 2**(N*rho) >= |E|; 0 when all are absent or zero."""
+    points = [z]
+    if radius is not None:
+        r = as_fraction(radius)
+        points.append(mp.mpf(r.numerator) / r.denominator)
+    rhos = [_point(x)[3] for x in points if x is not None]
+    if E is not None:
+        er, _, ee = _split(mp.mpf(E))
+        if er:
+            rhos.append(-(-(ee + (abs(er) - 1).bit_length()) // n_exponent))
+    return max((rho for rho in rhos if rho is not None), default=0)
+
+
+@dataclass(frozen=True)
+class ScaledPoly:
+    """The polynomial sum_k c_k x**k in fixed point at scale 2**rho:
+    c_k * 2**(rho*k) = (re[k] + i*im[k]) * 2**-frac, so |x| <= 2**rho puts
+    the variable u = x / 2**rho in the unit disk.  len() is the number of
+    coefficients.  bounds holds lower bounds of log2 of the scaled
+    coefficients that _horner turns into its working bits."""
+
+    re: tuple
+    im: tuple
+    frac: int
+    rho: int
+    bounds: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lgs = [
+            max(r.bit_length(), i.bit_length()) - 1 - self.frac if r or i else None
+            for r, i in zip(self.re, self.im)
+        ]
+        object.__setattr__(self, "bounds", _bounds(lgs))
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def coefficients(self) -> tuple:
+        """c_k as mpc at the working precision."""
+        prec, frac, rho = mp.mp.prec, self.frac, self.rho
+        return tuple(
+            mp.make_mpc((from_man_exp(r, -frac - rho * k, prec, "n"),
+                         from_man_exp(i, -frac - rho * k, prec, "n")))
+            for k, (r, i) in enumerate(zip(self.re, self.im))
+        )
+
+    def rescaled(self, rho: int) -> "ScaledPoly":
+        """The same coefficients at the larger scale 2**rho (exact shifts)."""
+        d = rho - self.rho
+        return ScaledPoly(
+            tuple(r << (d * k) for k, r in enumerate(self.re)),
+            tuple(i << (d * k) for k, i in enumerate(self.im)),
+            self.frac,
+            rho,
+        )
+
+
+def _bounds(lgs) -> tuple:
+    """From floor(log2 |D_k|) per coefficient (None for 0): per Taylor order
+    j <= 2 the first nonzero coefficient at k >= j as (k, lg), and the
+    largest coefficient as (k, lg)."""
+    firsts = []
+    for j in range(min(3, len(lgs))):
+        firsts.append(next(((k, lg) for k, lg in enumerate(lgs) if k >= j and lg is not None), None))
+    known = [(k, lg) for k, lg in enumerate(lgs) if lg is not None]
+    return tuple(firsts), max(known, key=lambda hit: hit[1], default=None)
+
+
+def _resolution(bounds, deg: int, lu, prec: int):
+    """Fractional bits at which _horner's rounding stays below 2**-prec times
+    the majorant sum_k binom(k, j) |D_k| |u|**(k-j) of each Taylor order
+    j <= 2, that is F = prec + (j+1)*bits(deg) + bits(kappa) with kappa the
+    ratio of the unit to a lower bound of the majorant at |u| >= 2**lu
+    (lu None: u = 0).  None when every majorant is zero."""
+    firsts, peak = bounds
+    nb = (deg + 1).bit_length()
+    need = None
+    for j, first in enumerate(firsts):
+        best = None
+        for hit in (first, peak):
+            if hit is None or hit[0] < j or (hit[0] > j and lu is None):
+                continue
+            lg = hit[1] + (hit[0] - j) * lu if hit[0] > j else hit[1]
+            best = lg if best is None else max(best, lg)
+        if best is not None:
+            bits = prec + (j + 1) * nb + 1 - best
+            need = bits if need is None else max(need, bits)
+    return need
+
+
+def _scaled(coeffs: Sequence, rho: int, lu, prec: int) -> ScaledPoly:
+    """A plain coefficient sequence as a ScaledPoly at scale 2**rho, with the
+    fractional bits _horner needs at |u| >= 2**lu."""
+    parts = []
+    for c in coeffs:
+        (sr, mr, er, _), (si, mi, ei, _) = mp.mpc(c)._mpc_
+        if (not mr and er) or (not mi and ei):
+            raise ParameterError(f"non-finite coefficient {c}")
+        parts.append((-mr if sr else mr, er, -mi if si else mi, ei))
+    lgs = []
+    for k, (mr, er, mi, ei) in enumerate(parts):
+        tops = [m.bit_length() + e for m, e in ((mr, er), (mi, ei)) if m]
+        lgs.append(max(tops) - 1 + rho * k if tops else None)
+    frac = (_resolution(_bounds(lgs), len(parts) - 1, lu, prec) or 0) + 1
+    re, im = [], []
+    for k, (mr, er, mi, ei) in enumerate(parts):
+        for m, e, out in ((mr, er, re), (mi, ei, im)):
+            t = e + rho * k + frac
+            out.append(m << t if t >= 0 else (m + (1 << (-t - 1))) >> -t)
+    return ScaledPoly(tuple(re), tuple(im), frac, rho)
+
+
+# ---------------------------------------------------------------------------
+# the integer snapshot, taken once per (N, pmax, bits, rho)
 
 _FLOAT_CACHE = BoundedCache(16)
 
 
-def _float_entries(table: CoefficientTable, dps: int):
-    """Coefficients as mpf at dps, ordered by (p+q, p).  Cached."""
-    key = (table.n_exponent, table.pmax, dps)
+def _float_entries(table: CoefficientTable, bits: int, rho: int):
+    """The integer snapshot (abits, entries) of _snapshot.  Cached."""
+    key = (table.n_exponent, table.pmax, bits, rho)
     hit = _FLOAT_CACHE.get(key)
     if hit is not None:
         return hit
-    return _FLOAT_CACHE.put(key, _snapshot(table, dps))
+    return _FLOAT_CACHE.put(key, _snapshot(table, bits, rho))
 
 
-def _snapshot(table: CoefficientTable, dps: int):
-    """Uncached body of _float_entries."""
+def _snapshot(table: CoefficientTable, bits: int, rho: int):
+    """Uncached body of _float_entries: the exact table at R = 2**rho and
+    S = R**N, as entries (q, m, A, B) in (p+q, p) order with
+
+        A = round(a[p,q] * R**m * S**q * 2**bits)
+        B = round(b[p,q] * R**(m+1) * S**q * 2**bits),
+
+    so a term a[p,q] w**m E**q is A * u**m * v**q * 2**-bits with u = w/R
+    and v = E/S.  R**m * S**q = R**((N+2)*(p+q)) is constant along an
+    antidiagonal.  abits >= 1 bounds log2 of the largest |A|, |B| in units
+    (A = 2**bits at p = q = 0)."""
     step = table.n_exponent + 2
     entries = []
-    with mp.workdps(dps):
-        for s in range(table.pmax + 1):
-            for p in range(s + 1):
-                af, bf = table.a[(p, s - p)], table.b[(p, s - p)]
-                af = mp.mpf(af.numerator) / af.denominator
-                bf = mp.mpf(bf.numerator) / bf.denominator
-                entries.append((p, s - p, step * p + 2 * (s - p), af, bf))
-    return tuple(entries)
+    longest = 0
+    for s in range(table.pmax + 1):
+        shift = rho * step * s + bits
+        for p in range(s + 1):
+            q = s - p
+            pair = []
+            for c, t in ((table.a[(p, q)], shift), (table.b[(p, q)], shift + rho)):
+                num, den = c.numerator, c.denominator
+                if t >= 0:
+                    num <<= t
+                else:
+                    den <<= -t
+                pair.append((2 * num + den) // (2 * den))
+            longest = max(longest, pair[0].bit_length(), pair[1].bit_length())
+            entries.append((q, step * p + 2 * q, pair[0], pair[1]))
+    return longest - bits, tuple(entries)
 
 
-def _powers(base: ComplexHP, top: int) -> list:
-    out = [mp.mpc(1)]
+def _powers(xr: int, xi: int, s: int, top: int, frac: int):
+    """Fixed-point powers (x**k for k = 0..top) of x = (xr + i*xi) / 2**s at
+    frac fractional bits, as lists of real and imaginary parts."""
+    pr, pi = [1 << frac], [0]
     for _ in range(top):
-        out.append(out[-1] * base)
-    return out
+        r, i = pr[-1], pi[-1]
+        pr.append((r * xr - i * xi) >> s)
+        pi.append((r * xi + i * xr) >> s)
+    return pr, pi
 
 
 def eval_psi(
@@ -206,32 +392,22 @@ def eval_psi(
     """Evaluate the truncated fundamental pair at one point.
 
     Returns (psi1, psi1', psi2, psi2') as mpc values, derivatives taken
-    with respect to z.  Summation follows the fixed antidiagonal order,
-    so results are reproducible bit for bit.
+    with respect to z: the space collapses of psi1 and psi2 at E, each
+    evaluated with its slope by _horner.  Integer arithmetic in a fixed
+    order, so results are reproducible bit for bit.
     """
-    entries = _float_entries(table, ctx.dps)
     with ctx.workdps():
         w = mp.mpc(0, 1) * mp.mpc(z)
         ev = mp.mpf(E)
-        top = (table.n_exponent + 2) * table.pmax + 1
-        wpow = _powers(w, top)
-        epow = _powers(mp.mpc(ev), table.pmax)
+        rho = _scale_exponent(table.n_exponent, z=z, E=ev)
+        bits = _bits(table, ctx.dps)
+        snapshot = _float_entries(table, bits, rho)
         i_unit = mp.mpc(0, 1)
-
-        psi1 = mp.mpc(0)
-        dpsi1 = mp.mpc(0)
-        psi2 = mp.mpc(0)
-        dpsi2 = mp.mpc(0)
-        for p, q, m, af, bf in entries:
-            eq = epow[q]
-            ta = af * eq
-            tb = bf * eq
-            psi1 += ta * wpow[m]
-            psi2 += tb * wpow[m + 1]
-            if m > 0:
-                dpsi1 += ta * m * wpow[m - 1]
-            dpsi2 += tb * (m + 1) * wpow[m]
-        return psi1, i_unit * dpsi1, psi2, i_unit * dpsi2
+        out = []
+        for weights in ((1, 0), (0, 1)):
+            psi, dpsi = _horner(_collapse_space(table, snapshot, ev, *weights, rho, bits), w, 1)
+            out += [psi, i_unit * dpsi]
+        return tuple(out)
 
 
 def residual(
@@ -252,22 +428,27 @@ def residual(
     with ctx.workdps():
         w = mp.mpc(0, 1) * mp.mpc(z)
         ev = mp.mpf(E)
-        weights = (mp.mpc(1), mp.mpc(0)) if which == "psi1" else (mp.mpc(0), mp.mpc(1))
-        coeffs = _collapse_space(table, _float_entries(table, ctx.dps), ev, *weights)
+        rho = _scale_exponent(table.n_exponent, z=z, E=ev)
+        bits = _bits(table, ctx.dps)
+        weights = (1, 0) if which == "psi1" else (0, 1)
+        coeffs = _collapse_space(table, _float_entries(table, bits, rho), ev, *weights, rho, bits)
         psi, _, half_d2 = _horner(coeffs, w, 2)
         # d/dz = i d/dw, so -psi'' in z is P''(w)
         return 2 * half_d2 - (w ** table.n_exponent + ev) * psi
 
 
-def _rim(table: CoefficientTable, w, ev, dps: int, which: str) -> list:
+def _rim(table: CoefficientTable, w, ev, which: str) -> list:
     """Terms c[p,q] * E**q * w**m of psi1 (c = a) or psi2 (c = b, m + 1)
-    on the last antidiagonal p + q = pmax: the snapshot's last pmax + 1
-    entries."""
-    col, shift = (3, 0) if which == "psi1" else (4, 1)
-    return [
-        entry[col] * ev ** entry[1] * w ** (entry[2] + shift)
-        for entry in _float_entries(table, dps)[-(table.pmax + 1):]
-    ]
+    on the last antidiagonal p + q = pmax, from the exact table at the
+    working precision."""
+    coeffs, shift = (table.a, 0) if which == "psi1" else (table.b, 1)
+    step, pmax = table.n_exponent + 2, table.pmax
+    out = []
+    for p in range(pmax + 1):
+        c = coeffs[(p, pmax - p)]
+        out.append(mp.mpf(c.numerator) / c.denominator * ev ** (pmax - p)
+                   * w ** (step * p + 2 * (pmax - p) + shift))
+    return out
 
 
 def boundary_residual(
@@ -286,7 +467,7 @@ def boundary_residual(
     with ctx.workdps():
         w = mp.mpc(0, 1) * mp.mpc(z)
         ev = mp.mpf(E)
-        return -(w ** table.n_exponent + ev) * mp.fsum(_rim(table, w, ev, ctx.dps, which))
+        return -(w ** table.n_exponent + ev) * mp.fsum(_rim(table, w, ev, which))
 
 
 def tail_ratio(
@@ -306,7 +487,7 @@ def tail_ratio(
         if denom == 0:
             return mp.inf
         w = mp.mpc(0, 1) * mp.mpc(z)
-        return max(abs(term) for term in _rim(table, w, ev, ctx.dps, "psi1")) / denom
+        return max(abs(term) for term in _rim(table, w, ev, "psi1")) / denom
 
 
 def wronskian(table: CoefficientTable, z, E, ctx: PrecisionContext) -> ComplexHP:
@@ -326,10 +507,12 @@ _SPACE_CACHE = BoundedCache(64)
 def energy_polynomials(table: CoefficientTable, z, ctx: PrecisionContext):
     """Collapse the double series at fixed z into polynomials in E.
 
-    Returns (A, B): tuples with psi1(z, E) = sum_q A[q] E**q and
-    psi2(z, E) = sum_q B[q] E**q, both of degree pmax.  Cached per
-    (N, pmax, z, dps); eigenvalue scans call this once per angle and
-    then evaluate thousands of energies at polynomial cost.
+    Returns (A, B): ScaledPolys of the coefficients A_q, B_q with
+    psi1(z, E) = sum_q A_q E**q and psi2(z, E) = sum_q B_q E**q, both of
+    degree pmax, at the energy scale S = R**N for the smallest power of
+    two R >= |z|.  Cached per (N, pmax, z, dps); eigenvalue scans call
+    this once per angle and then evaluate thousands of energies at
+    polynomial cost.
     """
     with ctx.workdps():
         zc = mp.mpc(z)
@@ -337,20 +520,28 @@ def energy_polynomials(table: CoefficientTable, z, ctx: PrecisionContext):
         hit = _ENERGY_CACHE.get(key)
         if hit is not None:
             return hit
-        entries = _float_entries(table, ctx.dps)
-        w = mp.mpc(0, 1) * zc
+        wr, wi, e, rho, _ = _point(mp.mpc(0, 1) * zc)
+        rho = 0 if rho is None else rho
+        bits = _bits(table, ctx.dps)
+        abits, entries = _float_entries(table, bits, rho)
         top = (table.n_exponent + 2) * table.pmax + 1
-        wpow = _powers(w, top)
-        acc_a = [mp.mpc(0) for _ in range(table.pmax + 1)]
-        acc_b = [mp.mpc(0) for _ in range(table.pmax + 1)]
-        for p, q, m, af, bf in entries:
-            acc_a[q] += af * wpow[m]
-            acc_b[q] += bf * wpow[m + 1]
-        result = (tuple(acc_a), tuple(acc_b))
+        frac = bits + abits + top.bit_length() + 1
+        pr, pi = _powers(wr, wi, rho - e, top, frac)
+        a_re, a_im, b_re, b_im = ([0] * (table.pmax + 1) for _ in range(4))
+        for q, m, a, b in entries:
+            a_re[q] += a * pr[m]
+            a_im[q] += a * pi[m]
+            b_re[q] += b * pr[m + 1]
+            b_im[q] += b * pi[m + 1]
+        rho_e = table.n_exponent * rho
+        result = tuple(
+            ScaledPoly(tuple(x >> frac for x in re), tuple(x >> frac for x in im), bits, rho_e)
+            for re, im in ((a_re, a_im), (b_re, b_im))
+        )
     return _ENERGY_CACHE.put(key, result)
 
 
-def eval_energy_poly(coeffs: Sequence[ComplexHP], E) -> ComplexHP:
+def eval_energy_poly(coeffs: "ScaledPoly | Sequence", E) -> ComplexHP:
     """Horner evaluation of an energy polynomial at real E."""
     return _horner(coeffs, mp.mpf(E))[0]
 
@@ -361,21 +552,26 @@ def space_polynomial(
     alpha,
     beta,
     ctx: PrecisionContext,
+    radius,
 ):
     """Collapse at fixed E: alpha*psi1 + beta*psi2 as a polynomial in w = iz.
 
-    Returns the coefficient tuple C with psi(z) = sum_k C[k] w**k.
-    Cached; node searches and wavefunction sampling reuse one collapse
-    for thousands of point evaluations.
+    Returns a ScaledPoly of the C_k with psi(z) = sum_k C_k w**k,
+    scaled for |z| <= radius, the disk the caller evaluates in; well
+    outside it the evaluators raise RadiusError.  Cached; node searches and
+    wavefunction sampling reuse one collapse for thousands of point
+    evaluations.
     """
     with ctx.workdps():
         ev = mp.mpf(E)
         al = mp.mpc(alpha)
         be = mp.mpc(beta)
+        rho = _scale_exponent(table.n_exponent, E=ev, radius=radius)
         key = (
             table.n_exponent,
             table.pmax,
             ctx.dps,
+            rho,
             mp.nstr(ev, ctx.dps),
             complex_str(al, ctx.dps),
             complex_str(be, ctx.dps),
@@ -383,37 +579,56 @@ def space_polynomial(
         hit = _SPACE_CACHE.get(key)
         if hit is not None:
             return hit
-        result = _collapse_space(table, _float_entries(table, ctx.dps), ev, al, be)
+        bits = _bits(table, ctx.dps)
+        result = _collapse_space(table, _float_entries(table, bits, rho), ev, al, be, rho, bits)
     return _SPACE_CACHE.put(key, result)
 
 
-def space_polynomial_at(table: CoefficientTable, E, alpha, beta, dps: int):
+def space_polynomial_at(table: CoefficientTable, E, alpha, beta, dps: int, radius):
     """space_polynomial at working precision dps, uncached: neither the
-    collapse nor the coefficient snapshot it is built from outlives the
+    collapse nor the integer snapshot it is built from outlives the
     call.  For one-off computations at a raised precision."""
     with mp.workdps(dps):
         ev, al, be = mp.mpf(E), mp.mpc(alpha), mp.mpc(beta)
-        return _collapse_space(table, _snapshot(table, dps), ev, al, be)
+        rho = _scale_exponent(table.n_exponent, E=ev, radius=radius)
+        bits = _bits(table, dps)
+        return _collapse_space(table, _snapshot(table, bits, rho), ev, al, be, rho, bits)
 
 
-def _collapse_space(table: CoefficientTable, entries, ev, al, be):
-    """Sum the snapshot entries into the coefficients of w**k at E = ev."""
-    epow = _powers(mp.mpc(ev), table.pmax)
-    top = (table.n_exponent + 2) * table.pmax + 2
-    coeffs = [mp.mpc(0) for _ in range(top)]
-    for p, q, m, af, bf in entries:
-        eq = epow[q]
-        coeffs[m] += al * af * eq
-        coeffs[m + 1] += be * bf * eq
-    return tuple(coeffs)
+def _collapse_space(table: CoefficientTable, snapshot, ev, al, be, rho: int, bits: int) -> ScaledPoly:
+    """Sum the integer snapshot at real E = ev into the coefficients of
+    alpha*psi1 + beta*psi2 in w, as a ScaledPoly at scale 2**rho."""
+    abits, entries = snapshot
+    er, _, ee = _split(ev)
+    s = table.n_exponent * rho - ee  # v = E / S = er / 2**s
+    if s < 0:
+        er, s = er << -s, 0
+    # |v| <= 2**lv; powers above 1 grow, so they carry that many more bits
+    lv = max(0, abs(er).bit_length() - s) * table.pmax
+    frac = bits + abits + lv + table.pmax.bit_length() + 2
+    pv, _ = _powers(er, 0, s, table.pmax, frac)
+    size = (table.n_exponent + 2) * table.pmax + 2
+    sum_a, sum_b = [0] * size, [0] * size
+    for q, m, a, b in entries:
+        sum_a[m] += a * pv[q]
+        sum_b[m + 1] += b * pv[q]
+    ar, ai, ea = _split(al)
+    br, bi, eb = _split(be)
+    e0 = min(ea, eb)
+    e0 = min(e0, frac)  # weights as integers over 2**-e0, then one shift
+    ar, ai, br, bi = ar << (ea - e0), ai << (ea - e0), br << (eb - e0), bi << (eb - e0)
+    shift = frac - e0
+    re = tuple((ar * x + br * y) >> shift for x, y in zip(sum_a, sum_b))
+    im = tuple((ai * x + bi * y) >> shift for x, y in zip(sum_a, sum_b))
+    return ScaledPoly(re, im, bits, rho)
 
 
-def poly_psi(coeffs: Sequence[ComplexHP], z) -> ComplexHP:
+def poly_psi(coeffs: "ScaledPoly | Sequence", z) -> ComplexHP:
     """Evaluate a space polynomial at z (Horner in w = iz)."""
     return _horner(coeffs, mp.mpc(0, 1) * mp.mpc(z))[0]
 
 
-def poly_psi_d(coeffs: Sequence[ComplexHP], z):
+def poly_psi_d(coeffs: "ScaledPoly | Sequence", z):
     """Evaluate (psi, dpsi/dz) of a space polynomial at z."""
     psi, dpsi = _horner(coeffs, mp.mpc(0, 1) * mp.mpc(z), 1)
     return psi, mp.mpc(0, 1) * dpsi
@@ -423,23 +638,62 @@ def poly_psi_d(coeffs: Sequence[ComplexHP], z):
 # the evaluation kernel
 
 
-def _horner(coeffs: Sequence[ComplexHP], x, order: int = 0) -> list:
+def _horner(coeffs: "ScaledPoly | Sequence", x, order: int = 0) -> list:
     """[P(x), P'(x), ..., P^(order)(x)/order!] for P(x) = sum_k coeffs[k] x**k.
 
-    Horner's rule carried to the Taylor coefficients of P at x: each
+    coeffs is a ScaledPoly or a plain sequence of mpmath numbers, which is
+    scaled to the point first.  Horner's rule runs on (re, im) integer
+    pairs in u = x / 2**rho, |u| <= 1, with u exact and every step rounded
+    down to the working bits F of _resolution: 2**-F * deg**(j+1) stays
+    below 2**-prec times the majorant of the j-th Taylor coefficient for
+    j <= 2, whatever order is asked, so the value does not depend on
+    order.  Each
     coefficient updates the highest order first.  Every polynomial
     evaluation in ptspec runs through this loop; at order 0 it is one
-    multiply-add per coefficient, the cost of the node winding count.
+    complex multiply-add per coefficient, the cost of the node winding
+    count.  Results are mpc at the working precision.
+
+    A ScaledPoly meeting a point outside its scale is rescaled by exact
+    shifts, which multiply its stored rounding by up to |u|**deg in the
+    old scale; RadiusError when that leaves fewer bits than the point
+    needs (a space polynomial far outside the disk it was built for).
     """
-    value = mp.mpc(0)
-    taylor = [mp.mpc(0)] * order  # taylor[k-1] accumulates P^(k)(x)/k!
-    for c in reversed(coeffs):
+    if order > 2:
+        raise ParameterError(f"_horner covers Taylor orders up to 2, got {order}")
+    prec = mp.mp.prec
+    xr, xi, e, rho_x, lx = _point(x)
+    lost, scale = 0, None  # bits by which rescaling amplifies the stored rounding
+    if not isinstance(coeffs, ScaledPoly):
+        coeffs = _scaled(coeffs, 0 if rho_x is None else rho_x, None if lx is None else lx - rho_x, prec)
+    elif rho_x is not None and rho_x > coeffs.rho:
+        lost, scale = (rho_x - coeffs.rho) * (len(coeffs) - 1), coeffs.rho
+        coeffs = coeffs.rescaled(rho_x)
+    rho = coeffs.rho
+    s = 0 if rho_x is None else rho - e  # u = (xr + i*xi) / 2**s
+    need = _resolution(coeffs.bounds, len(coeffs) - 1, None if lx is None else lx - rho, prec)
+    if lost and need is not None and coeffs.frac - lost < need:
+        raise RadiusError(
+            f"point beyond the scale radius 2**{scale} of a polynomial whose"
+            " coefficients carry too few bits there"
+        )
+    frac = coeffs.frac if need is None else max(coeffs.frac, need)
+    re, im = coeffs.re, coeffs.im
+    if frac > coeffs.frac:
+        d = frac - coeffs.frac
+        re, im = [r << d for r in re], [i << d for i in im]
+
+    vr = vi = 0
+    tr, ti = [0] * order, [0] * order  # Taylor accumulators of P^(k)(u)/k!, k >= 1
+    for cr, ci in zip(reversed(re), reversed(im)):
         if order:
             for k in range(order - 1, 0, -1):
-                taylor[k] = taylor[k] * x + taylor[k - 1]
-            taylor[0] = taylor[0] * x + value
-        value = value * x + c
-    return [value] + taylor
+                tr[k], ti[k] = (((tr[k] * xr - ti[k] * xi) >> s) + tr[k - 1],
+                                ((tr[k] * xi + ti[k] * xr) >> s) + ti[k - 1])
+            tr[0], ti[0] = ((tr[0] * xr - ti[0] * xi) >> s) + vr, ((tr[0] * xi + ti[0] * xr) >> s) + vi
+        vr, vi = ((vr * xr - vi * xi) >> s) + cr, ((vr * xi + vi * xr) >> s) + ci
+    pairs = [(vr, vi, -frac)] + [(tr[k], ti[k], -frac - (k + 1) * rho) for k in range(order)]
+    return [mp.make_mpc((from_man_exp(r, exp, prec, "n"), from_man_exp(i, exp, prec, "n")))
+            for r, i, exp in pairs]
 
 
 # ---------------------------------------------------------------------------

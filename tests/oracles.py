@@ -2,9 +2,9 @@
 
 Nothing here imports the solver internals beyond the polynomial
 evaluators needed for the quadrature cross-check; reference values are
-produced by separate algorithms (a fresh dictionary-based recursion,
-float shooting integrations, tanh-sinh quadrature) so agreement is
-meaningful.
+produced by separate algorithms (a fresh dictionary-based recursion, a
+direct double sum, float shooting integrations, tanh-sinh quadrature)
+so agreement is meaningful.
 """
 
 from fractions import Fraction
@@ -62,6 +62,73 @@ def closed_bp0(n_exponent, p):
     return out
 
 
+def direct_psi(table, z, e_val, dps):
+    """(psi1, psi1', psi2, psi2') at z by the plain double sum in mpmath at dps.
+
+    Sums a[p,q] w**m E**q and b[p,q] w**(m+1) E**q over the exact table
+    entry by entry, derivatives taken with respect to z (d/dz = i d/dw).
+    Shares no code with the solver's integer collapses or its Horner
+    kernel, so those can be checked against it.
+    """
+    step = table.n_exponent + 2
+    with mp.workdps(dps):
+        w = mp.mpc(0, 1) * mp.mpc(z)
+        ev = mp.mpf(e_val)
+        top = step * table.pmax + 2
+        wpow = [mp.mpc(1)]
+        for _ in range(top):
+            wpow.append(wpow[-1] * w)
+        epow = [mp.mpf(1)]
+        for _ in range(table.pmax):
+            epow.append(epow[-1] * ev)
+        psi1 = dpsi1 = psi2 = dpsi2 = mp.mpc(0)
+        for (p, q), af in table.a.items():
+            bf = table.b[(p, q)]
+            m = step * p + 2 * q
+            ta = mp.mpf(af.numerator) / af.denominator * epow[q]
+            tb = mp.mpf(bf.numerator) / bf.denominator * epow[q]
+            psi1 += ta * wpow[m]
+            psi2 += tb * wpow[m + 1]
+            if m > 0:
+                dpsi1 += ta * m * wpow[m - 1]
+            dpsi2 += tb * (m + 1) * wpow[m]
+        i_unit = mp.mpc(0, 1)
+        return psi1, i_unit * dpsi1, psi2, i_unit * dpsi2
+
+
+def _shoot_to_origin(n_exponent, theta, e_val, s_inf):
+    """(psi(0), psi'(0)) of the solution decaying along z = t*s_inf*e^{i theta}.
+
+    Integrates from the asymptotic region to the origin with DOP853,
+    starting from the decaying WKB branch (psi = 1 there); the growing
+    component that the start leaves in shrinks on the way in.
+    """
+    zs = s_inf * np.exp(1j * theta)
+    k = np.sqrt(e_val + (1j * zs) ** n_exponent + 0j)
+    d = 1j * k
+    if (d * np.exp(1j * theta)).real > 0:
+        d = -d
+
+    def rhs(t, y):
+        psi = y[0] + 1j * y[1]
+        chi = y[2] + 1j * y[3]
+        z = t * zs
+        acc = -zs * zs * (e_val + (1j * z) ** n_exponent) * psi
+        return [chi.real, chi.imag, acc.real, acc.imag]
+
+    sol = solve_ivp(
+        rhs,
+        (1.0, 0.0),
+        [1.0, 0.0, (zs * d).real, (zs * d).imag],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-13,
+    )
+    psi0 = sol.y[0, -1] + 1j * sol.y[1, -1]
+    dpsi0 = (sol.y[2, -1] + 1j * sol.y[3, -1]) / zs
+    return psi0, dpsi0
+
+
 def shoot_eigenvalue(n_exponent, theta, bracket, s_inf=12.0):
     """Shooting eigenvalue from a float ODE integration.
 
@@ -72,34 +139,24 @@ def shoot_eigenvalue(n_exponent, theta, bracket, s_inf=12.0):
     collapses to Re[conj(psi) * psi'] = 0, which is immune to the
     overall normalization of the shot.
     """
-    zs = s_inf * np.exp(1j * theta)
 
     def g(e_val):
-        k = np.sqrt(e_val + (1j * zs) ** n_exponent + 0j)
-        d = 1j * k
-        if (d * np.exp(1j * theta)).real > 0:
-            d = -d
-
-        def rhs(t, y):
-            psi = y[0] + 1j * y[1]
-            chi = y[2] + 1j * y[3]
-            z = t * zs
-            acc = -zs * zs * (e_val + (1j * z) ** n_exponent) * psi
-            return [chi.real, chi.imag, acc.real, acc.imag]
-
-        sol = solve_ivp(
-            rhs,
-            (1.0, 0.0),
-            [1.0, 0.0, (zs * d).real, (zs * d).imag],
-            method="DOP853",
-            rtol=1e-13,
-            atol=1e-13,
-        )
-        psi0 = sol.y[0, -1] + 1j * sol.y[1, -1]
-        dpsi0 = (sol.y[2, -1] + 1j * sol.y[3, -1]) / zs
+        psi0, dpsi0 = _shoot_to_origin(n_exponent, theta, e_val, s_inf)
         return (np.conj(psi0) * dpsi0).real
 
     return brentq(g, bracket[0], bracket[1], xtol=1e-13, rtol=8.9e-16)
+
+
+def shoot_connection(n_exponent, theta, e_val, s_inf=12.0):
+    """Connection coefficient of the solution decaying along the ray at angle theta.
+
+    That solution is K*(psi1 + c*psi2) with psi1(0) = 1, psi1'(0) = 0,
+    psi2(0) = 0, psi2'(0) = i, so c = -i psi'(0)/psi(0) from the same
+    float shot as shoot_eigenvalue.  Complex in general; real at a PT
+    eigenvalue.
+    """
+    psi0, dpsi0 = _shoot_to_origin(n_exponent, theta, e_val, s_inf)
+    return -1j * dpsi0 / psi0
 
 
 def parity_shoot_eigenvalue(power, parity, bracket, s_inf=10.0):
@@ -128,7 +185,7 @@ def quad_moment(table, level, m, lam, trunc, ctx):
     Independent of the solver's exact endpoint antiderivative.
     """
     alpha, beta = level_weights(level)
-    poly = space_polynomial(table, level.E, alpha, beta, ctx)
+    poly = space_polynomial(table, level.E, alpha, beta, ctx, trunc.radius)
     with ctx.workdps():
         lam_f = ctx.mpf(lam)
 

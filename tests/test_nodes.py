@@ -77,7 +77,7 @@ def test_nodes_are_zeros(table3, levels3, nodesets3, trunc8, ctx40):
     with ctx40.workdps():
         for n in range(4):
             alpha, beta = level_weights(levels3[n])
-            poly = space_polynomial(table3, levels3[n].E, alpha, beta, ctx40)
+            poly = space_polynomial(table3, levels3[n].E, alpha, beta, ctx40, trunc8.radius)
             for z in nodesets3[n].arch_nodes:
                 assert abs(poly_psi(poly, z)) < mp.mpf("1e-35")
 
@@ -193,3 +193,17 @@ def test_winding_isolates_planted_zeros(monkeypatch, table3, levels3, trunc8, ct
     monkeypatch.setattr(nodes, "_level_poly", lambda table, level, ctx: on_edge)
     with pytest.raises(WindingError):
         find_nodes(table3, levels3[0], region=(-1, 1, -1, 1), trunc=trunc8, ctx=ctx40)
+
+
+def test_mirror_pair_order_ignores_rounding_noise(monkeypatch, table3, levels3, trunc8, ctx40):
+    # the two members of a PT mirror pair share im up to rounding noise;
+    # they come out ordered by re whichever member the noise puts lower
+    for noise in ("1e-50", "-1e-50"):
+        with ctx40.workdps():
+            shift = mp.mpc(0, noise)
+            poly = _planted([mp.mpc("0.5", "-0.4") + shift, mp.mpc("-0.5", "-0.4") - shift], ctx40)
+        monkeypatch.setattr(nodes, "_level_poly", lambda table, level, ctx: poly)
+        found = find_nodes(table3, levels3[0], region=(-1, 1, -1, 1), trunc=trunc8, ctx=ctx40)
+        assert [mp.sign(z.real) for z in found.arch_nodes] == [-1, 1], noise
+        with ctx40.workdps():
+            assert found.arch_nodes[0].imag != found.arch_nodes[1].imag

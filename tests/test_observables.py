@@ -131,8 +131,8 @@ def test_degenerate_norm_detected(table3, levels3, contour3, trunc8, ctx40):
         e0 = levels3[0].E
         lam = mp.mpf(5)
         polys = {
-            "11": space_polynomial(table3, e0, 1, 0, ctx40),
-            "12": space_polynomial(table3, e0, 0, 1, ctx40),
+            "11": space_polynomial(table3, e0, 1, 0, ctx40, trunc8.radius),
+            "12": space_polynomial(table3, e0, 0, 1, ctx40, trunc8.radius),
         }
 
         def quad(pa, pb):

@@ -93,6 +93,27 @@ def test_shooting_oracle_n7(table7, ctx40):
         assert abs(float(lv.E) - ref) / ref < 1e-10
 
 
+def test_c_matches_shooting_n3(levels3, pair3):
+    # c = -i psi'(0)/psi(0) of the shot decaying along the right wedge's
+    # centre ray, at each level's E: an oracle for the printed c that
+    # shares nothing with the series
+    theta = float(pair3.theta_right) * 3.141592653589793
+    for level in levels3[:5]:
+        c = float(level.c)
+        ref = oracles.shoot_connection(3, theta, float(level.E))
+        assert abs(ref - c) <= 1e-9 * abs(c), level.n
+
+
+def test_c_matches_shooting_n7(table7):
+    ctx = PrecisionContext(20)
+    pair = pt_pairs(7)[1]
+    theta = float(pair.theta_right) * 3.141592653589793
+    for level in spectrum(table7, pair, 4, TruncationParams(100, Fraction(3)), ctx):
+        c = float(level.c)
+        ref = oracles.shoot_connection(7, theta, float(level.E), s_inf=3.5)
+        assert abs(ref - c) <= 1e-9 * abs(c), level.n
+
+
 def test_connection_coefficient_sides(table3, pair3, trunc8, ctx40):
     with ctx40.workdps():
         e_val = mp.mpf("5.5")
@@ -146,6 +167,27 @@ def test_refine_root_in_bracket(table3, pair3, trunc8, ctx40):
         lv = refine_root(table3, pair3, (11, 12), mp.mpf("1e-25"), trunc8, ctx40, n=3)
         assert abs(lv.E - mp.mpf(GOLDEN_N3[3][0])) < mp.mpf("1e-24")
         assert lv.n == 3
+
+
+def test_hybrid_root_closes_without_rounding_noise():
+    # f(x) = x - 1/3 with 1/3 held to 80 digits: the secant lands on the
+    # root at once and every later value keeps the same sign.  The
+    # bracket must still close in a few steps, not by some 130 halvings
+    # of its far end
+    from ptspec.quantize import _hybrid_root
+
+    with mp.workdps(80):
+        root = mp.mpf(1) / 3
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - root
+
+    with mp.workdps(50):
+        got = _hybrid_root(f, (mp.mpf(0), mp.mpf("0.5")), mp.mpf("1e-45"))
+        assert abs(got - root) < mp.mpf("1e-45")
+    assert len(calls) <= 25
 
 
 def test_refine_root_empty_bracket(table3, pair3, trunc8, ctx40):

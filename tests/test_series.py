@@ -11,6 +11,7 @@ import oracles
 from ptspec import (
     ParameterError,
     PrecisionContext,
+    RadiusError,
     TruncationParams,
     boundary_residual,
     build_tables,
@@ -22,7 +23,9 @@ from ptspec import (
     wronskian,
 )
 from ptspec.series import (
+    ScaledPoly,
     _horner,
+    _scaled,
     energy_polynomials,
     eval_energy_poly,
     poly_psi,
@@ -155,7 +158,7 @@ def test_energy_polynomials_match_eval(table3, ctx40):
         coeffs_a, coeffs_b = energy_polynomials(table3, z, ctx40)
         for e_str in ("0.5", "17.25"):
             e_val = mp.mpf(e_str)
-            p1, _, p2, _ = eval_psi(table3, z, e_val, ctx40)
+            p1, _, p2, _ = oracles.direct_psi(table3, z, e_val, ctx40.dps + 20)
             assert abs(eval_energy_poly(coeffs_a, e_val) - p1) < ctx40.tolerance(-10)
             assert abs(eval_energy_poly(coeffs_b, e_val) - p2) < ctx40.tolerance(-10)
 
@@ -164,14 +167,39 @@ def test_space_polynomial_matches(table3, ctx40):
     with ctx40.workdps():
         e_val = mp.mpf("4.1")
         alpha, beta = mp.mpf(1), mp.mpf("-0.54")
-        coeffs = space_polynomial(table3, e_val, alpha, beta, ctx40)
+        coeffs = space_polynomial(table3, e_val, alpha, beta, ctx40, radius=8)
         for z in (mp.mpf("0.9"), mp.mpc("-1.4", "-0.8")):
-            p1, d1, p2, d2 = eval_psi(table3, z, e_val, ctx40)
+            p1, d1, p2, d2 = oracles.direct_psi(table3, z, e_val, ctx40.dps + 20)
+            for got, want in zip(eval_psi(table3, z, e_val, ctx40), (p1, d1, p2, d2)):
+                assert abs(got - want) < ctx40.tolerance(-10)
             want = alpha * p1 + beta * p2
             got, got_d = poly_psi_d(coeffs, z)
             assert abs(got - want) < ctx40.tolerance(-10)
             assert abs(poly_psi(coeffs, z) - want) < ctx40.tolerance(-10)
             assert abs(got_d - (alpha * d1 + beta * d2)) < ctx40.tolerance(-10)
+
+
+def test_polys_beyond_their_scale(table3, ctx40):
+    # the energy polynomials at |z| = 8 are scaled for |E| <= 8**3; far
+    # beyond, their majorant outgrows the stored rounding and the digits
+    # stay.  A space polynomial scaled for |z| <= 2 has lost the bits of
+    # its tail at |z| = 7.9 and refuses the point
+    hi = PrecisionContext(70)
+    z = mp.mpc("-3.2", "-7.2")
+    a40, _ = energy_polynomials(table3, z, ctx40)
+    a70, _ = energy_polynomials(table3, z, hi)
+    for e_str in ("3000", "-2000"):
+        with ctx40.workdps():
+            got = eval_energy_poly(a40, mp.mpf(e_str))
+        with hi.workdps():
+            want = eval_energy_poly(a70, mp.mpf(e_str))
+            assert abs(got - want) < ctx40.tolerance(5) * abs(want)
+    with ctx40.workdps():
+        near = space_polynomial(table3, mp.mpf("4.1"), 1, mp.mpf("-0.5"), ctx40, radius=2)
+        p1, _, p2, _ = eval_psi(table3, mp.mpc("1.9", "0.3"), mp.mpf("4.1"), ctx40)
+        assert abs(poly_psi(near, mp.mpc("1.9", "0.3")) - (p1 - p2 / 2)) < ctx40.tolerance(-10)
+        with pytest.raises(RadiusError):
+            poly_psi(near, mp.mpc("7.9", "0.3"))
 
 
 def test_tail_ratio_grows_with_radius(table7, ctx40):
@@ -232,6 +260,47 @@ def test_horner_matches_polyval(coeffs, dps, x, real_x):
         for order, want in enumerate((value, slope, half_curv)):
             bound = mp.mpf(10) ** -dps * max(deg, 1) * _majorant_taylor(poly, abs(point), order)
             assert abs(got[order] - want) <= bound, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(st.tuples(_unit, _unit, st.integers(-300, 300)), min_size=1, max_size=41),
+    tiny_c0=st.booleans(),
+    dps=st.integers(15, 80),
+    rho=st.integers(-10, 10),
+    depth=st.integers(0, 60),
+    x=st.tuples(st.floats(0.5, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)),
+    real_x=st.booleans(),
+)
+def test_integer_kernel_wide_exponents(coeffs, tiny_c0, dps, rho, depth, x, real_x):
+    # binary exponents of the coefficients over +-300 (c_0 down to 2^-600
+    # when tiny), points from the scale radius 2^rho down to 2^(rho-61):
+    # the plain sequence (scaled to the point) and a ScaledPoly at scale
+    # 2^rho (the form of the collapses) both stay within the bound of
+    # test_horner_matches_polyval against mpmath at dps + 20
+    with mp.workdps(dps):
+        poly = [mp.mpc(re, im) * mp.ldexp(1, e) for re, im, e in coeffs]
+        if tiny_c0:
+            poly[0] *= mp.ldexp(1, -300)
+        size = mp.ldexp(mp.mpf(x[0]), rho - depth)
+        point = size if real_x else size * mp.expjpi(x[1])
+        stored = _scaled(poly, rho, -depth - 1, mp.mp.prec)
+        assert isinstance(stored, ScaledPoly) and len(stored) == len(poly)
+        results = []
+        for form in (poly, stored):
+            got = _horner(form, point, 2)
+            assert _horner(form, point, 1) == got[:2]
+            assert _horner(form, point)[0] == got[0]
+            results.append(got)
+    deg = len(poly) - 1
+    with mp.workdps(dps + 20):
+        value, slope = mp.polyval(poly[::-1], point, derivative=True)
+        half_curv = mp.fsum(mp.binomial(k, 2) * c * point ** (k - 2)
+                            for k, c in enumerate(poly) if k >= 2)
+        for got in results:
+            for order, want in enumerate((value, slope, half_curv)):
+                bound = mp.mpf(10) ** -dps * max(deg, 1) * _majorant_taylor(poly, abs(point), order)
+                assert abs(got[order] - want) <= bound, order
 
 
 def test_save_load_roundtrip(table3, tmp_path):

@@ -1,0 +1,120 @@
+"""Diff the CLI behaviour of two ptspec source trees.
+
+    python3 tools/clidiff.py OLD_TREE NEW_TREE
+
+Each tree is a checkout root holding src/ptspec (for example the parent
+commit unpacked with `git archive HEAD~1 | tar -x -C /tmp/parent`).  Every
+command of COMMANDS runs as `python3 -m ptspec ARGS` once per tree, in a
+fresh process with PYTHONPATH=TREE/src, and the two runs are compared on
+stdout, stderr and exit code.  One line per command says `identical` or
+`differs`; for a difference it adds the stream and the first differing
+line of each side.  The exit code is the number of commands that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_WAVE = ("--xmin=-2", "--xmax=2", "--step=1/4")
+
+# the command set the changes in CHANGES.md are diffed on
+COMMANDS = (
+    "spectrum --N 3 --levels 5",
+    "spectrum --N 3 --levels 5 --format csv",
+    "spectrum --N 7 --radius 3 --pair 0 --levels 4",
+    "spectrum --N 7 --radius 3 --pair 1 --levels 4",
+    "spectrum --N 7 --radius 3 --pair 2 --levels 4",
+    "spectrum --N 4 --pair 0 --radius 6 --levels 4",
+    "spectrum --N 4 --pair 0 --radius 6 --levels 4 --format csv",
+    "spectrum --N 2 --pair 1 --force --levels 5",
+    "spectrum --N 2 --pair 1 --force --levels 5 --format csv",
+    "spectrum --N 4 --pair 0 --radius 6 --levels 3 --parity odd",
+    "spectrum --N 4 --pair 0 --radius 6 --levels 3 --parity even --format csv",
+    "spectrum --N 2 --pair 1 --levels 1",
+    "spectrum --N 2 --pair 0 --force",
+    "spectrum --N 3 --levels 4 --emax 5",
+    "spectrum --N 4 --pair 0 --radius 6 --levels 30 --emax 5",
+    "scan --N 3",
+    "scan --N 3 --emin 1 --emax 3 --step 0.1 --format json",
+    "scan --N 2 --pair 1 --emin 2.5 --emax 3.5 --step 0.1",
+    "selfcheck",
+    "wedges --N 4",
+    "wedges --N 4 --format csv",
+    "wedges --N 7 --format csv --digits 20",
+    "nodes --N 3 --level 2",
+    "nodes --N 3 --level 1",
+    "nodes --N 3 --level 1 --format csv",
+    "expect --N 3 --level 0 --moments 3,1,4,2",
+    "expect --N 3 --level 0 --moments 0,2 --format csv",
+    "expect --N 3 --level 0 --moments 0,1,2,3,4",
+    "expect --N 3 --level 3 --moments 0,1,2,3,4",
+    "expect --N 3 --level 0 --moments 0,1,2,3,4 --contour wedge_rays",
+    "expect --N 3 --level 3 --moments 0,1,2,3,4 --contour wedge_rays",
+    "wavefunction --N 3 --level 1 --xmin=-4.5 --xmax=4.5 --step=9/200",
+    "wavefunction --N 3 --level 1 --format json --xmin -1 --xmax 1 --step 0.5",
+    "wavefunction --N 2 --pair 1 --radius 6 --level 2 " + " ".join(_WAVE),
+    "wavefunction --N 4 --pair 0 --radius 6 --level 1 --parity odd --format json " + " ".join(_WAVE),
+)
+
+
+def run(tree: Path, command: str):
+    """(exit code, stdout, stderr) of one command against one tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("PTSPEC_DIGITS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptspec", *command.split()],
+        capture_output=True, text=True, env=env, cwd=tree,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def first_difference(old: str, new: str):
+    """(line number, old line, new line) of the first differing line."""
+    a, b = old.splitlines(), new.splitlines()
+    for i in range(max(len(a), len(b))):
+        left = a[i] if i < len(a) else "<missing>"
+        right = b[i] if i < len(b) else "<missing>"
+        if left != right:
+            return i + 1, left, right
+    return None
+
+
+def compare(old_tree: Path, new_tree: Path, command: str) -> str:
+    old, new = run(old_tree, command), run(new_tree, command)
+    if old == new:
+        return f"identical  {command}"
+    lines = [f"differs    {command}"]
+    if old[0] != new[0]:
+        lines.append(f"    exit code {old[0]} -> {new[0]}")
+    for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
+        hit = first_difference(a, b)
+        if hit:
+            lines.append(f"    {stream} line {hit[0]}:")
+            lines.append(f"      - {hit[1]}")
+            lines.append(f"      + {hit[2]}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    args = parser.parse_args(argv)
+    for tree in (args.old, args.new):
+        if not (tree / "src" / "ptspec").is_dir():
+            parser.error(f"{tree} has no src/ptspec")
+    differs = 0
+    for command in COMMANDS:
+        report = compare(args.old.resolve(), args.new.resolve(), command)
+        print(report, flush=True)
+        differs += report.startswith("differs")
+    print(f"{len(COMMANDS) - differs} identical, {differs} differ")
+    return differs
+
+
+if __name__ == "__main__":
+    sys.exit(main())
