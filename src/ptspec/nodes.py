@@ -112,7 +112,7 @@ def newton_zero(
         tol = mp.mpf(tol)
         if tol <= 0:
             raise ParameterError("tol must be positive")
-        radius = trunc.radius_mpf(ctx)
+        radius = ctx.mpf(trunc.radius)
         x0, x1, y0, y1 = (ctx.mpf(v) for v in region or (0, 0, 0, 0))
         z = mp.mpc(z0)
         for _ in range(_NEWTON_CAP):
@@ -185,7 +185,8 @@ def find_nodes(
 ) -> NodeSet:
     """All eigenfunction zeros inside region = (re_min, re_max, im_min, im_max).
 
-    The region must lie in the validated disk (RadiusError).  It defaults
+    The region must lie in the validated disk of trunc, by default the
+    level's own truncation (RadiusError).  It defaults
     to the arch box |re| <= ext, -ext <= im <= 0, ext = 1.2*|E|**(1/N) to
     3 digits but at most radius/sqrt(2); for N=3 it holds as many zeros
     as the level index.  Boxes are split into four until each holds one
@@ -198,7 +199,7 @@ def find_nodes(
     if ctx is None:
         ctx = PrecisionContext()
     if trunc is None:
-        trunc = TruncationParams(table.pmax)
+        trunc = TruncationParams(level.diagnostics.pmax, level.diagnostics.radius)
     if region is None:
         with ctx.workdps():
             scale = mp.mpf(12) / 10 * abs(mp.mpf(level.E)) ** (mp.mpf(1) / level.pair.n_exponent)

@@ -13,10 +13,14 @@ real axis) and the two anti-Stokes rays through the origin.
 psi at fixed E is a polynomial C in w = iz, so with S = C*C and
 z = -iw each integral is exact from the antiderivative,
 (-i)^(m+1) [sum_j S_j w^(j+m+1) / (j+m+1)] between the contour's first
-and last vertex.  Those sums cancel (kappa = sum |term| / |sum| is
-~1e18 for the ground state on [-5, 5]), so a pass at the working dps
-measures kappa of the norm and the values come from a second pass at
-dps + log10(kappa); est_error is that pass's rounding bound.
+and last vertex.  series forms S and that antiderivative in integers on
+the scaled coefficients of C (series.poly_square, series.moment_integral),
+so no mpc coefficient list is built; rounding happens only in the floor
+divisions by j+m+1 and in the two endpoint evaluations.  Those sums
+cancel (kappa = sum |term| / |sum| is ~1e18 for the ground state on
+[-5, 5]), so a pass at the working dps measures kappa of the norm and
+the values come from a second pass at dps + log10(kappa); est_error is
+that pass's rounding bound.
 """
 
 from __future__ import annotations
@@ -112,34 +116,6 @@ def build_contour(pair: WedgePair, lam: Fractionable, style: str) -> Contour:
 # ---------------------------------------------------------------------------
 # exact integration
 
-
-def _square(coeffs) -> tuple:
-    """Coefficients of the square of the polynomial sum_k coeffs[k] w**k."""
-    out = []
-    for j in range(2 * len(coeffs) - 1):
-        lo = max(0, j - len(coeffs) + 1)
-        acc = 2 * mp.fdot((coeffs[k], coeffs[j - k]) for k in range(lo, (j + 1) // 2))
-        if j % 2 == 0:
-            acc += coeffs[j // 2] ** 2
-        out.append(acc)
-    return tuple(out)
-
-
-def _integral(square, m: int, z0, z1):
-    """(int_z0^z1 P(iz) z^m dz, sum of |terms|) for P(w) = sum_j square[j] w**j,
-    exact from the antiderivative w**(m+1) sum_j square[j]/(j+m+1) w**j
-    at the two endpoints."""
-    antider = [s / (j + m + 1) for j, s in enumerate(square)]
-    sizes = [abs(c) for c in antider]
-    ends = []
-    size = mp.mpf(0)
-    for z in (z0, z1):
-        w = mp.mpc(0, 1) * z
-        ends.append(w ** (m + 1) * series._horner(antider, w)[0])
-        size += abs(w) ** (m + 1) * series._horner(sizes, abs(w))[0].real
-    return mp.mpc(0, -1) ** (m + 1) * (ends[1] - ends[0]), size
-
-
 _SQUARE_CACHE = series.BoundedCache(32)
 _INTEGRAL_CACHE = series.BoundedCache(64)
 
@@ -150,32 +126,24 @@ def _path_integral(
     m: int,
     contour: Contour,
     ctx: PrecisionContext,
-    raised: Optional[PrecisionContext] = None,
 ):
-    """_integral of the level's psi^2 z^m over the contour at ctx.dps, or
-    at raised.dps when given.  Results are cached per level, dps, m and
-    contour, and the squared polynomial per level and dps; at a raised
-    dps the square is built from an uncached collapse, so no raised
-    coefficient snapshot outlives it."""
-    work = raised or ctx
+    """series.moment_integral of the level's psi^2 z^m over the contour at
+    ctx.dps.  Results are cached per level, dps, m and contour, and the
+    squared polynomial per level and dps."""
     alpha, beta = level_weights(level)
-    with work.workdps():
-        key = (table.n_exponent, table.pmax, work.dps, mp.mpf(level.E), alpha, beta)
+    with ctx.workdps():
+        key = (table.n_exponent, table.pmax, ctx.dps, mp.mpf(level.E), alpha, beta)
         memo_key = key + (m, contour.cache_key())
         hit = _INTEGRAL_CACHE.get(memo_key)
         if hit is not None:
             return hit
         square = _SQUARE_CACHE.get(key)
         if square is None:
-            radius = level.diagnostics.radius
-            if raised is None:
-                poly = series.space_polynomial(table, level.E, alpha, beta, ctx, radius)
-            else:
-                poly = series.space_polynomial_at(table, level.E, alpha, beta, raised.dps, radius)
-            square = _SQUARE_CACHE.put(key, _square(poly.coefficients()))
-        z0 = polar_point(*contour.vertices[0], work)
-        z1 = polar_point(*contour.vertices[-1], work)
-        return _INTEGRAL_CACHE.put(memo_key, _integral(square, m, z0, z1))
+            poly = series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
+            square = _SQUARE_CACHE.put(key, series.poly_square(poly))
+        z0 = polar_point(*contour.vertices[0], ctx)
+        z1 = polar_point(*contour.vertices[-1], ctx)
+        return _INTEGRAL_CACHE.put(memo_key, series.moment_integral(square, m, z0, z1))
 
 
 @dataclass(frozen=True)
@@ -221,8 +189,8 @@ def expectation(
                 f" bound at {ctx.dps} digits (it vanishes or needs more digits)"
             )
         raised = PrecisionContext(ctx.digits + int(mp.ceil(mp.log10(norm_size / abs(norm)))))
-    norm, norm_size = _path_integral(table, level, 0, contour, ctx, raised)
-    total, size = _path_integral(table, level, m, contour, ctx, raised)
+    norm, norm_size = _path_integral(table, level, 0, contour, raised)
+    total, size = _path_integral(table, level, m, contour, raised)
     with raised.workdps():
         value = total / norm
         est = (size + abs(value) * norm_size) / abs(norm) * mp.mpf(10) ** -raised.dps

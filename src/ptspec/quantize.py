@@ -58,6 +58,10 @@ __all__ = [
 # ones (N=7 r=8, N=3 P=10) fail with a wide margin on both sides
 TAIL_THRESHOLD_EXPONENT = -10
 
+# c at radius r against c at 0.9r: the root shift behind est_error and the
+# health check's c discrepancy
+_INNER_RADIUS = Fraction(9, 10)
+
 DEFAULT_SCAN_STEP = Fraction(1, 20)
 DEFAULT_ENERGY_CAP = Fraction(100)
 _WINDOW_STEPS = 200
@@ -271,7 +275,7 @@ def _root_and_estimate(reader: Callable, radius: Fraction, bracket, tol, ends=No
     est = mp.inf
     for window in ((e_root - delta, e_root + delta), bracket):
         try:
-            est = abs(e_root - _hybrid_root(reader(radius * Fraction(9, 10)), window, tol))
+            est = abs(e_root - _hybrid_root(reader(radius * _INNER_RADIUS), window, tol))
             break
         except (BracketError, PoleError):
             continue
@@ -508,7 +512,7 @@ def health_check(
     entries = []
     with ctx.workdps():
         ev = ctx.mpf(cap)
-        inner = trunc.scaled_radius(9, 10)
+        inner = TruncationParams(trunc.pmax, trunc.radius * _INNER_RADIUS)
         for pair in pairs:
             # the left probe, -conj z (PT pair) or -z (parity pair), gives the
             # same ratio: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even

@@ -30,6 +30,10 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
   by the cancellation measured at the call point; eval_energy_poly,
   poly_psi, poly_psi_d, eval_psi, residual, tail_ratio and the moment
   integrals all run through it;
+* exact moments in integers: poly_square squares a space polynomial by
+  an exact integer convolution, and moment_integral evaluates the
+  integer antiderivative of S(w) w**m at the two contour ends, so no
+  coefficient list goes back to mpc;
 * mpc at the boundary: every value handed back to quantize, nodes and
   observables is an mpmath number at the working precision.
 
@@ -40,9 +44,11 @@ tail_ratio.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import mpmath as mp
@@ -70,7 +76,8 @@ __all__ = [
     "energy_polynomials",
     "eval_energy_poly",
     "space_polynomial",
-    "space_polynomial_at",
+    "poly_square",
+    "moment_integral",
     "poly_psi",
     "poly_psi_d",
     "save_table",
@@ -95,13 +102,6 @@ class TruncationParams:
         object.__setattr__(self, "radius", as_fraction(self.radius))
         if self.radius <= 0:
             raise ParameterError(f"radius must be positive, got {self.radius}")
-
-    def scaled_radius(self, num: int, den: int) -> "TruncationParams":
-        """Same truncation order at radius * num/den (error estimation)."""
-        return TruncationParams(self.pmax, self.radius * Fraction(num, den))
-
-    def radius_mpf(self, ctx: PrecisionContext) -> RealHP:
-        return ctx.mpf(self.radius)
 
 
 @dataclass(frozen=True)
@@ -251,15 +251,6 @@ class ScaledPoly:
     def __len__(self) -> int:
         return len(self.re)
 
-    def coefficients(self) -> tuple:
-        """c_k as mpc at the working precision."""
-        prec, frac, rho = mp.mp.prec, self.frac, self.rho
-        return tuple(
-            mp.make_mpc((from_man_exp(r, -frac - rho * k, prec, "n"),
-                         from_man_exp(i, -frac - rho * k, prec, "n")))
-            for k, (r, i) in enumerate(zip(self.re, self.im))
-        )
-
     def rescaled(self, rho: int) -> "ScaledPoly":
         """The same coefficients at the larger scale 2**rho (exact shifts)."""
         d = rho - self.rho
@@ -333,17 +324,8 @@ _FLOAT_CACHE = BoundedCache(16)
 
 
 def _float_entries(table: CoefficientTable, bits: int, rho: int):
-    """The integer snapshot (abits, entries) of _snapshot.  Cached."""
-    key = (table.n_exponent, table.pmax, bits, rho)
-    hit = _FLOAT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    return _FLOAT_CACHE.put(key, _snapshot(table, bits, rho))
-
-
-def _snapshot(table: CoefficientTable, bits: int, rho: int):
-    """Uncached body of _float_entries: the exact table at R = 2**rho and
-    S = R**N, as entries (q, m, A, B) in (p+q, p) order with
+    """The exact table at R = 2**rho and S = R**N as an integer snapshot
+    (abits, entries), cached: entries (q, m, A, B) in (p+q, p) order with
 
         A = round(a[p,q] * R**m * S**q * 2**bits)
         B = round(b[p,q] * R**(m+1) * S**q * 2**bits),
@@ -352,6 +334,10 @@ def _snapshot(table: CoefficientTable, bits: int, rho: int):
     and v = E/S.  R**m * S**q = R**((N+2)*(p+q)) is constant along an
     antidiagonal.  abits >= 1 bounds log2 of the largest |A|, |B| in units
     (A = 2**bits at p = q = 0)."""
+    key = (table.n_exponent, table.pmax, bits, rho)
+    hit = _FLOAT_CACHE.get(key)
+    if hit is not None:
+        return hit
     step = table.n_exponent + 2
     entries = []
     longest = 0
@@ -369,7 +355,7 @@ def _snapshot(table: CoefficientTable, bits: int, rho: int):
                 pair.append((2 * num + den) // (2 * den))
             longest = max(longest, pair[0].bit_length(), pair[1].bit_length())
             entries.append((q, step * p + 2 * q, pair[0], pair[1]))
-    return longest - bits, tuple(entries)
+    return _FLOAT_CACHE.put(key, (longest - bits, tuple(entries)))
 
 
 def _powers(xr: int, xi: int, s: int, top: int, frac: int):
@@ -400,12 +386,10 @@ def eval_psi(
         w = mp.mpc(0, 1) * mp.mpc(z)
         ev = mp.mpf(E)
         rho = _scale_exponent(table.n_exponent, z=z, E=ev)
-        bits = _bits(table, ctx.dps)
-        snapshot = _float_entries(table, bits, rho)
         i_unit = mp.mpc(0, 1)
         out = []
         for weights in ((1, 0), (0, 1)):
-            psi, dpsi = _horner(_collapse_space(table, snapshot, ev, *weights, rho, bits), w, 1)
+            psi, dpsi = _horner(_collapse_space(table, ev, *weights, rho, ctx.dps), w, 1)
             out += [psi, i_unit * dpsi]
         return tuple(out)
 
@@ -429,10 +413,8 @@ def residual(
         w = mp.mpc(0, 1) * mp.mpc(z)
         ev = mp.mpf(E)
         rho = _scale_exponent(table.n_exponent, z=z, E=ev)
-        bits = _bits(table, ctx.dps)
         weights = (1, 0) if which == "psi1" else (0, 1)
-        coeffs = _collapse_space(table, _float_entries(table, bits, rho), ev, *weights, rho, bits)
-        psi, _, half_d2 = _horner(coeffs, w, 2)
+        psi, _, half_d2 = _horner(_collapse_space(table, ev, *weights, rho, ctx.dps), w, 2)
         # d/dz = i d/dw, so -psi'' in z is P''(w)
         return 2 * half_d2 - (w ** table.n_exponent + ev) * psi
 
@@ -579,26 +561,16 @@ def space_polynomial(
         hit = _SPACE_CACHE.get(key)
         if hit is not None:
             return hit
-        bits = _bits(table, ctx.dps)
-        result = _collapse_space(table, _float_entries(table, bits, rho), ev, al, be, rho, bits)
+        result = _collapse_space(table, ev, al, be, rho, ctx.dps)
     return _SPACE_CACHE.put(key, result)
 
 
-def space_polynomial_at(table: CoefficientTable, E, alpha, beta, dps: int, radius):
-    """space_polynomial at working precision dps, uncached: neither the
-    collapse nor the integer snapshot it is built from outlives the
-    call.  For one-off computations at a raised precision."""
-    with mp.workdps(dps):
-        ev, al, be = mp.mpf(E), mp.mpc(alpha), mp.mpc(beta)
-        rho = _scale_exponent(table.n_exponent, E=ev, radius=radius)
-        bits = _bits(table, dps)
-        return _collapse_space(table, _snapshot(table, bits, rho), ev, al, be, rho, bits)
-
-
-def _collapse_space(table: CoefficientTable, snapshot, ev, al, be, rho: int, bits: int) -> ScaledPoly:
-    """Sum the integer snapshot at real E = ev into the coefficients of
-    alpha*psi1 + beta*psi2 in w, as a ScaledPoly at scale 2**rho."""
-    abits, entries = snapshot
+def _collapse_space(table: CoefficientTable, ev, al, be, rho: int, dps: int) -> ScaledPoly:
+    """Sum the integer snapshot for working precision dps at real E = ev
+    into the coefficients of alpha*psi1 + beta*psi2 in w, as a ScaledPoly
+    at scale 2**rho."""
+    bits = _bits(table, dps)
+    abits, entries = _float_entries(table, bits, rho)
     er, _, ee = _split(ev)
     s = table.n_exponent * rho - ee  # v = E / S = er / 2**s
     if s < 0:
@@ -632,6 +604,55 @@ def poly_psi_d(coeffs: "ScaledPoly | Sequence", z):
     """Evaluate (psi, dpsi/dz) of a space polynomial at z."""
     psi, dpsi = _horner(coeffs, mp.mpc(0, 1) * mp.mpc(z), 1)
     return psi, mp.mpc(0, 1) * dpsi
+
+
+# ---------------------------------------------------------------------------
+# exact moment integrals
+
+
+def poly_square(poly: ScaledPoly) -> ScaledPoly:
+    """The square of a polynomial, exact: the self-convolution of its
+    integer coefficients, at the same scale and twice the fractional bits."""
+    re, im, n = poly.re, poly.im, len(poly)
+    rev_re, rev_im = re[::-1], im[::-1]
+    out_re, out_im = [], []
+    for j in range(2 * n - 1):
+        # products c_k c_(j-k) for lo <= k < hi; c_(j-k) sits at off + k reversed
+        lo, hi, off = max(0, j - n + 1), min(j, n - 1) + 1, n - 1 - j
+        pr, pi = rev_re[off + lo:off + hi], rev_im[off + lo:off + hi]
+        out_re.append(sum(map(mul, re[lo:hi], pr)) - sum(map(mul, im[lo:hi], pi)))
+        out_im.append(2 * sum(map(mul, re[lo:hi], pi)))
+    return ScaledPoly(tuple(out_re), tuple(out_im), 2 * poly.frac, poly.rho)
+
+
+def _antiderivative(square: ScaledPoly, m: int) -> ScaledPoly:
+    """sum_j S_j w**(j+m+1) / (j+m+1) for square = sum_j S_j w**j, each
+    integer coefficient rounded down (floor division by j+m+1)."""
+    shift = square.rho * (m + 1)  # the factor 2**(rho*(m+1)) of the scaled variable
+    lift = max(shift, 0)
+    pad = (0,) * (m + 1)
+    return ScaledPoly(
+        pad + tuple((r << lift) // (j + m + 1) for j, r in enumerate(square.re)),
+        pad + tuple((i << lift) // (j + m + 1) for j, i in enumerate(square.im)),
+        square.frac + lift - shift,
+        square.rho,
+    )
+
+
+def moment_integral(square: ScaledPoly, m: int, z0, z1):
+    """(int_z0^z1 S(iz) z**m dz, sum of |terms|) for S = poly_square(C),
+    exact from the antiderivative: (-i)**(m+1) (T(w1) - T(w0)) with
+    w = iz and T = _antiderivative(S, m), evaluated by _horner together
+    with the size sum_k |T_k| |w|**k at both ends."""
+    anti = _antiderivative(square, m)
+    magnitudes = tuple(math.isqrt(r * r + i * i) for r, i in zip(anti.re, anti.im))
+    sizes = ScaledPoly(magnitudes, (0,) * len(anti), anti.frac, anti.rho)
+    ends, size = [], 0
+    for z in (z0, z1):
+        w = mp.mpc(0, 1) * z
+        ends.append(_horner(anti, w)[0])
+        size += _horner(sizes, abs(w))[0].real
+    return mp.mpc(0, -1) ** (m + 1) * (ends[1] - ends[0]), size
 
 
 # ---------------------------------------------------------------------------

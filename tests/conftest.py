@@ -5,10 +5,13 @@ moment tables) are session scoped so the per-module tests and the
 acceptance tests share one computation.
 """
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ptspec
 from ptspec import (
     PrecisionContext,
     TruncationParams,
@@ -31,6 +34,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def cli_env():
+    """The environment for a `python -m ptspec` child process: PYTHONPATH
+    starts with the src directory of the imported ptspec, which a
+    checkout does not install."""
+    src = str(Path(ptspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,9 @@
 """Independent oracles the tests compare against.
 
-Nothing here imports the solver internals beyond the polynomial
-evaluators needed for the quadrature cross-check; reference values are
-produced by separate algorithms (a fresh dictionary-based recursion, a
-direct double sum, float shooting integrations, tanh-sinh quadrature)
-so agreement is meaningful.
+Nothing here imports ptspec; reference values are produced by separate
+algorithms (a fresh dictionary-based recursion, a direct double sum,
+float shooting integrations, tanh-sinh quadrature, an mpmath
+polynomial square) so agreement is meaningful.
 """
 
 from fractions import Fraction
@@ -14,9 +13,6 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-
-from ptspec import level_weights
-from ptspec.series import space_polynomial, poly_psi
 
 
 def brute_tables(n_exponent, pmax):
@@ -179,22 +175,34 @@ def parity_shoot_eigenvalue(power, parity, bracket, s_inf=10.0):
     return brentq(g, bracket[0], bracket[1], xtol=1e-13, rtol=8.9e-16)
 
 
-def quad_moment(table, level, m, lam, trunc, ctx):
-    """<z^m> on [-lam, lam] by mpmath's adaptive tanh-sinh quadrature.
+def quad_moment(psi, m, lam, dps):
+    """<z^m> on [-lam, lam] by mpmath's adaptive tanh-sinh quadrature,
+    for psi a callable at real x (the level's eigenfunction).
 
     Independent of the solver's exact endpoint antiderivative.
     """
-    alpha, beta = level_weights(level)
-    poly = space_polynomial(table, level.E, alpha, beta, ctx, trunc.radius)
-    with ctx.workdps():
-        lam_f = ctx.mpf(lam)
+    with mp.workdps(dps):
+        lam_f = mp.mpf(lam)
 
         def num(x):
-            psi = poly_psi(poly, x)
-            return psi * psi * x**m
+            value = psi(x)
+            return value * value * x**m
 
         def den(x):
-            psi = poly_psi(poly, x)
-            return psi * psi
+            value = psi(x)
+            return value * value
 
         return mp.quad(num, [-lam_f, 0, lam_f]) / mp.quad(den, [-lam_f, 0, lam_f])
+
+
+def square(coeffs):
+    """Coefficients of the square of the polynomial sum_k coeffs[k] w**k,
+    in mpmath at the working precision."""
+    out = []
+    for j in range(2 * len(coeffs) - 1):
+        lo = max(0, j - len(coeffs) + 1)
+        acc = 2 * mp.fdot((coeffs[k], coeffs[j - k]) for k in range(lo, (j + 1) // 2))
+        if j % 2 == 0:
+            acc += coeffs[j // 2] ** 2
+        out.append(acc)
+    return tuple(out)

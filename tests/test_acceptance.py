@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath as mp
 
 import oracles
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, cli_env
 from ptspec import (
     TruncationParams,
     build_contour,
@@ -83,6 +83,7 @@ def test_acceptance_1_reference_spectrum(levels3, ctx40):
             [sys.executable, "-m", "ptspec", "spectrum", "--N", "3", "--levels", "5"],
             capture_output=True,
             timeout=120,
+            env=cli_env(),
         )
         if proc.returncode != 0:
             bad.append(f"cli rc={proc.returncode}")

@@ -7,6 +7,7 @@ import sys
 import mpmath as mp
 import pytest
 
+from conftest import cli_env
 from ptspec.cli import main
 
 
@@ -274,6 +275,7 @@ def test_selfcheck_subprocess():
         capture_output=True,
         text=True,
         timeout=300,
+        env=cli_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count(": ok") == 3

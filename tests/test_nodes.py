@@ -145,6 +145,18 @@ def test_find_nodes_validation(table3, levels3, trunc8, ctx40):
         find_nodes(table3, levels3[0], region=(-6, 6, -6, 0), trunc=trunc8, ctx=ctx40)
 
 
+def test_find_nodes_defaults_to_the_levels_truncation():
+    # without trunc the validated disk is the level's own, r = 3 here, not
+    # radius 8: the corner (2.9, -1.5) at |z| = 3.26 is refused rather than
+    # the series being evaluated beyond the radius it was refined at
+    ctx = PrecisionContext(20)
+    table = build_tables(7, 50)
+    level = spectrum(table, pt_pairs(7)[1], 2, TruncationParams(50, Fraction(3)), ctx)[1]
+    region = (Fraction(5, 2), Fraction(29, 10), Fraction(-3, 2), Fraction(-1, 2))
+    with pytest.raises(RadiusError):
+        find_nodes(table, level, region=region, ctx=ctx)
+
+
 def test_default_box_finds_zeros_near_its_edge():
     # the two lowest zeros of N=7, pair 1, level 3 lie 0.007 inside the
     # bottom edge of the default box (im = -1.80); pmax 50 places them to

@@ -21,10 +21,16 @@ from ptspec import (
     pt_pairs,
     wavefunction_samples,
 )
-from ptspec import observables
+from ptspec import observables, series
 from ptspec.cli import main
-from ptspec.observables import _integral, _square
-from ptspec.series import BoundedCache, poly_psi, space_polynomial
+from ptspec.series import (
+    BoundedCache,
+    _scaled,
+    moment_integral,
+    poly_psi,
+    poly_square,
+    space_polynomial,
+)
 
 # quoted reference values for the first four levels; m=1 and m=3 are
 # pure imaginary, m=4 real, all to ten digits after the point
@@ -81,7 +87,9 @@ def test_against_adaptive_quadrature(table3, levels3, moments3, trunc8, ctx40):
 
     with ctx40.workdps():
         for m, n in ((1, 0), (4, 2)):
-            want = quad_moment(table3, levels3[n], m, 5, trunc8, ctx40)
+            alpha, beta = level_weights(levels3[n])
+            poly = space_polynomial(table3, levels3[n].E, alpha, beta, ctx40, trunc8.radius)
+            want = quad_moment(lambda x: poly_psi(poly, x), m, 5, ctx40.dps)
             assert abs(moments3[(m, n)].value - want) < mp.mpf("1e-15")
 
 
@@ -266,7 +274,8 @@ def test_exact_integral_matches_quadrature(coeffs, m, z0, z1):
         poly = [mp.mpc(*c) for c in coeffs]
         a = 2 * mp.mpc(*z0)
         b = 2 * mp.mpc(*z1)
-        value, size = _integral(_square(poly), m, a, b)
+        # scale 2**2 covers |a|, |b| <= 2*sqrt(2)
+        value, size = moment_integral(poly_square(_scaled(poly, 2, -2, mp.mp.prec)), m, a, b)
 
         def integrand(t):
             z = a + t * (b - a)
@@ -284,9 +293,9 @@ def test_expect_integrates_each_endpoint_sum_once(monkeypatch, capsys):
 
     def counted(*args):
         calls.append(args[1])
-        return _integral(*args)
+        return moment_integral(*args)
 
-    monkeypatch.setattr(observables, "_integral", counted)
+    monkeypatch.setattr(series, "moment_integral", counted)
     monkeypatch.setattr(observables, "_INTEGRAL_CACHE", BoundedCache(64))
     monkeypatch.setattr(observables, "_SQUARE_CACHE", BoundedCache(32))
     rc = main(["expect", "--N", "3", "--level", "0", "--moments", "1,2,3,4",

@@ -24,12 +24,15 @@ from ptspec import (
 )
 from ptspec.series import (
     ScaledPoly,
+    _antiderivative,
     _horner,
     _scaled,
     energy_polynomials,
     eval_energy_poly,
+    moment_integral,
     poly_psi,
     poly_psi_d,
+    poly_square,
     space_polynomial,
 )
 
@@ -301,6 +304,41 @@ def test_integer_kernel_wide_exponents(coeffs, tiny_c0, dps, rho, depth, x, real
             for order, want in enumerate((value, slope, half_curv)):
                 bound = mp.mpf(10) ** -dps * max(deg, 1) * _majorant_taylor(poly, abs(point), order)
                 assert abs(got[order] - want) <= bound, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=41),
+    dps=st.integers(15, 80),
+    m=st.integers(0, 6),
+    rho=st.integers(-3, 3),
+    ends=st.lists(st.tuples(st.floats(0.5, 1, allow_nan=False), _unit), min_size=2, max_size=2),
+)
+def test_integer_square_and_antiderivative(coeffs, dps, m, rho, ends):
+    # the integer square of a ScaledPoly at scale 2^rho, and its integer
+    # antiderivative sum_j S_j w^(j+m+1) / (j+m+1) at two points with
+    # 2^(rho-1) <= |w| <= 2^rho, against the mpmath square at dps + 20,
+    # within the bound of test_horner_matches_polyval; moment_integral
+    # returns (-i)^(m+1) times their difference and the two majorants
+    with mp.workdps(dps):
+        poly = [mp.mpc(*c) for c in coeffs]
+        points = [mp.ldexp(mp.mpf(r), rho) * mp.expjpi(t) for r, t in ends]
+        square = poly_square(_scaled(poly, rho, -1, mp.mp.prec))
+        assert len(square) == 2 * len(poly) - 1 and square.rho == rho
+        anti = _antiderivative(square, m)
+        got = [_horner(anti, w)[0] for w in points]
+        value, size = moment_integral(square, m, *(-mp.mpc(0, 1) * w for w in points))
+    with mp.workdps(dps + 20):
+        want = [0] * (m + 1) + [s / (j + m + 1) for j, s in enumerate(oracles.square(poly))]
+        deg = len(want) - 1
+        sizes = [_majorant_taylor(want, abs(w), 0) for w in points]
+        bounds = [mp.mpf(10) ** -dps * deg * size_w for size_w in sizes]
+        ends_want = [mp.polyval(want[::-1], w) for w in points]
+        for g, e, bound in zip(got, ends_want, bounds):
+            assert abs(g - e) <= bound
+        turn = mp.mpc(0, -1) ** (m + 1)
+        assert abs(value - turn * (ends_want[1] - ends_want[0])) <= sum(bounds)
+        assert abs(size - sum(sizes)) <= sum(bounds)
 
 
 def test_save_load_roundtrip(table3, tmp_path):

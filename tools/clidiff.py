@@ -54,6 +54,8 @@ COMMANDS = (
     "expect --N 3 --level 3 --moments 0,1,2,3,4",
     "expect --N 3 --level 0 --moments 0,1,2,3,4 --contour wedge_rays",
     "expect --N 3 --level 3 --moments 0,1,2,3,4 --contour wedge_rays",
+    "expect --N 3 --level 0 --moments 0,2,3 --contour wedge_rays --lambda 7",
+    "expect --N 7 --radius 3 --pair 1 --level 0 --moments 0,2,6 --contour wedge_rays --lambda 3",
     "wavefunction --N 3 --level 1 --xmin=-4.5 --xmax=4.5 --step=9/200",
     "wavefunction --N 3 --level 1 --format json --xmin -1 --xmax 1 --step 0.5",
     "wavefunction --N 2 --pair 1 --radius 6 --level 2 " + " ".join(_WAVE),
