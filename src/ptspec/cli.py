@@ -50,7 +50,6 @@ class RunConfig:
     radius: Fraction
     digits: int
     pair_index: int
-    lam: Fraction
     output: Optional[str]
     fmt: str
 
@@ -76,19 +75,15 @@ def _config(args) -> RunConfig:
     fmt = args.format
     if fmt is None:
         fmt = "csv" if args.command in _CSV_BY_DEFAULT else "json"
-    cfg = RunConfig(
+    return RunConfig(
         n_exponent=args.N,
         pmax=args.pmax,
         radius=as_fraction(args.radius),
         digits=args.digits,
         pair_index=args.pair,
-        lam=as_fraction(args.lam),
         output=args.output,
         fmt=fmt,
     )
-    if cfg.lam <= 0:
-        raise ParameterError(f"lambda must be positive, got {args.lam}")
-    return cfg
 
 
 def _setup(cfg: RunConfig):
@@ -320,8 +315,8 @@ def _parse_moments(raw: str):
 
 def _cmd_expect(cfg: RunConfig, args) -> int:
     table, pair, ctx, trunc = _setup(cfg)
+    contour = build_contour(pair, args.lam, args.contour)
     level = _resolve_level(cfg, args, table, pair, args.level, trunc, ctx)
-    contour = build_contour(pair, cfg.lam, args.contour)
     moments = _parse_moments(args.moments)
     results = [expectation(table, level, m, contour, trunc, ctx) for m in moments]
     identities = identity_checks(table, [level], trunc, ctx, contour=contour).rows[0]
@@ -435,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"significant digits (default {ENV_DIGITS} or 40)",
     )
     common.add_argument("--pair", type=int, default=0, help="wedge pair index")
-    common.add_argument("--lambda", dest="lam", default="5", help="contour extent")
     common.add_argument(
         "--format",
         choices=("json", "csv"),
@@ -482,6 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--moments", default="1,2,3,4", help="comma list of moment orders")
     p.add_argument("--contour", choices=("real_line", "wedge_rays"), default="real_line")
+    p.add_argument("--lambda", dest="lam", default="5", help="contour extent")
 
     sub.add_parser("wedges", parents=[common], help="list PT wedge pairs")
 

@@ -104,20 +104,22 @@ def newton_zero(
     """Polish one seed to a zero of the eigenfunction polynomial.
 
     Stops when the Newton step drops below tol*max(1, |z|).  Raises
-    RadiusError when an iterate leaves the validated disk or the given
-    region (re_min, re_max, im_min, im_max), and DivergenceError after 100 steps.
+    RadiusError when an iterate leaves the validated disk (trunc's, but
+    no wider than the level's own) or the given region (re_min, re_max,
+    im_min, im_max), and DivergenceError after 100 steps.
     """
     poly = _level_poly(table, level, ctx)
+    bound = min(trunc.radius, level.diagnostics.radius)
     with ctx.workdps():
         tol = mp.mpf(tol)
         if tol <= 0:
             raise ParameterError("tol must be positive")
-        radius = ctx.mpf(trunc.radius)
+        radius = ctx.mpf(bound)
         x0, x1, y0, y1 = (ctx.mpf(v) for v in region or (0, 0, 0, 0))
         z = mp.mpc(z0)
         for _ in range(_NEWTON_CAP):
             if abs(z) > radius:
-                raise RadiusError(f"Newton iterate left the validated disk |z| <= {trunc.radius}")
+                raise RadiusError(f"Newton iterate left the validated disk |z| <= {bound}")
             if region and not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
                 raise RadiusError("Newton iterate left the region " + ",".join(map(str, region)))
             psi, dpsi = series.poly_psi_d(poly, z)
@@ -186,7 +188,8 @@ def find_nodes(
     """All eigenfunction zeros inside region = (re_min, re_max, im_min, im_max).
 
     The region must lie in the validated disk of trunc, by default the
-    level's own truncation (RadiusError).  It defaults
+    level's own truncation, and never wider than the level's radius
+    (RadiusError).  It defaults
     to the arch box |re| <= ext, -ext <= im <= 0, ext = 1.2*|E|**(1/N) to
     3 digits but at most radius/sqrt(2); for N=3 it holds as many zeros
     as the level index.  Boxes are split into four until each holds one
@@ -200,18 +203,19 @@ def find_nodes(
         ctx = PrecisionContext()
     if trunc is None:
         trunc = TruncationParams(level.diagnostics.pmax, level.diagnostics.radius)
+    radius = min(trunc.radius, level.diagnostics.radius)
     if region is None:
         with ctx.workdps():
             scale = mp.mpf(12) / 10 * abs(mp.mpf(level.E)) ** (mp.mpf(1) / level.pair.n_exponent)
             ext = as_fraction(mp.nstr(scale, 3))
-        ext = min(ext, Fraction(math.isqrt(int(trunc.radius**2 * 10**6 / 2)), 1000))
+        ext = min(ext, Fraction(math.isqrt(int(radius**2 * 10**6 / 2)), 1000))
         region = (-ext, ext, -ext, Fraction(0))
     root = tuple(as_fraction(v) for v in region)
     re_min, re_max, im_min, im_max = root
     if re_min >= re_max or im_min >= im_max:
         raise ParameterError(f"degenerate region {region!r}")
-    if max(re_min**2, re_max**2) + max(im_min**2, im_max**2) > trunc.radius**2:
-        raise RadiusError(f"region {region!r} leaves the validated disk |z| <= {trunc.radius}")
+    if max(re_min**2, re_max**2) + max(im_min**2, im_max**2) > radius**2:
+        raise RadiusError(f"region {region!r} leaves the validated disk |z| <= {radius}")
 
     poly = _level_poly(table, level, ctx)
     with ctx.workdps():

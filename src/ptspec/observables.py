@@ -75,16 +75,8 @@ class Contour:
     lam: Fraction
     vertices: tuple
 
-    def segments(self):
-        return tuple(zip(self.vertices[:-1], self.vertices[1:]))
-
     def max_radius(self) -> Fraction:
         return max(rho for rho, _ in self.vertices)
-
-    def cache_key(self):
-        return (self.style, str(self.lam)) + tuple(
-            (str(rho), str(theta)) for rho, theta in self.vertices
-        )
 
 
 def build_contour(pair: WedgePair, lam: Fractionable, style: str) -> Contour:
@@ -116,10 +108,16 @@ def build_contour(pair: WedgePair, lam: Fractionable, style: str) -> Contour:
 # ---------------------------------------------------------------------------
 # exact integration
 
-_SQUARE_CACHE = series.BoundedCache(32)
-_INTEGRAL_CACHE = series.BoundedCache(64)
+
+@series.memo
+def _level_square(table: CoefficientTable, level: EnergyLevel, ctx: PrecisionContext):
+    """The square of the level's space polynomial at ctx.dps, memoized."""
+    alpha, beta = level_weights(level)
+    poly = series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
+    return series.poly_square(poly)
 
 
+@series.memo
 def _path_integral(
     table: CoefficientTable,
     level: EnergyLevel,
@@ -128,22 +126,12 @@ def _path_integral(
     ctx: PrecisionContext,
 ):
     """series.moment_integral of the level's psi^2 z^m over the contour at
-    ctx.dps.  Results are cached per level, dps, m and contour, and the
-    squared polynomial per level and dps."""
-    alpha, beta = level_weights(level)
+    ctx.dps, memoized per (table, level, m, contour, ctx)."""
+    square = _level_square(table, level, ctx)
     with ctx.workdps():
-        key = (table.n_exponent, table.pmax, ctx.dps, mp.mpf(level.E), alpha, beta)
-        memo_key = key + (m, contour.cache_key())
-        hit = _INTEGRAL_CACHE.get(memo_key)
-        if hit is not None:
-            return hit
-        square = _SQUARE_CACHE.get(key)
-        if square is None:
-            poly = series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
-            square = _SQUARE_CACHE.put(key, series.poly_square(poly))
         z0 = polar_point(*contour.vertices[0], ctx)
         z1 = polar_point(*contour.vertices[-1], ctx)
-        return _INTEGRAL_CACHE.put(memo_key, series.moment_integral(square, m, z0, z1))
+        return series.moment_integral(square, m, z0, z1)
 
 
 @dataclass(frozen=True)
@@ -172,14 +160,17 @@ def expectation(
 ) -> ExpectationResult:
     """<z^m> of a level over the given contour.
 
-    Raises DegenerateNormError when the norm integral lies inside its
-    rounding bound at the working precision.
+    Raises RadiusError when the contour leaves the validated disk
+    (trunc's, but no wider than the level's own), and DegenerateNormError
+    when the norm integral lies inside its rounding bound at the working
+    precision.
     """
     if not isinstance(m, int) or m < 0:
         raise ParameterError(f"moment order must be a non-negative integer, got {m!r}")
-    if contour.max_radius() > trunc.radius:
+    radius = min(trunc.radius, level.diagnostics.radius)
+    if contour.max_radius() > radius:
         raise RadiusError(
-            f"contour extends to {contour.max_radius()} beyond the validated radius {trunc.radius}"
+            f"contour extends to {contour.max_radius()} beyond the validated radius {radius}"
         )
     norm, norm_size = _path_integral(table, level, 0, contour, ctx)
     with ctx.workdps():
@@ -270,18 +261,19 @@ def wavefunction_samples(
     trunc: TruncationParams,
     ctx: PrecisionContext,
 ):
-    """psi of a level sampled on an exact real grid, for plotting."""
+    """psi of a level sampled on an exact real grid, for plotting; the
+    window must lie in the validated disk (trunc's, but no wider than the
+    level's own)."""
     x_min, x_max, step = as_fraction(x_min), as_fraction(x_max), as_fraction(step)
     if step <= 0:
         raise ParameterError(f"step must be positive, got {step}")
     if x_max <= x_min:
         raise ParameterError(f"empty sample window [{x_min}, {x_max}]")
-    if max(abs(x_min), abs(x_max)) > trunc.radius:
-        raise RadiusError(
-            f"sample window leaves the validated disk |z| <= {trunc.radius}"
-        )
+    radius = min(trunc.radius, level.diagnostics.radius)
+    if max(abs(x_min), abs(x_max)) > radius:
+        raise RadiusError(f"sample window leaves the validated disk |z| <= {radius}")
     alpha, beta = level_weights(level)
-    poly = series.space_polynomial(table, level.E, alpha, beta, ctx, trunc.radius)
+    poly = series.space_polynomial(table, level.E, alpha, beta, ctx, radius)
     out = []
     with ctx.workdps():
         n_steps = int((x_max - x_min) / step)

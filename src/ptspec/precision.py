@@ -89,9 +89,3 @@ def real_str(x, digits: int) -> str:
     with mp.workdps(digits + GUARD_DIGITS):
         return mp.nstr(mp.mpf(x), digits, strip_zeros=True)
 
-
-def complex_str(z, digits: int) -> str:
-    """Deterministic '(re, im)' decimal string for a complex value."""
-    with mp.workdps(digits + GUARD_DIGITS):
-        z = mp.mpc(z)
-    return f"({real_str(z.real, digits)}, {real_str(z.imag, digits)})"

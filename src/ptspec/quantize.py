@@ -19,7 +19,6 @@ throughout.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -123,19 +122,13 @@ def _z_probe(pair: WedgePair, which_side: str, radius: Fraction, ctx: PrecisionC
     return polar_point(radius, theta, ctx)
 
 
-_POLE_GUARDS = series.BoundedCache(8)
-
-
 def _c_from_polys(poly_a, poly_b, E, ctx: PrecisionContext) -> ComplexHP:
     """c = -psi1/psi2 from collapsed polynomials, with a pole guard
-    10**-(digits/2), computed once per context."""
+    10**-(digits/2)."""
     with ctx.workdps():
         p1 = series.eval_energy_poly(poly_a, E)
         p2 = series.eval_energy_poly(poly_b, E)
-        guard = _POLE_GUARDS.get(ctx)
-        if guard is None:
-            guard = _POLE_GUARDS.put(ctx, mp.mpf(10) ** (-(ctx.digits // 2)))
-        if abs(p2) < guard * abs(p1):
+        if abs(p2) < mp.mpf(10) ** (-(ctx.digits // 2)) * abs(p1):
             raise PoleError(
                 f"psi2 vanishes at E={mp.nstr(mp.mpf(E), 17)} (|psi2/psi1|="
                 f"{mp.nstr(abs(p2) / max(abs(p1), mp.mpf('1e-999')), 5)})"
@@ -435,7 +428,6 @@ def quantize_p_symmetric(
         # at z = r the odd series is purely imaginary, at z = i*r real
         part = "imag" if which == "odd" and axis == "real" else "real"
 
-        @functools.lru_cache(maxsize=None)
         def reader(radius: Fraction):
             z_star = _z_probe(pair, "right", radius, ctx)
             poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)

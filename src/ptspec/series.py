@@ -22,9 +22,9 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
 * integer collapses: at fixed z, energy_polynomials sums the snapshot
   into polynomials in E (degree pmax, for eigenvalue scans); at fixed E,
   space_polynomial sums it into alpha*psi1 + beta*psi2 as a polynomial
-  in w = iz (for nodes, wavefunctions and exact moments; uncached for
-  eval_psi and residual).  Both return ScaledPoly: integer coefficients
-  of the scaled variable;
+  in w = iz (for nodes, wavefunctions and exact moments; eval_psi and
+  residual collapse afresh).  Both return ScaledPoly: integer
+  coefficients of the scaled variable;
 * integer kernel: _horner evaluates a polynomial and its first Taylor
   coefficients on (re, im) integer pairs at |u| <= 1, with its bits set
   by the cancellation measured at the call point; eval_energy_poly,
@@ -40,10 +40,18 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
 Beside them, _rim gives the terms of the last antidiagonal p + q = pmax
 from the exact table, which make up boundary_residual and the maximum in
 tail_ratio.
+
+One memo policy covers every result reused across calls: the table, the
+snapshot and the two collapses here, and the level square and moment
+integrals in observables, are pure stages wrapped by memo, which keeps
+the MEMO_CAP most recently used results of each under their argument
+tuple.  Numbers in those tuples compare by value (two mpc probes of the
+same value share an entry), tables by identity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -60,13 +68,15 @@ from .precision import (
     PrecisionContext,
     RealHP,
     as_fraction,
-    complex_str,
 )
 
 __all__ = [
+    "MEMO_CAP",
     "TruncationParams",
     "CoefficientTable",
     "ScaledPoly",
+    "memo",
+    "clear_memos",
     "build_tables",
     "eval_psi",
     "residual",
@@ -89,7 +99,7 @@ __all__ = [
 class TruncationParams:
     """Antidiagonal truncation order and evaluation radius.
 
-    The radius is stored exactly (as a Fraction) so reports and cache
+    The radius is stored exactly (as a Fraction) so reports and memo
     keys never depend on binary float noise.
     """
 
@@ -104,14 +114,14 @@ class TruncationParams:
             raise ParameterError(f"radius must be positive, got {self.radius}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Exact series coefficients for one (N, pmax).
 
     a and b map (p, q) with p + q <= pmax to Fractions.  Instances are
-    built by build_tables and must be treated as immutable; tables for
-    equal (N, pmax) are interchangeable because the recursion determines
-    every entry.
+    built by build_tables and must be treated as immutable.  A table
+    compares and hashes by identity, so memo entries of a loaded table
+    never mix with those of a built one.
     """
 
     n_exponent: int
@@ -123,20 +133,42 @@ class CoefficientTable:
         return len(self.a)
 
 
-_TABLE_CACHE: dict = {}
+# ---------------------------------------------------------------------------
+# the memo policy
+
+MEMO_CAP = 32
+_MEMOS: list = []
 
 
+def memo(stage):
+    """The pure function stage with its results kept under its argument
+    tuple: equal arguments of the same types share an entry (so 3.0 never
+    skips the validation of 3), and the least recently used entry goes
+    first once MEMO_CAP are held.  The result is a plain function
+    carrying stage's name and module, as per-function tracing needs."""
+    cached = functools.lru_cache(maxsize=MEMO_CAP, typed=True)(stage)
+    _MEMOS.append(cached)
+
+    @functools.wraps(stage)
+    def memoized(*args, **kwargs):
+        return cached(*args, **kwargs)
+
+    return memoized
+
+
+def clear_memos() -> None:
+    """Empty every memo, so the next call of each stage computes afresh."""
+    for cached in _MEMOS:
+        cached.cache_clear()
+
+
+@memo
 def build_tables(n_exponent: int, pmax: int) -> CoefficientTable:
-    """Build (or fetch cached) exact coefficient tables for given N, pmax."""
+    """Exact coefficient tables for given N, pmax (memoized)."""
     if not isinstance(n_exponent, int) or n_exponent < 2:
         raise ParameterError(f"N must be an integer >= 2, got {n_exponent!r}")
     if not isinstance(pmax, int) or pmax < 1:
         raise ParameterError(f"pmax must be a positive integer, got {pmax!r}")
-    key = (n_exponent, pmax)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     step = n_exponent + 2
     a = {(0, 0): Fraction(1)}
     b = {(0, 0): Fraction(1)}
@@ -149,26 +181,7 @@ def build_tables(n_exponent: int, pmax: int) -> CoefficientTable:
             b_src = b.get((p - 1, q), zero) + b.get((p, q - 1), zero)
             a[(p, q)] = a_src / ((m - 1) * m)
             b[(p, q)] = b_src / (m * (m + 1))
-
-    table = CoefficientTable(n_exponent, pmax, a, b)
-    _TABLE_CACHE[key] = table
-    return table
-
-
-class BoundedCache(dict):
-    """Insertion-ordered cache holding at most cap entries: put() drops
-    the oldest entry first when the cache is full (FIFO, no refresh on
-    hits)."""
-
-    def __init__(self, cap: int) -> None:
-        super().__init__()
-        self.cap = cap
-
-    def put(self, key, value):
-        if len(self) >= self.cap:
-            del self[next(iter(self))]
-        self[key] = value
-        return value
+    return CoefficientTable(n_exponent, pmax, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +331,13 @@ def _scaled(coeffs: Sequence, rho: int, lu, prec: int) -> ScaledPoly:
 
 
 # ---------------------------------------------------------------------------
-# the integer snapshot, taken once per (N, pmax, bits, rho)
-
-_FLOAT_CACHE = BoundedCache(16)
+# the integer snapshot, taken once per (table, bits, rho)
 
 
+@memo
 def _float_entries(table: CoefficientTable, bits: int, rho: int):
     """The exact table at R = 2**rho and S = R**N as an integer snapshot
-    (abits, entries), cached: entries (q, m, A, B) in (p+q, p) order with
+    (abits, entries), memoized: entries (q, m, A, B) in (p+q, p) order with
 
         A = round(a[p,q] * R**m * S**q * 2**bits)
         B = round(b[p,q] * R**(m+1) * S**q * 2**bits),
@@ -334,10 +346,6 @@ def _float_entries(table: CoefficientTable, bits: int, rho: int):
     and v = E/S.  R**m * S**q = R**((N+2)*(p+q)) is constant along an
     antidiagonal.  abits >= 1 bounds log2 of the largest |A|, |B| in units
     (A = 2**bits at p = q = 0)."""
-    key = (table.n_exponent, table.pmax, bits, rho)
-    hit = _FLOAT_CACHE.get(key)
-    if hit is not None:
-        return hit
     step = table.n_exponent + 2
     entries = []
     longest = 0
@@ -355,7 +363,7 @@ def _float_entries(table: CoefficientTable, bits: int, rho: int):
                 pair.append((2 * num + den) // (2 * den))
             longest = max(longest, pair[0].bit_length(), pair[1].bit_length())
             entries.append((q, step * p + 2 * q, pair[0], pair[1]))
-    return _FLOAT_CACHE.put(key, (longest - bits, tuple(entries)))
+    return longest - bits, tuple(entries)
 
 
 def _powers(xr: int, xi: int, s: int, top: int, frac: int):
@@ -482,27 +490,20 @@ def wronskian(table: CoefficientTable, z, E, ctx: PrecisionContext) -> ComplexHP
 # ---------------------------------------------------------------------------
 # collapsed polynomial forms
 
-_ENERGY_CACHE = BoundedCache(64)
-_SPACE_CACHE = BoundedCache(64)
 
-
+@memo
 def energy_polynomials(table: CoefficientTable, z, ctx: PrecisionContext):
     """Collapse the double series at fixed z into polynomials in E.
 
     Returns (A, B): ScaledPolys of the coefficients A_q, B_q with
     psi1(z, E) = sum_q A_q E**q and psi2(z, E) = sum_q B_q E**q, both of
     degree pmax, at the energy scale S = R**N for the smallest power of
-    two R >= |z|.  Cached per (N, pmax, z, dps); eigenvalue scans call
+    two R >= |z|.  Memoized per (table, z, ctx); eigenvalue scans call
     this once per angle and then evaluate thousands of energies at
     polynomial cost.
     """
     with ctx.workdps():
-        zc = mp.mpc(z)
-        key = (table.n_exponent, table.pmax, ctx.dps, complex_str(zc, ctx.dps))
-        hit = _ENERGY_CACHE.get(key)
-        if hit is not None:
-            return hit
-        wr, wi, e, rho, _ = _point(mp.mpc(0, 1) * zc)
+        wr, wi, e, rho, _ = _point(mp.mpc(0, 1) * mp.mpc(z))
         rho = 0 if rho is None else rho
         bits = _bits(table, ctx.dps)
         abits, entries = _float_entries(table, bits, rho)
@@ -516,11 +517,10 @@ def energy_polynomials(table: CoefficientTable, z, ctx: PrecisionContext):
             b_re[q] += b * pr[m + 1]
             b_im[q] += b * pi[m + 1]
         rho_e = table.n_exponent * rho
-        result = tuple(
+        return tuple(
             ScaledPoly(tuple(x >> frac for x in re), tuple(x >> frac for x in im), bits, rho_e)
             for re, im in ((a_re, a_im), (b_re, b_im))
         )
-    return _ENERGY_CACHE.put(key, result)
 
 
 def eval_energy_poly(coeffs: "ScaledPoly | Sequence", E) -> ComplexHP:
@@ -528,6 +528,7 @@ def eval_energy_poly(coeffs: "ScaledPoly | Sequence", E) -> ComplexHP:
     return _horner(coeffs, mp.mpf(E))[0]
 
 
+@memo
 def space_polynomial(
     table: CoefficientTable,
     E,
@@ -540,29 +541,15 @@ def space_polynomial(
 
     Returns a ScaledPoly of the C_k with psi(z) = sum_k C_k w**k,
     scaled for |z| <= radius, the disk the caller evaluates in; well
-    outside it the evaluators raise RadiusError.  Cached; node searches and
-    wavefunction sampling reuse one collapse for thousands of point
+    outside it the evaluators raise RadiusError.  Memoized per (table, E,
+    alpha, beta, ctx, radius); node searches, wavefunction sampling and
+    the moments of one level reuse one collapse for thousands of point
     evaluations.
     """
     with ctx.workdps():
         ev = mp.mpf(E)
-        al = mp.mpc(alpha)
-        be = mp.mpc(beta)
         rho = _scale_exponent(table.n_exponent, E=ev, radius=radius)
-        key = (
-            table.n_exponent,
-            table.pmax,
-            ctx.dps,
-            rho,
-            mp.nstr(ev, ctx.dps),
-            complex_str(al, ctx.dps),
-            complex_str(be, ctx.dps),
-        )
-        hit = _SPACE_CACHE.get(key)
-        if hit is not None:
-            return hit
-        result = _collapse_space(table, ev, al, be, rho, ctx.dps)
-    return _SPACE_CACHE.put(key, result)
+        return _collapse_space(table, ev, mp.mpc(alpha), mp.mpc(beta), rho, ctx.dps)
 
 
 def _collapse_space(table: CoefficientTable, ev, al, be, rho: int, dps: int) -> ScaledPoly:

@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 from conftest import cli_env
+from ptspec import series
 from ptspec.cli import main
 
 
@@ -311,6 +312,15 @@ def test_rejects_malformed_fraction(capsys):
     assert "exact fraction" in err
 
 
+def test_lambda_belongs_to_expect(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--N", "3", "--lambda", "3"])
+    assert exc.value.code == 2
+    rc, out, err = run(["expect", "--N", "3", "--lambda", "0"], capsys)
+    assert rc == 2
+    assert "lambda must be positive" in err
+
+
 def test_rejects_unknown_format(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["wedges", "--N", "3", "--format", "xml"])
@@ -372,6 +382,8 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_reruns_are_byte_identical(capsys):
+    # the first run starts with empty memos, the second reuses them
+    series.clear_memos()
     args = ["spectrum", "--N", "3", "--levels", "1"]
     rc1, out1, _ = run(args, capsys)
     rc2, out2, _ = run(args, capsys)

@@ -11,7 +11,9 @@ from ptspec import (
     RadiusError,
     TruncationParams,
     WindingError,
+    build_contour,
     build_tables,
+    expectation,
     find_nodes,
     level_weights,
     newton_zero,
@@ -19,6 +21,7 @@ from ptspec import (
     pt_pairs,
     spectrum,
     turning_points,
+    wavefunction_samples,
 )
 from ptspec.series import poly_psi, space_polynomial
 
@@ -155,6 +158,22 @@ def test_find_nodes_defaults_to_the_levels_truncation():
     region = (Fraction(5, 2), Fraction(29, 10), Fraction(-3, 2), Fraction(-1, 2))
     with pytest.raises(RadiusError):
         find_nodes(table, level, region=region, ctx=ctx)
+
+
+def test_explicit_trunc_stays_in_the_levels_disk():
+    # a trunc wider than the radius the level was refined at (r = 3) does
+    # not widen the validated disk of nodes, moments or samples
+    ctx = PrecisionContext(20)
+    table = build_tables(7, 50)
+    level = spectrum(table, pt_pairs(7)[1], 2, TruncationParams(50, Fraction(3)), ctx)[1]
+    wide = TruncationParams(50, Fraction(8))
+    region = (Fraction(5, 2), Fraction(29, 10), Fraction(-3, 2), Fraction(-1, 2))
+    with pytest.raises(RadiusError):
+        find_nodes(table, level, region=region, trunc=wide, ctx=ctx)
+    with pytest.raises(RadiusError):
+        expectation(table, level, 0, build_contour(level.pair, 4, "wedge_rays"), wide, ctx)
+    with pytest.raises(RadiusError):
+        wavefunction_samples(table, level, -4, 4, Fraction(1, 2), wide, ctx)
 
 
 def test_default_box_finds_zeros_near_its_edge():

@@ -21,10 +21,9 @@ from ptspec import (
     pt_pairs,
     wavefunction_samples,
 )
-from ptspec import observables, series
+from ptspec import series
 from ptspec.cli import main
 from ptspec.series import (
-    BoundedCache,
     _scaled,
     moment_integral,
     poly_psi,
@@ -191,9 +190,9 @@ def test_default_contour_styles(pair3, trunc8):
 def test_contour_geometry(pair3, contour3):
     assert contour3.style == "real_line"
     assert contour3.max_radius() == 5
-    assert len(contour3.segments()) == 1
+    assert len(contour3.vertices) == 2
     rays = build_contour(pair3, Fraction(5), "wedge_rays")
-    assert len(rays.segments()) == 2
+    assert len(rays.vertices) == 3
     assert rays.vertices[1] == (Fraction(0), Fraction(0))
     assert rays.vertices[0][1] == pair3.theta_left
     assert rays.vertices[2][1] == pair3.theta_right
@@ -296,8 +295,7 @@ def test_expect_integrates_each_endpoint_sum_once(monkeypatch, capsys):
         return moment_integral(*args)
 
     monkeypatch.setattr(series, "moment_integral", counted)
-    monkeypatch.setattr(observables, "_INTEGRAL_CACHE", BoundedCache(64))
-    monkeypatch.setattr(observables, "_SQUARE_CACHE", BoundedCache(32))
+    series.clear_memos()
     rc = main(["expect", "--N", "3", "--level", "0", "--moments", "1,2,3,4",
                "--digits", "20", "--pmax", "60"])
     capsys.readouterr()

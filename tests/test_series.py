@@ -1,5 +1,7 @@
 """Coefficient tables and series evaluation against independent oracles."""
 
+import sys
+import types
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ptspec import observables, series
 from ptspec import (
     ParameterError,
     PrecisionContext,
@@ -23,6 +26,7 @@ from ptspec import (
     wronskian,
 )
 from ptspec.series import (
+    MEMO_CAP,
     ScaledPoly,
     _antiderivative,
     _horner,
@@ -91,6 +95,51 @@ def test_build_tables_validation():
 
 def test_build_tables_cached():
     assert build_tables(3, 40) is build_tables(3, 40)
+
+
+MEMOIZED = (
+    series.build_tables,
+    series._float_entries,
+    series.energy_polynomials,
+    series.space_polynomial,
+    observables._level_square,
+    observables._path_integral,
+)
+
+
+@pytest.mark.parametrize("stage", MEMOIZED, ids=lambda stage: stage.__name__)
+def test_memoized_stages_are_plain_functions(stage):
+    # per-function tracing wraps the plain functions a module defines
+    assert isinstance(stage, types.FunctionType)
+    assert getattr(sys.modules[stage.__module__], stage.__name__) is stage
+
+
+def test_memo_shares_equal_arguments(table3):
+    # probes and contexts built separately but equal in value share one entry
+    first, second = PrecisionContext(40), PrecisionContext(40)
+    with first.workdps():
+        z1 = mp.mpc(0, 1) * mp.mpf(6)
+        z2 = mp.mpc("0", "6")
+    assert z1 is not z2 and first is not second
+    assert energy_polynomials(table3, z1, first) is energy_polynomials(table3, z2, second)
+
+
+def test_memo_evicts_the_least_recently_used():
+    calls = []
+
+    @series.memo
+    def stage(x):
+        calls.append(x)
+        return [x]
+
+    kept = stage(0)
+    for x in range(1, MEMO_CAP):
+        stage(x)
+    assert stage(0) is kept  # a hit, which makes 0 the most recently used
+    stage(MEMO_CAP)  # cap + 1 distinct arguments: 1 is evicted, not 0
+    assert stage(0) is kept
+    stage(1)
+    assert calls == list(range(MEMO_CAP + 1)) + [1]
 
 
 def test_small_z_free_limit(table3, ctx40):

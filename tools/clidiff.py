@@ -1,24 +1,32 @@
 """Diff the CLI behaviour of two ptspec source trees.
 
-    python3 tools/clidiff.py OLD_TREE NEW_TREE
+    python3 tools/clidiff.py OLD NEW
 
-Each tree is a checkout root holding src/ptspec (for example the parent
-commit unpacked with `git archive HEAD~1 | tar -x -C /tmp/parent`).  Every
-command of COMMANDS runs as `python3 -m ptspec ARGS` once per tree, in a
-fresh process with PYTHONPATH=TREE/src, and the two runs are compared on
-stdout, stderr and exit code.  One line per command says `identical` or
-`differs`; for a difference it adds the stream and the first differing
-line of each side.  The exit code is the number of commands that differ.
+OLD and NEW each name a tree: a checkout directory holding src/ptspec,
+or else a git revision of the repository this tool belongs to (such as
+HEAD~1), which is unpacked with `git archive` into a temporary directory
+removed at exit.  So `python3 tools/clidiff.py HEAD .` diffs the working
+tree against the last commit.  Every command of COMMANDS runs as
+`python3 -m ptspec ARGS` once per tree, in a fresh process with
+PYTHONPATH=TREE/src, and the two runs are compared on stdout, stderr and
+exit code.  One line per command says `identical` or `differs`; for a
+difference it adds the stream and the first differing line of each side.
+The exit code is the number of commands that differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
+_REPO = Path(__file__).resolve().parents[1]
 _WAVE = ("--xmin=-2", "--xmax=2", "--step=1/4")
 
 # the command set the changes in CHANGES.md are diffed on
@@ -63,6 +71,21 @@ COMMANDS = (
 )
 
 
+def tree_of(spec: str, stack: contextlib.ExitStack) -> Path:
+    """The directory spec, or the git revision spec unpacked into a
+    temporary directory that stack removes."""
+    if Path(spec).is_dir():
+        return Path(spec).resolve()
+    archive = subprocess.run(["git", "-C", str(_REPO), "archive", spec], capture_output=True)
+    if archive.returncode:
+        message = archive.stderr.decode().strip()
+        raise SystemExit(f"clidiff: {spec} is neither a directory nor a git revision ({message})")
+    tree = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="clidiff-")))
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
 def run(tree: Path, command: str):
     """(exit code, stdout, stderr) of one command against one tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -103,17 +126,19 @@ def compare(old_tree: Path, new_tree: Path, command: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old", type=Path)
-    parser.add_argument("new", type=Path)
+    parser.add_argument("old", help="checkout directory or git revision")
+    parser.add_argument("new", help="checkout directory or git revision")
     args = parser.parse_args(argv)
-    for tree in (args.old, args.new):
-        if not (tree / "src" / "ptspec").is_dir():
-            parser.error(f"{tree} has no src/ptspec")
-    differs = 0
-    for command in COMMANDS:
-        report = compare(args.old.resolve(), args.new.resolve(), command)
-        print(report, flush=True)
-        differs += report.startswith("differs")
+    with contextlib.ExitStack() as stack:
+        old, new = (tree_of(spec, stack) for spec in (args.old, args.new))
+        for spec, tree in ((args.old, old), (args.new, new)):
+            if not (tree / "src" / "ptspec").is_dir():
+                parser.error(f"{spec} has no src/ptspec")
+        differs = 0
+        for command in COMMANDS:
+            report = compare(old, new, command)
+            print(report, flush=True)
+            differs += report.startswith("differs")
     print(f"{len(COMMANDS) - differs} identical, {differs} differ")
     return differs
 
