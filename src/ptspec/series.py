@@ -13,8 +13,21 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
 
 (absent neighbors count as zero).  The module is built in layers:
 
-* exact table: build_tables gives the coefficients as Fractions for
-  (N, pmax), truncated on the antidiagonal p + q <= pmax;
+* exact table: build_tables gives the coefficients for (N, pmax),
+  truncated on the antidiagonal p + q <= pmax, as integer numerators
+  over factorials, A[p,q] = m! * a[p,q] and B[p,q] = (m+1)! * b[p,q].
+  a[p,q] sums over the lattice paths to (p,q) the products of
+  1/((m_i-1)*m_i) along the path; m_i grows by at least 2 per step, so
+  the pairs {m_i-1, m_i} never overlap and their product divides m!
+  (likewise {m_i, m_i+1} and (m+1)!).  Multiplying the recursions
+  through gives them without a division:
+
+    A[p,q] = A[p,q-1] + perm(m-2, N) * A[p-1,q]
+    B[p,q] = B[p,q-1] + perm(m-1, N) * B[p-1,q]
+
+  so no gcd runs on the long numbers.  The Fraction views a and b are
+  derived from the integers on first access and serve the public API,
+  save_table and the tests; no evaluation path reads them;
 * integer snapshot: _float_entries rounds them once per working
   precision and scale R = 2**rho to integers round(a[p,q] * R**m *
   S**q * 2**bits) with S = R**N, the fixed point in which a term is
@@ -38,8 +51,8 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
   observables is an mpmath number at the working precision.
 
 Beside them, _rim gives the terms of the last antidiagonal p + q = pmax
-from the exact table, which make up boundary_residual and the maximum in
-tail_ratio.
+from the integer numerators, which make up boundary_residual and the
+maximum in tail_ratio.
 
 One memo policy covers every result reused across calls: the table, the
 snapshot and the two collapses here, and the level square and moment
@@ -52,11 +65,13 @@ same value share an entry), tables by identity.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from types import MappingProxyType
 from typing import Sequence
 
 import mpmath as mp
@@ -118,19 +133,61 @@ class TruncationParams:
 class CoefficientTable:
     """Exact series coefficients for one (N, pmax).
 
-    a and b map (p, q) with p + q <= pmax to Fractions.  Instances are
-    built by build_tables and must be treated as immutable.  A table
-    compares and hashes by identity, so memo entries of a loaded table
-    never mix with those of a built one.
+    a_num and b_num map (p, q) with p + q <= pmax to the integers
+    A[p,q] = m! * a[p,q] and B[p,q] = (m+1)! * b[p,q], m = (N+2)*p + 2*q
+    (see the module docstring for why they are integers).  a and b are
+    read-only views of the same coefficients as Fractions, built from
+    the integers on first access and kept; the evaluation paths never
+    touch them.  Instances are built by build_tables or load_table and
+    must be treated as immutable.  A table compares and hashes by
+    identity, so memo entries of a loaded table never mix with those of
+    a built one.
     """
 
     n_exponent: int
     pmax: int
-    a: dict
-    b: dict
+    a_num: dict
+    b_num: dict
 
     def entry_count(self) -> int:
-        return len(self.a)
+        return len(self.a_num)
+
+    @functools.cached_property
+    def a(self) -> MappingProxyType:
+        """a[p,q] = A[p,q] / m! as Fractions."""
+        return self._fractions(self.a_num, 0)
+
+    @functools.cached_property
+    def b(self) -> MappingProxyType:
+        """b[p,q] = B[p,q] / (m+1)! as Fractions."""
+        return self._fractions(self.b_num, 1)
+
+    def _fractions(self, nums: dict, shift: int) -> MappingProxyType:
+        step = self.n_exponent + 2
+        facts = _factorials(step * self.pmax + 1)
+        return MappingProxyType(
+            {(p, q): Fraction(c, facts[step * p + 2 * q + shift]) for (p, q), c in nums.items()}
+        )
+
+
+def _factorials(top: int) -> list:
+    """[0!, 1!, ..., top!]."""
+    return list(itertools.accumulate(range(1, top + 1), mul, initial=1))
+
+
+def _numerators(nums: dict, n_exponent: int, pmax: int, shift: int):
+    """((p, q), C[p,q]) in (p+q, p) order by the integer recursion, for
+    C[p,q] = (m+shift)! * c[p,q] with c = a (shift 0) or b (shift 1).
+    Each value reads its neighbours (p, q-1) and (p-1, q) from nums when
+    it is produced, so build_tables fills nums as it goes and load_table
+    checks a loaded nums against its own rows."""
+    yield (0, 0), 1
+    step = n_exponent + 2
+    for s in range(1, pmax + 1):
+        for p in range(s + 1):
+            q = s - p
+            factor = math.perm(step * p + 2 * q + shift - 2, n_exponent)
+            yield (p, q), nums.get((p, q - 1), 0) + factor * nums.get((p - 1, q), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +226,11 @@ def build_tables(n_exponent: int, pmax: int) -> CoefficientTable:
         raise ParameterError(f"N must be an integer >= 2, got {n_exponent!r}")
     if not isinstance(pmax, int) or pmax < 1:
         raise ParameterError(f"pmax must be a positive integer, got {pmax!r}")
-    step = n_exponent + 2
-    a = {(0, 0): Fraction(1)}
-    b = {(0, 0): Fraction(1)}
-    zero = Fraction(0)
-    for s in range(1, pmax + 1):
-        for p in range(s + 1):
-            q = s - p
-            m = step * p + 2 * q
-            a_src = a.get((p - 1, q), zero) + a.get((p, q - 1), zero)
-            b_src = b.get((p - 1, q), zero) + b.get((p, q - 1), zero)
-            a[(p, q)] = a_src / ((m - 1) * m)
-            b[(p, q)] = b_src / (m * (m + 1))
-    return CoefficientTable(n_exponent, pmax, a, b)
+    a_num: dict = {}
+    b_num: dict = {}
+    for nums, shift in ((a_num, 0), (b_num, 1)):
+        nums.update(_numerators(nums, n_exponent, pmax, shift))  # reads nums as it fills
+    return CoefficientTable(n_exponent, pmax, a_num, b_num)
 
 
 # ---------------------------------------------------------------------------
@@ -344,25 +393,36 @@ def _float_entries(table: CoefficientTable, bits: int, rho: int):
 
     so a term a[p,q] w**m E**q is A * u**m * v**q * 2**-bits with u = w/R
     and v = E/S.  R**m * S**q = R**((N+2)*(p+q)) is constant along an
-    antidiagonal.  abits >= 1 bounds log2 of the largest |A|, |B| in units
+    antidiagonal.  Each is rounded from the integer numerator over m! or
+    (m+1)!.  abits >= 1 bounds log2 of the largest |A|, |B| in units
     (A = 2**bits at p = q = 0)."""
     step = table.n_exponent + 2
+    top = step * table.pmax + 1
+    # k! = odd[k] * 2**twos[k] (Legendre); the power of two joins the shift,
+    # which keeps the divisor as short as a reduced denominator
+    twos = [k - k.bit_count() for k in range(top + 1)]
+    odd = [f >> v for f, v in zip(_factorials(top), twos)]
+
+    def rounded(num: int, k: int, t: int) -> int:
+        """round(num * 2**t / k!), halves up."""
+        den, t = odd[k], t - twos[k]
+        if t >= 0:
+            num <<= t
+        else:
+            den <<= -t
+        return (2 * num + den) // (2 * den)
+
     entries = []
     longest = 0
     for s in range(table.pmax + 1):
         shift = rho * step * s + bits
         for p in range(s + 1):
             q = s - p
-            pair = []
-            for c, t in ((table.a[(p, q)], shift), (table.b[(p, q)], shift + rho)):
-                num, den = c.numerator, c.denominator
-                if t >= 0:
-                    num <<= t
-                else:
-                    den <<= -t
-                pair.append((2 * num + den) // (2 * den))
-            longest = max(longest, pair[0].bit_length(), pair[1].bit_length())
-            entries.append((q, step * p + 2 * q, pair[0], pair[1]))
+            m = step * p + 2 * q
+            a = rounded(table.a_num[(p, q)], m, shift)
+            b = rounded(table.b_num[(p, q)], m + 1, shift + rho)
+            longest = max(longest, a.bit_length(), b.bit_length())
+            entries.append((q, m, a, b))
     return longest - bits, tuple(entries)
 
 
@@ -429,15 +489,19 @@ def residual(
 
 def _rim(table: CoefficientTable, w, ev, which: str) -> list:
     """Terms c[p,q] * E**q * w**m of psi1 (c = a) or psi2 (c = b, m + 1)
-    on the last antidiagonal p + q = pmax, from the exact table at the
-    working precision."""
-    coeffs, shift = (table.a, 0) if which == "psi1" else (table.b, 1)
+    on the last antidiagonal p + q = pmax, from the integer numerators at
+    the working precision.  Each coefficient enters as its reduced
+    numerator over its reduced denominator, so the rounding is that of
+    the Fraction."""
+    nums, shift = (table.a_num, 0) if which == "psi1" else (table.b_num, 1)
     step, pmax = table.n_exponent + 2, table.pmax
+    facts = _factorials(step * pmax + 1)
     out = []
     for p in range(pmax + 1):
-        c = coeffs[(p, pmax - p)]
-        out.append(mp.mpf(c.numerator) / c.denominator * ev ** (pmax - p)
-                   * w ** (step * p + 2 * (pmax - p) + shift))
+        m = step * p + 2 * (pmax - p) + shift
+        num, den = nums[(p, pmax - p)], facts[m]
+        g = math.gcd(num, den)
+        out.append(mp.mpf(num // g) / (den // g) * ev ** (pmax - p) * w ** m)
     return out
 
 
@@ -727,15 +791,22 @@ def save_table(table: CoefficientTable, path: str) -> None:
 
 
 def load_table(path: str) -> CoefficientTable:
-    """Read a table written by save_table, checking completeness."""
+    """Read a table written by save_table, checking every row: each (p, q)
+    with p + q <= pmax appears once, a * m! and b * (m+1)! are integers,
+    and those integers satisfy the recursion of build_tables.
+    ParameterError names the first row that fails."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         match = _HEADER_RE.match(header)
         if not match:
             raise ParameterError(f"malformed table header {header!r} in {path}")
         n_exponent, pmax = int(match.group(1)), int(match.group(2))
-        a: dict = {}
-        b: dict = {}
+        if n_exponent < 2 or pmax < 1:
+            raise ParameterError(f"table header {header!r} in {path} needs N >= 2 and pmax >= 1")
+        step = n_exponent + 2
+        facts = _factorials(step * pmax + 1)
+        a_num: dict = {}
+        b_num: dict = {}
         for line in fh:
             line = line.strip()
             if not line:
@@ -744,11 +815,23 @@ def load_table(path: str) -> CoefficientTable:
             if len(parts) != 6:
                 raise ParameterError(f"malformed table row {line!r} in {path}")
             p, q = int(parts[0]), int(parts[1])
-            a[(p, q)] = Fraction(int(parts[2]), int(parts[3]))
-            b[(p, q)] = Fraction(int(parts[4]), int(parts[5]))
+            if p < 0 or q < 0 or p + q > pmax:
+                raise ParameterError(f"table in {path} has a row {(p, q)} outside p + q <= {pmax}")
+            m = step * p + 2 * q
+            a = Fraction(int(parts[2]), int(parts[3])) * facts[m]
+            b = Fraction(int(parts[4]), int(parts[5])) * facts[m + 1]
+            if a.denominator != 1 or b.denominator != 1:
+                raise ParameterError(
+                    f"table in {path}: a * m! or b * (m+1)! is not an integer at (p, q) = {(p, q)}"
+                )
+            a_num[(p, q)], b_num[(p, q)] = a.numerator, b.numerator
     expected = (pmax + 1) * (pmax + 2) // 2
-    if len(a) != expected:
+    if len(a_num) != expected:
         raise ParameterError(
-            f"table in {path} has {len(a)} entries, expected {expected}"
+            f"table in {path} has {len(a_num)} entries, expected {expected}"
         )
-    return CoefficientTable(n_exponent, pmax, a, b)
+    for (key, a), (_, b) in zip(_numerators(a_num, n_exponent, pmax, 0),
+                                _numerators(b_num, n_exponent, pmax, 1)):
+        if a_num[key] != a or b_num[key] != b:
+            raise ParameterError(f"table in {path} breaks the recursion at (p, q) = {key}")
+    return CoefficientTable(n_exponent, pmax, a_num, b_num)

@@ -1,5 +1,6 @@
 """Coefficient tables and series evaluation against independent oracles."""
 
+import math
 import sys
 import types
 from fractions import Fraction
@@ -27,6 +28,7 @@ from ptspec import (
 )
 from ptspec.series import (
     MEMO_CAP,
+    CoefficientTable,
     ScaledPoly,
     _antiderivative,
     _horner,
@@ -62,12 +64,54 @@ def test_recursion_identity_exact_all_entries(table3):
         )
 
 
-@pytest.mark.parametrize("n_exponent", [2, 3, 4, 7])
+@pytest.mark.parametrize("n_exponent", [2, 3, 4, 5, 7])
 def test_matches_brute_force_recursion(n_exponent):
     table = build_tables(n_exponent, 25)
     a_ref, b_ref = oracles.brute_tables(n_exponent, 25)
     assert table.a == a_ref
     assert table.b == b_ref
+
+
+@pytest.mark.parametrize("n_exponent", [2, 3, 5, 7])
+@pytest.mark.parametrize("bits", [64, 200])
+@pytest.mark.parametrize("rho", [-3, 2])
+def test_snapshot_matches_brute_force_rounding(n_exponent, bits, rho):
+    # round(c * R**m * S**q * 2**bits) with R = 2**rho, S = R**N, from the
+    # oracle's Fractions; rho = -3 drives the scale exponent below zero
+    # on the outer antidiagonals at either bits
+    pmax = 20
+    a_ref, b_ref = oracles.brute_tables(n_exponent, pmax)
+    step = n_exponent + 2
+    want = []
+    for s in range(pmax + 1):
+        for p in range(s + 1):
+            q = s - p
+            m = step * p + 2 * q
+            scale = Fraction(2) ** (rho * (m + n_exponent * q) + bits)
+            # nearest integer; no entry is a tie, so the tie rule is moot
+            a = math.floor(a_ref[(p, q)] * scale + Fraction(1, 2))
+            b = math.floor(b_ref[(p, q)] * scale * Fraction(2) ** rho + Fraction(1, 2))
+            want.append((q, m, a, b))
+    longest = max(max(a.bit_length(), b.bit_length()) for _, _, a, b in want)
+    got = series._float_entries(build_tables(n_exponent, pmax), bits, rho)
+    assert got == (longest - bits, tuple(want))
+
+
+def test_hot_paths_leave_the_fraction_views_unbuilt(table3, ctx40):
+    # the evaluation paths read the integer numerators only; the Fraction
+    # views a and b are built on first access and then kept
+    fresh = CoefficientTable(3, 100, table3.a_num, table3.b_num)
+    with ctx40.workdps():
+        z, e_val = mp.mpc("2.5", "-0.7"), mp.mpf("4.25")
+        eval_energy_poly(energy_polynomials(fresh, z, ctx40)[0], e_val)
+        poly_psi(space_polynomial(fresh, e_val, 1, 0, ctx40, radius=3), z)
+        eval_psi(fresh, z, e_val, ctx40)
+        tail_ratio(fresh, z, e_val, ctx40)
+        boundary_residual(fresh, z, e_val, ctx40, "psi2")
+    assert "a" not in vars(fresh) and "b" not in vars(fresh)
+    assert fresh.a == table3.a and fresh.a is fresh.a
+    with pytest.raises(TypeError):
+        fresh.b[(0, 0)] = Fraction(2)
 
 
 def test_closed_forms(table3):
@@ -405,4 +449,42 @@ def test_load_rejects_truncated_file(table3, tmp_path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ParameterError):
+        load_table(path)
+
+
+def _edit_row(path, key, column, change):
+    """Rewrite one integer of the row (p, q) = key of a saved table."""
+    lines = open(path).read().splitlines()
+    for i, line in enumerate(lines[1:], 1):
+        parts = line.split()
+        if (int(parts[0]), int(parts[1])) == key:
+            parts[column] = str(change(int(parts[column])))
+            lines[i] = " ".join(parts)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column, change, reason", [
+    (2, lambda num: num + 1, "breaks the recursion"),
+    (4, lambda num: 2 * num, "breaks the recursion"),
+    (3, lambda den: den * 10007, "is not an integer"),
+])
+def test_load_rejects_one_corrupted_coefficient(table3, tmp_path, column, change, reason):
+    # one edited integer of row (3, 4) (a or b numerator, a denominator)
+    # no longer fits the recursion, or leaves a * m! fractional
+    path = str(tmp_path / "edit.tbl")
+    save_table(table3, path)
+    _edit_row(path, (3, 4), column, change)
+    with pytest.raises(ParameterError, match=rf"{reason} at \(p, q\) = \(3, 4\)"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("header", ["1 100", "3 0"])
+def test_load_rejects_a_header_build_tables_refuses(table3, tmp_path, header):
+    path = str(tmp_path / "header.tbl")
+    save_table(table3, path)
+    lines = open(path).read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + lines[1:]) + "\n")
+    with pytest.raises(ParameterError, match="needs N >= 2 and pmax >= 1"):
         load_table(path)

@@ -46,6 +46,8 @@ COMMANDS = (
     "spectrum --N 2 --pair 0 --force",
     "spectrum --N 3 --levels 4 --emax 5",
     "spectrum --N 4 --pair 0 --radius 6 --levels 30 --emax 5",
+    "spectrum --N 5 --radius 4 --levels 3",
+    "spectrum --N 3 --levels 5 --digits 80 --pmax 150",
     "scan --N 3",
     "scan --N 3 --emin 1 --emax 3 --step 0.1 --format json",
     "scan --N 2 --pair 1 --emin 2.5 --emax 3.5 --step 0.1",
