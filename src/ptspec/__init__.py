@@ -3,10 +3,10 @@
     -psi''(z) - (iz)**N psi(z) = E psi(z),   integer N >= 2,
 
 computed from exact-rational truncated double power series.  The
-eigenvalue condition is the reality of the connection coefficient
-c(E) = -psi1/psi2 probed on a PT pair of Stokes wedges; nodes and
-PT expectation values of the eigenfunctions come from the same
-series.
+eigenvalues of a PT pair of Stokes wedges are the real zeros of the
+truncated spectral determinant, the Wronskian of the solutions that
+decay in its two wedges; nodes and PT expectation values of the
+eigenfunctions come from the same series.
 """
 
 from .errors import (
@@ -55,9 +55,7 @@ from .series import (
     build_tables,
     energy_polynomials,
     eval_psi,
-    load_table,
     residual,
-    save_table,
     space_polynomial,
     tail_ratio,
     wronskian,
@@ -91,8 +89,6 @@ __all__ = [
     "wronskian",
     "energy_polynomials",
     "space_polynomial",
-    "save_table",
-    "load_table",
     "WedgePair",
     "ground_angle",
     "reduce_angle",

@@ -1,25 +1,33 @@
 """Eigenvalue quantization.
 
-For a PT wedge pair the eigenvalues are the real zeros of Im c(E),
-where c(E) = -psi1(z*)/psi2(z*) at a probe point z* = r*exp(i*theta)
-on the right wedge's center ray: real c makes psi = psi1 + c*psi2
-decay in both wedges at once.
+Every level of a wedge pair is a real zero of the truncated spectral
+determinant
 
-The parity pair of even N is degenerate for this method (Im c vanishes
-identically there); its eigenstates are pure psi1 (even) or psi2 (odd)
-and are quantized by the real-valued decay proxy of the corresponding
-single series, scanned toward the side where the pair's wedges support
-bound states: increasing E when the pair sits on the real axis,
-decreasing E when it sits on the imaginary axis.
+    D(E) = psi1(zR) psi2(zL) - psi1(zL) psi2(zR),
 
-All scans run on exact Fraction grids; per-angle energy polynomials
-make single evaluations cheap, so refinement works at full precision
-throughout.
+the Wronskian of the solutions that decay in the right and in the left
+wedge, with zR = r*exp(i*theta_right) and zL = r*exp(i*theta_left) the
+probe points on the two wedges' center rays.  It vanishes exactly when
+some combination of psi1 and psi2 vanishes at both probes, and it has
+no poles.  Both probes are read from the right one.  On a PT pair the
+left values are the complex conjugates at real E, so D = 2i Im(psi1
+conj psi2) and its zeros are those of Im c, where c(E) =
+-psi1(zR)/psi2(zR) makes psi = psi1 + c*psi2 decay in both wedges at
+once.  On the parity pair of even N they are (psi1, -psi2), so D = -2
+psi1 psi2 and its zeros are the even (psi1) and the odd (psi2) levels
+in one scan.  spectrum and
+quantize_p_symmetric scan D outward from E = 0 on exact Fraction grids
+and refine each sign change at full precision; the per-angle energy
+polynomials make single evaluations cheap.
+
+c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
+scan_im_c, connection_coefficient and the health check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -63,7 +71,6 @@ _INNER_RADIUS = Fraction(9, 10)
 
 DEFAULT_SCAN_STEP = Fraction(1, 20)
 DEFAULT_ENERGY_CAP = Fraction(100)
-_WINDOW_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -154,15 +161,6 @@ def connection_coefficient(
     return _c_from_polys(poly_a, poly_b, E, ctx)
 
 
-def _fraction_grid(e_min: Fraction, e_max: Fraction, step: Fraction):
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
-    if e_max <= e_min:
-        raise ParameterError(f"empty energy window [{e_min}, {e_max}]")
-    n = int((e_max - e_min) / step)
-    return [e_min + j * step for j in range(n + 1)]
-
-
 def scan_im_c(
     table: CoefficientTable,
     pair: WedgePair,
@@ -174,16 +172,20 @@ def scan_im_c(
 ):
     """Sample c(E) at the right probe on the exact grid e_min + j*step, j = 0..
 
-    Points where psi2 (nearly) vanishes are flagged "pole" and must be
-    skipped when bracketing sign changes of Im c.
+    Points where psi2 (nearly) vanishes are flagged "pole"; the level
+    scans read D instead, which has none.
     """
-    grid = _fraction_grid(as_fraction(e_min), as_fraction(e_max), as_fraction(step))
+    e_min, e_max, step = as_fraction(e_min), as_fraction(e_max), as_fraction(step)
+    if step <= 0:
+        raise ParameterError(f"step must be positive, got {step}")
+    if e_max <= e_min:
+        raise ParameterError(f"empty energy window [{e_min}, {e_max}]")
     z_star = _z_probe(pair, "right", trunc.radius, ctx)
     poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
     points = []
     with ctx.workdps():
-        for ef in grid:
-            ev = ctx.mpf(ef)
+        for j in range(int((e_max - e_min) / step) + 1):
+            ev = ctx.mpf(e_min + j * step)
             try:
                 c = _c_from_polys(poly_a, poly_b, ev, ctx)
                 points.append(ScanPoint(ev, c.real, c.imag, "ok"))
@@ -251,8 +253,39 @@ def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
 
 
 # ---------------------------------------------------------------------------
-# the pipeline shared by the Im-c and parity routes: a reader maps a probe
-# radius r to a real f(E) whose sign changes are the levels
+# the pipeline shared by PT pairs and the parity pair: the reader maps a probe
+# radius r to a real f(E) whose sign changes are the zeros of D(E)
+
+
+def _reader(table: CoefficientTable, pair: WedgePair, ctx: PrecisionContext) -> Callable:
+    """radius -> f, with f(E) a real multiple of the truncated spectral
+    determinant D(E) = psi1(zR) psi2(zL) - psi1(zL) psi2(zR) at the
+    probes of radius r.
+
+    Only the right probe is collapsed.  On a PT pair zL = -conj zR, so
+    (psi1, psi2)(zL) = conj (psi1, psi2)(zR) at real E and f = D/(2i) =
+    Im(psi1 conj psi2), of the opposite sign to Im c.  On a parity pair
+    zL = -zR, where psi1 is even and psi2 odd, so D = -2 psi1 psi2 and
+    f = psi1 times the nonzero part of psi2: on the pair's axis psi1 is
+    real and psi2 real (imaginary axis) or imaginary (real axis), its
+    other part an exact zero of the integer kernel.  Two Horners per E.
+    """
+    parity = pair.parity_swapped()
+
+    def reader(radius: Fraction):
+        z_star = _z_probe(pair, "right", radius, ctx)
+        poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
+
+        def f(ev):
+            p1 = series.eval_energy_poly(poly_a, ev)
+            p2 = series.eval_energy_poly(poly_b, ev)
+            if parity:
+                return p1.real * (p2.real + p2.imag)
+            return p1.imag * p2.real - p1.real * p2.imag
+
+        return f
+
+    return reader
 
 
 def _root_and_estimate(reader: Callable, radius: Fraction, bracket, tol, ends=None):
@@ -270,7 +303,7 @@ def _root_and_estimate(reader: Callable, radius: Fraction, bracket, tol, ends=No
         try:
             est = abs(e_root - _hybrid_root(reader(radius * _INNER_RADIUS), window, tol))
             break
-        except (BracketError, PoleError):
+        except BracketError:
             continue
     return e_root, est
 
@@ -281,35 +314,47 @@ def _diagnostics(trunc: TruncationParams, ctx: PrecisionContext, est) -> LevelDi
     return LevelDiagnostics(trunc.pmax, trunc.radius, ctx.digits, est, stable)
 
 
-def _scan_levels(samples: Callable, refine: Callable, n_levels: int, step: Fraction, cap: Fraction):
-    """Bracket and refine the first n_levels sign changes outward from E=0.
-
-    samples(lo, hi) yields (E, f(E)) on the grid of |E| from lo to hi,
-    f None at a pole, which breaks the bracket chain.  Windows of
-    _WINDOW_STEPS steps, sharing no point, are consumed lazily until
-    enough levels are found; refine(bracket, ends, n) turns a sign
-    change and f at its ends into a level.
+def _scan_levels(
+    table: CoefficientTable,
+    pair: WedgePair,
+    refine: Callable,
+    n_levels: int,
+    trunc: TruncationParams,
+    ctx: PrecisionContext,
+    step: Fractionable,
+    e_max: Fractionable,
+):
+    """Bracket the sign changes of the pair's reader outward from E=0 on
+    the exact grid of |E| = k*step up to e_max, and keep the first
+    n_levels that refine(bracket, ends, n) turns into a level; it may
+    return None to pass a bracket over.  The grid runs toward negative E
+    on the imaginary-axis parity pair, whose bound spectrum is negative.
     """
+    if not isinstance(n_levels, int) or n_levels < 1:
+        raise ParameterError(f"n_levels must be a positive integer, got {n_levels!r}")
+    step, cap = as_fraction(step), as_fraction(e_max)
+    if step <= 0:
+        raise ParameterError(f"step must be positive, got {step}")
+    direction = -1 if pair.theta_right == Fraction(1, 2) else 1
+    f = _reader(table, pair, ctx)(trunc.radius)
     levels: list = []
     prev = None
-    window_lo = Fraction(0)
-    while True:
-        if window_lo >= cap:
-            raise TruncationError(
-                f"only {len(levels)} of {n_levels} levels found with |E| below e_max={cap}"
-            )
-        window_hi = window_lo + _WINDOW_STEPS * step
-        for ev, fv in samples(window_lo, cap if window_hi >= cap else window_hi - step):
-            if fv is None:
-                prev = None
-                continue
+    with ctx.workdps():
+        for k in itertools.count():
+            if k * step > cap:
+                raise TruncationError(
+                    f"only {len(levels)} of {n_levels} levels found with |E| below e_max={cap}"
+                )
+            ev = ctx.mpf(direction * k * step)
+            fv = f(ev)
             if prev is not None and mp.sign(prev[1]) * mp.sign(fv) < 0:
                 lo, hi = sorted((prev, (ev, fv)), key=lambda point: point[0])
-                levels.append(refine((lo[0], hi[0]), (lo[1], hi[1]), len(levels)))
-                if len(levels) >= n_levels:
-                    return tuple(levels)
+                level = refine((lo[0], hi[0]), (lo[1], hi[1]), len(levels))
+                if level is not None:
+                    levels.append(level)
+                    if len(levels) == n_levels:
+                        return tuple(levels)
             prev = (ev, fv)
-        window_lo = window_hi
 
 
 def refine_root(
@@ -322,25 +367,21 @@ def refine_root(
     n: int = 0,
     ends=None,
 ) -> EnergyLevel:
-    """Refine one Im c sign change to an EnergyLevel.
+    """Refine one level of a PT pair, a sign change of D/(2i) =
+    Im(psi1 conj psi2) at the right probe, and attach c there.
 
     est_error is the shift of the root when the probe radius drops to
     0.9r, an estimate (not a bound) of the finite-radius truncation
     error.  The stable flag clears when est_error exceeds
     10**(-digits/2).  The level index n is only recorded, not used;
-    ends, when given, are Im c at the bracket ends as a scan sampled them.
+    ends, when given, are that reader at the bracket ends as a scan
+    sampled them.
     """
     with ctx.workdps():
         tol = mp.mpf(tol)
         if tol <= 0:
             raise ParameterError("tol must be positive")
-
-        def reader(radius: Fraction):
-            z_star = _z_probe(pair, "right", radius, ctx)
-            poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
-            return lambda ev: _c_from_polys(poly_a, poly_b, ev, ctx).imag
-
-        e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
+        e_root, est = _root_and_estimate(_reader(table, pair, ctx), trunc.radius, bracket, tol, ends)
         c_val = connection_coefficient(table, pair, e_root, trunc, ctx)
         return EnergyLevel(n, e_root, c_val.real, pair, _diagnostics(trunc, ctx, est))
 
@@ -356,40 +397,19 @@ def spectrum(
 ):
     """First n_levels eigenvalues of the pair, in increasing order.
 
-    Scans Im c upward from zero in windows, refining each sign change.
+    Scans D upward from zero, refining each sign change by refine_root.
     Raises TruncationError if the levels do not fit below e_max.
     """
-    if not isinstance(n_levels, int) or n_levels < 1:
-        raise ParameterError(f"n_levels must be a positive integer, got {n_levels!r}")
     if pair.parity_swapped():
         raise ParameterError(
             "Im c vanishes identically on a parity pair; use quantize_p_symmetric"
         )
-    step_f = as_fraction(step)
     tol = ctx.tolerance(5)
-
-    def samples(lo, hi):
-        for pt in scan_im_c(table, pair, lo, hi, step_f, trunc, ctx):
-            yield pt.E, pt.c_im if pt.flag == "ok" else None
 
     def refine(bracket, ends, n):
         return refine_root(table, pair, bracket, tol, trunc, ctx, n, ends)
 
-    return _scan_levels(samples, refine, n_levels, step_f, as_fraction(e_max))
-
-
-def _parity_geometry(pair: WedgePair):
-    """Probe axis and scan direction for a parity pair.
-
-    Real-axis pair ({0, pi}): probe at z = r, spectrum grows upward.
-    Imaginary-axis pair ({+pi/2, -pi/2}): probe at z = i*r, where the
-    confining direction flips and the bound spectrum is negative.
-    """
-    if pair.theta_right == 0:
-        return "real", 1
-    if pair.theta_right == Fraction(1, 2):
-        return "imag", -1
-    raise ParameterError(f"pair {pair.index} is not a parity pair")
+    return _scan_levels(table, pair, refine, n_levels, trunc, ctx, step, e_max)
 
 
 def quantize_p_symmetric(
@@ -403,57 +423,34 @@ def quantize_p_symmetric(
 ):
     """Parity spectrum on the p-symmetric pair of an even N.
 
-    Levels are roots in E of the decay proxy: the single series psi1
-    (even) or psi2 (odd) evaluated on the pair's symmetry axis at
-    radius r.  On the probe axis that series is real (after stripping
-    the constant phase of psi2), so plain sign-change scanning applies.
-    parity "both" interleaves the two by |E|, as parity spectra
-    alternate even/odd as |E| grows.  n orders levels by distance from
-    zero; c is undefined.
+    Levels are the zeros of D = -2 psi1 psi2 at the right probe, scanned
+    once outward in |E|: upward when the pair sits on the real axis,
+    downward when it sits on the imaginary axis.  The even states are
+    pure psi1 and the odd ones pure psi2, so a level is "even" when Re
+    psi1 changes sign across its scan bracket and "odd" otherwise;
+    parity "even" or "odd" passes the other brackets over before they
+    are refined, and "both" keeps every level.  n orders the kept levels
+    by distance from zero; c is undefined.
     """
     if parity not in ("even", "odd", "both"):
         raise ParameterError(f"parity must be 'even', 'odd' or 'both', got {parity!r}")
-    if not isinstance(n_levels, int) or n_levels < 1:
-        raise ParameterError(f"n_levels must be a positive integer, got {n_levels!r}")
     psym = [p for p in pt_pairs(table.n_exponent) if p.p_symmetric]
     if not psym:
         raise ParameterError(f"N={table.n_exponent} has no p-symmetric pair (N must be even)")
     pair = psym[0]
-    axis, direction = _parity_geometry(pair)
-    step_f, cap = as_fraction(step), as_fraction(e_max)
+    reader = _reader(table, pair, ctx)
     tol = ctx.tolerance(5)
 
-    def route(which: str, count: int):
-        """Levels of one parity, n counted from zero within it."""
-        # at z = r the odd series is purely imaginary, at z = i*r real
-        part = "imag" if which == "odd" and axis == "real" else "real"
+    def refine(bracket, ends, n):
+        poly_a = series.energy_polynomials(table, _z_probe(pair, "right", trunc.radius, ctx), ctx)[0]
+        lo, hi = (series.eval_energy_poly(poly_a, ev).real for ev in bracket)
+        tag = "even" if mp.sign(lo) != mp.sign(hi) else "odd"
+        if parity not in ("both", tag):
+            return None
+        e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
+        return EnergyLevel(n, e_root, None, pair, _diagnostics(trunc, ctx, est), tag)
 
-        def reader(radius: Fraction):
-            z_star = _z_probe(pair, "right", radius, ctx)
-            poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
-            poly = poly_a if which == "even" else poly_b
-            return lambda ev: getattr(series.eval_energy_poly(poly, ev), part)
-
-        def samples(lo, hi):
-            f = reader(trunc.radius)
-            for ef in _fraction_grid(lo, hi, step_f):
-                ev = ctx.mpf(direction * ef)
-                yield ev, f(ev)
-
-        def refine(bracket, ends, n):
-            e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
-            return EnergyLevel(n, e_root, None, pair, _diagnostics(trunc, ctx, est), which)
-
-        return _scan_levels(samples, refine, count, step_f, cap)
-
-    with ctx.workdps():
-        if parity != "both":
-            return route(parity, n_levels)
-        levels = list(route("even", (n_levels + 1) // 2))
-        if n_levels // 2:
-            levels += route("odd", n_levels // 2)
-    levels.sort(key=lambda lv: abs(lv.E))
-    return tuple(replace(lv, n=i) for i, lv in enumerate(levels))
+    return _scan_levels(table, pair, refine, n_levels, trunc, ctx, step, e_max)
 
 
 @dataclass(frozen=True)

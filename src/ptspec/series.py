@@ -25,9 +25,8 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
     A[p,q] = A[p,q-1] + perm(m-2, N) * A[p-1,q]
     B[p,q] = B[p,q-1] + perm(m-1, N) * B[p-1,q]
 
-  so no gcd runs on the long numbers.  The Fraction views a and b are
-  derived from the integers on first access and serve the public API,
-  save_table and the tests; no evaluation path reads them;
+  so no gcd runs on the long numbers.  Tables are never saved: each
+  process builds its own, which is cheaper than checking a file would be;
 * integer snapshot: _float_entries rounds them once per working
   precision and scale R = 2**rho to integers round(a[p,q] * R**m *
   S**q * 2**bits) with S = R**N, the fixed point in which a term is
@@ -67,15 +66,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from types import MappingProxyType
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp
+from mpmath.libmp import dps_to_prec, from_man_exp, from_rational
 
 from .errors import ParameterError, RadiusError
 from .precision import (
@@ -105,8 +102,6 @@ __all__ = [
     "moment_integral",
     "poly_psi",
     "poly_psi_d",
-    "save_table",
-    "load_table",
 ]
 
 
@@ -135,13 +130,10 @@ class CoefficientTable:
 
     a_num and b_num map (p, q) with p + q <= pmax to the integers
     A[p,q] = m! * a[p,q] and B[p,q] = (m+1)! * b[p,q], m = (N+2)*p + 2*q
-    (see the module docstring for why they are integers).  a and b are
-    read-only views of the same coefficients as Fractions, built from
-    the integers on first access and kept; the evaluation paths never
-    touch them.  Instances are built by build_tables or load_table and
-    must be treated as immutable.  A table compares and hashes by
-    identity, so memo entries of a loaded table never mix with those of
-    a built one.
+    (see the module docstring for why they are integers).  Instances
+    are built by build_tables and must be treated as immutable.  A table
+    compares and hashes by identity, as its dict fields are unhashable;
+    memo keys hold it that way.
     """
 
     n_exponent: int
@@ -151,23 +143,6 @@ class CoefficientTable:
 
     def entry_count(self) -> int:
         return len(self.a_num)
-
-    @functools.cached_property
-    def a(self) -> MappingProxyType:
-        """a[p,q] = A[p,q] / m! as Fractions."""
-        return self._fractions(self.a_num, 0)
-
-    @functools.cached_property
-    def b(self) -> MappingProxyType:
-        """b[p,q] = B[p,q] / (m+1)! as Fractions."""
-        return self._fractions(self.b_num, 1)
-
-    def _fractions(self, nums: dict, shift: int) -> MappingProxyType:
-        step = self.n_exponent + 2
-        facts = _factorials(step * self.pmax + 1)
-        return MappingProxyType(
-            {(p, q): Fraction(c, facts[step * p + 2 * q + shift]) for (p, q), c in nums.items()}
-        )
 
 
 def _factorials(top: int) -> list:
@@ -179,8 +154,7 @@ def _numerators(nums: dict, n_exponent: int, pmax: int, shift: int):
     """((p, q), C[p,q]) in (p+q, p) order by the integer recursion, for
     C[p,q] = (m+shift)! * c[p,q] with c = a (shift 0) or b (shift 1).
     Each value reads its neighbours (p, q-1) and (p-1, q) from nums when
-    it is produced, so build_tables fills nums as it goes and load_table
-    checks a loaded nums against its own rows."""
+    it is produced, so build_tables fills nums as it goes."""
     yield (0, 0), 1
     step = n_exponent + 2
     for s in range(1, pmax + 1):
@@ -490,18 +464,17 @@ def residual(
 def _rim(table: CoefficientTable, w, ev, which: str) -> list:
     """Terms c[p,q] * E**q * w**m of psi1 (c = a) or psi2 (c = b, m + 1)
     on the last antidiagonal p + q = pmax, from the integer numerators at
-    the working precision.  Each coefficient enters as its reduced
-    numerator over its reduced denominator, so the rounding is that of
-    the Fraction."""
+    the working precision.  Each coefficient is the numerator over m! or
+    (m+1)!, rounded once to nearest."""
     nums, shift = (table.a_num, 0) if which == "psi1" else (table.b_num, 1)
     step, pmax = table.n_exponent + 2, table.pmax
     facts = _factorials(step * pmax + 1)
+    prec = mp.mp.prec
     out = []
     for p in range(pmax + 1):
         m = step * p + 2 * (pmax - p) + shift
-        num, den = nums[(p, pmax - p)], facts[m]
-        g = math.gcd(num, den)
-        out.append(mp.mpf(num // g) / (den // g) * ev ** (pmax - p) * w ** m)
+        coeff = mp.make_mpf(from_rational(nums[(p, pmax - p)], facts[m], prec, "n"))
+        out.append(coeff * ev ** (pmax - p) * w ** m)
     return out
 
 
@@ -766,72 +739,3 @@ def _horner(coeffs: "ScaledPoly | Sequence", x, order: int = 0) -> list:
     pairs = [(vr, vi, -frac)] + [(tr[k], ti[k], -frac - (k + 1) * rho) for k in range(order)]
     return [mp.make_mpc((from_man_exp(r, exp, prec, "n"), from_man_exp(i, exp, prec, "n")))
             for r, i, exp in pairs]
-
-
-# ---------------------------------------------------------------------------
-# exact text serialization
-
-_HEADER_RE = re.compile(r"^(\d+)\s+(\d+)$")
-
-
-def save_table(table: CoefficientTable, path: str) -> None:
-    """Write a table as exact integers: header 'N pmax', then one line
-    'p q a_num a_den b_num b_den' per entry in (p+q, p) order."""
-    lines = [f"{table.n_exponent} {table.pmax}"]
-    for s in range(table.pmax + 1):
-        for p in range(s + 1):
-            q = s - p
-            af = table.a[(p, q)]
-            bf = table.b[(p, q)]
-            lines.append(
-                f"{p} {q} {af.numerator} {af.denominator} {bf.numerator} {bf.denominator}"
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_table(path: str) -> CoefficientTable:
-    """Read a table written by save_table, checking every row: each (p, q)
-    with p + q <= pmax appears once, a * m! and b * (m+1)! are integers,
-    and those integers satisfy the recursion of build_tables.
-    ParameterError names the first row that fails."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        match = _HEADER_RE.match(header)
-        if not match:
-            raise ParameterError(f"malformed table header {header!r} in {path}")
-        n_exponent, pmax = int(match.group(1)), int(match.group(2))
-        if n_exponent < 2 or pmax < 1:
-            raise ParameterError(f"table header {header!r} in {path} needs N >= 2 and pmax >= 1")
-        step = n_exponent + 2
-        facts = _factorials(step * pmax + 1)
-        a_num: dict = {}
-        b_num: dict = {}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParameterError(f"malformed table row {line!r} in {path}")
-            p, q = int(parts[0]), int(parts[1])
-            if p < 0 or q < 0 or p + q > pmax:
-                raise ParameterError(f"table in {path} has a row {(p, q)} outside p + q <= {pmax}")
-            m = step * p + 2 * q
-            a = Fraction(int(parts[2]), int(parts[3])) * facts[m]
-            b = Fraction(int(parts[4]), int(parts[5])) * facts[m + 1]
-            if a.denominator != 1 or b.denominator != 1:
-                raise ParameterError(
-                    f"table in {path}: a * m! or b * (m+1)! is not an integer at (p, q) = {(p, q)}"
-                )
-            a_num[(p, q)], b_num[(p, q)] = a.numerator, b.numerator
-    expected = (pmax + 1) * (pmax + 2) // 2
-    if len(a_num) != expected:
-        raise ParameterError(
-            f"table in {path} has {len(a_num)} entries, expected {expected}"
-        )
-    for (key, a), (_, b) in zip(_numerators(a_num, n_exponent, pmax, 0),
-                                _numerators(b_num, n_exponent, pmax, 1)):
-        if a_num[key] != a or b_num[key] != b:
-            raise ParameterError(f"table in {path} breaks the recursion at (p, q) = {key}")
-    return CoefficientTable(n_exponent, pmax, a_num, b_num)

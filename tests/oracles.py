@@ -34,6 +34,19 @@ def brute_tables(n_exponent, pmax):
     return a, b
 
 
+def fraction_tables(table):
+    """(a, b): a table's coefficients as Fractions, built from its integer
+    numerators as a[p,q] = A[p,q] / m! and b[p,q] = B[p,q] / (m+1)!,
+    m = (N+2)*p + 2*q."""
+    step = table.n_exponent + 2
+    a, b = {}, {}
+    for (p, q), num in table.a_num.items():
+        m = step * p + 2 * q
+        a[(p, q)] = Fraction(num, factorial(m))
+        b[(p, q)] = Fraction(table.b_num[(p, q)], factorial(m + 1))
+    return a, b
+
+
 def closed_a0q(q):
     return Fraction(1, factorial(2 * q))
 
@@ -78,8 +91,9 @@ def direct_psi(table, z, e_val, dps):
         for _ in range(table.pmax):
             epow.append(epow[-1] * ev)
         psi1 = dpsi1 = psi2 = dpsi2 = mp.mpc(0)
-        for (p, q), af in table.a.items():
-            bf = table.b[(p, q)]
+        a, b = fraction_tables(table)
+        for (p, q), af in a.items():
+            bf = b[(p, q)]
             m = step * p + 2 * q
             ta = mp.mpf(af.numerator) / af.denominator * epow[q]
             tb = mp.mpf(bf.numerator) / bf.denominator * epow[q]

@@ -235,15 +235,16 @@ def test_acceptance_7_n2_oracle(table2, trunc8, ctx40):
 def test_acceptance_8_property_suites(table3, pair3, levels3, moments3, trunc8, ctx40):
     bad = []
     # exact recursion identity on every stored coefficient
-    for (p, q), val in table3.a.items():
+    a, b = oracles.fraction_tables(table3)
+    for (p, q), val in a.items():
         m = 5 * p + 2 * q
-        ref = table3.a.get((p - 1, q), Fraction(0)) + table3.a.get((p, q - 1), Fraction(0))
+        ref = a.get((p - 1, q), Fraction(0)) + a.get((p, q - 1), Fraction(0))
         if (p, q) != (0, 0) and (m - 1) * m * val != ref:
             bad.append(f"a[{p},{q}] recursion")
             break
-    for (p, q), val in table3.b.items():
+    for (p, q), val in b.items():
         m = 5 * p + 2 * q
-        ref = table3.b.get((p - 1, q), Fraction(0)) + table3.b.get((p, q - 1), Fraction(0))
+        ref = b.get((p - 1, q), Fraction(0)) + b.get((p, q - 1), Fraction(0))
         if (p, q) != (0, 0) and m * (m + 1) * val != ref:
             bad.append(f"b[{p},{q}] recursion")
             break

@@ -9,6 +9,7 @@ import oracles
 from ptspec import (
     BracketError,
     ParameterError,
+    PoleError,
     PrecisionContext,
     TruncationError,
     TruncationParams,
@@ -20,6 +21,7 @@ from ptspec import (
     quantize_p_symmetric,
     refine_root,
     scan_im_c,
+    quantize,
     spectrum,
 )
 
@@ -129,6 +131,28 @@ def test_c_real_at_eigenvalue(table3, pair3, levels3, trunc8, ctx40):
         c = connection_coefficient(table3, pair3, levels3[0].E, trunc8, ctx40)
         assert abs(mp.im(c)) < mp.mpf("1e-35")
         assert abs(mp.re(c) - levels3[0].c) < mp.mpf("1e-35")
+
+
+def test_spectrum_ignores_a_pole_of_c_beside_a_level(table3, pair3, trunc8, ctx40, monkeypatch):
+    # c = -psi1/psi2 made to raise PoleError at the grid point E = 41/10,
+    # the lower end of the scan cell holding the level at 4.109: the scan
+    # reads D, which has no poles, so the cell still brackets the level
+    with ctx40.workdps():
+        pole = ctx40.mpf(Fraction(41, 10))
+    c_from_polys = quantize._c_from_polys
+
+    def planted(poly_a, poly_b, E, ctx):
+        if E == pole:
+            raise PoleError("planted pole")
+        return c_from_polys(poly_a, poly_b, E, ctx)
+
+    monkeypatch.setattr(quantize, "_c_from_polys", planted)
+    levels = spectrum(table3, pair3, 5, trunc8, ctx40)
+    assert len(levels) == len(GOLDEN_N3)
+    with ctx40.workdps():
+        for lv, (e_str, c_str) in zip(levels, GOLDEN_N3):
+            assert abs(lv.E - mp.mpf(e_str)) < mp.mpf("1e-36")
+            assert abs(lv.c - mp.mpf(c_str)) < mp.mpf("1e-36")
 
 
 def test_scan_brackets_ground_root(table3, pair3, trunc8, ctx40):

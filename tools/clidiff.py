@@ -42,6 +42,8 @@ COMMANDS = (
     "spectrum --N 2 --pair 1 --force --levels 5 --format csv",
     "spectrum --N 4 --pair 0 --radius 6 --levels 3 --parity odd",
     "spectrum --N 4 --pair 0 --radius 6 --levels 3 --parity even --format csv",
+    "spectrum --N 2 --pair 1 --force --levels 3 --parity even",
+    "spectrum --N 6 --pair 2 --radius 4 --levels 4",
     "spectrum --N 2 --pair 1 --levels 1",
     "spectrum --N 2 --pair 0 --force",
     "spectrum --N 3 --levels 4 --emax 5",
