@@ -16,22 +16,26 @@ conj psi2) and its zeros are those of Im c, where c(E) =
 once.  On the parity pair of even N they are (psi1, -psi2), so D = -2
 psi1 psi2 and its zeros are the even (psi1) and the odd (psi2) levels
 in one scan.  spectrum and
-quantize_p_symmetric scan D outward from E = 0 on exact Fraction grids
-and refine each sign change at full precision; the per-angle energy
-polynomials make single evaluations cheap.
+quantize_p_symmetric scan D outward from E = 0 on exact Fraction grids,
+reading its sign exactly from series.grid_evaluator on the per-angle
+energy polynomials, and refine each sign change at full precision
+through series.eval_energy_poly.
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
-scan_im_c, connection_coefficient and the health check.
+scan_im_c (on the exact grid as well), connection_coefficient and the
+health check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import mpmath as mp
+from mpmath.libmp import from_rational
 
 from . import series
 from .errors import (
@@ -129,6 +133,11 @@ def _z_probe(pair: WedgePair, which_side: str, radius: Fraction, ctx: PrecisionC
     return polar_point(radius, theta, ctx)
 
 
+def _rounded(num: int, den: int) -> RealHP:
+    """num/den rounded once to the working precision."""
+    return mp.make_mpf(from_rational(num, den, mp.mp.prec, "n"))
+
+
 def _c_from_polys(poly_a, poly_b, E, ctx: PrecisionContext) -> ComplexHP:
     """c = -psi1/psi2 from collapsed polynomials, with a pole guard
     10**-(digits/2)."""
@@ -172,8 +181,10 @@ def scan_im_c(
 ):
     """Sample c(E) at the right probe on the exact grid e_min + j*step, j = 0..
 
-    Points where psi2 (nearly) vanishes are flagged "pole"; the level
-    scans read D instead, which has none.
+    Points where psi2 (nearly) vanishes, |psi2| < 10**-(digits/2) |psi1|,
+    are flagged "pole"; the level scans read D instead, which has none.
+    psi1 and psi2 come exactly from the grid evaluator, so the pole test
+    is exact and each part of c = -psi1/psi2 is rounded once.
     """
     e_min, e_max, step = as_fraction(e_min), as_fraction(e_max), as_fraction(step)
     if step <= 0:
@@ -181,16 +192,21 @@ def scan_im_c(
     if e_max <= e_min:
         raise ParameterError(f"empty energy window [{e_min}, {e_max}]")
     z_star = _z_probe(pair, "right", trunc.radius, ctx)
-    poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
+    den = math.lcm(e_min.denominator, step.denominator)
+    at, _ = series.grid_evaluator(series.energy_polynomials(table, z_star, ctx), den)
+    t0, dt = int(e_min * den), int(step * den)
+    guard = 100 ** (ctx.digits // 2)
     points = []
     with ctx.workdps():
         for j in range(int((e_max - e_min) / step) + 1):
             ev = ctx.mpf(e_min + j * step)
-            try:
-                c = _c_from_polys(poly_a, poly_b, ev, ctx)
-                points.append(ScanPoint(ev, c.real, c.imag, "ok"))
-            except PoleError:
+            v1r, v1i, v2r, v2i = at(t0 + j * dt)
+            norm1, norm2 = v1r * v1r + v1i * v1i, v2r * v2r + v2i * v2i
+            if norm2 * guard < norm1:
                 points.append(ScanPoint(ev, mp.inf, mp.inf, "pole"))
+            else:
+                c_re = _rounded(-(v1r * v2r + v1i * v2i), norm2)
+                points.append(ScanPoint(ev, c_re, _rounded(v1r * v2i - v1i * v2r, norm2), "ok"))
     return tuple(points)
 
 
@@ -279,13 +295,17 @@ def _reader(table: CoefficientTable, pair: WedgePair, ctx: PrecisionContext) -> 
         def f(ev):
             p1 = series.eval_energy_poly(poly_a, ev)
             p2 = series.eval_energy_poly(poly_b, ev)
-            if parity:
-                return p1.real * (p2.real + p2.imag)
-            return p1.imag * p2.real - p1.real * p2.imag
+            return _determinant(parity, p1.real, p1.imag, p2.real, p2.imag)
 
         return f
 
     return reader
+
+
+def _determinant(parity: bool, p1r, p1i, p2r, p2i):
+    """The reader's value from Re and Im of psi1 and psi2 at the right
+    probe, for mpf parts or the exact integers of the grid evaluator."""
+    return p1r * (p2r + p2i) if parity else p1i * p2r - p1r * p2i
 
 
 def _root_and_estimate(reader: Callable, radius: Fraction, bracket, tol, ends=None):
@@ -326,9 +346,17 @@ def _scan_levels(
 ):
     """Bracket the sign changes of the pair's reader outward from E=0 on
     the exact grid of |E| = k*step up to e_max, and keep the first
-    n_levels that refine(bracket, ends, n) turns into a level; it may
-    return None to pass a bracket over.  The grid runs toward negative E
-    on the imaginary-axis parity pair, whose bound spectrum is negative.
+    n_levels that refine(bracket, ends, n, psi1_turns) turns into a
+    level; it may return None to pass a bracket over.  ends are the
+    reader at the bracket ends and psi1_turns tells whether Re psi1
+    changes sign between them.  The grid runs toward negative E on the
+    imaginary-axis parity pair, whose bound spectrum is negative.
+
+    The reader's value at a grid point is taken exactly, from the four
+    lanes (Re, Im of psi1 and psi2) of series.grid_evaluator, and
+    rounded once to working precision only at bracket ends.  A sample
+    where it is exactly zero is stepped over, so the bracket runs from
+    the last nonzero sample across it.
     """
     if not isinstance(n_levels, int) or n_levels < 1:
         raise ParameterError(f"n_levels must be a positive integer, got {n_levels!r}")
@@ -336,25 +364,34 @@ def _scan_levels(
     if step <= 0:
         raise ParameterError(f"step must be positive, got {step}")
     direction = -1 if pair.theta_right == Fraction(1, 2) else 1
-    f = _reader(table, pair, ctx)(trunc.radius)
+    parity = pair.parity_swapped()
+    z_star = _z_probe(pair, "right", trunc.radius, ctx)
+    at, unit = series.grid_evaluator(series.energy_polynomials(table, z_star, ctx), step.denominator)
     levels: list = []
-    prev = None
+    prev = None  # (k, reader value, Re psi1) at the last grid point where the reader is not zero
     with ctx.workdps():
         for k in itertools.count():
             if k * step > cap:
                 raise TruncationError(
                     f"only {len(levels)} of {n_levels} levels found with |E| below e_max={cap}"
                 )
-            ev = ctx.mpf(direction * k * step)
-            fv = f(ev)
-            if prev is not None and mp.sign(prev[1]) * mp.sign(fv) < 0:
-                lo, hi = sorted((prev, (ev, fv)), key=lambda point: point[0])
-                level = refine((lo[0], hi[0]), (lo[1], hi[1]), len(levels))
+            lanes = at(direction * k * step.numerator)
+            fv = _determinant(parity, *lanes)
+            if not fv:
+                continue
+            if prev is not None and (prev[1] < 0) != (fv < 0):
+                lo, hi = sorted((prev, (k, fv, lanes[0])), key=lambda point: direction * point[0])
+                level = refine(
+                    tuple(ctx.mpf(direction * point[0] * step) for point in (lo, hi)),
+                    (_rounded(lo[1], unit * unit), _rounded(hi[1], unit * unit)),
+                    len(levels),
+                    (lo[2] < 0) != (hi[2] < 0),
+                )
                 if level is not None:
                     levels.append(level)
                     if len(levels) == n_levels:
                         return tuple(levels)
-            prev = (ev, fv)
+            prev = (k, fv, lanes[0])
 
 
 def refine_root(
@@ -406,7 +443,7 @@ def spectrum(
         )
     tol = ctx.tolerance(5)
 
-    def refine(bracket, ends, n):
+    def refine(bracket, ends, n, psi1_turns):
         return refine_root(table, pair, bracket, tol, trunc, ctx, n, ends)
 
     return _scan_levels(table, pair, refine, n_levels, trunc, ctx, step, e_max)
@@ -441,10 +478,8 @@ def quantize_p_symmetric(
     reader = _reader(table, pair, ctx)
     tol = ctx.tolerance(5)
 
-    def refine(bracket, ends, n):
-        poly_a = series.energy_polynomials(table, _z_probe(pair, "right", trunc.radius, ctx), ctx)[0]
-        lo, hi = (series.eval_energy_poly(poly_a, ev).real for ev in bracket)
-        tag = "even" if mp.sign(lo) != mp.sign(hi) else "odd"
+    def refine(bracket, ends, n, psi1_turns):
+        tag = "even" if psi1_turns else "odd"
         if parity not in ("both", tag):
             return None
         e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)

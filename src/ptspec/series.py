@@ -42,6 +42,9 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
   by the cancellation measured at the call point; eval_energy_poly,
   poly_psi, poly_psi_d, eval_psi, residual, tail_ratio and the moment
   integrals all run through it;
+* exact grid: grid_evaluator gives energy polynomials on a grid of
+  rationals t/den exactly, as Horner's rule in the short integer t on
+  integer coefficients, for the scans that need only signs and ratios;
 * exact moments in integers: poly_square squares a space polynomial by
   an exact integer convolution, and moment_integral evaluates the
   integer antiderivative of S(w) w**m at the two contour ends, so no
@@ -97,6 +100,7 @@ __all__ = [
     "wronskian",
     "energy_polynomials",
     "eval_energy_poly",
+    "grid_evaluator",
     "space_polynomial",
     "poly_square",
     "moment_integral",
@@ -506,15 +510,16 @@ def tail_ratio(
     """Largest boundary-term magnitude relative to |psi1(z)|.
 
     This is the convergence diagnostic: well inside the reliable region
-    the last antidiagonal is negligible against the sum.
+    the last antidiagonal is negligible against the sum.  Every a[p,q]
+    is positive, so the rim terms at |w| and |E| are the magnitudes of
+    the terms, from real powers.
     """
     with ctx.workdps():
         ev = mp.mpf(E)
         denom = abs(_horner(energy_polynomials(table, z, ctx)[0], ev)[0])
         if denom == 0:
             return mp.inf
-        w = mp.mpc(0, 1) * mp.mpc(z)
-        return max(abs(term) for term in _rim(table, w, ev, "psi1")) / denom
+        return max(_rim(table, abs(mp.mpc(z)), abs(ev), "psi1")) / denom
 
 
 def wronskian(table: CoefficientTable, z, E, ctx: PrecisionContext) -> ComplexHP:
@@ -683,6 +688,84 @@ def moment_integral(square: ScaledPoly, m: int, z0, z1):
 # the evaluation kernel
 
 
+def _fit_scale(coeffs: ScaledPoly, rho_x, lx, prec: int):
+    """(coeffs at the scale of a point x, the fractional bits _resolution
+    asks at x), for rho_x and lx of x as _point gives them.  A point
+    beyond the scale 2**rho is met by rescaling with exact shifts, which
+    multiply the stored rounding by up to |u|**deg in the old scale;
+    RadiusError when that leaves fewer bits than the point needs (a space
+    polynomial far outside the disk it was built for)."""
+    lost, scale = 0, coeffs.rho  # bits by which rescaling amplifies the stored rounding
+    if rho_x is not None and rho_x > scale:
+        lost = (rho_x - scale) * (len(coeffs) - 1)
+        coeffs = coeffs.rescaled(rho_x)
+    need = _resolution(coeffs.bounds, len(coeffs) - 1, None if lx is None else lx - coeffs.rho, prec)
+    if lost and need is not None and coeffs.frac - lost < need:
+        raise RadiusError(
+            f"point beyond the scale radius 2**{scale} of a polynomial whose"
+            " coefficients carry too few bits there"
+        )
+    return coeffs, need
+
+
+def _ratio_point(t: int, den: int):
+    """(rho, lx) of _point for the rational point t/den, t != 0: the
+    smallest rho with |t| <= den * 2**rho and lx = floor(log2 |t/den|).
+    They are _point's at t/den rounded to the working precision (at least
+    53 bits) as long as |t| and den are below 2**50: t/den then lies
+    2**-51 or more (relative) from any power of two it is not, too far
+    for the rounding or _point's slack of 2**-60 to carry it across."""
+    a = abs(t)
+    lx = a.bit_length() - den.bit_length()  # floor(log2 |t/den|) is lx or lx - 1
+    if a << max(-lx, 0) < den << max(lx, 0):
+        lx -= 1
+    return (lx if a << max(-lx, 0) == den << max(lx, 0) else lx + 1), lx
+
+
+def grid_evaluator(polys: Sequence[ScaledPoly], den: int):
+    """(at, unit): the exact values of ScaledPolys of one length, frac and
+    scale 2**rho on the grid of points t/den, t an integer.
+
+    at(t) lists Re V(t) and Im V(t) of every polynomial in turn, with
+    V(t) = unit * P(t/den) exactly and unit = 2**frac * M**d, M = den *
+    2**max(rho, 0) and d the degree.  For the integers D_j of P, V is
+    Horner's rule in an integer u on G_j = D_j * M**(d-j): u = t, or t *
+    2**-rho when rho < 0 (then M = den).  Each step is one multiply by a
+    short integer plus an add, with no rounding, so the sign of any
+    integer combination of the values is exact.  at refuses the points
+    _horner refuses (RadiusError from _fit_scale).
+    """
+    first = polys[0]
+    if any((len(p), p.frac, p.rho) != (len(first), first.frac, first.rho) for p in polys):
+        raise ParameterError("grid polynomials must share length, frac and scale")
+    if not isinstance(den, int) or den < 1:
+        raise ParameterError(f"grid denominator must be a positive integer, got {den!r}")
+    d, rho = len(first) - 1, first.rho
+    m, lift = den << max(rho, 0), max(-rho, 0)
+    weights = [m ** k for k in range(d + 1)]  # M**(d-j) for j = d, ..., 0
+    lanes = [tuple(map(mul, part[::-1], weights)) if any(part) else ()
+             for p in polys for part in (p.re, p.im)]
+    checked = set()
+
+    def at(t: int) -> list:
+        u = t << lift
+        if abs(u) > m:  # |t/den| > 2**rho
+            key = (*_ratio_point(t, den), mp.mp.prec)
+            if key not in checked:
+                for p in polys:
+                    _fit_scale(p, *key)
+                checked.add(key)
+        out = []
+        for lane in lanes:
+            v = 0
+            for g in lane:
+                v = v * u + g
+            out.append(v)
+        return out
+
+    return at, m ** d << first.frac
+
+
 def _horner(coeffs: "ScaledPoly | Sequence", x, order: int = 0) -> list:
     """[P(x), P'(x), ..., P^(order)(x)/order!] for P(x) = sum_k coeffs[k] x**k.
 
@@ -694,33 +777,21 @@ def _horner(coeffs: "ScaledPoly | Sequence", x, order: int = 0) -> list:
     j <= 2, whatever order is asked, so the value does not depend on
     order.  Each
     coefficient updates the highest order first.  Every polynomial
-    evaluation in ptspec runs through this loop; at order 0 it is one
-    complex multiply-add per coefficient, the cost of the node winding
-    count.  Results are mpc at the working precision.
-
-    A ScaledPoly meeting a point outside its scale is rescaled by exact
-    shifts, which multiply its stored rounding by up to |u|**deg in the
-    old scale; RadiusError when that leaves fewer bits than the point
-    needs (a space polynomial far outside the disk it was built for).
+    evaluation in ptspec runs through this loop except the grid scans of
+    grid_evaluator; at order 0 it is one complex multiply-add per
+    coefficient, the cost of the node winding count.  Results are mpc at
+    the working precision.  A ScaledPoly meeting a point outside its
+    scale goes through _fit_scale, which may raise RadiusError.
     """
     if order > 2:
         raise ParameterError(f"_horner covers Taylor orders up to 2, got {order}")
     prec = mp.mp.prec
     xr, xi, e, rho_x, lx = _point(x)
-    lost, scale = 0, None  # bits by which rescaling amplifies the stored rounding
     if not isinstance(coeffs, ScaledPoly):
         coeffs = _scaled(coeffs, 0 if rho_x is None else rho_x, None if lx is None else lx - rho_x, prec)
-    elif rho_x is not None and rho_x > coeffs.rho:
-        lost, scale = (rho_x - coeffs.rho) * (len(coeffs) - 1), coeffs.rho
-        coeffs = coeffs.rescaled(rho_x)
+    coeffs, need = _fit_scale(coeffs, rho_x, lx, prec)
     rho = coeffs.rho
     s = 0 if rho_x is None else rho - e  # u = (xr + i*xi) / 2**s
-    need = _resolution(coeffs.bounds, len(coeffs) - 1, None if lx is None else lx - rho, prec)
-    if lost and need is not None and coeffs.frac - lost < need:
-        raise RadiusError(
-            f"point beyond the scale radius 2**{scale} of a polynomial whose"
-            " coefficients carry too few bits there"
-        )
     frac = coeffs.frac if need is None else max(coeffs.frac, need)
     re, im = coeffs.re, coeffs.im
     if frac > coeffs.frac:

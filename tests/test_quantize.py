@@ -22,6 +22,7 @@ from ptspec import (
     refine_root,
     scan_im_c,
     quantize,
+    series,
     spectrum,
 )
 
@@ -153,6 +154,46 @@ def test_spectrum_ignores_a_pole_of_c_beside_a_level(table3, pair3, trunc8, ctx4
         for lv, (e_str, c_str) in zip(levels, GOLDEN_N3):
             assert abs(lv.E - mp.mpf(e_str)) < mp.mpf("1e-36")
             assert abs(lv.c - mp.mpf(c_str)) < mp.mpf("1e-36")
+
+
+@pytest.mark.parametrize(
+    "n_exponent, pair_index, radius",
+    [(3, 0, 8), (7, 2, 3), (4, 0, 6), (2, 0, 8)],
+)
+def test_exact_scan_sign_matches_reader(n_exponent, pair_index, radius, ctx40):
+    # the exact sign of the determinant from the grid lanes against the
+    # mpf reader, at every 10th grid point of the scan direction up to the
+    # fourth sign change
+    table = build_tables(n_exponent, 100)
+    pair = pt_pairs(n_exponent)[pair_index]
+    trunc = TruncationParams(100, Fraction(radius))
+    direction = -1 if pair.theta_right == Fraction(1, 2) else 1
+    polys = series.energy_polynomials(table, quantize._z_probe(pair, "right", trunc.radius, ctx40), ctx40)
+    at, _ = series.grid_evaluator(polys, 20)
+    reader = quantize._reader(table, pair, ctx40)(trunc.radius)
+    changes, prev, k = 0, 0, 0
+    with ctx40.workdps():
+        while changes < 4:
+            f = quantize._determinant(pair.parity_swapped(), *at(direction * k))
+            sign = (f > 0) - (f < 0)
+            changes += prev * sign < 0
+            prev = sign or prev
+            if k % 10 == 0:
+                assert sign == mp.sign(reader(ctx40.mpf(Fraction(direction * k, 20)))), k
+            k += 1
+            assert k < 2000
+
+
+def test_spectrum_finds_a_level_on_a_grid_point(table3, pair3, trunc8, ctx40, monkeypatch):
+    # planted p1 = i(E - 1), p2 = 1 on a PT pair: the reader is E - 1, exactly
+    # zero at the grid point E = 1, which must not hide the level
+    frac, rho = 64, 7  # at scale 2**7 for the whole scan up to E = 100
+    p1 = series.ScaledPoly((0, 0), (-(1 << frac), 1 << (frac + rho)), frac, rho)
+    p2 = series.ScaledPoly((1 << frac, 0), (0, 0), frac, rho)
+    monkeypatch.setattr(series, "energy_polynomials", lambda table, z, ctx: (p1, p2))
+    (level,) = spectrum(table3, pair3, 1, trunc8, ctx40)
+    assert level.E == 1
+    assert level.diagnostics.est_error == 0
 
 
 def test_scan_brackets_ground_root(table3, pair3, trunc8, ctx40):

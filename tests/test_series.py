@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_rational
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,12 @@ from ptspec import (
     boundary_residual,
     build_tables,
     eval_psi,
+    pt_pairs,
     residual,
     tail_ratio,
     wronskian,
 )
+from ptspec.wedges import polar_point
 from ptspec.series import (
     MEMO_CAP,
     CoefficientTable,
@@ -33,6 +36,7 @@ from ptspec.series import (
     _scaled,
     energy_polynomials,
     eval_energy_poly,
+    grid_evaluator,
     moment_integral,
     poly_psi,
     poly_psi_d,
@@ -297,6 +301,83 @@ def test_polys_beyond_their_scale(table3, ctx40):
         assert abs(poly_psi(near, mp.mpc("1.9", "0.3")) - (p1 - p2 / 2)) < ctx40.tolerance(-10)
         with pytest.raises(RadiusError):
             poly_psi(near, mp.mpc("7.9", "0.3"))
+
+
+def _probe_polys(table, pair_index, radius, ctx):
+    """The energy polynomials at the right probe of a pair."""
+    pair = pt_pairs(table.n_exponent)[pair_index]
+    return energy_polynomials(table, polar_point(Fraction(radius), pair.theta_right, ctx), ctx)
+
+
+def assert_grid_matches_horner(polys, den, ts, ctx):
+    """Every part of the exact grid values at t/den, rounded once to the
+    working precision, is within 2**-prec of the majorant sum_k |c_k|
+    |E|**k of eval_energy_poly there."""
+    at, unit = grid_evaluator(polys, den)
+    with ctx.workdps():
+        prec = mp.mp.prec
+        for t in ts:
+            ev = ctx.mpf(Fraction(t, den))
+            values = at(t)
+            for k, poly in enumerate(polys):
+                want = eval_energy_poly(poly, ev)
+                got = [mp.make_mpf(from_rational(v, unit, prec, "n")) for v in values[2 * k:2 * k + 2]]
+                with mp.workprec(prec + 40):
+                    u = abs(ev) / mp.mpf(2) ** poly.rho
+                    majorant = mp.fsum(mp.hypot(r, i) * u**j for j, (r, i) in enumerate(zip(poly.re, poly.im)))
+                    bound = majorant / mp.mpf(2) ** (poly.frac + prec)
+                    assert abs(got[0] - want.real) <= bound, (t, k)
+                    assert abs(got[1] - want.imag) <= bound, (t, k)
+
+
+@pytest.mark.parametrize(
+    "n_exponent, pair_index, radius, den, ts",
+    [
+        (3, 0, 8, 20, range(0, 310, 7)),  # past the fifth level, 15.29
+        (7, 2, 3, 20, range(0, 1200, 29)),  # past the fourth level, 59.03
+        (4, 0, 6, 20, range(0, -240, -7)),  # the parity pair, down to -12
+        (2, 0, 8, 20, range(0, -400, -9)),  # the negative direction of N=2 pair 0
+        (3, 0, Fraction(1, 2), 100, range(13)),  # rho = -3: t moves 2**3 in, E in [0, 1/8]
+        (7, 2, 3, 21, range(-7, 43, 3)),  # scan grid -1/3 + j/7 up to 2
+    ],
+)
+def test_grid_evaluator_matches_horner(n_exponent, pair_index, radius, den, ts, ctx40):
+    table = build_tables(n_exponent, 100)
+    polys = _probe_polys(table, pair_index, radius, ctx40)
+    assert_grid_matches_horner(polys, den, ts, ctx40)
+
+
+def test_grid_evaluator_refuses_what_horner_refuses(ctx40):
+    # radius 3/4 and pmax 40 scale the energy polynomials for |E| <= 1;
+    # beyond, the grid refuses exactly the points _horner refuses
+    table = build_tables(3, 40)
+    polys = _probe_polys(table, 0, Fraction(3, 4), ctx40)
+    at, _ = grid_evaluator(polys, 20)
+    refused = []
+    with ctx40.workdps():
+        for t in range(420):
+            try:
+                at(t)
+                grid = False
+            except RadiusError:
+                grid = True
+            try:
+                for poly in polys:
+                    eval_energy_poly(poly, ctx40.mpf(Fraction(t, 20)))
+                kernel = False
+            except RadiusError:
+                kernel = True
+            assert grid == kernel, t
+            refused.append(grid)
+    assert not refused[0] and refused[-1]
+
+
+def test_grid_evaluator_validation(table3, ctx40):
+    a, b = _probe_polys(table3, 0, 8, ctx40)
+    with pytest.raises(ParameterError):
+        grid_evaluator((a, b), 0)
+    with pytest.raises(ParameterError):
+        grid_evaluator((a, ScaledPoly(b.re[:-1], b.im[:-1], b.frac, b.rho)), 20)
 
 
 def test_tail_ratio_grows_with_radius(table7, ctx40):

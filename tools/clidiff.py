@@ -53,6 +53,10 @@ COMMANDS = (
     "scan --N 3",
     "scan --N 3 --emin 1 --emax 3 --step 0.1 --format json",
     "scan --N 2 --pair 1 --emin 2.5 --emax 3.5 --step 0.1",
+    "scan --N 7 --radius 3 --pair 2 --emin=-1/3 --emax 2 --step 1/7",
+    "spectrum --N 3 --levels 3 --step 1/30",
+    "spectrum --N 3 --radius 3/4 --pmax 40 --force --levels 1 --emax 20",
+    "spectrum --N 3 --radius 3/4 --pmax 40 --force --levels 1 --emax 1",
     "selfcheck",
     "wedges --N 4",
     "wedges --N 4 --format csv",
