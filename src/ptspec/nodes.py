@@ -3,9 +3,12 @@
 At a fixed level the eigenfunction is one polynomial in w = iz.  Its
 number of zeros in a box is the winding of psi along the boundary (the
 argument principle; Delves and Lyness, Math. Comp. 21 (1967) 543), and
-boxes are split until each holds one zero, which Newton polishes.  PT
-zeros come in two families: finitely many on an arch below the real
-axis, and an infinite ladder up the positive imaginary axis.
+boxes are split until each holds one zero, which Newton polishes.  Each
+line, a root box edge or a split's cross line, is sampled once, and a
+box's edges are slices of lines (Kravanja and Van Barel, Computing the
+Zeros of Analytic Functions, LNM 1727, 2000).  PT zeros come in two
+families: finitely many on an arch below the real axis, and an infinite
+ladder up the positive imaginary axis.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ __all__ = ["NodeSet", "turning_points", "newton_zero", "find_nodes"]
 
 _NEWTON_CAP = 100
 _AXIS_TOL = mp.mpf("1e-10")  # coarser than the Newton tol on purpose
-_EDGE_DEPTH = 5  # 32 equal steps per edge before adaptive bisection
+_EDGE_DEPTH = 5  # 32 equal steps per line, sampled once; box edges are slices of lines
 _MAX_PHASE_STEP = 0.5  # radians
-_BISECT_CAP = 45  # halvings of an edge before a step counts as crossing a zero
+_BISECT_CAP = 45  # a step halved to 2**-45 of its line still turning: a zero on the line
 _TURN_TOL = 1e-6  # a closed loop's phase sum is 2*pi*k up to rounding
 _SPLIT = Fraction(1, 2) + Fraction(1, 37)  # off centre: odd-level PT nodes sit on re = 0
 _SPLIT_CAP = 60
@@ -133,9 +136,13 @@ def newton_zero(
 
 
 def _winding_counter(poly, ctx: PrecisionContext):
-    """winding(box): the zeros of psi in box, as its winding along the boundary
-    (under ctx.workdps()).  Each edge is cut into 2**_EDGE_DEPTH equal steps, and a
-    step turning by more than _MAX_PHASE_STEP is bisected; psi is memoized per point."""
+    """(boundary, split, winding) on sample paths of psi, under ctx.workdps().
+
+    A line (a root box edge or a cross line of a split) is sampled once at
+    2**_EDGE_DEPTH equal steps, each bisected while it turns by more than
+    _MAX_PHASE_STEP.  A box's edges (bottom, right, top, left) are paths in
+    increasing coordinate; split cuts them and the box's two cross lines at
+    _SPLIT of each side, re-checking the steps beside each cut point."""
 
     @functools.cache
     def psi(pt):
@@ -144,25 +151,45 @@ def _winding_counter(poly, ctx: PrecisionContext):
             raise WindingError(f"psi vanishes on a box edge at {complex(*map(float, pt))}")
         return value
 
-    def phase(a, b, depth=0):
-        if depth >= _EDGE_DEPTH:
-            step = mp.arg(psi(b) / psi(a))
-            if abs(step) <= _MAX_PHASE_STEP:
-                return step
-            if depth == _BISECT_CAP:
-                raise WindingError(f"a zero lies on a box edge near {complex(*map(float, a))}")
+    def fill(a, b, depth=_EDGE_DEPTH):  # the points bisection adds strictly between a and b
+        if depth >= _EDGE_DEPTH and abs(mp.arg(psi(b) / psi(a))) <= _MAX_PHASE_STEP:
+            return []
+        if depth == _BISECT_CAP:
+            raise WindingError(f"a zero lies on a box edge near {complex(*map(float, a))}")
         mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        return phase(a, mid, depth + 1) + phase(mid, b, depth + 1)
+        return fill(a, mid, depth + 1) + [mid] + fill(mid, b, depth + 1)
 
-    def winding(box):
+    def line(a, b):  # halved _EDGE_DEPTH times before the rule applies
+        return [a] + fill(a, b, 0) + [b]
+
+    def cut(path, pt):  # (path up to pt, path from pt), re-checking the two steps beside pt
+        i = next(k for k, p in enumerate(path) if p >= pt)  # the one coordinate that varies decides
+        return path[:i] + fill(path[i - 1], pt) + [pt], [pt] + fill(pt, path[i]) + path[i:]
+
+    def boundary(box):
         x0, x1, y0, y1 = box
-        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
-        turns = mp.fsum(phase(a, b) for a, b in zip(corners, corners[1:])) / (2 * mp.pi)
+        a, b, c, d = (x0, y0), (x1, y0), (x1, y1), (x0, y1)
+        return line(a, b), line(b, c), line(d, c), line(a, d)
+
+    def split(edges):  # [(quarter, its edges)] in the order of find_nodes
+        (x0, y0), (x1, y1) = edges[0][0], edges[2][-1]
+        xs, ys = x0 + (x1 - x0) * _SPLIT, y0 + (y1 - y0) * _SPLIT
+        cuts = map(cut, edges, ((xs, y0), (x1, ys), (xs, y1), (x0, ys)))
+        (b0, b1), (r0, r1), (t0, t1), (l0, l1) = cuts
+        v0, v1 = cut(line((xs, y0), (xs, y1)), (xs, ys))
+        h0, h1 = cut(line((x0, ys), (x1, ys)), (xs, ys))
+        return [((x0, xs, y0, ys), (b0, v0, h0, l0)), ((x0, xs, ys, y1), (h0, v1, t0, l1)),
+                ((xs, x1, y0, ys), (b1, r0, h1, v0)), ((xs, x1, ys, y1), (h1, r1, t1, v1))]
+
+    def winding(edges):
+        signs = (1, 1, -1, -1)  # counter-clockwise: the top and left paths run backwards
+        steps = (s * mp.arg(psi(b) / psi(a)) for s, e in zip(signs, edges) for a, b in zip(e, e[1:]))
+        turns = mp.fsum(steps) / (2 * mp.pi)
         if abs(turns - mp.nint(turns)) > _TURN_TOL:
             raise WindingError(f"winding number {mp.nstr(turns, 8)} is not an integer")
         return int(mp.nint(turns))
 
-    return winding
+    return boundary, split, winding
 
 
 def _polish(table, level, box, region, tol, trunc, ctx) -> Optional[ComplexHP]:
@@ -220,25 +247,22 @@ def find_nodes(
     poly = _level_poly(table, level, ctx)
     with ctx.workdps():
         tol = ctx.tolerance()
-        winding = _winding_counter(poly, ctx)
-        count = winding(root)
-        todo = [(root, count, 0)] if count else []
+        boundary, split, winding = _winding_counter(poly, ctx)
+        count = winding(edges := boundary(root))
+        todo = [(root, edges, count, 0)] if count else []
         found = []
         while todo:
-            box, count, depth = todo.pop()
+            box, edges, count, depth = todo.pop()
             if count == 1 and (z := _polish(table, level, box, root, tol, trunc, ctx)) is not None:
                 found.append(z)
                 continue
             if depth == _SPLIT_CAP:
                 raise WindingError(f"{count} zeros not placed after {depth} box splits")
-            x0, x1, y0, y1 = box
-            xs = (x0, x0 + (x1 - x0) * _SPLIT, x1)
-            ys = (y0, y0 + (y1 - y0) * _SPLIT, y1)
-            quarters = [(xs[i], xs[i + 1], ys[j], ys[j + 1]) for i in (0, 1) for j in (0, 1)]
-            counts = [winding(q) for q in quarters]
+            quarters = split(edges)
+            counts = [winding(e) for _, e in quarters]
             if sum(counts) != count:
                 raise WindingError(f"windings {counts} of four quarters do not sum to {count}")
-            todo += [(q, k, depth + 1) for q, k in zip(quarters, counts) if k]
+            todo += [(q, e, k, depth + 1) for (q, e), k in zip(quarters, counts) if k]
 
         # the two members of a PT mirror pair share im up to rounding noise:
         # order by im snapped to the Newton tolerance, then by re

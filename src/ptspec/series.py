@@ -45,8 +45,8 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
 * exact grid: grid_evaluator gives energy polynomials on a grid of
   rationals t/den exactly, as Horner's rule in the short integer t on
   integer coefficients, for the scans that need only signs and ratios;
-* exact moments in integers: poly_square squares a space polynomial by
-  an exact integer convolution, and moment_integral evaluates the
+* exact moments in integers: poly_square squares a space polynomial as
+  one packed integer product, and moment_integral evaluates the
   integer antiderivative of S(w) w**m at the two contour ends, so no
   coefficient list goes back to mpc;
 * mpc at the boundary: every value handed back to quantize, nodes and
@@ -640,18 +640,29 @@ def poly_psi_d(coeffs: "ScaledPoly | Sequence", z):
 
 
 def poly_square(poly: ScaledPoly) -> ScaledPoly:
-    """The square of a polynomial, exact: the self-convolution of its
-    integer coefficients, at the same scale and twice the fractional bits."""
-    re, im, n = poly.re, poly.im, len(poly)
-    rev_re, rev_im = re[::-1], im[::-1]
-    out_re, out_im = [], []
-    for j in range(2 * n - 1):
-        # products c_k c_(j-k) for lo <= k < hi; c_(j-k) sits at off + k reversed
-        lo, hi, off = max(0, j - n + 1), min(j, n - 1) + 1, n - 1 - j
-        pr, pi = rev_re[off + lo:off + hi], rev_im[off + lo:off + hi]
-        out_re.append(sum(map(mul, re[lo:hi], pr)) - sum(map(mul, im[lo:hi], pi)))
-        out_im.append(2 * sum(map(mul, re[lo:hi], pi)))
-    return ScaledPoly(tuple(out_re), tuple(out_im), 2 * poly.frac, poly.rho)
+    """The square of a polynomial, exact, at the same scale and twice the
+    fractional bits (the empty one squares to itself), by Kronecker
+    substitution: R + iI as signed digits in base 2**(8*width), so
+    re = (R+I)(R-I) and im = 2RI are two long integer products."""
+    n = len(poly)
+    top = max(map(abs, poly.re + poly.im), default=0).bit_length()
+    width = (2 * top + n.bit_length() + 9) // 8  # bytes per digit: >= 2*top + bits(n) + 2 bits
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * (2 * n), "little")  # half in each digit
+
+    def pack(coeffs):  # sum_k c_k 2**(8*width*k), through digits lifted by half
+        lifted = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+        return int.from_bytes(lifted, "little") - (bias >> (8 * width * n))
+
+    def unpack(x):  # the 2n-1 signed digits of x
+        raw = (x + bias).to_bytes(2 * n * width, "little")
+        digits = (raw[k:k + width] for k in range(0, len(raw) - width, width))
+        return tuple(int.from_bytes(d, "little") - half for d in digits)
+
+    r, i = pack(poly.re), pack(poly.im)
+    re_packed, im_packed = (r + i) * (r - i), 2 * r * i
+    del r, i  # only the two products stay alive while unpacking
+    return ScaledPoly(unpack(re_packed), unpack(im_packed), 2 * poly.frac, poly.rho)
 
 
 def _antiderivative(square: ScaledPoly, m: int) -> ScaledPoly:

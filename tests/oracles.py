@@ -3,7 +3,8 @@
 Nothing here imports ptspec; reference values are produced by separate
 algorithms (a fresh dictionary-based recursion, a direct double sum,
 float shooting integrations, tanh-sinh quadrature, an mpmath
-polynomial square) so agreement is meaningful.
+polynomial square, a schoolbook integer square) so agreement is
+meaningful.
 """
 
 from fractions import Fraction
@@ -220,3 +221,15 @@ def square(coeffs):
             acc += coeffs[j // 2] ** 2
         out.append(acc)
     return tuple(out)
+
+
+def schoolbook_square(re, im):
+    """(re, im) integer coefficients of the square of sum_k (re[k] + i*im[k]) w**k,
+    by the schoolbook self-convolution: every product c_k c_(j-k) summed."""
+    n = len(re)
+    out_re, out_im = [], []
+    for j in range(2 * n - 1):
+        ks = range(max(0, j - n + 1), min(j, n - 1) + 1)
+        out_re.append(sum(re[k] * re[j - k] - im[k] * im[j - k] for k in ks))
+        out_im.append(2 * sum(re[k] * im[j - k] for k in ks))
+    return tuple(out_re), tuple(out_im)

@@ -238,3 +238,67 @@ def test_mirror_pair_order_ignores_rounding_noise(monkeypatch, table3, levels3, 
         assert [mp.sign(z.real) for z in found.arch_nodes] == [-1, 1], noise
         with ctx40.workdps():
             assert found.arch_nodes[0].imag != found.arch_nodes[1].imag
+
+
+@pytest.mark.parametrize("n, cap", [(2, 320), (7, 1200)])
+def test_box_splits_reuse_edge_samples(monkeypatch, table3, trunc8, ctx40, n, cap):
+    # every point is evaluated once, and a split samples only its two cross
+    # lines and its cut points, since the quarters' outer edges are slices
+    # of the parent's edges; sampling each quarter's outer half-edges afresh
+    # costs 902 and 3,440 evaluations
+    level = spectrum(table3, pt_pairs(3)[0], n + 1, trunc8, ctx40)[n]
+    points = []
+
+    def counted(poly, z):
+        points.append((z.real, z.imag))
+        return poly_psi(poly, z)
+
+    monkeypatch.setattr(nodes.series, "poly_psi", counted)
+    found = find_nodes(table3, level, trunc=trunc8, ctx=ctx40)
+    assert found.count() == n
+    assert len(points) <= cap
+    assert len(set(points)) == len(points)
+
+
+def test_planted_zeros_at_the_cut(monkeypatch, table3, levels3, trunc8, ctx40):
+    # region (-1, 1, -1, 1) is first split at x = y = 2/37; a second zero
+    # in another quarter makes the root box split
+    def nodes_of(zero):
+        zeros = [zero, mp.mpc("-0.5", "-0.5")]
+        poly = _planted(zeros, ctx40)
+        monkeypatch.setattr(nodes, "_level_poly", lambda table, level, ctx: poly)
+        found = find_nodes(table3, levels3[0], region=(-1, 1, -1, 1), trunc=trunc8, ctx=ctx40)
+        assert found.count() == 2
+        for z in zeros:
+            assert any(abs(z - w) < mp.mpf("1e-38") for w in found.arch_nodes + found.axis_nodes)
+
+    with ctx40.workdps():
+        cut = mp.mpf(2) / 37
+        on_line, beside_line = mp.mpc(cut, "0.5"), mp.mpc(cut + mp.mpf("1e-6"), "0.5")
+        # 1e-4 from the bottom edge and from the cross line, beside the bottom cut point
+        near_cut_point = mp.mpc(cut + mp.mpf("1e-4"), "-0.9999")
+    with pytest.raises(WindingError):
+        nodes_of(on_line)
+    nodes_of(beside_line)
+    nodes_of(near_cut_point)
+
+
+def test_split_rechecks_the_steps_beside_a_cut(ctx40):
+    # a zero just below the bottom edge and one just above it, point-symmetric
+    # about the middle of the sampled step [0, 1/16] that the cut x = 2/37
+    # falls in: the step turns by about 0, each of its two pieces by 0.6 rad,
+    # so joining the cut point must bisect them
+    with ctx40.workdps():
+        zeros = [mp.mpc("0.01125", "-1.005"), mp.mpc("0.05125", "-0.995"), mp.mpc("-0.5", "0.5")]
+        poly = _planted(zeros, ctx40)
+        boundary, split, winding = nodes._winding_counter(poly, ctx40)
+        edges = boundary((Fraction(-1), Fraction(1), Fraction(-1), Fraction(1)))
+        assert Fraction(1, 16) in [x for x, _ in edges[0]]
+        assert winding(edges) == 2
+        quarters = split(edges)
+        assert [winding(e) for _, e in quarters] == [1, 1, 0, 0]
+        for _, quarter_edges in quarters:
+            for path in quarter_edges:
+                values = [poly_psi(poly, mp.mpc(*map(ctx40.mpf, pt))) for pt in path]
+                turns = [abs(mp.arg(b / a)) for a, b in zip(values, values[1:])]
+                assert max(turns) <= nodes._MAX_PHASE_STEP

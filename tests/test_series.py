@@ -21,8 +21,10 @@ from ptspec import (
     boundary_residual,
     build_tables,
     eval_psi,
+    level_weights,
     pt_pairs,
     residual,
+    spectrum,
     tail_ratio,
     wronskian,
 )
@@ -515,3 +517,37 @@ def test_integer_square_and_antiderivative(coeffs, dps, m, rho, ends):
         turn = mp.mpc(0, -1) ** (m + 1)
         assert abs(value - turn * (ends_want[1] - ends_want[0])) <= sum(bounds)
         assert abs(size - sum(sizes)) <= sum(bounds)
+
+
+# signed integers of mixed bit lengths, zero among them
+_coefficient = st.one_of(st.just(0), st.integers(-(2**8), 2**8), st.integers(-(2**400), 2**400))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    re=st.lists(_coefficient, min_size=1, max_size=40),
+    im=st.lists(_coefficient, min_size=40, max_size=40),
+    shape=st.sampled_from(["mixed", "real", "negative"]),
+)
+def test_poly_square_matches_schoolbook(re, im, shape):
+    # the packed product, bit for bit against the schoolbook convolution,
+    # on any length from 1, with an all-zero imaginary part, and all negative
+    im = [0] * len(re) if shape == "real" else im[: len(re)]
+    if shape == "negative":
+        re, im = [-abs(c) - 1 for c in re], [-abs(c) - 1 for c in im]
+    square = poly_square(ScaledPoly(tuple(re), tuple(im), 7, -2))
+    assert (square.re, square.im) == oracles.schoolbook_square(re, im)
+    assert (square.frac, square.rho) == (14, -2)
+
+
+def test_poly_square_of_empty_and_level_polynomials(table3, table7, ctx40):
+    # the empty polynomial squares to the empty polynomial
+    empty = poly_square(ScaledPoly((), (), 5, 1))
+    assert (empty.re, empty.im, empty.frac, empty.rho) == ((), (), 10, 1)
+    # the level-1 polynomials of N=3 at r=8 and of N=7, pair 1, at r=3
+    for table, pair, radius in ((table3, 0, 8), (table7, 1, 3)):
+        trunc = TruncationParams(100, Fraction(radius))
+        level = spectrum(table, pt_pairs(table.n_exponent)[pair], 2, trunc, ctx40)[1]
+        poly = space_polynomial(table, level.E, *level_weights(level), ctx40, level.diagnostics.radius)
+        square = poly_square(poly)
+        assert (square.re, square.im) == oracles.schoolbook_square(poly.re, poly.im)

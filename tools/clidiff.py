@@ -64,6 +64,10 @@ COMMANDS = (
     "nodes --N 3 --level 2",
     "nodes --N 3 --level 1",
     "nodes --N 3 --level 1 --format csv",
+    "nodes --N 3 --level 7",
+    "nodes --N 7 --radius 3 --pair 1 --level 3",
+    "nodes --N 7 --radius 3 --pair 2 --level 3",
+    "nodes --N 3 --level 4 --region=-3,3,-3,3",
     "expect --N 3 --level 0 --moments 3,1,4,2",
     "expect --N 3 --level 0 --moments 0,2 --format csv",
     "expect --N 3 --level 0 --moments 0,1,2,3,4",
