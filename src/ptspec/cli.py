@@ -87,8 +87,7 @@ def _config(args) -> RunConfig:
 
 
 def _setup(cfg: RunConfig):
-    """(table, pair, ctx, trunc) of a run on one wedge pair."""
-    table = build_tables(cfg.n_exponent, cfg.pmax)
+    """(pair, ctx, trunc) of a run on one wedge pair."""
     pairs = pt_pairs(cfg.n_exponent)
     if cfg.pair_index >= len(pairs):
         raise ParameterError(
@@ -96,7 +95,7 @@ def _setup(cfg: RunConfig):
             f"{cfg.pair_index} is out of range"
         )
     trunc = TruncationParams(cfg.pmax, cfg.radius)
-    return table, pairs[cfg.pair_index], PrecisionContext(cfg.digits), trunc
+    return pairs[cfg.pair_index], PrecisionContext(cfg.digits), trunc
 
 
 def _num(x, digits: int) -> str:
@@ -187,7 +186,7 @@ def _health_json(report) -> dict:
     }
 
 
-def _levels_for(cfg, table, pair, n_levels, trunc, ctx, parity, **scan):
+def _levels_for(cfg, pair, n_levels, trunc, ctx, parity, **scan):
     if pair.parity_swapped():
         if not pair.p_symmetric:
             flagged = [p.index for p in pt_pairs(cfg.n_exponent) if p.p_symmetric]
@@ -196,16 +195,17 @@ def _levels_for(cfg, table, pair, n_levels, trunc, ctx, parity, **scan):
                 f"pair {pair.index} is parity-degenerate but not the p-symmetric "
                 f"pair; no quantization method applies to it{hint}"
             )
-        return quantize_p_symmetric(table, parity, n_levels, trunc, ctx, **scan)
-    return spectrum(table, pair, n_levels, trunc, ctx, **scan)
+        return quantize_p_symmetric(cfg.n_exponent, parity, n_levels, trunc, ctx, **scan)
+    return spectrum(pair, n_levels, trunc, ctx, **scan)
 
 
-def _resolve_level(cfg, args, table, pair, index, trunc, ctx):
+def _resolve_level(cfg, args, pair, ctx, trunc):
+    index = args.level
     if index < 0:
         raise ParameterError(f"level index must be >= 0, got {index}")
     # level lookup always scans at the default energy grid; --step on
     # sampling commands refers to their own output grid
-    return _levels_for(cfg, table, pair, index + 1, trunc, ctx, args.parity)[index]
+    return _levels_for(cfg, pair, index + 1, trunc, ctx, args.parity)[index]
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,8 @@ def _cmd_wedges(cfg: RunConfig, args) -> int:
 
 
 def _cmd_scan(cfg: RunConfig, args) -> int:
-    table, pair, ctx, trunc = _setup(cfg)
-    points = scan_im_c(table, pair, args.emin, args.emax, args.step, trunc, ctx)
+    pair, ctx, trunc = _setup(cfg)
+    points = scan_im_c(pair, args.emin, args.emax, args.step, trunc, ctx)
     rows = [
         {
             "E": _num(p.E, cfg.digits),
@@ -248,8 +248,8 @@ def _cmd_scan(cfg: RunConfig, args) -> int:
 
 
 def _cmd_spectrum(cfg: RunConfig, args) -> int:
-    table, pair, ctx, trunc = _setup(cfg)
-    health = health_check(table, trunc, args.health_emax, ctx)
+    pair, ctx, trunc = _setup(cfg)
+    health = health_check(cfg.n_exponent, trunc, args.health_emax, ctx)
     if not health.passed and not args.force:
         _emit_json(
             {
@@ -266,7 +266,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
         )
         return 1
     levels = _levels_for(
-        cfg, table, pair, args.levels, trunc, ctx, args.parity, e_max=args.emax, step=args.step
+        cfg, pair, args.levels, trunc, ctx, args.parity, e_max=args.emax, step=args.step
     )
     rows = [_level_json(lv, cfg) for lv in levels]
     doc = {"params": _params_dict(cfg), "health": _health_json(health), "levels": rows}
@@ -286,9 +286,8 @@ def _parse_region(raw: Optional[str]):
 
 
 def _cmd_nodes(cfg: RunConfig, args) -> int:
-    table, pair, ctx, trunc = _setup(cfg)
-    level = _resolve_level(cfg, args, table, pair, args.level, trunc, ctx)
-    nodeset = find_nodes(table, level, _parse_region(args.region), trunc=trunc, ctx=ctx)
+    level = _resolve_level(cfg, args, *_setup(cfg))
+    nodeset = find_nodes(level, _parse_region(args.region))
     points = {
         key: [{"re": _num(z.real, cfg.digits), "im": _num(z.imag, cfg.digits)} for z in zs]
         for key, zs in (
@@ -314,12 +313,12 @@ def _parse_moments(raw: str):
 
 
 def _cmd_expect(cfg: RunConfig, args) -> int:
-    table, pair, ctx, trunc = _setup(cfg)
+    pair, ctx, trunc = _setup(cfg)
     contour = build_contour(pair, args.lam, args.contour)
-    level = _resolve_level(cfg, args, table, pair, args.level, trunc, ctx)
+    level = _resolve_level(cfg, args, pair, ctx, trunc)
     moments = _parse_moments(args.moments)
-    results = [expectation(table, level, m, contour, trunc, ctx) for m in moments]
-    identities = identity_checks(table, [level], trunc, ctx, contour=contour).rows[0]
+    results = [expectation(level, m, contour) for m in moments]
+    identities = identity_checks([level], contour=contour).rows[0]
     rows = [
         {
             "m": r.m,
@@ -350,11 +349,8 @@ def _cmd_expect(cfg: RunConfig, args) -> int:
 
 
 def _cmd_wavefunction(cfg: RunConfig, args) -> int:
-    table, pair, ctx, trunc = _setup(cfg)
-    level = _resolve_level(cfg, args, table, pair, args.level, trunc, ctx)
-    samples = wavefunction_samples(
-        table, level, args.xmin, args.xmax, args.step, trunc, ctx
-    )
+    level = _resolve_level(cfg, args, *_setup(cfg))
+    samples = wavefunction_samples(level, args.xmin, args.xmax, args.step)
     rows = [
         {
             "x": _num(x, cfg.digits),
@@ -392,15 +388,14 @@ def _cmd_selfcheck(args) -> int:
             p1, _, p2, _ = eval_psi(table3, z, mp.mpf(e), ctx)
             q1, _, q2, _ = eval_psi(table3, -mp.conj(z), mp.mpf(e), ctx)
             worst_pt = max(worst_pt, abs(q1 - mp.conj(p1)), abs(q2 - mp.conj(p2)))
-        c_r = connection_coefficient(table3, pair3, mp.mpf("5.5"), trunc, ctx, "right")
-        c_l = connection_coefficient(table3, pair3, mp.mpf("5.5"), trunc, ctx, "left")
+        c_r = connection_coefficient(pair3, mp.mpf("5.5"), trunc, ctx, "right")
+        c_l = connection_coefficient(pair3, mp.mpf("5.5"), trunc, ctx, "left")
         worst_pt = max(worst_pt, abs(c_l - mp.conj(c_r)))
         checks.append(("pt_reflection", worst_pt < tol, f"max deviation = {_num(worst_pt, 3)}"))
 
-        table2 = build_tables(2, 60)
         worst_o = mp.mpf(0)
-        even = quantize_p_symmetric(table2, "even", 2, trunc, ctx)
-        odd = quantize_p_symmetric(table2, "odd", 2, trunc, ctx)
+        even = quantize_p_symmetric(2, "even", 2, trunc, ctx)
+        odd = quantize_p_symmetric(2, "odd", 2, trunc, ctx)
         for lv, ref in zip(even, (1, 5)):
             worst_o = max(worst_o, abs(lv.E - ref))
         for lv, ref in zip(odd, (3, 7)):
@@ -448,11 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ptspec",
         description="High-precision spectra of -psi'' - (iz)^N psi = E psi "
         "via truncated double power series.",
-    )
-    parser.add_argument(
-        "--selfcheck",
-        action="store_true",
-        help="run internal consistency checks and exit nonzero on failure",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -508,12 +498,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "selfcheck":
             return _cmd_selfcheck(args)
-        if args.selfcheck:
-            rc = _cmd_selfcheck(args)
-            if rc or args.command is None:
-                return rc
         if args.command is None:
-            parser.error("a subcommand is required (or use --selfcheck)")
+            parser.error("a subcommand is required")
         if args.digits is None:
             args.digits = _default_digits()
         cfg = _config(args)

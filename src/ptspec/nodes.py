@@ -24,8 +24,8 @@ import mpmath as mp
 from . import series
 from .errors import DivergenceError, ParameterError, RadiusError, WindingError
 from .precision import ComplexHP, PrecisionContext, as_fraction
-from .quantize import EnergyLevel, level_weights
-from .series import CoefficientTable, TruncationParams
+from .quantize import EnergyLevel, _level_poly
+from .wedges import angle_radians
 
 __all__ = ["NodeSet", "turning_points", "newton_zero", "find_nodes"]
 
@@ -58,10 +58,11 @@ class NodeSet:
         return len(self.axis_nodes) + len(self.arch_nodes)
 
 
-def turning_points(level: EnergyLevel, ctx: PrecisionContext):
+def turning_points(level: EnergyLevel):
     """Turning points (iz)**N = -E whose direction lies in the pair's
-    wedges, sorted by angle."""
+    wedges, sorted by angle, at the level's working precision."""
     n = level.pair.n_exponent
+    ctx = PrecisionContext(level.diagnostics.digits)
     with ctx.workdps():
         e_val = mp.mpf(level.E)
         if e_val == 0:
@@ -69,10 +70,7 @@ def turning_points(level: EnergyLevel, ctx: PrecisionContext):
         rho = abs(e_val) ** (mp.mpf(1) / n)
         phi = mp.pi if e_val > 0 else mp.mpf(0)
         half = mp.pi * mp.mpf(level.pair.half_width.numerator) / level.pair.half_width.denominator
-        centers = [
-            level.pair.theta_right_radians(ctx),
-            level.pair.theta_left_radians(ctx),
-        ]
+        centers = [angle_radians(t, ctx) for t in (level.pair.theta_right, level.pair.theta_left)]
         picked = []
         for k in range(n):
             z = -mp.mpc(0, 1) * rho * mp.exp(mp.mpc(0, 1) * (phi + 2 * mp.pi * k) / n)
@@ -90,29 +88,18 @@ def turning_points(level: EnergyLevel, ctx: PrecisionContext):
         return tuple(z for _, z in picked)
 
 
-def _level_poly(table: CoefficientTable, level: EnergyLevel, ctx: PrecisionContext):
-    alpha, beta = level_weights(level)
-    return series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
-
-
-def newton_zero(
-    table: CoefficientTable,
-    level: EnergyLevel,
-    z0,
-    tol,
-    trunc: TruncationParams,
-    ctx: PrecisionContext,
-    region: Optional[tuple] = None,
-) -> ComplexHP:
-    """Polish one seed to a zero of the eigenfunction polynomial.
+def newton_zero(level: EnergyLevel, z0, tol, region: Optional[tuple] = None) -> ComplexHP:
+    """Polish one seed to a zero of the eigenfunction polynomial, at the
+    level's working precision.
 
     Stops when the Newton step drops below tol*max(1, |z|).  Raises
-    RadiusError when an iterate leaves the validated disk (trunc's, but
-    no wider than the level's own) or the given region (re_min, re_max,
-    im_min, im_max), and DivergenceError after 100 steps.
+    RadiusError when an iterate leaves the level's validated disk or the
+    given region (re_min, re_max, im_min, im_max), and DivergenceError
+    after 100 steps.
     """
-    poly = _level_poly(table, level, ctx)
-    bound = min(trunc.radius, level.diagnostics.radius)
+    ctx = PrecisionContext(level.diagnostics.digits)
+    poly = _level_poly(level, ctx)
+    bound = level.diagnostics.radius
     with ctx.workdps():
         tol = mp.mpf(tol)
         if tol <= 0:
@@ -192,31 +179,24 @@ def _winding_counter(poly, ctx: PrecisionContext):
     return boundary, split, winding
 
 
-def _polish(table, level, box, region, tol, trunc, ctx) -> Optional[ComplexHP]:
+def _polish(level, box, region, tol, ctx) -> Optional[ComplexHP]:
     """Newton from the centre of box, given up outside region; None unless it ends in box."""
     centre = mp.mpc(ctx.mpf((box[0] + box[1]) / 2), ctx.mpf((box[2] + box[3]) / 2))
     try:
-        z = newton_zero(table, level, centre, tol, trunc, ctx, region)
+        z = newton_zero(level, centre, tol, region)
         if abs(z.real) < tol:  # on the PT symmetry line: iterates started on it stay on it
-            z = newton_zero(table, level, mp.mpc(0, z.imag), tol, trunc, ctx, region)
+            z = newton_zero(level, mp.mpc(0, z.imag), tol, region)
     except (RadiusError, DivergenceError):
         return None
     x0, x1, y0, y1 = (ctx.mpf(v) for v in box)
     return z if x0 <= z.real <= x1 and y0 <= z.imag <= y1 else None
 
 
-def find_nodes(
-    table: CoefficientTable,
-    level: EnergyLevel,
-    region: Optional[tuple] = None,
-    trunc: TruncationParams = None,
-    ctx: PrecisionContext = None,
-) -> NodeSet:
+def find_nodes(level: EnergyLevel, region: Optional[tuple] = None) -> NodeSet:
     """All eigenfunction zeros inside region = (re_min, re_max, im_min, im_max).
 
-    The region must lie in the validated disk of trunc, by default the
-    level's own truncation, and never wider than the level's radius
-    (RadiusError).  It defaults
+    The region must lie in the level's validated disk (RadiusError), and
+    the search runs at the level's working precision.  It defaults
     to the arch box |re| <= ext, -ext <= im <= 0, ext = 1.2*|E|**(1/N) to
     3 digits but at most radius/sqrt(2); for N=3 it holds as many zeros
     as the level index.  Boxes are split into four until each holds one
@@ -226,11 +206,8 @@ def find_nodes(
     axis (to 1e-10) are axis nodes, the rest arch nodes, sorted by im (to the
     Newton tolerance), then re.
     """
-    if ctx is None:
-        ctx = PrecisionContext()
-    if trunc is None:
-        trunc = TruncationParams(level.diagnostics.pmax, level.diagnostics.radius)
-    radius = min(trunc.radius, level.diagnostics.radius)
+    ctx = PrecisionContext(level.diagnostics.digits)
+    radius = level.diagnostics.radius
     if region is None:
         with ctx.workdps():
             scale = mp.mpf(12) / 10 * abs(mp.mpf(level.E)) ** (mp.mpf(1) / level.pair.n_exponent)
@@ -244,7 +221,7 @@ def find_nodes(
     if max(re_min**2, re_max**2) + max(im_min**2, im_max**2) > radius**2:
         raise RadiusError(f"region {region!r} leaves the validated disk |z| <= {radius}")
 
-    poly = _level_poly(table, level, ctx)
+    poly = _level_poly(level, ctx)
     with ctx.workdps():
         tol = ctx.tolerance()
         boundary, split, winding = _winding_counter(poly, ctx)
@@ -253,7 +230,7 @@ def find_nodes(
         found = []
         while todo:
             box, edges, count, depth = todo.pop()
-            if count == 1 and (z := _polish(table, level, box, root, tol, trunc, ctx)) is not None:
+            if count == 1 and (z := _polish(level, box, root, tol, ctx)) is not None:
                 found.append(z)
                 continue
             if depth == _SPLIT_CAP:
@@ -269,5 +246,5 @@ def find_nodes(
         found.sort(key=lambda z: (mp.nint(z.imag / tol), z.real))
         axis = tuple(z for z in found if abs(z.real) < _AXIS_TOL and z.imag > 0)
         arch = tuple(z for z in found if not (abs(z.real) < _AXIS_TOL and z.imag > 0))
-    turning = turning_points(level, ctx)
+    turning = turning_points(level)
     return NodeSet(level=level, axis_nodes=axis, arch_nodes=arch, turning_points=turning)

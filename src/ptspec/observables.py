@@ -45,8 +45,7 @@ from .precision import (
     RealHP,
     as_fraction,
 )
-from .quantize import EnergyLevel, level_weights
-from .series import CoefficientTable, TruncationParams
+from .quantize import EnergyLevel, _level_poly
 from .wedges import WedgePair, polar_point
 
 __all__ = [
@@ -110,24 +109,16 @@ def build_contour(pair: WedgePair, lam: Fractionable, style: str) -> Contour:
 
 
 @series.memo
-def _level_square(table: CoefficientTable, level: EnergyLevel, ctx: PrecisionContext):
+def _level_square(level: EnergyLevel, ctx: PrecisionContext):
     """The square of the level's space polynomial at ctx.dps, memoized."""
-    alpha, beta = level_weights(level)
-    poly = series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
-    return series.poly_square(poly)
+    return series.poly_square(_level_poly(level, ctx))
 
 
 @series.memo
-def _path_integral(
-    table: CoefficientTable,
-    level: EnergyLevel,
-    m: int,
-    contour: Contour,
-    ctx: PrecisionContext,
-):
+def _path_integral(level: EnergyLevel, m: int, contour: Contour, ctx: PrecisionContext):
     """series.moment_integral of the level's psi^2 z^m over the contour at
-    ctx.dps, memoized per (table, level, m, contour, ctx)."""
-    square = _level_square(table, level, ctx)
+    ctx.dps, memoized per (level, m, contour, ctx)."""
+    square = _level_square(level, ctx)
     with ctx.workdps():
         z0 = polar_point(*contour.vertices[0], ctx)
         z1 = polar_point(*contour.vertices[-1], ctx)
@@ -150,29 +141,23 @@ class ExpectationResult:
     est_error: RealHP
 
 
-def expectation(
-    table: CoefficientTable,
-    level: EnergyLevel,
-    m: int,
-    contour: Contour,
-    trunc: TruncationParams,
-    ctx: PrecisionContext,
-) -> ExpectationResult:
-    """<z^m> of a level over the given contour.
-
-    Raises RadiusError when the contour leaves the validated disk
-    (trunc's, but no wider than the level's own), and DegenerateNormError
-    when the norm integral lies inside its rounding bound at the working
+def expectation(level: EnergyLevel, m: int, contour: Contour) -> ExpectationResult:
+    """<z^m> of a level over the given contour, at the level's working
     precision.
+
+    Raises RadiusError when the contour leaves the level's validated
+    disk, and DegenerateNormError when the norm integral lies inside its
+    rounding bound at the working precision.
     """
     if not isinstance(m, int) or m < 0:
         raise ParameterError(f"moment order must be a non-negative integer, got {m!r}")
-    radius = min(trunc.radius, level.diagnostics.radius)
+    ctx = PrecisionContext(level.diagnostics.digits)
+    radius = level.diagnostics.radius
     if contour.max_radius() > radius:
         raise RadiusError(
             f"contour extends to {contour.max_radius()} beyond the validated radius {radius}"
         )
-    norm, norm_size = _path_integral(table, level, 0, contour, ctx)
+    norm, norm_size = _path_integral(level, 0, contour, ctx)
     with ctx.workdps():
         if abs(norm) <= norm_size * mp.mpf(10) ** -ctx.dps:
             raise DegenerateNormError(
@@ -180,8 +165,8 @@ def expectation(
                 f" bound at {ctx.dps} digits (it vanishes or needs more digits)"
             )
         raised = PrecisionContext(ctx.digits + int(mp.ceil(mp.log10(norm_size / abs(norm)))))
-    norm, norm_size = _path_integral(table, level, 0, contour, raised)
-    total, size = _path_integral(table, level, m, contour, raised)
+    norm, norm_size = _path_integral(level, 0, contour, raised)
+    total, size = _path_integral(level, m, contour, raised)
     with raised.workdps():
         value = total / norm
         est = (size + abs(value) * norm_size) / abs(norm) * mp.mpf(10) ** -raised.dps
@@ -212,68 +197,53 @@ class IdentityReport:
         )
 
 
-def default_contour(pair: WedgePair, trunc: TruncationParams) -> Contour:
-    """real_line with lambda = min(5, r) when the geometry allows it,
-    otherwise the wedge rays at the full validated radius."""
+def default_contour(level: EnergyLevel) -> Contour:
+    """real_line with lambda = min(5, r) on the level's pair when the
+    geometry allows it, otherwise the wedge rays at the full validated
+    radius r of the level."""
+    radius = level.diagnostics.radius
     try:
-        return build_contour(pair, min(Fraction(5), trunc.radius), "real_line")
+        return build_contour(level.pair, min(Fraction(5), radius), "real_line")
     except GeometryError:
-        return build_contour(pair, trunc.radius, "wedge_rays")
+        return build_contour(level.pair, radius, "wedge_rays")
 
 
-def identity_checks(
-    table: CoefficientTable,
-    levels,
-    trunc: TruncationParams,
-    ctx: PrecisionContext,
-    contour: Optional[Contour] = None,
-) -> IdentityReport:
+def identity_checks(levels, contour: Optional[Contour] = None) -> IdentityReport:
     """Model identities: <z^(N-1)> = 0 for every level (the PT form of
     Ehrenfest's theorem), and for N=3 the virial form <z^3> = -(2/5)iE."""
-    n_exp = table.n_exponent
     rows = []
-    with ctx.workdps():
-        eh_tol = mp.mpf(EHRENFEST_TOL)
-        vir_tol = mp.mpf(VIRIAL_TOL)
-        for level in levels:
-            path = contour or default_contour(level.pair, trunc)
-            eh = expectation(table, level, n_exp - 1, path, trunc, ctx)
-            eh_abs = abs(eh.value)
+    for level in levels:
+        n_exp = level.pair.n_exponent
+        with PrecisionContext(level.diagnostics.digits).workdps():
+            path = contour or default_contour(level)
+            eh_abs = abs(expectation(level, n_exp - 1, path).value)
+            vir_abs = vir_ok = None
             if n_exp == 3:
-                v3 = expectation(table, level, 3, path, trunc, ctx)
+                v3 = expectation(level, 3, path)
                 vir_abs = abs(v3.value + mp.mpc(0, 2) / 5 * mp.mpf(level.E))
-                vir_ok = bool(vir_abs < vir_tol)
-            else:
-                vir_abs = None
-                vir_ok = None
+                vir_ok = bool(vir_abs < mp.mpf(VIRIAL_TOL))
             rows.append(
-                IdentityRow(level.n, eh_abs, bool(eh_abs < eh_tol), vir_abs, vir_ok)
+                IdentityRow(level.n, eh_abs, bool(eh_abs < mp.mpf(EHRENFEST_TOL)), vir_abs, vir_ok)
             )
     return IdentityReport(tuple(rows))
 
 
 def wavefunction_samples(
-    table: CoefficientTable,
-    level: EnergyLevel,
-    x_min: Fractionable,
-    x_max: Fractionable,
-    step: Fractionable,
-    trunc: TruncationParams,
-    ctx: PrecisionContext,
+    level: EnergyLevel, x_min: Fractionable, x_max: Fractionable, step: Fractionable
 ):
-    """psi of a level sampled on an exact real grid, for plotting; the
-    window must lie in the validated disk (trunc's, but no wider than the
-    level's own)."""
+    """psi of a level sampled on an exact real grid at the level's
+    working precision, for plotting; the window must lie in the level's
+    validated disk."""
     x_min, x_max, step = as_fraction(x_min), as_fraction(x_max), as_fraction(step)
     if step <= 0:
         raise ParameterError(f"step must be positive, got {step}")
     if x_max <= x_min:
         raise ParameterError(f"empty sample window [{x_min}, {x_max}]")
-    radius = min(trunc.radius, level.diagnostics.radius)
+    radius = level.diagnostics.radius
     if max(abs(x_min), abs(x_max)) > radius:
         raise RadiusError(f"sample window leaves the validated disk |z| <= {radius}")
-    alpha, beta = level_weights(level)
-    poly = series.space_polynomial(table, level.E, alpha, beta, ctx, radius)
+    ctx = PrecisionContext(level.diagnostics.digits)
+    poly = _level_poly(level, ctx)
     out = []
     with ctx.workdps():
         n_steps = int((x_max - x_min) / step)

@@ -45,7 +45,7 @@ from .errors import (
     TruncationError,
 )
 from .precision import ComplexHP, Fractionable, PrecisionContext, RealHP, as_fraction
-from .series import CoefficientTable, TruncationParams
+from .series import TruncationParams
 from .wedges import WedgePair, polar_point, pt_pairs
 
 __all__ = [
@@ -125,12 +125,29 @@ def level_weights(level: EnergyLevel):
     return mp.mpf(1), level.c
 
 
+def _level_poly(level: EnergyLevel, ctx: PrecisionContext):
+    """The level's psi at ctx.dps as a space polynomial in w = iz, from
+    the table of its N and pmax and scaled for its validated disk."""
+    table = series.build_tables(level.pair.n_exponent, level.diagnostics.pmax)
+    alpha, beta = level_weights(level)
+    return series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
+
+
 def _z_probe(pair: WedgePair, which_side: str, radius: Fraction, ctx: PrecisionContext) -> ComplexHP:
     """r*exp(i*pi*theta) for the chosen wedge center."""
     if which_side not in ("right", "left"):
         raise ParameterError(f"which_side must be 'right' or 'left', got {which_side!r}")
     theta = pair.theta_right if which_side == "right" else pair.theta_left
     return polar_point(radius, theta, ctx)
+
+
+def _probe_polys(
+    pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, which_side: str = "right"
+):
+    """(psi1, psi2) as energy polynomials at the probe of radius
+    trunc.radius on the chosen wedge, from the table of (N, trunc.pmax)."""
+    table = series.build_tables(pair.n_exponent, trunc.pmax)
+    return series.energy_polynomials(table, _z_probe(pair, which_side, trunc.radius, ctx), ctx)
 
 
 def _rounded(num: int, den: int) -> RealHP:
@@ -153,7 +170,6 @@ def _c_from_polys(poly_a, poly_b, E, ctx: PrecisionContext) -> ComplexHP:
 
 
 def connection_coefficient(
-    table: CoefficientTable,
     pair: WedgePair,
     E,
     trunc: TruncationParams,
@@ -165,13 +181,11 @@ def connection_coefficient(
     For real E the left side gives the complex conjugate, so both sides
     share the same Im c zeros.
     """
-    z_star = _z_probe(pair, which_side, trunc.radius, ctx)
-    poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
+    poly_a, poly_b = _probe_polys(pair, trunc, ctx, which_side)
     return _c_from_polys(poly_a, poly_b, E, ctx)
 
 
 def scan_im_c(
-    table: CoefficientTable,
     pair: WedgePair,
     e_min: Fractionable,
     e_max: Fractionable,
@@ -191,9 +205,8 @@ def scan_im_c(
         raise ParameterError(f"step must be positive, got {step}")
     if e_max <= e_min:
         raise ParameterError(f"empty energy window [{e_min}, {e_max}]")
-    z_star = _z_probe(pair, "right", trunc.radius, ctx)
     den = math.lcm(e_min.denominator, step.denominator)
-    at, _ = series.grid_evaluator(series.energy_polynomials(table, z_star, ctx), den)
+    at, _ = series.grid_evaluator(_probe_polys(pair, trunc, ctx), den)
     t0, dt = int(e_min * den), int(step * den)
     guard = 100 ** (ctx.digits // 2)
     points = []
@@ -273,7 +286,7 @@ def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
 # radius r to a real f(E) whose sign changes are the zeros of D(E)
 
 
-def _reader(table: CoefficientTable, pair: WedgePair, ctx: PrecisionContext) -> Callable:
+def _reader(pair: WedgePair, pmax: int, ctx: PrecisionContext) -> Callable:
     """radius -> f, with f(E) a real multiple of the truncated spectral
     determinant D(E) = psi1(zR) psi2(zL) - psi1(zL) psi2(zR) at the
     probes of radius r.
@@ -289,8 +302,7 @@ def _reader(table: CoefficientTable, pair: WedgePair, ctx: PrecisionContext) -> 
     parity = pair.parity_swapped()
 
     def reader(radius: Fraction):
-        z_star = _z_probe(pair, "right", radius, ctx)
-        poly_a, poly_b = series.energy_polynomials(table, z_star, ctx)
+        poly_a, poly_b = _probe_polys(pair, TruncationParams(pmax, radius), ctx)
 
         def f(ev):
             p1 = series.eval_energy_poly(poly_a, ev)
@@ -335,7 +347,6 @@ def _diagnostics(trunc: TruncationParams, ctx: PrecisionContext, est) -> LevelDi
 
 
 def _scan_levels(
-    table: CoefficientTable,
     pair: WedgePair,
     refine: Callable,
     n_levels: int,
@@ -365,8 +376,7 @@ def _scan_levels(
         raise ParameterError(f"step must be positive, got {step}")
     direction = -1 if pair.theta_right == Fraction(1, 2) else 1
     parity = pair.parity_swapped()
-    z_star = _z_probe(pair, "right", trunc.radius, ctx)
-    at, unit = series.grid_evaluator(series.energy_polynomials(table, z_star, ctx), step.denominator)
+    at, unit = series.grid_evaluator(_probe_polys(pair, trunc, ctx), step.denominator)
     levels: list = []
     prev = None  # (k, reader value, Re psi1) at the last grid point where the reader is not zero
     with ctx.workdps():
@@ -395,7 +405,6 @@ def _scan_levels(
 
 
 def refine_root(
-    table: CoefficientTable,
     pair: WedgePair,
     bracket,
     tol,
@@ -418,13 +427,13 @@ def refine_root(
         tol = mp.mpf(tol)
         if tol <= 0:
             raise ParameterError("tol must be positive")
-        e_root, est = _root_and_estimate(_reader(table, pair, ctx), trunc.radius, bracket, tol, ends)
-        c_val = connection_coefficient(table, pair, e_root, trunc, ctx)
+        reader = _reader(pair, trunc.pmax, ctx)
+        e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
+        c_val = connection_coefficient(pair, e_root, trunc, ctx)
         return EnergyLevel(n, e_root, c_val.real, pair, _diagnostics(trunc, ctx, est))
 
 
 def spectrum(
-    table: CoefficientTable,
     pair: WedgePair,
     n_levels: int,
     trunc: TruncationParams,
@@ -444,13 +453,13 @@ def spectrum(
     tol = ctx.tolerance(5)
 
     def refine(bracket, ends, n, psi1_turns):
-        return refine_root(table, pair, bracket, tol, trunc, ctx, n, ends)
+        return refine_root(pair, bracket, tol, trunc, ctx, n, ends)
 
-    return _scan_levels(table, pair, refine, n_levels, trunc, ctx, step, e_max)
+    return _scan_levels(pair, refine, n_levels, trunc, ctx, step, e_max)
 
 
 def quantize_p_symmetric(
-    table: CoefficientTable,
+    n_exponent: int,
     parity: str,
     n_levels: int,
     trunc: TruncationParams,
@@ -471,11 +480,11 @@ def quantize_p_symmetric(
     """
     if parity not in ("even", "odd", "both"):
         raise ParameterError(f"parity must be 'even', 'odd' or 'both', got {parity!r}")
-    psym = [p for p in pt_pairs(table.n_exponent) if p.p_symmetric]
+    psym = [p for p in pt_pairs(n_exponent) if p.p_symmetric]
     if not psym:
-        raise ParameterError(f"N={table.n_exponent} has no p-symmetric pair (N must be even)")
+        raise ParameterError(f"N={n_exponent} has no p-symmetric pair (N must be even)")
     pair = psym[0]
-    reader = _reader(table, pair, ctx)
+    reader = _reader(pair, trunc.pmax, ctx)
     tol = ctx.tolerance(5)
 
     def refine(bracket, ends, n, psi1_turns):
@@ -485,7 +494,7 @@ def quantize_p_symmetric(
         e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
         return EnergyLevel(n, e_root, None, pair, _diagnostics(trunc, ctx, est), tag)
 
-    return _scan_levels(table, pair, refine, n_levels, trunc, ctx, step, e_max)
+    return _scan_levels(pair, refine, n_levels, trunc, ctx, step, e_max)
 
 
 @dataclass(frozen=True)
@@ -518,34 +527,34 @@ class HealthReport:
 
 
 def health_check(
-    table: CoefficientTable,
+    n_exponent: int,
     trunc: TruncationParams,
     e_max: Fractionable,
     ctx: PrecisionContext,
 ) -> HealthReport:
-    """Diagnose whether (pmax, radius) is trustworthy up to E = e_max.
+    """Diagnose whether (pmax, radius) is trustworthy for N up to E = e_max.
 
     For every wedge angle the largest boundary term (p + q = pmax) must
     be negligible against the partial sum, and c(r) must agree with
     c(0.9r).  Purely diagnostic: never raises on bad health.
     """
     cap = as_fraction(e_max)
-    pairs = pt_pairs(table.n_exponent)
+    table = series.build_tables(n_exponent, trunc.pmax)
     tail_threshold = mp.mpf(10) ** TAIL_THRESHOLD_EXPONENT
     c_threshold = mp.mpf(10) ** (-(ctx.digits // 4))
     entries = []
     with ctx.workdps():
         ev = ctx.mpf(cap)
         inner = TruncationParams(trunc.pmax, trunc.radius * _INNER_RADIUS)
-        for pair in pairs:
+        for pair in pt_pairs(n_exponent):
             # the left probe, -conj z (PT pair) or -z (parity pair), gives the
             # same ratio: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even
             tail = series.tail_ratio(table, _z_probe(pair, "right", trunc.radius, ctx), ev, ctx)
             c_disc = mp.inf
             for probe in (ev, ev * mp.mpf(97) / 96):
                 try:
-                    c_out = connection_coefficient(table, pair, probe, trunc, ctx)
-                    c_in = connection_coefficient(table, pair, probe, inner, ctx)
+                    c_out = connection_coefficient(pair, probe, trunc, ctx)
+                    c_in = connection_coefficient(pair, probe, inner, ctx)
                     c_disc = abs(c_out - c_in)
                     break
                 except PoleError:
@@ -563,7 +572,7 @@ def health_check(
             )
     entries = tuple(entries)
     return HealthReport(
-        n_exponent=table.n_exponent,
+        n_exponent=n_exponent,
         pmax=trunc.pmax,
         radius=trunc.radius,
         e_max=cap,

@@ -94,12 +94,6 @@ class WedgePair:
     half_width: Fraction
     p_symmetric: bool
 
-    def theta_right_radians(self, ctx: PrecisionContext) -> RealHP:
-        return angle_radians(self.theta_right, ctx)
-
-    def theta_left_radians(self, ctx: PrecisionContext) -> RealHP:
-        return angle_radians(self.theta_left, ctx)
-
     def parity_swapped(self) -> bool:
         """True when the two members are parity images (theta +- pi)."""
         return reduce_angle(self.theta_right + 1) == self.theta_left

@@ -81,16 +81,14 @@ def pair3():
 
 
 @pytest.fixture(scope="session")
-def levels3(table3, pair3, trunc8, ctx40):
-    return spectrum(table3, pair3, 5, trunc8, ctx40)
+def levels3(pair3, trunc8, ctx40):
+    return spectrum(pair3, 5, trunc8, ctx40)
 
 
 @pytest.fixture(scope="session")
-def nodesets3(table3, levels3, trunc8, ctx40):
+def nodesets3(levels3):
     # default region: the arch box below the real axis
-    return {
-        n: find_nodes(table3, levels3[n], trunc=trunc8, ctx=ctx40) for n in range(4)
-    }
+    return {n: find_nodes(levels3[n]) for n in range(4)}
 
 
 @pytest.fixture(scope="session")
@@ -99,9 +97,9 @@ def contour3(pair3):
 
 
 @pytest.fixture(scope="session")
-def moments3(table3, levels3, contour3, trunc8, ctx40):
+def moments3(levels3, contour3):
     out = {}
     for n in range(4):
         for m in range(5):
-            out[(m, n)] = expectation(table3, levels3[n], m, contour3, trunc8, ctx40)
+            out[(m, n)] = expectation(levels3[n], m, contour3)
     return out

@@ -19,7 +19,6 @@ from conftest import ACCEPTANCE_LINES, cli_env
 from ptspec import (
     TruncationParams,
     build_contour,
-    build_tables,
     eval_psi,
     expectation,
     pt_pairs,
@@ -108,10 +107,9 @@ def test_acceptance_1_reference_spectrum(levels3, ctx40):
     assert ok, detail
 
 
-def test_acceptance_2_truncation_robustness(table3, pair3, levels3, trunc8, ctx40):
-    alt_r = spectrum(table3, pair3, 4, TruncationParams(100, Fraction(7)), ctx40)
-    t150 = build_tables(3, 150)
-    alt_p = spectrum(t150, pair3, 4, TruncationParams(150, Fraction(8)), ctx40)
+def test_acceptance_2_truncation_robustness(pair3, levels3, ctx40):
+    alt_r = spectrum(pair3, 4, TruncationParams(100, Fraction(7)), ctx40)
+    alt_p = spectrum(pair3, 4, TruncationParams(150, Fraction(8)), ctx40)
     worst = mp.mpf(0)
     with ctx40.workdps():
         for n in range(4):
@@ -185,13 +183,13 @@ def test_acceptance_5_virial(moments3, levels3, ctx40):
     assert ok, detail
 
 
-def test_acceptance_6_n7_multi_spectrum(table7, ctx40):
+def test_acceptance_6_n7_multi_spectrum(ctx40):
     trunc = TruncationParams(100, Fraction(3))
     bad = []
     e3 = []
     with ctx40.workdps():
         for i, pair in enumerate(pt_pairs(7)):
-            levels = spectrum(table7, pair, 4, trunc, ctx40)
+            levels = spectrum(pair, 4, trunc, ctx40)
             if abs(levels[0].E - mp.mpf(REF_N7_E0[i])) > sig_unit(REF_N7_E0[i], 4):
                 bad.append(f"pair {i} E0 = {mp.nstr(levels[0].E, 8)}")
             if abs(levels[3].E - mp.mpf(REF_N7_E3[i])) > sig_unit(REF_N7_E3[i], 5):
@@ -217,10 +215,10 @@ def test_acceptance_6_n7_multi_spectrum(table7, ctx40):
     assert ok, detail
 
 
-def test_acceptance_7_n2_oracle(table2, trunc8, ctx40):
+def test_acceptance_7_n2_oracle(trunc8, ctx40):
     with ctx40.workdps():
-        even = quantize_p_symmetric(table2, "even", 3, trunc8, ctx40)
-        odd = quantize_p_symmetric(table2, "odd", 2, trunc8, ctx40)
+        even = quantize_p_symmetric(2, "even", 3, trunc8, ctx40)
+        odd = quantize_p_symmetric(2, "odd", 2, trunc8, ctx40)
         worst = mp.mpf(0)
         for lv, want in zip(even, (1, 5, 9)):
             worst = max(worst, abs(lv.E - want))
@@ -232,7 +230,7 @@ def test_acceptance_7_n2_oracle(table2, trunc8, ctx40):
     assert ok, detail
 
 
-def test_acceptance_8_property_suites(table3, pair3, levels3, moments3, trunc8, ctx40):
+def test_acceptance_8_property_suites(table3, pair3, levels3, moments3, ctx40):
     bad = []
     # exact recursion identity on every stored coefficient
     a, b = oracles.fraction_tables(table3)
@@ -288,7 +286,7 @@ def test_acceptance_8_property_suites(table3, pair3, levels3, moments3, trunc8, 
         rays = build_contour(pair3, Fraction(5), "wedge_rays")
         worst_c = mp.mpf(0)
         for m in (1, 4):
-            alt = expectation(table3, levels3[0], m, rays, trunc8, ctx40)
+            alt = expectation(levels3[0], m, rays)
             worst_c = max(worst_c, abs(alt.value - moments3[(m, 0)].value))
         if worst_c >= mp.mpf("1e-10"):
             bad.append(f"contour dependence {mp.nstr(worst_c, 2)}")
@@ -305,9 +303,9 @@ def test_acceptance_8_property_suites(table3, pair3, levels3, moments3, trunc8, 
     assert ok, detail
 
 
-def test_acceptance_9_shooting_oracle(table3, pair3, trunc8, ctx40):
+def test_acceptance_9_shooting_oracle(pair3, trunc8, ctx40):
     # independent float integration must confirm every reported level
-    levels = spectrum(table3, pair3, 8, trunc8, ctx40)
+    levels = spectrum(pair3, 8, trunc8, ctx40)
     theta = float(pair3.theta_right) * 3.141592653589793
     worst = 0.0
     with ctx40.workdps():

@@ -282,12 +282,6 @@ def test_selfcheck_subprocess():
     assert proc.stdout.count(": ok") == 3
 
 
-def test_selfcheck_flag_before_command(capsys):
-    rc, out, err = run(["--selfcheck"], capsys)
-    assert rc == 0
-    assert "wronskian: ok" in out
-
-
 # --- argument and environment handling -------------------------------------
 
 

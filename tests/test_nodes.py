@@ -19,6 +19,7 @@ from ptspec import (
     newton_zero,
     nodes,
     pt_pairs,
+    series,
     spectrum,
     turning_points,
     wavefunction_samples,
@@ -85,14 +86,9 @@ def test_nodes_are_zeros(table3, levels3, nodesets3, trunc8, ctx40):
                 assert abs(poly_psi(poly, z)) < mp.mpf("1e-35")
 
 
-def test_axis_string_above_turning_point(table3, levels3, trunc8, ctx40):
-    found = find_nodes(
-        table3,
-        levels3[1],
-        region=(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(3)),
-        trunc=trunc8,
-        ctx=ctx40,
-    )
+def test_axis_string_above_turning_point(levels3, ctx40):
+    region = (Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(3))
+    found = find_nodes(levels3[1], region=region)
     assert found.arch_nodes == ()
     with ctx40.workdps():
         (z,) = found.axis_nodes
@@ -105,7 +101,7 @@ def test_axis_string_above_turning_point(table3, levels3, trunc8, ctx40):
 def test_turning_points_in_wedges(levels3, ctx40):
     with ctx40.workdps():
         for n in range(4):
-            pts = turning_points(levels3[n], ctx40)
+            pts = turning_points(levels3[n])
             assert len(pts) == 2  # the +i E^{1/3} point lies outside the pair
             rho = mp.mpf(levels3[n].E) ** (mp.mpf(1) / 3)
             left, right = pts
@@ -116,64 +112,82 @@ def test_turning_points_in_wedges(levels3, ctx40):
                 assert abs((mp.mpc(0, 1) * z) ** 3 + levels3[n].E) < mp.mpf("1e-33")
 
 
-def test_newton_polish_from_nearby_seed(table3, levels3, trunc8, ctx40):
+def test_newton_polish_from_nearby_seed(levels3, ctx40):
     with ctx40.workdps():
-        z = newton_zero(
-            table3, levels3[1], mp.mpc("0.05", "-0.6"), ctx40.tolerance(), trunc8, ctx40
-        )
+        z = newton_zero(levels3[1], mp.mpc("0.05", "-0.6"), ctx40.tolerance())
         assert abs(z - mp.mpc(0, mp.mpf(ARCH_N1))) < mp.mpf("1e-35")
 
 
-def test_newton_rejects_outside_disk(table3, levels3, trunc8, ctx40):
+def test_newton_rejects_outside_disk(levels3, ctx40):
     with pytest.raises(RadiusError):
-        newton_zero(table3, levels3[1], mp.mpc(9, -3), ctx40.tolerance(), trunc8, ctx40)
+        newton_zero(levels3[1], mp.mpc(9, -3), ctx40.tolerance())
     # the zero at -0.661i lies below the given region
     region = (-1, 1, Fraction(-1, 2), 0)
     with pytest.raises(RadiusError, match="left the region"):
-        newton_zero(
-            table3, levels3[1], mp.mpc("0.05", "-0.45"), ctx40.tolerance(), trunc8, ctx40, region
-        )
+        newton_zero(levels3[1], mp.mpc("0.05", "-0.45"), ctx40.tolerance(), region)
 
 
-def test_newton_rejects_bad_tol(table3, levels3, trunc8, ctx40):
+def test_newton_rejects_bad_tol(levels3):
     with pytest.raises(ParameterError):
-        newton_zero(table3, levels3[1], mp.mpc(0, -1), 0, trunc8, ctx40)
+        newton_zero(levels3[1], mp.mpc(0, -1), 0)
 
 
-def test_find_nodes_validation(table3, levels3, trunc8, ctx40):
+def test_find_nodes_validation(levels3):
     with pytest.raises(ParameterError):
-        find_nodes(table3, levels3[0], region=(1, 1, 0, 1), trunc=trunc8, ctx=ctx40)
+        find_nodes(levels3[0], region=(1, 1, 0, 1))
     with pytest.raises(RadiusError):
         # the corner (6, -6) lies at |z| = 8.49 > 8
-        find_nodes(table3, levels3[0], region=(-6, 6, -6, 0), trunc=trunc8, ctx=ctx40)
+        find_nodes(levels3[0], region=(-6, 6, -6, 0))
+
+
+def _level_at_radius_3():
+    """Level 1 of N=7, pair 1, refined at r = 3 (pmax 50, 20 digits)."""
+    return spectrum(pt_pairs(7)[1], 2, TruncationParams(50, Fraction(3)), PrecisionContext(20))[1]
 
 
 def test_find_nodes_defaults_to_the_levels_truncation():
-    # without trunc the validated disk is the level's own, r = 3 here, not
-    # radius 8: the corner (2.9, -1.5) at |z| = 3.26 is refused rather than
-    # the series being evaluated beyond the radius it was refined at
-    ctx = PrecisionContext(20)
-    table = build_tables(7, 50)
-    level = spectrum(table, pt_pairs(7)[1], 2, TruncationParams(50, Fraction(3)), ctx)[1]
+    # the validated disk is the level's own, r = 3 here, not radius 8: the
+    # corner (2.9, -1.5) at |z| = 3.26 is refused rather than the series
+    # being evaluated beyond the radius it was refined at
     region = (Fraction(5, 2), Fraction(29, 10), Fraction(-3, 2), Fraction(-1, 2))
-    with pytest.raises(RadiusError):
-        find_nodes(table, level, region=region, ctx=ctx)
+    with pytest.raises(RadiusError, match=r"\|z\| <= 3$"):
+        find_nodes(_level_at_radius_3(), region=region)
 
 
 def test_explicit_trunc_stays_in_the_levels_disk():
-    # a trunc wider than the radius the level was refined at (r = 3) does
-    # not widen the validated disk of nodes, moments or samples
-    ctx = PrecisionContext(20)
-    table = build_tables(7, 50)
-    level = spectrum(table, pt_pairs(7)[1], 2, TruncationParams(50, Fraction(3)), ctx)[1]
-    wide = TruncationParams(50, Fraction(8))
+    # nodes, moments and samples of a level refined at r = 3 stay in that
+    # disk, though each request lies inside the default radius 8
+    level = _level_at_radius_3()
     region = (Fraction(5, 2), Fraction(29, 10), Fraction(-3, 2), Fraction(-1, 2))
     with pytest.raises(RadiusError):
-        find_nodes(table, level, region=region, trunc=wide, ctx=ctx)
-    with pytest.raises(RadiusError):
-        expectation(table, level, 0, build_contour(level.pair, 4, "wedge_rays"), wide, ctx)
-    with pytest.raises(RadiusError):
-        wavefunction_samples(table, level, -4, 4, Fraction(1, 2), wide, ctx)
+        find_nodes(level, region=region)
+    with pytest.raises(RadiusError, match="validated radius 3$"):
+        expectation(level, 0, build_contour(level.pair, 4, "wedge_rays"))
+    with pytest.raises(RadiusError, match=r"\|z\| <= 3$"):
+        wavefunction_samples(level, -4, 4, Fraction(1, 2))
+
+
+def test_every_stage_reads_the_table_of_the_levels_truncation(monkeypatch):
+    # after quantization the level is the only handle: the energy and space
+    # collapses under spectrum, nodes, moments and samples all read the
+    # table of the level's N and pmax
+    tables = []
+
+    def recording(stage):
+        def recorded(table, *args):
+            tables.append((stage.__name__, table))
+            return stage(table, *args)
+
+        return recorded
+
+    for name in ("energy_polynomials", "space_polynomial"):
+        monkeypatch.setattr(series, name, recording(getattr(series, name)))
+    level = spectrum(pt_pairs(3)[0], 2, TruncationParams(40, Fraction(8)), PrecisionContext(20))[1]
+    find_nodes(level)
+    expectation(level, 2, build_contour(level.pair, 4, "real_line"))
+    wavefunction_samples(level, -1, 1, Fraction(1, 2))
+    assert {name for name, _ in tables} == {"energy_polynomials", "space_polynomial"}
+    assert all(table is build_tables(3, 40) for _, table in tables)
 
 
 def test_default_box_finds_zeros_near_its_edge():
@@ -181,10 +195,8 @@ def test_default_box_finds_zeros_near_its_edge():
     # bottom edge of the default box (im = -1.80); pmax 50 places them to
     # 1e-20 at r = 3, as pmax 100 does, in half the time
     ctx = PrecisionContext(20)
-    trunc = TruncationParams(50, Fraction(3))
-    table = build_tables(7, 50)
-    level = spectrum(table, pt_pairs(7)[1], 4, trunc, ctx)[3]
-    found = find_nodes(table, level, trunc=trunc, ctx=ctx)
+    level = spectrum(pt_pairs(7)[1], 4, TruncationParams(50, Fraction(3)), ctx)[3]
+    found = find_nodes(level)
     assert found.count() == 5 and found.axis_nodes == ()
     with ctx.workdps():
         for re in ("0.73929744566515791549", "-0.73929744566515791549"):
@@ -204,7 +216,7 @@ def _planted(zeros, ctx):
         return tuple(coeffs)
 
 
-def test_winding_isolates_planted_zeros(monkeypatch, table3, levels3, trunc8, ctx40):
+def test_winding_isolates_planted_zeros(monkeypatch, levels3, ctx40):
     # two zeros 0.01 apart inside one 0.05 cell, and one 0.005 inside
     # the bottom edge of the region
     with ctx40.workdps():
@@ -212,8 +224,8 @@ def test_winding_isolates_planted_zeros(monkeypatch, table3, levels3, trunc8, ct
         poly = _planted(zeros, ctx40)
         for z in zeros:
             assert abs(poly_psi(poly, z)) < mp.mpf("1e-45")
-    monkeypatch.setattr(nodes, "_level_poly", lambda table, level, ctx: poly)
-    found = find_nodes(table3, levels3[0], region=(-1, 1, -1, 1), trunc=trunc8, ctx=ctx40)
+    monkeypatch.setattr(nodes, "_level_poly", lambda level, ctx: poly)
+    found = find_nodes(levels3[0], region=(-1, 1, -1, 1))
     assert found.count() == 3
     with ctx40.workdps():
         for z in zeros:
@@ -221,32 +233,32 @@ def test_winding_isolates_planted_zeros(monkeypatch, table3, levels3, trunc8, ct
 
     # a zero exactly on the bottom edge
     on_edge = _planted(zeros[:2] + [mp.mpc("-0.4", "-1")], ctx40)
-    monkeypatch.setattr(nodes, "_level_poly", lambda table, level, ctx: on_edge)
+    monkeypatch.setattr(nodes, "_level_poly", lambda level, ctx: on_edge)
     with pytest.raises(WindingError):
-        find_nodes(table3, levels3[0], region=(-1, 1, -1, 1), trunc=trunc8, ctx=ctx40)
+        find_nodes(levels3[0], region=(-1, 1, -1, 1))
 
 
-def test_mirror_pair_order_ignores_rounding_noise(monkeypatch, table3, levels3, trunc8, ctx40):
+def test_mirror_pair_order_ignores_rounding_noise(monkeypatch, levels3, ctx40):
     # the two members of a PT mirror pair share im up to rounding noise;
     # they come out ordered by re whichever member the noise puts lower
     for noise in ("1e-50", "-1e-50"):
         with ctx40.workdps():
             shift = mp.mpc(0, noise)
             poly = _planted([mp.mpc("0.5", "-0.4") + shift, mp.mpc("-0.5", "-0.4") - shift], ctx40)
-        monkeypatch.setattr(nodes, "_level_poly", lambda table, level, ctx: poly)
-        found = find_nodes(table3, levels3[0], region=(-1, 1, -1, 1), trunc=trunc8, ctx=ctx40)
+        monkeypatch.setattr(nodes, "_level_poly", lambda level, ctx: poly)
+        found = find_nodes(levels3[0], region=(-1, 1, -1, 1))
         assert [mp.sign(z.real) for z in found.arch_nodes] == [-1, 1], noise
         with ctx40.workdps():
             assert found.arch_nodes[0].imag != found.arch_nodes[1].imag
 
 
 @pytest.mark.parametrize("n, cap", [(2, 320), (7, 1200)])
-def test_box_splits_reuse_edge_samples(monkeypatch, table3, trunc8, ctx40, n, cap):
+def test_box_splits_reuse_edge_samples(monkeypatch, trunc8, ctx40, n, cap):
     # every point is evaluated once, and a split samples only its two cross
     # lines and its cut points, since the quarters' outer edges are slices
     # of the parent's edges; sampling each quarter's outer half-edges afresh
     # costs 902 and 3,440 evaluations
-    level = spectrum(table3, pt_pairs(3)[0], n + 1, trunc8, ctx40)[n]
+    level = spectrum(pt_pairs(3)[0], n + 1, trunc8, ctx40)[n]
     points = []
 
     def counted(poly, z):
@@ -254,20 +266,20 @@ def test_box_splits_reuse_edge_samples(monkeypatch, table3, trunc8, ctx40, n, ca
         return poly_psi(poly, z)
 
     monkeypatch.setattr(nodes.series, "poly_psi", counted)
-    found = find_nodes(table3, level, trunc=trunc8, ctx=ctx40)
+    found = find_nodes(level)
     assert found.count() == n
     assert len(points) <= cap
     assert len(set(points)) == len(points)
 
 
-def test_planted_zeros_at_the_cut(monkeypatch, table3, levels3, trunc8, ctx40):
+def test_planted_zeros_at_the_cut(monkeypatch, levels3, ctx40):
     # region (-1, 1, -1, 1) is first split at x = y = 2/37; a second zero
     # in another quarter makes the root box split
     def nodes_of(zero):
         zeros = [zero, mp.mpc("-0.5", "-0.5")]
         poly = _planted(zeros, ctx40)
-        monkeypatch.setattr(nodes, "_level_poly", lambda table, level, ctx: poly)
-        found = find_nodes(table3, levels3[0], region=(-1, 1, -1, 1), trunc=trunc8, ctx=ctx40)
+        monkeypatch.setattr(nodes, "_level_poly", lambda level, ctx: poly)
+        found = find_nodes(levels3[0], region=(-1, 1, -1, 1))
         assert found.count() == 2
         for z in zeros:
             assert any(abs(z - w) < mp.mpf("1e-38") for w in found.arch_nodes + found.axis_nodes)

@@ -92,14 +92,14 @@ def test_against_adaptive_quadrature(table3, levels3, moments3, trunc8, ctx40):
             assert abs(moments3[(m, n)].value - want) < mp.mpf("1e-15")
 
 
-def test_contour_independence(table3, levels3, pair3, moments3, trunc8, ctx40):
+def test_contour_independence(levels3, pair3, moments3, ctx40):
     rays = build_contour(pair3, Fraction(5), "wedge_rays")
     with ctx40.workdps():
         for m in (1, 4):
-            alt = expectation(table3, levels3[0], m, rays, trunc8, ctx40)
+            alt = expectation(levels3[0], m, rays)
             assert abs(alt.value - moments3[(m, 0)].value) < mp.mpf("1e-10")
         # excited levels decay more slowly, so the endpoint mismatch grows
-        alt = expectation(table3, levels3[3], 4, rays, trunc8, ctx40)
+        alt = expectation(levels3[3], 4, rays)
         assert abs(alt.value - moments3[(4, 3)].value) < mp.mpf("1e-7")
 
 
@@ -110,8 +110,8 @@ def test_est_error_is_quadrature_sized(moments3, ctx40):
             assert res.est_error < mp.mpf("1e-28")
 
 
-def test_identity_checks_pass(table3, levels3, trunc8, ctx40):
-    report = identity_checks(table3, levels3[:4], trunc8, ctx40)
+def test_identity_checks_pass(levels3, ctx40):
+    report = identity_checks(levels3[:4])
     assert report.passed
     with ctx40.workdps():
         for n, row in enumerate(report.rows):
@@ -120,12 +120,12 @@ def test_identity_checks_pass(table3, levels3, trunc8, ctx40):
             assert row.virial_ok and row.virial_abs < mp.mpf("1e-8")
 
 
-def test_identity_checks_other_power(table2, trunc8, ctx40):
+def test_identity_checks_other_power(trunc8, ctx40):
     # no virial column away from the cubic case
     from ptspec import quantize_p_symmetric
 
-    levels = quantize_p_symmetric(table2, "even", 1, trunc8, ctx40)
-    report = identity_checks(table2, levels, trunc8, ctx40)
+    levels = quantize_p_symmetric(2, "even", 1, trunc8, ctx40)
+    report = identity_checks(levels)
     assert report.passed
     assert report.rows[0].virial_abs is None
     assert report.rows[0].virial_ok is None
@@ -150,41 +150,42 @@ def test_degenerate_norm_detected(table3, levels3, contour3, trunc8, ctx40):
         beta = (-b + mp.sqrt(b * b - a * c)) / c
         bad = dataclasses.replace(levels3[0], c=beta)
     with pytest.raises(DegenerateNormError):
-        expectation(table3, bad, 0, contour3, trunc8, ctx40)
+        expectation(bad, 0, contour3)
 
 
-def test_radius_guard(table3, levels3, pair3, trunc8, ctx40):
+def test_radius_guard(levels3, pair3):
     wide = build_contour(pair3, 9, "real_line")
     with pytest.raises(RadiusError):
-        expectation(table3, levels3[0], 0, wide, trunc8, ctx40)
+        expectation(levels3[0], 0, wide)
     with pytest.raises(RadiusError):
-        wavefunction_samples(table3, levels3[0], -9, 2, Fraction(1, 4), trunc8, ctx40)
+        wavefunction_samples(levels3[0], -9, 2, Fraction(1, 4))
 
 
-def test_parameter_validation(table3, levels3, pair3, contour3, trunc8, ctx40):
+def test_parameter_validation(levels3, pair3, contour3):
     with pytest.raises(ParameterError):
-        expectation(table3, levels3[0], -1, contour3, trunc8, ctx40)
+        expectation(levels3[0], -1, contour3)
     with pytest.raises(ParameterError):
-        expectation(table3, levels3[0], 1.5, contour3, trunc8, ctx40)
+        expectation(levels3[0], 1.5, contour3)
     with pytest.raises(ParameterError):
         build_contour(pair3, 0, "real_line")
     with pytest.raises(ParameterError):
         build_contour(pair3, 5, "arc")
 
 
-def test_real_line_needs_straddling_pair(table4):
+def test_real_line_needs_straddling_pair():
     # wedge boundaries exclude the axis directions
     with pytest.raises(GeometryError):
         build_contour(pt_pairs(4)[1], 5, "real_line")
 
 
-def test_default_contour_styles(pair3, trunc8):
-    path = default_contour(pair3, trunc8)
+def test_default_contour_styles(levels3):
+    path = default_contour(levels3[0])
     assert path.style == "real_line"
     assert path.lam == 5
-    fallback = default_contour(pt_pairs(4)[1], trunc8)
+    # only the pair and the radius of the level matter
+    fallback = default_contour(dataclasses.replace(levels3[0], pair=pt_pairs(4)[1]))
     assert fallback.style == "wedge_rays"
-    assert fallback.lam == trunc8.radius
+    assert fallback.lam == levels3[0].diagnostics.radius == 8
 
 
 def test_contour_geometry(pair3, contour3):
@@ -198,10 +199,8 @@ def test_contour_geometry(pair3, contour3):
     assert rays.vertices[2][1] == pair3.theta_right
 
 
-def test_wavefunction_samples_grid(table3, levels3, trunc8, ctx40):
-    pts = wavefunction_samples(
-        table3, levels3[0], -2, 2, Fraction(1, 4), trunc8, ctx40
-    )
+def test_wavefunction_samples_grid(levels3, ctx40):
+    pts = wavefunction_samples(levels3[0], -2, 2, Fraction(1, 4))
     assert len(pts) == 17
     with ctx40.workdps():
         for j, (x, _) in enumerate(pts):
@@ -212,11 +211,11 @@ def test_wavefunction_samples_grid(table3, levels3, trunc8, ctx40):
             assert abs(vals[-x] - mp.conj(psi)) < mp.mpf("1e-35")
 
 
-def test_wavefunction_samples_validation(table3, levels3, trunc8, ctx40):
+def test_wavefunction_samples_validation(levels3):
     with pytest.raises(ParameterError):
-        wavefunction_samples(table3, levels3[0], -2, 2, 0, trunc8, ctx40)
+        wavefunction_samples(levels3[0], -2, 2, 0)
     with pytest.raises(ParameterError):
-        wavefunction_samples(table3, levels3[0], 2, -2, Fraction(1, 4), trunc8, ctx40)
+        wavefunction_samples(levels3[0], 2, -2, Fraction(1, 4))
 
 
 def test_weights_used_by_contour(levels3):
@@ -225,7 +224,7 @@ def test_weights_used_by_contour(levels3):
     assert beta is levels3[0].c
 
 
-def test_n2_closed_form_moments(table2, trunc8, ctx40):
+def test_n2_closed_form_moments(trunc8, ctx40):
     # N=2 is the harmonic oscillator -psi'' + z^2 psi = E psi: E_n = 2n+1,
     # psi_n = H_n(z) e^(-z^2/2), so <z^2>_n = E_n/2 = n + 1/2 (virial
     # theorem) and <z^4>_0 = 3/4.  The contour [-lam, lam] leaves out the
@@ -237,7 +236,7 @@ def test_n2_closed_form_moments(table2, trunc8, ctx40):
     # twice the tail, which also covers the next order of its expansion.
     from ptspec import quantize_p_symmetric
 
-    levels = quantize_p_symmetric(table2, "both", 4, trunc8, ctx40)
+    levels = quantize_p_symmetric(2, "both", 4, trunc8, ctx40)
     lam = 7
     path = build_contour(levels[0].pair, lam, "real_line")
     with ctx40.workdps():
@@ -249,9 +248,9 @@ def test_n2_closed_form_moments(table2, trunc8, ctx40):
             )
 
         for n in range(4):
-            res = expectation(table2, levels[n], 2, path, trunc8, ctx40)
+            res = expectation(levels[n], 2, path)
             assert abs(res.value - (n + mp.mpf(1) / 2)) < 2 * tail(n, 2), n
-        res = expectation(table2, levels[0], 4, path, trunc8, ctx40)
+        res = expectation(levels[0], 4, path)
         assert abs(res.value - mp.mpf(3) / 4) < 2 * tail(0, 4)
 
 

@@ -13,7 +13,6 @@ from ptspec import (
     PrecisionContext,
     TruncationError,
     TruncationParams,
-    build_tables,
     connection_coefficient,
     health_check,
     level_weights,
@@ -73,24 +72,23 @@ def test_c_approaches_minus_sqrt_e(levels3, ctx40):
         assert dev[3] < dev[0]
 
 
-def test_radius_and_truncation_stability(table3, pair3, levels3, ctx40):
+def test_radius_and_truncation_stability(pair3, levels3, ctx40):
     # the same roots from r=7 and from P=150 to twenty significant figures
     with ctx40.workdps():
-        r7 = spectrum(table3, pair3, 4, TruncationParams(100, Fraction(7)), ctx40)
-        t150 = build_tables(3, 150)
-        p150 = spectrum(t150, pair3, 4, TruncationParams(150, Fraction(8)), ctx40)
+        r7 = spectrum(pair3, 4, TruncationParams(100, Fraction(7)), ctx40)
+        p150 = spectrum(pair3, 4, TruncationParams(150, Fraction(8)), ctx40)
         for n in range(4):
             assert abs(r7[n].E - levels3[n].E) < mp.mpf("1e-20") * levels3[n].E
             assert abs(p150[n].E - levels3[n].E) < mp.mpf("1e-20") * levels3[n].E
 
 
-def test_shooting_oracle_n7(table7, ctx40):
+def test_shooting_oracle_n7(ctx40):
     # float shooting along the wedge centre rays agrees with the series
     # roots to at least ten digits
     trunc = TruncationParams(100, Fraction(3))
     pairs = pt_pairs(7)
     for pair, bracket in ((pairs[0], (1.3, 1.9)), (pairs[2], (2.7, 3.4))):
-        lv = spectrum(table7, pair, 1, trunc, ctx40)[0]
+        lv = spectrum(pair, 1, trunc, ctx40)[0]
         theta = float(pair.theta_right) * 3.141592653589793
         ref = oracles.shoot_eigenvalue(7, theta, bracket, s_inf=3.5)
         assert abs(float(lv.E) - ref) / ref < 1e-10
@@ -107,34 +105,34 @@ def test_c_matches_shooting_n3(levels3, pair3):
         assert abs(ref - c) <= 1e-9 * abs(c), level.n
 
 
-def test_c_matches_shooting_n7(table7):
+def test_c_matches_shooting_n7():
     ctx = PrecisionContext(20)
     pair = pt_pairs(7)[1]
     theta = float(pair.theta_right) * 3.141592653589793
-    for level in spectrum(table7, pair, 4, TruncationParams(100, Fraction(3)), ctx):
+    for level in spectrum(pair, 4, TruncationParams(100, Fraction(3)), ctx):
         c = float(level.c)
         ref = oracles.shoot_connection(7, theta, float(level.E), s_inf=3.5)
         assert abs(ref - c) <= 1e-9 * abs(c), level.n
 
 
-def test_connection_coefficient_sides(table3, pair3, trunc8, ctx40):
+def test_connection_coefficient_sides(pair3, trunc8, ctx40):
     with ctx40.workdps():
         e_val = mp.mpf("5.5")
-        right = connection_coefficient(table3, pair3, e_val, trunc8, ctx40, "right")
-        left = connection_coefficient(table3, pair3, e_val, trunc8, ctx40, "left")
+        right = connection_coefficient(pair3, e_val, trunc8, ctx40, "right")
+        left = connection_coefficient(pair3, e_val, trunc8, ctx40, "left")
         assert abs(left - mp.conj(right)) < ctx40.tolerance(-8)
     with pytest.raises(ParameterError):
-        connection_coefficient(table3, pair3, 1, trunc8, ctx40, "middle")
+        connection_coefficient(pair3, 1, trunc8, ctx40, "middle")
 
 
-def test_c_real_at_eigenvalue(table3, pair3, levels3, trunc8, ctx40):
+def test_c_real_at_eigenvalue(pair3, levels3, trunc8, ctx40):
     with ctx40.workdps():
-        c = connection_coefficient(table3, pair3, levels3[0].E, trunc8, ctx40)
+        c = connection_coefficient(pair3, levels3[0].E, trunc8, ctx40)
         assert abs(mp.im(c)) < mp.mpf("1e-35")
         assert abs(mp.re(c) - levels3[0].c) < mp.mpf("1e-35")
 
 
-def test_spectrum_ignores_a_pole_of_c_beside_a_level(table3, pair3, trunc8, ctx40, monkeypatch):
+def test_spectrum_ignores_a_pole_of_c_beside_a_level(pair3, trunc8, ctx40, monkeypatch):
     # c = -psi1/psi2 made to raise PoleError at the grid point E = 41/10,
     # the lower end of the scan cell holding the level at 4.109: the scan
     # reads D, which has no poles, so the cell still brackets the level
@@ -148,7 +146,7 @@ def test_spectrum_ignores_a_pole_of_c_beside_a_level(table3, pair3, trunc8, ctx4
         return c_from_polys(poly_a, poly_b, E, ctx)
 
     monkeypatch.setattr(quantize, "_c_from_polys", planted)
-    levels = spectrum(table3, pair3, 5, trunc8, ctx40)
+    levels = spectrum(pair3, 5, trunc8, ctx40)
     assert len(levels) == len(GOLDEN_N3)
     with ctx40.workdps():
         for lv, (e_str, c_str) in zip(levels, GOLDEN_N3):
@@ -164,13 +162,12 @@ def test_exact_scan_sign_matches_reader(n_exponent, pair_index, radius, ctx40):
     # the exact sign of the determinant from the grid lanes against the
     # mpf reader, at every 10th grid point of the scan direction up to the
     # fourth sign change
-    table = build_tables(n_exponent, 100)
     pair = pt_pairs(n_exponent)[pair_index]
     trunc = TruncationParams(100, Fraction(radius))
     direction = -1 if pair.theta_right == Fraction(1, 2) else 1
-    polys = series.energy_polynomials(table, quantize._z_probe(pair, "right", trunc.radius, ctx40), ctx40)
+    polys = quantize._probe_polys(pair, trunc, ctx40)
     at, _ = series.grid_evaluator(polys, 20)
-    reader = quantize._reader(table, pair, ctx40)(trunc.radius)
+    reader = quantize._reader(pair, 100, ctx40)(trunc.radius)
     changes, prev, k = 0, 0, 0
     with ctx40.workdps():
         while changes < 4:
@@ -184,31 +181,28 @@ def test_exact_scan_sign_matches_reader(n_exponent, pair_index, radius, ctx40):
             assert k < 2000
 
 
-def test_spectrum_finds_a_level_on_a_grid_point(table3, pair3, trunc8, ctx40, monkeypatch):
+def test_spectrum_finds_a_level_on_a_grid_point(pair3, trunc8, ctx40, monkeypatch):
     # planted p1 = i(E - 1), p2 = 1 on a PT pair: the reader is E - 1, exactly
     # zero at the grid point E = 1, which must not hide the level
     frac, rho = 64, 7  # at scale 2**7 for the whole scan up to E = 100
     p1 = series.ScaledPoly((0, 0), (-(1 << frac), 1 << (frac + rho)), frac, rho)
     p2 = series.ScaledPoly((1 << frac, 0), (0, 0), frac, rho)
     monkeypatch.setattr(series, "energy_polynomials", lambda table, z, ctx: (p1, p2))
-    (level,) = spectrum(table3, pair3, 1, trunc8, ctx40)
+    (level,) = spectrum(pair3, 1, trunc8, ctx40)
     assert level.E == 1
     assert level.diagnostics.est_error == 0
 
 
-def test_scan_brackets_ground_root(table3, pair3, trunc8, ctx40):
-    points = scan_im_c(
-        table3, pair3, Fraction(1), Fraction(13, 10), Fraction(1, 10), trunc8, ctx40
-    )
+def test_scan_brackets_ground_root(pair3, trunc8, ctx40):
+    points = scan_im_c(pair3, Fraction(1), Fraction(13, 10), Fraction(1, 10), trunc8, ctx40)
     assert [p.flag for p in points] == ["ok"] * 4
     signs = [mp.sign(p.c_im) for p in points]
     assert signs[0] != signs[-1]  # the n=0 root at 1.156 sits inside
 
 
-def test_scan_flags_pole(table2, ctx40):
+def test_scan_flags_pole(ctx40):
     # on the parity pair c has a pole at each odd-reader eigenvalue
     pts = scan_im_c(
-        table2,
         pt_pairs(2)[1],
         Fraction(29, 10),
         Fraction(31, 10),
@@ -220,16 +214,16 @@ def test_scan_flags_pole(table2, ctx40):
     assert mp.isinf(pts[1].c_im)
 
 
-def test_scan_validation(table3, pair3, trunc8, ctx40):
+def test_scan_validation(pair3, trunc8, ctx40):
     with pytest.raises(ParameterError):
-        scan_im_c(table3, pair3, 0, 1, 0, trunc8, ctx40)
+        scan_im_c(pair3, 0, 1, 0, trunc8, ctx40)
     with pytest.raises(ParameterError):
-        scan_im_c(table3, pair3, 2, 1, Fraction(1, 10), trunc8, ctx40)
+        scan_im_c(pair3, 2, 1, Fraction(1, 10), trunc8, ctx40)
 
 
-def test_refine_root_in_bracket(table3, pair3, trunc8, ctx40):
+def test_refine_root_in_bracket(pair3, trunc8, ctx40):
     with ctx40.workdps():
-        lv = refine_root(table3, pair3, (11, 12), mp.mpf("1e-25"), trunc8, ctx40, n=3)
+        lv = refine_root(pair3, (11, 12), mp.mpf("1e-25"), trunc8, ctx40, n=3)
         assert abs(lv.E - mp.mpf(GOLDEN_N3[3][0])) < mp.mpf("1e-24")
         assert lv.n == 3
 
@@ -255,27 +249,27 @@ def test_hybrid_root_closes_without_rounding_noise():
     assert len(calls) <= 25
 
 
-def test_refine_root_empty_bracket(table3, pair3, trunc8, ctx40):
+def test_refine_root_empty_bracket(pair3, trunc8, ctx40):
     # Im c does not change sign between the n=0 and n=1 roots
     with pytest.raises(BracketError):
-        refine_root(table3, pair3, (2, 3), mp.mpf("1e-25"), trunc8, ctx40)
+        refine_root(pair3, (2, 3), mp.mpf("1e-25"), trunc8, ctx40)
 
 
-def test_spectrum_rejects_parity_pair(table2, trunc8, ctx40):
+def test_spectrum_rejects_parity_pair(trunc8, ctx40):
     for pair in pt_pairs(2):
         with pytest.raises(ParameterError):
-            spectrum(table2, pair, 1, trunc8, ctx40)
+            spectrum(pair, 1, trunc8, ctx40)
 
 
-def test_spectrum_needs_room_below_emax(table3, pair3, trunc8, ctx40):
+def test_spectrum_needs_room_below_emax(pair3, trunc8, ctx40):
     with pytest.raises(TruncationError):
-        spectrum(table3, pair3, 4, trunc8, ctx40, e_max=Fraction(5))
+        spectrum(pair3, 4, trunc8, ctx40, e_max=Fraction(5))
 
 
-def test_parity_n2_analytic(table2, trunc8, ctx40):
+def test_parity_n2_analytic(trunc8, ctx40):
     with ctx40.workdps():
-        even = quantize_p_symmetric(table2, "even", 3, trunc8, ctx40)
-        odd = quantize_p_symmetric(table2, "odd", 3, trunc8, ctx40)
+        even = quantize_p_symmetric(2, "even", 3, trunc8, ctx40)
+        odd = quantize_p_symmetric(2, "odd", 3, trunc8, ctx40)
         for lv, want in zip(even, (1, 5, 9)):
             assert abs(lv.E - want) < mp.mpf("1e-15")
             assert lv.parity == "even" and lv.c is None
@@ -284,11 +278,11 @@ def test_parity_n2_analytic(table2, trunc8, ctx40):
             assert lv.parity == "odd"
 
 
-def test_parity_n4_regression_and_oracle(table4, ctx40):
+def test_parity_n4_regression_and_oracle(ctx40):
     trunc = TruncationParams(100, Fraction(6))
     with ctx40.workdps():
-        even = quantize_p_symmetric(table4, "even", 2, trunc, ctx40)
-        odd = quantize_p_symmetric(table4, "odd", 2, trunc, ctx40)
+        even = quantize_p_symmetric(4, "even", 2, trunc, ctx40)
+        odd = quantize_p_symmetric(4, "odd", 2, trunc, ctx40)
         for lv, ref in zip(even, N4_EVEN):
             assert abs(lv.E - mp.mpf(ref)) < mp.mpf("1e-25")
         for lv, ref in zip(odd, N4_ODD):
@@ -300,46 +294,45 @@ def test_parity_n4_regression_and_oracle(table4, ctx40):
         assert abs(float(-odd[0].E) - eps1) < 1e-10
 
 
-def test_parity_both_interleaves(table2, trunc8, ctx40):
+def test_parity_both_interleaves(trunc8, ctx40):
     # the oscillator levels 1,3,5,7,9 alternate even/odd, renumbered 0..4
     with ctx40.workdps():
-        both = quantize_p_symmetric(table2, "both", 5, trunc8, ctx40)
+        both = quantize_p_symmetric(2, "both", 5, trunc8, ctx40)
         assert [lv.n for lv in both] == [0, 1, 2, 3, 4]
         assert [lv.parity for lv in both] == ["even", "odd", "even", "odd", "even"]
         for lv, want in zip(both, (1, 3, 5, 7, 9)):
             assert abs(lv.E - want) < mp.mpf("1e-15")
     for bad in ("all", "Both", None):
         with pytest.raises(ParameterError):
-            quantize_p_symmetric(table2, bad, 2, trunc8, ctx40)
+            quantize_p_symmetric(2, bad, 2, trunc8, ctx40)
 
 
-def test_parity_requires_even_n(table3, trunc8, ctx40):
+def test_parity_requires_even_n(trunc8, ctx40):
     with pytest.raises(ParameterError):
-        quantize_p_symmetric(table3, "even", 1, trunc8, ctx40)
+        quantize_p_symmetric(3, "even", 1, trunc8, ctx40)
     with pytest.raises(ParameterError):
-        quantize_p_symmetric(table3, "sideways", 1, trunc8, ctx40)
+        quantize_p_symmetric(3, "sideways", 1, trunc8, ctx40)
 
 
-def test_level_weights(levels3, table2, trunc8, ctx40):
+def test_level_weights(levels3, trunc8, ctx40):
     with ctx40.workdps():
         alpha, beta = level_weights(levels3[0])
         assert alpha == 1 and abs(beta - levels3[0].c) == 0
-        even = quantize_p_symmetric(table2, "even", 1, trunc8, ctx40)[0]
-        odd = quantize_p_symmetric(table2, "odd", 1, trunc8, ctx40)[0]
+        even = quantize_p_symmetric(2, "even", 1, trunc8, ctx40)[0]
+        odd = quantize_p_symmetric(2, "odd", 1, trunc8, ctx40)[0]
         assert level_weights(even) == (1, 0)
         assert level_weights(odd) == (0, 1)
 
 
-def test_health_pass_and_fail_cases(table3, table7, trunc8, ctx40):
-    assert health_check(table3, trunc8, Fraction(30), ctx40).passed
-    assert not health_check(table7, trunc8, Fraction(30), ctx40).passed
-    assert health_check(table7, TruncationParams(100, Fraction(3)), Fraction(30), ctx40).passed
-    shallow = build_tables(3, 10)
-    assert not health_check(shallow, TruncationParams(10), Fraction(30), ctx40).passed
+def test_health_pass_and_fail_cases(trunc8, ctx40):
+    assert health_check(3, trunc8, Fraction(30), ctx40).passed
+    assert not health_check(7, trunc8, Fraction(30), ctx40).passed
+    assert health_check(7, TruncationParams(100, Fraction(3)), Fraction(30), ctx40).passed
+    assert not health_check(3, TruncationParams(10), Fraction(30), ctx40).passed
 
 
-def test_health_report_structure(table3, trunc8, ctx40):
-    report = health_check(table3, trunc8, Fraction(30), ctx40)
+def test_health_report_structure(trunc8, ctx40):
+    report = health_check(3, trunc8, Fraction(30), ctx40)
     assert report.e_max == Fraction(30)
     assert len(report.entries) == len(pt_pairs(3))
     entry = report.entries[0]
@@ -350,14 +343,14 @@ def test_health_report_structure(table3, trunc8, ctx40):
         assert entry.c_discrepancy < mp.mpf("1e-10")
 
 
-def test_parity_image_pairs_isospectral(table4, ctx40):
+def test_parity_image_pairs_isospectral(ctx40):
     # the two non-parity N=4 pairs map onto each other under z -> -z,
     # so their spectra coincide
     trunc = TruncationParams(100, Fraction(6))
     pairs = pt_pairs(4)
     with ctx40.workdps():
-        up = spectrum(table4, pairs[1], 2, trunc, ctx40)
-        down = spectrum(table4, pairs[2], 2, trunc, ctx40)
+        up = spectrum(pairs[1], 2, trunc, ctx40)
+        down = spectrum(pairs[2], 2, trunc, ctx40)
         for a, b in zip(up, down):
             assert abs(a.E - b.E) < mp.mpf("1e-30")
             assert a.E > 0

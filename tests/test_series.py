@@ -547,7 +547,7 @@ def test_poly_square_of_empty_and_level_polynomials(table3, table7, ctx40):
     # the level-1 polynomials of N=3 at r=8 and of N=7, pair 1, at r=3
     for table, pair, radius in ((table3, 0, 8), (table7, 1, 3)):
         trunc = TruncationParams(100, Fraction(radius))
-        level = spectrum(table, pt_pairs(table.n_exponent)[pair], 2, trunc, ctx40)[1]
+        level = spectrum(pt_pairs(table.n_exponent)[pair], 2, trunc, ctx40)[1]
         poly = space_polynomial(table, level.E, *level_weights(level), ctx40, level.diagnostics.radius)
         square = poly_square(poly)
         assert (square.re, square.im) == oracles.schoolbook_square(poly.re, poly.im)

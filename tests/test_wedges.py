@@ -176,10 +176,3 @@ def test_angle_radians_matches_pi_multiple():
         for f in (Fraction(-9, 10), Fraction(1, 6), Fraction(5, 18)):
             want = mp.pi * mp.mpf(f.numerator) / f.denominator
             assert abs(angle_radians(f, CTX) - want) < CTX.tolerance(-3)
-
-
-def test_theta_radians_properties():
-    with CTX.workdps():
-        for p in pt_pairs(7):
-            assert abs(p.theta_right_radians(CTX) - angle_radians(p.theta_right, CTX)) == 0
-            assert abs(p.theta_left_radians(CTX) - angle_radians(p.theta_left, CTX)) == 0

@@ -80,6 +80,11 @@ COMMANDS = (
     "wavefunction --N 3 --level 1 --format json --xmin -1 --xmax 1 --step 0.5",
     "wavefunction --N 2 --pair 1 --radius 6 --level 2 " + " ".join(_WAVE),
     "wavefunction --N 4 --pair 0 --radius 6 --level 1 --parity odd --format json " + " ".join(_WAVE),
+    "nodes --N 7 --radius 3 --pair 1 --level 1 --region=5/2,29/10,-3/2,-1/2",
+    "expect --N 7 --radius 3 --pair 1 --level 0 --moments 0,2 --contour wedge_rays --lambda 4",
+    "wavefunction --N 7 --radius 3 --pair 1 --level 1 --xmin=-4 --xmax=4 --step=1/2",
+    "expect --N 4 --pair 0 --radius 6 --level 1 --parity odd --moments 0,2 --contour wedge_rays --lambda 5",
+    "nodes --N 4 --pair 0 --radius 6 --level 2 --parity even",
 )
 
 
