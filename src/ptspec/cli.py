@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -41,19 +40,6 @@ from .wedges import angle_radians, pt_pairs
 ENV_DIGITS = "PTSPEC_DIGITS"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common parameters of one CLI invocation."""
-
-    n_exponent: int
-    pmax: int
-    radius: Fraction
-    digits: int
-    pair_index: int
-    output: Optional[str]
-    fmt: str
-
-
 def _default_digits() -> int:
     raw = os.environ.get(ENV_DIGITS)
     if raw is None:
@@ -67,35 +53,28 @@ def _default_digits() -> int:
 _CSV_BY_DEFAULT = ("scan", "wavefunction")  # plot data
 
 
-def _config(args) -> RunConfig:
+def _config(args) -> None:
+    """Validate the common parameters of a command on one N in place:
+    the radius becomes a Fraction and the format gets its default."""
     if args.N < 2:
         raise ParameterError(f"N must be an integer >= 2, got {args.N}")
     if args.pair < 0:
         raise ParameterError(f"pair index must be >= 0, got {args.pair}")
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if args.command in _CSV_BY_DEFAULT else "json"
-    return RunConfig(
-        n_exponent=args.N,
-        pmax=args.pmax,
-        radius=as_fraction(args.radius),
-        digits=args.digits,
-        pair_index=args.pair,
-        output=args.output,
-        fmt=fmt,
-    )
+    args.radius = as_fraction(args.radius)
+    if args.format is None:
+        args.format = "csv" if args.command in _CSV_BY_DEFAULT else "json"
 
 
-def _setup(cfg: RunConfig):
+def _setup(args):
     """(pair, ctx, trunc) of a run on one wedge pair."""
-    pairs = pt_pairs(cfg.n_exponent)
-    if cfg.pair_index >= len(pairs):
+    pairs = pt_pairs(args.N)
+    if args.pair >= len(pairs):
         raise ParameterError(
-            f"N={cfg.n_exponent} has {len(pairs)} wedge pairs; pair index "
-            f"{cfg.pair_index} is out of range"
+            f"N={args.N} has {len(pairs)} wedge pairs; pair index "
+            f"{args.pair} is out of range"
         )
-    trunc = TruncationParams(cfg.pmax, cfg.radius)
-    return pairs[cfg.pair_index], PrecisionContext(cfg.digits), trunc
+    trunc = TruncationParams(args.pmax, args.radius)
+    return pairs[args.pair], PrecisionContext(args.digits), trunc
 
 
 def _num(x, digits: int) -> str:
@@ -107,33 +86,26 @@ def _num(x, digits: int) -> str:
     return real_str(x, digits)
 
 
-def _params_dict(cfg: RunConfig) -> dict:
+def _params_dict(args) -> dict:
     return {
-        "N": cfg.n_exponent,
-        "pmax": cfg.pmax,
-        "radius": str(cfg.radius),
-        "digits": cfg.digits,
-        "pair": cfg.pair_index,
+        "N": args.N,
+        "pmax": args.pmax,
+        "radius": str(args.radius),
+        "digits": args.digits,
+        "pair": args.pair,
     }
 
 
-def _params_comment(cfg: RunConfig, command: str) -> str:
-    return (
-        f"# ptspec {command} N={cfg.n_exponent} pmax={cfg.pmax} "
-        f"radius={cfg.radius} digits={cfg.digits} pair={cfg.pair_index}"
-    )
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
+def _emit(text: str, args) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(obj, cfg: RunConfig) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", cfg)
+def _emit_json(obj, args) -> None:
+    _emit(json.dumps(obj, indent=2) + "\n", args)
 
 
 def _csv_cell(value) -> str:
@@ -144,27 +116,31 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit_rows(cfg: RunConfig, command: str, doc: dict, columns: tuple, rows) -> int:
+def _emit_rows(args, doc: dict, columns: tuple, rows) -> int:
     """Write doc as JSON, or the rows' columns as CSV under the
     parameter comment and a header line."""
-    if cfg.fmt == "json":
-        _emit_json(doc, cfg)
+    if args.format == "json":
+        _emit_json(doc, args)
     else:
-        lines = [_params_comment(cfg, command), ",".join(columns)]
+        comment = (
+            f"# ptspec {args.command} N={args.N} pmax={args.pmax} "
+            f"radius={args.radius} digits={args.digits} pair={args.pair}"
+        )
+        lines = [comment, ",".join(columns)]
         lines += [",".join(_csv_cell(row[col]) for col in columns) for row in rows]
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", args)
     return 0
 
 
-def _level_json(level, cfg: RunConfig) -> dict:
+def _level_json(level, args) -> dict:
     return {
         "n": level.n,
-        "E": _num(level.E, cfg.digits),
-        "c": None if level.c is None else _num(level.c, cfg.digits),
+        "E": _num(level.E, args.digits),
+        "c": None if level.c is None else _num(level.c, args.digits),
         "parity": level.parity,
         "est_error": _num(level.diagnostics.est_error, 3),
         "stable": level.diagnostics.stable,
-        "params": _params_dict(cfg),
+        "params": _params_dict(args),
     }
 
 
@@ -186,92 +162,77 @@ def _health_json(report) -> dict:
     }
 
 
-def _levels_for(cfg, pair, n_levels, trunc, ctx, parity, **scan):
-    if pair.parity_swapped():
-        if not pair.p_symmetric:
-            flagged = [p.index for p in pt_pairs(cfg.n_exponent) if p.p_symmetric]
-            hint = f"; use --pair {flagged[0]}" if flagged else ""
-            raise ParameterError(
-                f"pair {pair.index} is parity-degenerate but not the p-symmetric "
-                f"pair; no quantization method applies to it{hint}"
-            )
-        return quantize_p_symmetric(cfg.n_exponent, parity, n_levels, trunc, ctx, **scan)
-    return spectrum(pair, n_levels, trunc, ctx, **scan)
-
-
-def _resolve_level(cfg, args, pair, ctx, trunc):
+def _resolve_level(args, pair, ctx, trunc):
     index = args.level
     if index < 0:
         raise ParameterError(f"level index must be >= 0, got {index}")
     # level lookup always scans at the default energy grid; --step on
     # sampling commands refers to their own output grid
-    return _levels_for(cfg, pair, index + 1, trunc, ctx, args.parity)[index]
+    return spectrum(pair, index + 1, trunc, ctx, parity=args.parity)[index]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_wedges(cfg: RunConfig, args) -> int:
-    pairs = pt_pairs(cfg.n_exponent)
-    ctx = PrecisionContext(cfg.digits)
+def _cmd_wedges(args) -> int:
+    pairs = pt_pairs(args.N)
+    ctx = PrecisionContext(args.digits)
     rows = [
         {
             "index": p.index,
             "theta_right_pi": str(p.theta_right),
-            "theta_right_rad": _num(angle_radians(p.theta_right, ctx), cfg.digits),
+            "theta_right_rad": _num(angle_radians(p.theta_right, ctx), args.digits),
             "theta_left_pi": str(p.theta_left),
-            "theta_left_rad": _num(angle_radians(p.theta_left, ctx), cfg.digits),
+            "theta_left_rad": _num(angle_radians(p.theta_left, ctx), args.digits),
             "half_width_pi": str(p.half_width),
             "p_symmetric": p.p_symmetric,
         }
         for p in pairs
     ]
-    doc = {"N": cfg.n_exponent, "pairs": rows}
-    return _emit_rows(cfg, "wedges", doc, tuple(rows[0]), rows)
+    doc = {"N": args.N, "pairs": rows}
+    return _emit_rows(args, doc, tuple(rows[0]), rows)
 
 
-def _cmd_scan(cfg: RunConfig, args) -> int:
-    pair, ctx, trunc = _setup(cfg)
+def _cmd_scan(args) -> int:
+    pair, ctx, trunc = _setup(args)
     points = scan_im_c(pair, args.emin, args.emax, args.step, trunc, ctx)
     rows = [
         {
-            "E": _num(p.E, cfg.digits),
-            "re_c": _num(p.c_re, cfg.digits),
-            "im_c": _num(p.c_im, cfg.digits),
+            "E": _num(p.E, args.digits),
+            "re_c": _num(p.c_re, args.digits),
+            "im_c": _num(p.c_im, args.digits),
             "flag": p.flag,
         }
         for p in points
     ]
-    doc = {"params": _params_dict(cfg), "points": rows}
-    return _emit_rows(cfg, "scan", doc, ("E", "re_c", "im_c", "flag"), rows)
+    doc = {"params": _params_dict(args), "points": rows}
+    return _emit_rows(args, doc, ("E", "re_c", "im_c", "flag"), rows)
 
 
-def _cmd_spectrum(cfg: RunConfig, args) -> int:
-    pair, ctx, trunc = _setup(cfg)
-    health = health_check(cfg.n_exponent, trunc, args.health_emax, ctx)
+def _cmd_spectrum(args) -> int:
+    pair, ctx, trunc = _setup(args)
+    health = health_check(args.N, trunc, args.health_emax, ctx)
     if not health.passed and not args.force:
         _emit_json(
             {
                 "error": "truncation health check failed; rerun with --force to override",
-                "params": _params_dict(cfg),
+                "params": _params_dict(args),
                 "health": _health_json(health),
             },
-            cfg,
+            args,
         )
         print(
             "ptspec: health check failed for "
-            f"pmax={cfg.pmax} radius={cfg.radius} (see report); use --force to override",
+            f"pmax={args.pmax} radius={args.radius} (see report); use --force to override",
             file=sys.stderr,
         )
         return 1
-    levels = _levels_for(
-        cfg, pair, args.levels, trunc, ctx, args.parity, e_max=args.emax, step=args.step
-    )
-    rows = [_level_json(lv, cfg) for lv in levels]
-    doc = {"params": _params_dict(cfg), "health": _health_json(health), "levels": rows}
+    levels = spectrum(pair, args.levels, trunc, ctx, args.emax, args.step, args.parity)
+    rows = [_level_json(lv, args) for lv in levels]
+    doc = {"params": _params_dict(args), "health": _health_json(health), "levels": rows}
     columns = ("n", "E", "c", "parity", "est_error", "stable")
-    return _emit_rows(cfg, "spectrum", doc, columns, rows)
+    return _emit_rows(args, doc, columns, rows)
 
 
 def _parse_region(raw: Optional[str]):
@@ -285,21 +246,21 @@ def _parse_region(raw: Optional[str]):
     return tuple(as_fraction(p.strip()) for p in parts)
 
 
-def _cmd_nodes(cfg: RunConfig, args) -> int:
-    level = _resolve_level(cfg, args, *_setup(cfg))
+def _cmd_nodes(args) -> int:
+    level = _resolve_level(args, *_setup(args))
     nodeset = find_nodes(level, _parse_region(args.region))
     points = {
-        key: [{"re": _num(z.real, cfg.digits), "im": _num(z.imag, cfg.digits)} for z in zs]
+        key: [{"re": _num(z.real, args.digits), "im": _num(z.imag, args.digits)} for z in zs]
         for key, zs in (
             ("axis_nodes", nodeset.axis_nodes),
             ("arch_nodes", nodeset.arch_nodes),
             ("turning_points", nodeset.turning_points),
         )
     }
-    doc = {"params": _params_dict(cfg), "level": _level_json(level, cfg), **points}
+    doc = {"params": _params_dict(args), "level": _level_json(level, args), **points}
     # CSV rows carry the kind: axis, arch or turning
     rows = [{"kind": key.split("_")[0], **z} for key, zs in points.items() for z in zs]
-    return _emit_rows(cfg, "nodes", doc, ("kind", "re", "im"), rows)
+    return _emit_rows(args, doc, ("kind", "re", "im"), rows)
 
 
 def _parse_moments(raw: str):
@@ -312,26 +273,26 @@ def _parse_moments(raw: str):
     return moments
 
 
-def _cmd_expect(cfg: RunConfig, args) -> int:
-    pair, ctx, trunc = _setup(cfg)
+def _cmd_expect(args) -> int:
+    pair, ctx, trunc = _setup(args)
     contour = build_contour(pair, args.lam, args.contour)
-    level = _resolve_level(cfg, args, pair, ctx, trunc)
+    level = _resolve_level(args, pair, ctx, trunc)
     moments = _parse_moments(args.moments)
     results = [expectation(level, m, contour) for m in moments]
     identities = identity_checks([level], contour=contour).rows[0]
     rows = [
         {
             "m": r.m,
-            "re_value": _num(r.value.real, cfg.digits),
-            "im_value": _num(r.value.imag, cfg.digits),
+            "re_value": _num(r.value.real, args.digits),
+            "im_value": _num(r.value.imag, args.digits),
             "est_error": _num(r.est_error, 3),
         }
         for r in results
     ]
     doc = {
-        "params": _params_dict(cfg),
+        "params": _params_dict(args),
         "contour": {"style": contour.style, "lambda": str(contour.lam)},
-        "level": _level_json(level, cfg),
+        "level": _level_json(level, args),
         "moments": rows,
         "identities": {
             "ehrenfest_abs": _num(identities.ehrenfest_abs, 3),
@@ -345,34 +306,33 @@ def _cmd_expect(cfg: RunConfig, args) -> int:
     # the CSV rows also carry the level index n, which JSON keeps in "level"
     csv_rows = [{"n": r.n, **row} for r, row in zip(results, rows)]
     columns = ("n", "m", "re_value", "im_value", "est_error")
-    return _emit_rows(cfg, "expect", doc, columns, csv_rows)
+    return _emit_rows(args, doc, columns, csv_rows)
 
 
-def _cmd_wavefunction(cfg: RunConfig, args) -> int:
-    level = _resolve_level(cfg, args, *_setup(cfg))
+def _cmd_wavefunction(args) -> int:
+    level = _resolve_level(args, *_setup(args))
     samples = wavefunction_samples(level, args.xmin, args.xmax, args.step)
     rows = [
         {
-            "x": _num(x, cfg.digits),
-            "re_psi": _num(v.real, cfg.digits),
-            "im_psi": _num(v.imag, cfg.digits),
+            "x": _num(x, args.digits),
+            "re_psi": _num(v.real, args.digits),
+            "im_psi": _num(v.imag, args.digits),
         }
         for x, v in samples
     ]
-    doc = {"params": _params_dict(cfg), "level": _level_json(level, cfg), "samples": rows}
-    return _emit_rows(cfg, "wavefunction", doc, ("x", "re_psi", "im_psi"), rows)
+    doc = {"params": _params_dict(args), "level": _level_json(level, args), "samples": rows}
+    return _emit_rows(args, doc, ("x", "re_psi", "im_psi"), rows)
 
 
 def _cmd_selfcheck(args) -> int:
     """Fast internal consistency run: Wronskian, PT reflection, N=2 oracle."""
-    digits = getattr(args, "digits", None) or _default_digits()
-    ctx = PrecisionContext(digits)
+    ctx = PrecisionContext(args.digits)
     trunc = TruncationParams(60, Fraction(8))
     checks = []
 
     table3 = build_tables(3, 60)
     with ctx.workdps():
-        tol = mp.mpf(10) ** (-(digits - 10))
+        tol = mp.mpf(10) ** (-(args.digits - 10))
         worst_w = mp.mpf(0)
         for z, e in (
             (mp.mpc("0.7", "0.3"), "0"),
@@ -483,6 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DISPATCH = {
+    "selfcheck": _cmd_selfcheck,
     "spectrum": _cmd_spectrum,
     "scan": _cmd_scan,
     "nodes": _cmd_nodes,
@@ -495,15 +456,14 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command is None:
+        parser.error("a subcommand is required")
     try:
-        if args.command == "selfcheck":
-            return _cmd_selfcheck(args)
-        if args.command is None:
-            parser.error("a subcommand is required")
         if args.digits is None:
             args.digits = _default_digits()
-        cfg = _config(args)
-        return _DISPATCH[args.command](cfg, args)
+        if args.command != "selfcheck":
+            _config(args)
+        return _DISPATCH[args.command](args)
     except ParameterError as exc:
         print(f"ptspec: {exc}", file=sys.stderr)
         return 2

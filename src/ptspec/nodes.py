@@ -216,10 +216,11 @@ def find_nodes(level: EnergyLevel, region: Optional[tuple] = None) -> NodeSet:
         region = (-ext, ext, -ext, Fraction(0))
     root = tuple(as_fraction(v) for v in region)
     re_min, re_max, im_min, im_max = root
+    shown = ",".join(map(str, root))
     if re_min >= re_max or im_min >= im_max:
-        raise ParameterError(f"degenerate region {region!r}")
+        raise ParameterError(f"degenerate region {shown}")
     if max(re_min**2, re_max**2) + max(im_min**2, im_max**2) > radius**2:
-        raise RadiusError(f"region {region!r} leaves the validated disk |z| <= {radius}")
+        raise RadiusError(f"region {shown} leaves the validated disk |z| <= {radius}")
 
     poly = _level_poly(level, ctx)
     with ctx.workdps():

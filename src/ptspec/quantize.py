@@ -15,11 +15,12 @@ conj psi2) and its zeros are those of Im c, where c(E) =
 -psi1(zR)/psi2(zR) makes psi = psi1 + c*psi2 decay in both wedges at
 once.  On the parity pair of even N they are (psi1, -psi2), so D = -2
 psi1 psi2 and its zeros are the even (psi1) and the odd (psi2) levels
-in one scan.  spectrum and
-quantize_p_symmetric scan D outward from E = 0 on exact Fraction grids,
-reading its sign exactly from series.grid_evaluator on the per-angle
-energy polynomials, and refine each sign change at full precision
-through series.eval_energy_poly.
+in one scan.  spectrum serves every pair: it scans D outward from E = 0
+on an exact Fraction grid, reading its sign exactly from
+series.grid_evaluator on the per-angle energy polynomials, and refines
+each sign change at full precision through series.eval_energy_poly,
+attaching c on a PT pair and the even/odd tag on the parity pair.
+quantize_p_symmetric is spectrum on the parity pair looked up by N.
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
 scan_im_c (on the exact grid as well), connection_coefficient and the
@@ -346,64 +347,6 @@ def _diagnostics(trunc: TruncationParams, ctx: PrecisionContext, est) -> LevelDi
     return LevelDiagnostics(trunc.pmax, trunc.radius, ctx.digits, est, stable)
 
 
-def _scan_levels(
-    pair: WedgePair,
-    refine: Callable,
-    n_levels: int,
-    trunc: TruncationParams,
-    ctx: PrecisionContext,
-    step: Fractionable,
-    e_max: Fractionable,
-):
-    """Bracket the sign changes of the pair's reader outward from E=0 on
-    the exact grid of |E| = k*step up to e_max, and keep the first
-    n_levels that refine(bracket, ends, n, psi1_turns) turns into a
-    level; it may return None to pass a bracket over.  ends are the
-    reader at the bracket ends and psi1_turns tells whether Re psi1
-    changes sign between them.  The grid runs toward negative E on the
-    imaginary-axis parity pair, whose bound spectrum is negative.
-
-    The reader's value at a grid point is taken exactly, from the four
-    lanes (Re, Im of psi1 and psi2) of series.grid_evaluator, and
-    rounded once to working precision only at bracket ends.  A sample
-    where it is exactly zero is stepped over, so the bracket runs from
-    the last nonzero sample across it.
-    """
-    if not isinstance(n_levels, int) or n_levels < 1:
-        raise ParameterError(f"n_levels must be a positive integer, got {n_levels!r}")
-    step, cap = as_fraction(step), as_fraction(e_max)
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
-    direction = -1 if pair.theta_right == Fraction(1, 2) else 1
-    parity = pair.parity_swapped()
-    at, unit = series.grid_evaluator(_probe_polys(pair, trunc, ctx), step.denominator)
-    levels: list = []
-    prev = None  # (k, reader value, Re psi1) at the last grid point where the reader is not zero
-    with ctx.workdps():
-        for k in itertools.count():
-            if k * step > cap:
-                raise TruncationError(
-                    f"only {len(levels)} of {n_levels} levels found with |E| below e_max={cap}"
-                )
-            lanes = at(direction * k * step.numerator)
-            fv = _determinant(parity, *lanes)
-            if not fv:
-                continue
-            if prev is not None and (prev[1] < 0) != (fv < 0):
-                lo, hi = sorted((prev, (k, fv, lanes[0])), key=lambda point: direction * point[0])
-                level = refine(
-                    tuple(ctx.mpf(direction * point[0] * step) for point in (lo, hi)),
-                    (_rounded(lo[1], unit * unit), _rounded(hi[1], unit * unit)),
-                    len(levels),
-                    (lo[2] < 0) != (hi[2] < 0),
-                )
-                if level is not None:
-                    levels.append(level)
-                    if len(levels) == n_levels:
-                        return tuple(levels)
-            prev = (k, fv, lanes[0])
-
-
 def refine_root(
     pair: WedgePair,
     bracket,
@@ -440,22 +383,75 @@ def spectrum(
     ctx: PrecisionContext,
     e_max: Fractionable = DEFAULT_ENERGY_CAP,
     step: Fractionable = DEFAULT_SCAN_STEP,
+    parity: str = "both",
 ):
-    """First n_levels eigenvalues of the pair, in increasing order.
+    """First n_levels eigenvalues of the pair, ordered by distance from zero.
 
-    Scans D upward from zero, refining each sign change by refine_root.
-    Raises TruncationError if the levels do not fit below e_max.
+    Brackets the sign changes of D outward from E = 0 on the exact grid
+    of |E| = k*step up to e_max, and raises TruncationError when fewer
+    than n_levels fit below it.  The grid runs toward negative E on the
+    imaginary-axis parity pair, whose bound spectrum is negative.  D at
+    a grid point is taken exactly, from the four lanes (Re, Im of psi1
+    and psi2) of series.grid_evaluator, and rounded once to working
+    precision only at bracket ends.  A sample where it is exactly zero
+    is stepped over, so the bracket runs from the last nonzero sample
+    across it.
+
+    The pair picks the route.  On a PT pair every bracket goes to
+    refine_root.  On the p-symmetric pair of an even N the even states
+    are pure psi1 and the odd ones pure psi2, so a level is "even" when
+    Re psi1 changes sign across its bracket and "odd" otherwise; parity
+    "even" or "odd" passes the other brackets over before they are
+    refined, "both" keeps every level, and c is None.  Any other
+    parity-swapped pair has no quantization route (ParameterError).
     """
-    if pair.parity_swapped():
+    swapped = pair.parity_swapped()
+    if swapped and not pair.p_symmetric:
+        flagged = [p.index for p in pt_pairs(pair.n_exponent) if p.p_symmetric]
+        hint = f"; use --pair {flagged[0]}" if flagged else ""
         raise ParameterError(
-            "Im c vanishes identically on a parity pair; use quantize_p_symmetric"
+            f"pair {pair.index} is parity-degenerate but not the p-symmetric "
+            f"pair; no quantization method applies to it{hint}"
         )
+    if parity not in ("even", "odd", "both"):
+        raise ParameterError(f"parity must be 'even', 'odd' or 'both', got {parity!r}")
+    if not isinstance(n_levels, int) or n_levels < 1:
+        raise ParameterError(f"n_levels must be a positive integer, got {n_levels!r}")
+    step, cap = as_fraction(step), as_fraction(e_max)
+    if step <= 0:
+        raise ParameterError(f"step must be positive, got {step}")
+    direction = -1 if pair.theta_right == Fraction(1, 2) else 1
+    reader = _reader(pair, trunc.pmax, ctx)
     tol = ctx.tolerance(5)
-
-    def refine(bracket, ends, n, psi1_turns):
-        return refine_root(pair, bracket, tol, trunc, ctx, n, ends)
-
-    return _scan_levels(pair, refine, n_levels, trunc, ctx, step, e_max)
+    at, unit = series.grid_evaluator(_probe_polys(pair, trunc, ctx), step.denominator)
+    levels: list = []
+    prev = None  # (k, D, Re psi1) at the last grid point where D is not zero
+    with ctx.workdps():
+        for k in itertools.count():
+            if k * step > cap:
+                raise TruncationError(
+                    f"only {len(levels)} of {n_levels} levels found with |E| below e_max={cap}"
+                )
+            lanes = at(direction * k * step.numerator)
+            fv = _determinant(swapped, *lanes)
+            if not fv:
+                continue
+            if prev is not None and (prev[1] < 0) != (fv < 0):
+                lo, hi = sorted((prev, (k, fv, lanes[0])), key=lambda point: direction * point[0])
+                bracket = tuple(ctx.mpf(direction * point[0] * step) for point in (lo, hi))
+                ends = (_rounded(lo[1], unit * unit), _rounded(hi[1], unit * unit))
+                n = len(levels)
+                if not swapped:
+                    levels.append(refine_root(pair, bracket, tol, trunc, ctx, n, ends))
+                else:
+                    tag = "even" if (lo[2] < 0) != (hi[2] < 0) else "odd"
+                    if parity in ("both", tag):
+                        e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
+                        diagnostics = _diagnostics(trunc, ctx, est)
+                        levels.append(EnergyLevel(n, e_root, None, pair, diagnostics, tag))
+                if len(levels) == n_levels:
+                    return tuple(levels)
+            prev = (k, fv, lanes[0])
 
 
 def quantize_p_symmetric(
@@ -467,34 +463,11 @@ def quantize_p_symmetric(
     step: Fractionable = DEFAULT_SCAN_STEP,
     e_max: Fractionable = DEFAULT_ENERGY_CAP,
 ):
-    """Parity spectrum on the p-symmetric pair of an even N.
-
-    Levels are the zeros of D = -2 psi1 psi2 at the right probe, scanned
-    once outward in |E|: upward when the pair sits on the real axis,
-    downward when it sits on the imaginary axis.  The even states are
-    pure psi1 and the odd ones pure psi2, so a level is "even" when Re
-    psi1 changes sign across its scan bracket and "odd" otherwise;
-    parity "even" or "odd" passes the other brackets over before they
-    are refined, and "both" keeps every level.  n orders the kept levels
-    by distance from zero; c is undefined.
-    """
-    if parity not in ("even", "odd", "both"):
-        raise ParameterError(f"parity must be 'even', 'odd' or 'both', got {parity!r}")
+    """spectrum of the p-symmetric pair of an even N, looked up by N."""
     psym = [p for p in pt_pairs(n_exponent) if p.p_symmetric]
     if not psym:
         raise ParameterError(f"N={n_exponent} has no p-symmetric pair (N must be even)")
-    pair = psym[0]
-    reader = _reader(pair, trunc.pmax, ctx)
-    tol = ctx.tolerance(5)
-
-    def refine(bracket, ends, n, psi1_turns):
-        tag = "even" if psi1_turns else "odd"
-        if parity not in ("both", tag):
-            return None
-        e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
-        return EnergyLevel(n, e_root, None, pair, _diagnostics(trunc, ctx, est), tag)
-
-    return _scan_levels(pair, refine, n_levels, trunc, ctx, step, e_max)
+    return spectrum(psym[0], n_levels, trunc, ctx, e_max, step, parity)
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,12 @@ def test_selfcheck_subprocess():
     assert proc.stdout.count(": ok") == 3
 
 
+def test_selfcheck_rejects_zero_digits(capsys):
+    rc, out, err = run(["selfcheck", "--digits", "0"], capsys)
+    assert rc == 2 and out == ""
+    assert "digits must be a positive integer, got 0" in err
+
+
 # --- argument and environment handling -------------------------------------
 
 

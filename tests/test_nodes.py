@@ -140,6 +140,14 @@ def test_find_nodes_validation(levels3):
         find_nodes(levels3[0], region=(-6, 6, -6, 0))
 
 
+def test_region_errors_print_the_region_as_fractions(levels3):
+    with pytest.raises(ParameterError, match=r"^degenerate region 5/2,5/2,0,1$"):
+        find_nodes(levels3[0], region=(Fraction(5, 2), Fraction(5, 2), 0, 1))
+    # the corner (13/2, -6) lies at |z| = 8.85 > 8
+    with pytest.raises(RadiusError, match=r"^region -13/2,13/2,-6,0 leaves the validated disk"):
+        find_nodes(levels3[0], region=(Fraction(-13, 2), Fraction(13, 2), -6, 0))
+
+
 def _level_at_radius_3():
     """Level 1 of N=7, pair 1, refined at r = 3 (pmax 50, 20 digits)."""
     return spectrum(pt_pairs(7)[1], 2, TruncationParams(50, Fraction(3)), PrecisionContext(20))[1]

@@ -255,10 +255,31 @@ def test_refine_root_empty_bracket(pair3, trunc8, ctx40):
         refine_root(pair3, (2, 3), mp.mpf("1e-25"), trunc8, ctx40)
 
 
-def test_spectrum_rejects_parity_pair(trunc8, ctx40):
-    for pair in pt_pairs(2):
-        with pytest.raises(ParameterError):
-            spectrum(pair, 1, trunc8, ctx40)
+def test_spectrum_rejects_the_other_parity_pair(trunc8, ctx40):
+    # pair 0 of N=2 is parity-swapped but not the p-symmetric pair 1
+    with pytest.raises(ParameterError, match="no quantization method applies.*--pair 1"):
+        spectrum(pt_pairs(2)[0], 1, trunc8, ctx40)
+
+
+@pytest.mark.parametrize("n_exponent, radius", [(2, 8), (4, 6)])
+def test_spectrum_on_the_parity_pair_is_the_lookup_by_n(n_exponent, radius, ctx40):
+    trunc = TruncationParams(100, Fraction(radius))
+    (pair,) = [p for p in pt_pairs(n_exponent) if p.p_symmetric]
+    for parity in ("even", "odd", "both"):
+        direct = spectrum(pair, 2, trunc, ctx40, parity=parity)
+        looked_up = quantize_p_symmetric(n_exponent, parity, 2, trunc, ctx40)
+        assert [(lv.E, lv.diagnostics.est_error, lv.parity) for lv in direct] == [
+            (lv.E, lv.diagnostics.est_error, lv.parity) for lv in looked_up
+        ]
+        assert all(lv.c is None and lv.pair == pair for lv in direct)
+        if parity != "both":
+            assert {lv.parity for lv in direct} == {parity}
+
+
+def test_spectrum_rejects_a_bad_parity_on_a_pt_pair(pair3, trunc8, ctx40):
+    for bad in ("all", "Both", None):
+        with pytest.raises(ParameterError, match="parity must be"):
+            spectrum(pair3, 1, trunc8, ctx40, parity=bad)
 
 
 def test_spectrum_needs_room_below_emax(pair3, trunc8, ctx40):

@@ -46,6 +46,7 @@ COMMANDS = (
     "spectrum --N 6 --pair 2 --radius 4 --levels 4",
     "spectrum --N 2 --pair 1 --levels 1",
     "spectrum --N 2 --pair 0 --force",
+    "spectrum --N 6 --pair 0 --radius 4 --levels 2 --force",
     "spectrum --N 3 --levels 4 --emax 5",
     "spectrum --N 4 --pair 0 --radius 6 --levels 30 --emax 5",
     "spectrum --N 5 --radius 4 --levels 3",
