@@ -21,6 +21,9 @@ series.grid_evaluator on the per-angle energy polynomials, and refines
 each sign change at full precision through series.eval_energy_poly,
 attaching c on a PT pair and the even/odd tag on the parity pair.
 quantize_p_symmetric is spectrum on the parity pair looked up by N.
+Every probe's polynomials are stored at the energy scale of its request
+(_scale): spectrum's e_max, the scan window, the refined bracket, the
+|E| of connection_coefficient and 97/96 of the health check's e_max.
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
 scan_im_c (on the exact grid as well), connection_coefficient and the
@@ -41,13 +44,14 @@ from mpmath.libmp import from_rational
 from . import series
 from .errors import (
     BracketError,
+    DivergenceError,
     ParameterError,
     PoleError,
     TruncationError,
 )
 from .precision import ComplexHP, Fractionable, PrecisionContext, RealHP, as_fraction
 from .series import TruncationParams
-from .wedges import WedgePair, polar_point, pt_pairs
+from .wedges import WedgePair, pt_pairs
 
 __all__ = [
     "ScanPoint",
@@ -75,6 +79,9 @@ TAIL_THRESHOLD_EXPONENT = -10
 _INNER_RADIUS = Fraction(9, 10)
 
 DEFAULT_SCAN_STEP = Fraction(1, 20)
+# evaluations a root refinement may take: far above the 10 to 20 a level
+# takes; bisection alone closes a grid cell of 1/20 to 10**-61 in as many
+_ROOT_STEPS = 200
 DEFAULT_ENERGY_CAP = Fraction(100)
 
 
@@ -134,21 +141,41 @@ def _level_poly(level: EnergyLevel, ctx: PrecisionContext):
     return series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
 
 
-def _z_probe(pair: WedgePair, which_side: str, radius: Fraction, ctx: PrecisionContext) -> ComplexHP:
-    """r*exp(i*pi*theta) for the chosen wedge center."""
-    if which_side not in ("right", "left"):
-        raise ParameterError(f"which_side must be 'right' or 'left', got {which_side!r}")
-    theta = pair.theta_right if which_side == "right" else pair.theta_left
-    return polar_point(radius, theta, ctx)
+def _exact(x) -> Fraction:
+    """x, an mpf or anything as_fraction reads, as an exact Fraction."""
+    if isinstance(x, mp.mpf):
+        man, exp = x.man_exp
+        return man * Fraction(2) ** exp
+    return as_fraction(x)
+
+
+def _scale(*energies) -> Optional[int]:
+    """The energy scale of a request: the smallest sigma with 2**sigma >=
+    |E| for every E given, None when they are all zero."""
+    top = max(abs(_exact(e)) for e in energies)
+    if not top:
+        return None
+    # top lies strictly between 2**(sigma-1) and 2**(sigma+1)
+    sigma = top.numerator.bit_length() - top.denominator.bit_length()
+    return sigma if top <= Fraction(2) ** sigma else sigma + 1
 
 
 def _probe_polys(
-    pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, which_side: str = "right"
+    pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, scale, which_side: str = "right"
 ):
     """(psi1, psi2) as energy polynomials at the probe of radius
-    trunc.radius on the chosen wedge, from the table of (N, trunc.pmax)."""
+    trunc.radius on the chosen wedge, from the table of (N, trunc.pmax),
+    rescaled down to the energy scale 2**scale of the request (see
+    _scale) when that is below the probe's own.  The rescaled copies are
+    not memoized: they live as long as the caller holds them."""
+    if which_side not in ("right", "left"):
+        raise ParameterError(f"which_side must be 'right' or 'left', got {which_side!r}")
+    theta = pair.theta_right if which_side == "right" else pair.theta_left
     table = series.build_tables(pair.n_exponent, trunc.pmax)
-    return series.energy_polynomials(table, _z_probe(pair, which_side, trunc.radius, ctx), ctx)
+    polys = series.energy_polynomials(table, trunc.radius, theta, ctx)
+    if scale is None or scale >= polys[0].rho:
+        return polys
+    return tuple(p.rescaled(scale) for p in polys)
 
 
 def _rounded(num: int, den: int) -> RealHP:
@@ -182,7 +209,7 @@ def connection_coefficient(
     For real E the left side gives the complex conjugate, so both sides
     share the same Im c zeros.
     """
-    poly_a, poly_b = _probe_polys(pair, trunc, ctx, which_side)
+    poly_a, poly_b = _probe_polys(pair, trunc, ctx, _scale(E), which_side)
     return _c_from_polys(poly_a, poly_b, E, ctx)
 
 
@@ -207,7 +234,7 @@ def scan_im_c(
     if e_max <= e_min:
         raise ParameterError(f"empty energy window [{e_min}, {e_max}]")
     den = math.lcm(e_min.denominator, step.denominator)
-    at, _ = series.grid_evaluator(_probe_polys(pair, trunc, ctx), den)
+    at, _ = series.grid_evaluator(_probe_polys(pair, trunc, ctx, _scale(e_min, e_max)), den)
     t0, dt = int(e_min * den), int(step * den)
     guard = 100 ** (ctx.digits // 2)
     points = []
@@ -225,14 +252,23 @@ def scan_im_c(
 
 
 def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
-    """Root of a smooth real function f that changes sign on bracket:
-    bisection to moderate width, then bracket-safeguarded secant down
-    to tol (on E), reusing f at the bracket ends when the caller passes
-    them.  A secant step shorter than tol/2 is lengthened to tol/2, so
-    once the secant has settled on the root the next point lands across
-    it and the far end of the bracket moves in.  Returns the secant
-    point of the final bracket, not its midpoint.  Raises BracketError
-    when f has no sign change."""
+    """Root of a smooth real function f that changes sign on bracket, by
+    Dekker's secant with Brent's safeguard from the bracket ends down to
+    a bracket no wider than tol (on E), reusing f at the ends when the
+    caller passes them.
+
+    The iterate is the end of the bracket where |f| is smallest.  A
+    secant step from it is taken when it is shorter than half the step
+    before last and than 3/4 of the way to the bracket's midpoint;
+    otherwise the step bisects, so the steps shrink at least by half
+    every two steps.  A step shorter than tol/2 is lengthened to tol/2,
+    so once the secant has settled on the root the next point lands
+    across it and the far end of the bracket moves in.  Returns the
+    secant point of the final bracket.  Raises BracketError when f has no
+    sign change, and DivergenceError when the bracket is still wider than
+    tol after _ROOT_STEPS evaluations (tol below what the working
+    precision resolves).
+    """
     lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
     if not lo < hi:
         raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
@@ -245,41 +281,40 @@ def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
         raise BracketError(
             f"no sign change on [{mp.nstr(lo, 12)}, {mp.nstr(hi, 12)}]"
         )
-    coarse = max(mp.mpf("1e-5"), tol)
-    while hi - lo > coarse:
-        mid = (lo + hi) / 2
-        f_mid = f(mid)
-        if f_mid == 0:
-            return mid
-        if mp.sign(f_mid) == mp.sign(f_lo):
-            lo, f_lo = mid, f_mid
+    half_tol = tol / 2
+    x_pre, f_pre, x_cur, f_cur = lo, f_lo, hi, f_hi
+    x_far, f_far = x_pre, f_pre  # the other end of the bracket
+    step = step_pre = x_cur - x_pre
+    for _ in range(_ROOT_STEPS):
+        if mp.sign(f_pre) != mp.sign(f_cur):
+            x_far, f_far = x_pre, f_pre
+            step = step_pre = x_cur - x_pre
+        if abs(f_far) < abs(f_cur):
+            x_pre, x_cur, x_far = x_cur, x_far, x_cur
+            f_pre, f_cur, f_far = f_cur, f_far, f_cur
+        to_mid = (x_far - x_cur) / 2
+        if abs(to_mid) <= half_tol:
+            return x_cur - f_cur * (x_far - x_cur) / (f_far - f_cur)
+        if abs(step_pre) > half_tol and abs(f_cur) < abs(f_pre):
+            trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            if 2 * abs(trial) < min(abs(step_pre), 3 * abs(to_mid) - half_tol):
+                step_pre, step = step, trial
+            else:
+                step_pre = step = to_mid
         else:
-            hi, f_hi = mid, f_mid
-
-    x_prev, f_prev = lo, f_lo
-    x_cur, f_cur = hi, f_hi
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        x_new = None
-        if f_cur != f_prev:
-            cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-            if abs(cand - x_cur) < tol / 2:
-                cand = x_cur + tol / 2 if x_cur == lo else x_cur - tol / 2
-            if lo < cand < hi:
-                x_new = cand
-        if x_new is None:
-            x_new = (lo + hi) / 2
-        f_new = f(x_new)
-        if f_new == 0:
-            return x_new
-        if mp.sign(f_new) == mp.sign(f_lo):
-            lo, f_lo = x_new, f_new
+            step_pre = step = to_mid
+        x_pre, f_pre = x_cur, f_cur
+        if abs(step) > half_tol:
+            x_cur += step
         else:
-            hi, f_hi = x_new, f_new
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = x_new, f_new
-    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
+            x_cur += half_tol if to_mid > 0 else -half_tol
+        f_cur = f(x_cur)
+        if f_cur == 0:
+            return x_cur
+    raise DivergenceError(
+        f"bracket [{mp.nstr(min(x_cur, x_far), 12)}, {mp.nstr(max(x_cur, x_far), 12)}]"
+        f" did not close to tol={mp.nstr(tol, 3)} in {_ROOT_STEPS} steps"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +322,10 @@ def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
 # radius r to a real f(E) whose sign changes are the zeros of D(E)
 
 
-def _reader(pair: WedgePair, pmax: int, ctx: PrecisionContext) -> Callable:
+def _reader(pair: WedgePair, pmax: int, ctx: PrecisionContext, scale) -> Callable:
     """radius -> f, with f(E) a real multiple of the truncated spectral
     determinant D(E) = psi1(zR) psi2(zL) - psi1(zL) psi2(zR) at the
-    probes of radius r.
+    probes of radius r, for |E| up to the energy scale 2**scale.
 
     Only the right probe is collapsed.  On a PT pair zL = -conj zR, so
     (psi1, psi2)(zL) = conj (psi1, psi2)(zR) at real E and f = D/(2i) =
@@ -303,7 +338,7 @@ def _reader(pair: WedgePair, pmax: int, ctx: PrecisionContext) -> Callable:
     parity = pair.parity_swapped()
 
     def reader(radius: Fraction):
-        poly_a, poly_b = _probe_polys(pair, TruncationParams(pmax, radius), ctx)
+        poly_a, poly_b = _probe_polys(pair, TruncationParams(pmax, radius), ctx, scale)
 
         def f(ev):
             p1 = series.eval_energy_poly(poly_a, ev)
@@ -321,20 +356,27 @@ def _determinant(parity: bool, p1r, p1i, p2r, p2i):
     return p1r * (p2r + p2i) if parity else p1i * p2r - p1r * p2i
 
 
-def _root_and_estimate(reader: Callable, radius: Fraction, bracket, tol, ends=None):
-    """(root of reader(radius) in bracket, est_error); ends, if given,
-    are reader(radius) at the bracket ends.
+def _root_and_estimate(
+    pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, bracket, tol, ends=None
+):
+    """(root of the pair's reader at trunc.radius in bracket, est_error);
+    ends, if given, are that reader at the bracket ends.  The probes are
+    stored at the bracket's energy scale.
 
-    est_error is the shift of the root under reader(0.9*radius),
-    searched on a +-delta window around the root, then on the whole
-    bracket; inf when neither window holds a sign change.
+    est_error is the shift of the root under the reader at 0.9*radius,
+    searched on the part of a +-delta window around the root inside the
+    bracket, then on the whole bracket; inf when neither holds a sign
+    change.
     """
-    e_root = _hybrid_root(reader(radius), bracket, tol, ends)
+    reader = _reader(pair, trunc.pmax, ctx, _scale(*bracket))
+    lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
+    e_root = _hybrid_root(reader(trunc.radius), (lo, hi), tol, ends)
     delta = max(mp.mpf("1e-6"), 100 * tol * max(mp.mpf(1), abs(e_root)))
+    inner = reader(trunc.radius * _INNER_RADIUS)
     est = mp.inf
-    for window in ((e_root - delta, e_root + delta), bracket):
+    for window in ((max(lo, e_root - delta), min(hi, e_root + delta)), (lo, hi)):
         try:
-            est = abs(e_root - _hybrid_root(reader(radius * _INNER_RADIUS), window, tol))
+            est = abs(e_root - _hybrid_root(inner, window, tol))
             break
         except BracketError:
             continue
@@ -370,9 +412,8 @@ def refine_root(
         tol = mp.mpf(tol)
         if tol <= 0:
             raise ParameterError("tol must be positive")
-        reader = _reader(pair, trunc.pmax, ctx)
-        e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
-        c_val = connection_coefficient(pair, e_root, trunc, ctx)
+        e_root, est = _root_and_estimate(pair, trunc, ctx, bracket, tol, ends)
+        c_val = _c_from_polys(*_probe_polys(pair, trunc, ctx, _scale(*bracket)), e_root, ctx)
         return EnergyLevel(n, e_root, c_val.real, pair, _diagnostics(trunc, ctx, est))
 
 
@@ -421,9 +462,8 @@ def spectrum(
     if step <= 0:
         raise ParameterError(f"step must be positive, got {step}")
     direction = -1 if pair.theta_right == Fraction(1, 2) else 1
-    reader = _reader(pair, trunc.pmax, ctx)
     tol = ctx.tolerance(5)
-    at, unit = series.grid_evaluator(_probe_polys(pair, trunc, ctx), step.denominator)
+    at, unit = series.grid_evaluator(_probe_polys(pair, trunc, ctx, _scale(cap)), step.denominator)
     levels: list = []
     prev = None  # (k, D, Re psi1) at the last grid point where D is not zero
     with ctx.workdps():
@@ -446,7 +486,7 @@ def spectrum(
                 else:
                     tag = "even" if (lo[2] < 0) != (hi[2] < 0) else "odd"
                     if parity in ("both", tag):
-                        e_root, est = _root_and_estimate(reader, trunc.radius, bracket, tol, ends)
+                        e_root, est = _root_and_estimate(pair, trunc, ctx, bracket, tol, ends)
                         diagnostics = _diagnostics(trunc, ctx, est)
                         levels.append(EnergyLevel(n, e_root, None, pair, diagnostics, tag))
                 if len(levels) == n_levels:
@@ -509,26 +549,32 @@ def health_check(
 
     For every wedge angle the largest boundary term (p + q = pmax) must
     be negligible against the partial sum, and c(r) must agree with
-    c(0.9r).  Purely diagnostic: never raises on bad health.
+    c(0.9r).  The largest boundary term is the same on every angle of
+    the radius, so it is taken once; psi1 and c come from the probes'
+    energy polynomials.  Purely diagnostic: never raises on bad health.
     """
     cap = as_fraction(e_max)
     table = series.build_tables(n_exponent, trunc.pmax)
+    scale = _scale(cap * Fraction(97, 96))
+    inner = TruncationParams(trunc.pmax, trunc.radius * _INNER_RADIUS)
     tail_threshold = mp.mpf(10) ** TAIL_THRESHOLD_EXPONENT
     c_threshold = mp.mpf(10) ** (-(ctx.digits // 4))
     entries = []
     with ctx.workdps():
         ev = ctx.mpf(cap)
-        inner = TruncationParams(trunc.pmax, trunc.radius * _INNER_RADIUS)
+        peak = series.rim_peak(table, ctx.mpf(trunc.radius), ev, ctx)
         for pair in pt_pairs(n_exponent):
+            outer_polys = _probe_polys(pair, trunc, ctx, scale)
+            inner_polys = _probe_polys(pair, inner, ctx, scale)
             # the left probe, -conj z (PT pair) or -z (parity pair), gives the
-            # same ratio: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even
-            tail = series.tail_ratio(table, _z_probe(pair, "right", trunc.radius, ctx), ev, ctx)
+            # same tail: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even
+            psi1 = abs(series.eval_energy_poly(outer_polys[0], ev))
+            tail = peak / psi1 if psi1 else mp.inf
             c_disc = mp.inf
             for probe in (ev, ev * mp.mpf(97) / 96):
                 try:
-                    c_out = connection_coefficient(pair, probe, trunc, ctx)
-                    c_in = connection_coefficient(pair, probe, inner, ctx)
-                    c_disc = abs(c_out - c_in)
+                    c_out = _c_from_polys(*outer_polys, probe, ctx)
+                    c_disc = abs(c_out - _c_from_polys(*inner_polys, probe, ctx))
                     break
                 except PoleError:
                     continue

@@ -31,12 +31,24 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
   precision and scale R = 2**rho to integers round(a[p,q] * R**m *
   S**q * 2**bits) with S = R**N, the fixed point in which a term is
   A * u**m * v**q for u = w/R and v = E/S;
-* integer collapses: at fixed z, energy_polynomials sums the snapshot
-  into polynomials in E (degree pmax, for eigenvalue scans); at fixed E,
-  space_polynomial sums it into alpha*psi1 + beta*psi2 as a polynomial
-  in w = iz (for nodes, wavefunctions and exact moments; eval_psi and
-  residual collapse afresh).  Both return ScaledPoly: integer
-  coefficients of the scaled variable;
+* integer collapses: at a wedge centre z = r*exp(i*pi*theta),
+  energy_polynomials sums the snapshot into polynomials in E (degree
+  pmax, for eigenvalue scans); at fixed E, space_polynomial sums it into
+  alpha*psi1 + beta*psi2 as a polynomial in w = iz (for nodes,
+  wavefunctions and exact moments; eval_psi, residual and tail_ratio
+  collapse afresh).  Both return ScaledPoly: integer coefficients of the
+  scaled variable.  The energy side does its work once per radius: at a
+  wedge centre arg w = 2*pi*(k+1)/(N+2), so w**(N+2) = r**(N+2) and
+
+    psi1 = sum_q alpha_q(r) (w**2 E)**q,   psi2 = w sum_q beta_q(r) (w**2 E)**q
+
+  with alpha_q(r) = sum_p a[p,q] r**((N+2)*p) and beta_q(r) real.
+  _radial_sums gives them once per (table, radius, bits, rho), shared by
+  every wedge pair at that radius, and each probe multiplies them by the
+  powers of w.  A caller whose energies stay below a power of two
+  2**sigma < R**N rescales the energy polynomials down to it:
+  ScaledPoly.rescaled shifts coefficient q right by (N*rho - sigma)*q
+  bits, dropping bits that only larger energies would use;
 * integer kernel: _horner evaluates a polynomial and its first Taylor
   coefficients on (re, im) integer pairs at |u| <= 1, with its bits set
   by the cancellation measured at the call point; eval_energy_poly,
@@ -54,14 +66,14 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
 
 Beside them, _rim gives the terms of the last antidiagonal p + q = pmax
 from the integer numerators, which make up boundary_residual and the
-maximum in tail_ratio.
+maximum rim_peak behind tail_ratio and the health check's tails.
 
 One memo policy covers every result reused across calls: the table, the
-snapshot and the two collapses here, and the level square and moment
-integrals in observables, are pure stages wrapped by memo, which keeps
-the MEMO_CAP most recently used results of each under their argument
-tuple.  Numbers in those tuples compare by value (two mpc probes of the
-same value share an entry), tables by identity.
+snapshot, the radial sums and the two collapses here, and the level
+square and moment integrals in observables, are pure stages wrapped by
+memo, which keeps the MEMO_CAP most recently used results of each under
+their argument tuple.  Numbers in those tuples compare by value (two radii or two
+contexts of the same value share an entry), tables by identity.
 """
 
 from __future__ import annotations
@@ -96,6 +108,7 @@ __all__ = [
     "eval_psi",
     "residual",
     "boundary_residual",
+    "rim_peak",
     "tail_ratio",
     "wronskian",
     "energy_polynomials",
@@ -292,11 +305,19 @@ class ScaledPoly:
         return len(self.re)
 
     def rescaled(self, rho: int) -> "ScaledPoly":
-        """The same coefficients at the larger scale 2**rho (exact shifts)."""
+        """The same coefficients at the scale 2**rho: coefficient k shifts by
+        (rho - self.rho)*k bits, exactly to a larger scale and rounded once
+        to nearest to a smaller one, which drops the bits that only points
+        beyond 2**rho would use."""
         d = rho - self.rho
+
+        def moved(c: int, k: int) -> int:
+            s = d * k
+            return c << s if s >= 0 else (c + (1 << (-s - 1))) >> -s
+
         return ScaledPoly(
-            tuple(r << (d * k) for k, r in enumerate(self.re)),
-            tuple(i << (d * k) for k, i in enumerate(self.im)),
+            tuple(moved(r, k) for k, r in enumerate(self.re)),
+            tuple(moved(i, k) for k, i in enumerate(self.im)),
             self.frac,
             rho,
         )
@@ -501,25 +522,32 @@ def boundary_residual(
         return -(w ** table.n_exponent + ev) * mp.fsum(_rim(table, w, ev, which))
 
 
+def rim_peak(table: CoefficientTable, radius, E, ctx: PrecisionContext) -> RealHP:
+    """Largest magnitude of the terms of psi1 on the last antidiagonal
+    p + q = pmax at |z| = radius and |E|.  Every a[p,q] is positive, so
+    these are the rim terms at the real point w = radius, E = |E|: one
+    value for every direction of that radius."""
+    with ctx.workdps():
+        return max(_rim(table, mp.mpf(radius), abs(mp.mpf(E)), "psi1"))
+
+
 def tail_ratio(
     table: CoefficientTable,
     z,
     E,
     ctx: PrecisionContext,
 ) -> RealHP:
-    """Largest boundary-term magnitude relative to |psi1(z)|.
+    """Largest boundary-term magnitude relative to |psi1(z)|: rim_peak
+    over psi1 from eval_psi.
 
     This is the convergence diagnostic: well inside the reliable region
-    the last antidiagonal is negligible against the sum.  Every a[p,q]
-    is positive, so the rim terms at |w| and |E| are the magnitudes of
-    the terms, from real powers.
+    the last antidiagonal is negligible against the sum.
     """
     with ctx.workdps():
-        ev = mp.mpf(E)
-        denom = abs(_horner(energy_polynomials(table, z, ctx)[0], ev)[0])
-        if denom == 0:
+        psi1 = eval_psi(table, z, E, ctx)[0]
+        if psi1 == 0:
             return mp.inf
-        return max(_rim(table, abs(mp.mpc(z)), abs(ev), "psi1")) / denom
+        return rim_peak(table, abs(mp.mpc(z)), E, ctx) / abs(psi1)
 
 
 def wronskian(table: CoefficientTable, z, E, ctx: PrecisionContext) -> ComplexHP:
@@ -534,35 +562,76 @@ def wronskian(table: CoefficientTable, z, E, ctx: PrecisionContext) -> ComplexHP
 
 
 @memo
-def energy_polynomials(table: CoefficientTable, z, ctx: PrecisionContext):
-    """Collapse the double series at fixed z into polynomials in E.
+def _radial_sums(table: CoefficientTable, radius: Fraction, bits: int, rho: int):
+    """(alpha, beta, frac): the real sums of the snapshot at |u| = t =
+    radius / 2**rho <= 1,
+
+        alpha[q] = sum_p A * t**((N+2)*p),   beta[q] = sum_p B * t**((N+2)*p),
+
+    over the entries (q, m, A, B) of _float_entries(table, bits, rho), at
+    bits + frac fractional bits.  At a wedge centre u**(N+2) = t**(N+2),
+    so u**m = t**((N+2)*p) * u**(2q) and these sums are all a probe of
+    that radius needs from the table.  Memoized: every wedge pair of N at
+    one radius shares them.  The powers of t are exact integers rounded
+    down at frac bits, enough that their rounding stays below 2**-bits
+    in every sum."""
+    abits, entries = _float_entries(table, bits, rho)
+    step, pmax = table.n_exponent + 2, table.pmax
+    frac = bits + abits + (step * pmax + 1).bit_length() + 1
+    t = (radius / Fraction(2) ** rho) ** step
+    powers, num, den = [], 1, 1
+    for _ in range(pmax + 1):
+        powers.append((num << frac) // den)
+        num, den = num * t.numerator, den * t.denominator
+    alpha, beta = [0] * (pmax + 1), [0] * (pmax + 1)
+    for q, m, a, b in entries:
+        tp = powers[(m - 2 * q) // step]
+        alpha[q] += a * tp
+        beta[q] += b * tp
+    return tuple(alpha), tuple(beta), frac
+
+
+@memo
+def energy_polynomials(table: CoefficientTable, radius, theta, ctx: PrecisionContext):
+    """Collapse the double series at the wedge centre z = radius *
+    exp(i*pi*theta) into polynomials in E.
 
     Returns (A, B): ScaledPolys of the coefficients A_q, B_q with
     psi1(z, E) = sum_q A_q E**q and psi2(z, E) = sum_q B_q E**q, both of
-    degree pmax, at the energy scale S = R**N for the smallest power of
-    two R >= |z|.  Memoized per (table, z, ctx); eigenvalue scans call
-    this once per angle and then evaluate thousands of energies at
-    polynomial cost.
+    degree pmax.  theta (units of pi) must be a wedge centre of N, where
+    u = iz / 2**rho has u**(N+2) real: A_q = alpha_q u**(2q) and B_q =
+    beta_q u**(2q+1) in the scaled units, from the radial sums that every
+    probe of the radius shares.  Any other theta raises ParameterError.
+
+    The energy scale is S = R**N for the smallest power of two R >=
+    radius; a caller whose |E| stays below a smaller power of two rescales
+    them down to it (ScaledPoly.rescaled).  Memoized per (table, radius,
+    theta, ctx); eigenvalue scans collapse once per probe and then
+    evaluate thousands of energies at polynomial cost.
     """
-    with ctx.workdps():
-        wr, wi, e, rho, _ = _point(mp.mpc(0, 1) * mp.mpc(z))
-        rho = 0 if rho is None else rho
-        bits = _bits(table, ctx.dps)
-        abits, entries = _float_entries(table, bits, rho)
-        top = (table.n_exponent + 2) * table.pmax + 1
-        frac = bits + abits + top.bit_length() + 1
-        pr, pi = _powers(wr, wi, rho - e, top, frac)
-        a_re, a_im, b_re, b_im = ([0] * (table.pmax + 1) for _ in range(4))
-        for q, m, a, b in entries:
-            a_re[q] += a * pr[m]
-            a_im[q] += a * pi[m]
-            b_re[q] += b * pr[m + 1]
-            b_im[q] += b * pi[m + 1]
-        rho_e = table.n_exponent * rho
-        return tuple(
-            ScaledPoly(tuple(x >> frac for x in re), tuple(x >> frac for x in im), bits, rho_e)
-            for re, im in ((a_re, a_im), (b_re, b_im))
+    radius, theta = as_fraction(radius), as_fraction(theta)
+    step = table.n_exponent + 2
+    phase = theta + Fraction(1, 2)  # arg w / pi
+    if (phase * step / 2).denominator != 1:
+        raise ParameterError(f"theta={theta} is not a wedge centre of N={table.n_exponent}")
+    rho = _ratio_point(radius.numerator, radius.denominator)[0]
+    bits = _bits(table, ctx.dps)
+    alpha, beta, frac = _radial_sums(table, radius, bits, rho)
+    with mp.workprec(frac + 20):
+        t = mp.ldexp(mp.mpf(radius.numerator) / radius.denominator, frac - rho)
+        arg = mp.mpf(phase.numerator) / phase.denominator
+        ur, ui = (int(mp.nint(t * part(arg))) for part in (mp.cospi, mp.sinpi))
+    pr, pi = _powers(ur, ui, frac, 2 * table.pmax + 1, frac)
+    shift = 2 * frac
+    return tuple(
+        ScaledPoly(
+            tuple((x * pr[2 * q + odd]) >> shift for q, x in enumerate(sums)),
+            tuple((x * pi[2 * q + odd]) >> shift for q, x in enumerate(sums)),
+            bits,
+            table.n_exponent * rho,
         )
+        for odd, sums in ((0, alpha), (1, beta))
+    )
 
 
 def eval_energy_poly(coeffs: "ScaledPoly | Sequence", E) -> ComplexHP:

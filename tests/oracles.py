@@ -3,8 +3,8 @@
 Nothing here imports ptspec; reference values are produced by separate
 algorithms (a fresh dictionary-based recursion, a direct double sum,
 float shooting integrations, tanh-sinh quadrature, an mpmath
-polynomial square, a schoolbook integer square) so agreement is
-meaningful.
+polynomial square, a schoolbook integer square, the complex collapse of
+the integer snapshot at a general point) so agreement is meaningful.
 """
 
 from fractions import Fraction
@@ -105,6 +105,42 @@ def direct_psi(table, z, e_val, dps):
             dpsi2 += tb * (m + 1) * wpow[m]
         i_unit = mp.mpc(0, 1)
         return psi1, i_unit * dpsi1, psi2, i_unit * dpsi2
+
+
+def complex_collapse(snapshot, n_exponent, pmax, bits, rho, radius, theta):
+    """The energy polynomials at z = radius * exp(i*pi*theta), any theta,
+    by the complex sum of an integer snapshot: the integer parts (a_re,
+    a_im, b_re, b_im) of the coefficients of psi1 and psi2 in E at energy
+    scale 2**(N*rho) and bits fractional bits.
+
+    snapshot is (abits, entries) with entries (q, m, A, B) standing for
+    a[p,q] w**m E**q = A * u**m * v**q * 2**-bits, u = w / 2**rho and v =
+    E / 2**(N*rho), likewise B with u**(m+1).  Coefficient q of psi1 is
+    sum A * u**m over its entries, four multiplies of an entry by the
+    complex powers of u per entry, with u taken from mpmath at well above
+    the fixed point's precision, so the point carries no rounding of its
+    own.  Needs no wedge centre.
+    """
+    abits, entries = snapshot
+    top = (n_exponent + 2) * pmax + 1
+    frac = bits + abits + top.bit_length() + 1
+    with mp.workprec(frac + 40):
+        r = mp.mpf(radius.numerator) / radius.denominator
+        phase = mp.mpf(theta.numerator) / theta.denominator + mp.mpf(1) / 2
+        u = mp.ldexp(r, frac - rho) * mp.expjpi(phase)
+        xr, xi = int(mp.nint(u.real)), int(mp.nint(u.imag))
+    pr, pi = [1 << frac], [0]
+    for _ in range(top):
+        r, i = pr[-1], pi[-1]
+        pr.append((r * xr - i * xi) >> frac)
+        pi.append((r * xi + i * xr) >> frac)
+    sums = [[0] * (pmax + 1) for _ in range(4)]
+    for q, m, a, b in entries:
+        sums[0][q] += a * pr[m]
+        sums[1][q] += a * pi[m]
+        sums[2][q] += b * pr[m + 1]
+        sums[3][q] += b * pi[m + 1]
+    return tuple(tuple(x >> frac for x in part) for part in sums)
 
 
 def _shoot_to_origin(n_exponent, theta, e_val, s_inf):

@@ -183,19 +183,23 @@ def test_every_stage_reads_the_table_of_the_levels_truncation(monkeypatch):
 
     def recording(stage):
         def recorded(table, *args):
-            tables.append((stage.__name__, table))
+            tables.append((stage.__name__, table, args))
             return stage(table, *args)
 
         return recorded
 
     for name in ("energy_polynomials", "space_polynomial"):
         monkeypatch.setattr(series, name, recording(getattr(series, name)))
-    level = spectrum(pt_pairs(3)[0], 2, TruncationParams(40, Fraction(8)), PrecisionContext(20))[1]
+    pair = pt_pairs(3)[0]
+    level = spectrum(pair, 2, TruncationParams(40, Fraction(8)), PrecisionContext(20))[1]
     find_nodes(level)
     expectation(level, 2, build_contour(level.pair, 4, "real_line"))
     wavefunction_samples(level, -1, 1, Fraction(1, 2))
-    assert {name for name, _ in tables} == {"energy_polynomials", "space_polynomial"}
-    assert all(table is build_tables(3, 40) for _, table in tables)
+    assert {name for name, _, _ in tables} == {"energy_polynomials", "space_polynomial"}
+    assert all(table is build_tables(3, 40) for _, table, _ in tables)
+    # the energy side probes the right wedge centre at r and at 0.9r
+    probes = {args[:2] for name, _, args in tables if name == "energy_polynomials"}
+    assert probes == {(Fraction(8), pair.theta_right), (Fraction(36, 5), pair.theta_right)}
 
 
 def test_default_box_finds_zeros_near_its_edge():

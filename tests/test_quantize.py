@@ -8,9 +8,11 @@ import pytest
 import oracles
 from ptspec import (
     BracketError,
+    DivergenceError,
     ParameterError,
     PoleError,
     PrecisionContext,
+    RadiusError,
     TruncationError,
     TruncationParams,
     connection_coefficient,
@@ -165,9 +167,10 @@ def test_exact_scan_sign_matches_reader(n_exponent, pair_index, radius, ctx40):
     pair = pt_pairs(n_exponent)[pair_index]
     trunc = TruncationParams(100, Fraction(radius))
     direction = -1 if pair.theta_right == Fraction(1, 2) else 1
-    polys = quantize._probe_polys(pair, trunc, ctx40)
+    scale = quantize._scale(quantize.DEFAULT_ENERGY_CAP)  # spectrum's scale
+    polys = quantize._probe_polys(pair, trunc, ctx40, scale)
     at, _ = series.grid_evaluator(polys, 20)
-    reader = quantize._reader(pair, 100, ctx40)(trunc.radius)
+    reader = quantize._reader(pair, 100, ctx40, scale)(trunc.radius)
     changes, prev, k = 0, 0, 0
     with ctx40.workdps():
         while changes < 4:
@@ -187,7 +190,7 @@ def test_spectrum_finds_a_level_on_a_grid_point(pair3, trunc8, ctx40, monkeypatc
     frac, rho = 64, 7  # at scale 2**7 for the whole scan up to E = 100
     p1 = series.ScaledPoly((0, 0), (-(1 << frac), 1 << (frac + rho)), frac, rho)
     p2 = series.ScaledPoly((1 << frac, 0), (0, 0), frac, rho)
-    monkeypatch.setattr(series, "energy_polynomials", lambda table, z, ctx: (p1, p2))
+    monkeypatch.setattr(series, "energy_polynomials", lambda table, radius, theta, ctx: (p1, p2))
     (level,) = spectrum(pair3, 1, trunc8, ctx40)
     assert level.E == 1
     assert level.diagnostics.est_error == 0
@@ -247,6 +250,45 @@ def test_hybrid_root_closes_without_rounding_noise():
         got = _hybrid_root(f, (mp.mpf(0), mp.mpf("0.5")), mp.mpf("1e-45"))
         assert abs(got - root) < mp.mpf("1e-45")
     assert len(calls) <= 25
+
+
+def test_hybrid_root_does_not_creep_along_a_steep_side():
+    # f = exp(200 (x - 1/20)) - 1 is flat below its root and steep above:
+    # a secant from the ends lands a little above the flat end each time
+    # and needs some 140 steps to cross 0.05 at 40 digits.  Brent's rule
+    # bisects when the steps stop halving, which closes it in 23
+    from ptspec.quantize import _hybrid_root
+
+    calls = []
+    with mp.workdps(50):
+        root = mp.mpf(1) / 20
+
+        def f(x):
+            calls.append(x)
+            return mp.exp(200 * (x - root)) - 1
+
+        got = _hybrid_root(f, (mp.mpf(0), mp.mpf(1)), mp.mpf("1e-40"))
+        assert abs(got - root) <= mp.mpf("1e-40")
+    assert len(calls) <= 30
+
+
+def test_hybrid_root_raises_when_the_bracket_cannot_close():
+    # tol 1e-60 lies below what 30 digits resolve near 1/3: the bracket
+    # stops shrinking, and the refinement says so instead of returning
+    from ptspec.quantize import _ROOT_STEPS, _hybrid_root
+
+    with mp.workdps(80):
+        root = mp.mpf(1) / 3
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - root
+
+    with mp.workdps(30):
+        with pytest.raises(DivergenceError, match="did not close"):
+            _hybrid_root(f, (mp.mpf(0), mp.mpf("0.5")), mp.mpf("1e-60"))
+    assert len(calls) == 2 + _ROOT_STEPS
 
 
 def test_refine_root_empty_bracket(pair3, trunc8, ctx40):
@@ -362,6 +404,72 @@ def test_health_report_structure(trunc8, ctx40):
     with PrecisionContext(40).workdps():
         assert entry.tail < mp.mpf("1e-10")
         assert entry.c_discrepancy < mp.mpf("1e-10")
+
+
+# health_check(7, r = 3, e_max = 32) as the complex collapse at a general
+# point gave it, (tail, c_discrepancy) per pair to 10 digits: with c read
+# at E = 32, and with a pole planted there, so that the second probe at
+# 32*97/96 reads it, above the 2**5 that covers e_max itself
+HEALTH_N7_R3_E32 = {
+    False: [("7.464392452e-70", "1.320251178e-18"), ("4.231466037e-68", "4.090315882e-15"),
+            ("2.168216735e-71", "1.310814921e-21")],
+    True: [("7.464392452e-70", "1.283096374e-18"), ("4.231466037e-68", "4.192499416e-15"),
+           ("2.168216735e-71", "1.219983392e-21")],
+}
+
+
+@pytest.mark.parametrize("pole_at_32", [False, True])
+def test_health_check_covers_its_second_probe(pole_at_32, ctx40, monkeypatch):
+    if pole_at_32:
+        c_from_polys = quantize._c_from_polys
+
+        def planted(poly_a, poly_b, E, ctx):
+            if E == 32:
+                raise PoleError("planted pole")
+            return c_from_polys(poly_a, poly_b, E, ctx)
+
+        monkeypatch.setattr(quantize, "_c_from_polys", planted)
+    report = health_check(7, TruncationParams(100, Fraction(3)), Fraction(32), ctx40)
+    assert report.passed and report.e_max == 32
+    with ctx40.workdps():
+        for entry, want in zip(report.entries, HEALTH_N7_R3_E32[pole_at_32], strict=True):
+            assert entry.tail_ok and entry.c_ok
+            for got, ref in zip((entry.tail, entry.c_discrepancy), want):
+                assert abs(got - mp.mpf(ref)) <= mp.mpf("1e-9") * mp.mpf(ref)
+
+
+def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypatch):
+    # r = 3/4 and pmax 40 keep the energy polynomials at scale 1, below any
+    # e_max asked here, so they are never rescaled, and points beyond E = 1
+    # are refused where the complex collapse at a general point refused
+    # them: the scan of spectrum (e_max = 20) reads the grid up to E = 1
+    # and refuses 21/20 at the working precision, the health check of
+    # `spectrum --N 3 --radius 3/4 --pmax 40 --force --levels 1 --emax 20`
+    # refuses its psi1 at E = 30, and at 53 bits the grid reaches E = 8 and
+    # refuses 161/20
+    asked = []
+    grid_evaluator = series.grid_evaluator
+
+    def recording(polys, den):
+        at, unit = grid_evaluator(polys, den)
+
+        def recorded(t):
+            asked.append(Fraction(t, den))
+            return at(t)
+
+        return recorded, unit
+
+    monkeypatch.setattr(series, "grid_evaluator", recording)
+    pair, trunc = pt_pairs(3)[0], TruncationParams(40, Fraction(3, 4))
+    with pytest.raises(RadiusError):
+        spectrum(pair, 1, trunc, ctx40, e_max=Fraction(20))
+    assert asked[-2:] == [1, Fraction(21, 20)]
+    with pytest.raises(RadiusError):
+        health_check(3, trunc, Fraction(30), ctx40)
+    at, _ = recording(quantize._probe_polys(pair, trunc, ctx40, quantize._scale(20)), 20)
+    at(160)
+    with pytest.raises(RadiusError):
+        at(161)
 
 
 def test_parity_image_pairs_isospectral(ctx40):

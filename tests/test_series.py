@@ -108,8 +108,9 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(table3, ctx40):
 
     def values(table):
         z, e_val = mp.mpc("2.5", "-0.7"), mp.mpf("4.25")
+        theta = pt_pairs(3)[0].theta_right
         return (
-            eval_energy_poly(energy_polynomials(table, z, ctx40)[0], e_val),
+            eval_energy_poly(energy_polynomials(table, Fraction(5, 2), theta, ctx40)[0], e_val),
             poly_psi(space_polynomial(table, e_val, 1, 0, ctx40, radius=3), z),
             eval_psi(table, z, e_val, ctx40),
             tail_ratio(table, z, e_val, ctx40),
@@ -168,11 +169,11 @@ def test_memoized_stages_are_plain_functions(stage):
 def test_memo_shares_equal_arguments(table3):
     # probes and contexts built separately but equal in value share one entry
     first, second = PrecisionContext(40), PrecisionContext(40)
-    with first.workdps():
-        z1 = mp.mpc(0, 1) * mp.mpf(6)
-        z2 = mp.mpc("0", "6")
-    assert z1 is not z2 and first is not second
-    assert energy_polynomials(table3, z1, first) is energy_polynomials(table3, z2, second)
+    r1, r2 = Fraction(6), Fraction(12, 2)
+    theta1, theta2 = Fraction(-1, 10), Fraction(-3, 30)
+    assert r1 is not r2 and theta1 is not theta2 and first is not second
+    first_polys = energy_polynomials(table3, r1, theta1, first)
+    assert energy_polynomials(table3, r2, theta2, second) is first_polys
 
 
 def test_memo_evicts_the_least_recently_used():
@@ -256,14 +257,62 @@ def test_derivatives_match_finite_difference(table3, ctx40):
 
 
 def test_energy_polynomials_match_eval(table3, ctx40):
+    # on both wedge centres of N=3 at r = 31/10, against the direct double sum
+    radius = Fraction(31, 10)
+    pair = pt_pairs(3)[0]
+    for theta in (pair.theta_right, pair.theta_left):
+        coeffs_a, coeffs_b = energy_polynomials(table3, radius, theta, ctx40)
+        with ctx40.workdps():
+            z = polar_point(radius, theta, PrecisionContext(ctx40.digits + 20))
+            for e_str in ("0.5", "17.25"):
+                e_val = mp.mpf(e_str)
+                p1, _, p2, _ = oracles.direct_psi(table3, z, e_val, ctx40.dps + 20)
+                assert abs(eval_energy_poly(coeffs_a, e_val) - p1) < ctx40.tolerance(-10)
+                assert abs(eval_energy_poly(coeffs_b, e_val) - p2) < ctx40.tolerance(-10)
+
+
+@pytest.mark.parametrize("n_exponent", range(2, 9))
+def test_radial_collapse_matches_the_complex_collapse(n_exponent, ctx40):
+    # the radial sums times the powers of u, on both sides of every pair of
+    # N at radii down to 1/2 (rho = -1), agree with the complex collapse of
+    # the same snapshot at the same point to a unit of 2**-bits
+    table = build_tables(n_exponent, 50)
+    bits = series._bits(table, ctx40.dps)
+    for radius in (Fraction(8), Fraction(3), Fraction(27, 10), Fraction(3, 4), Fraction(1, 2)):
+        rho = series._ratio_point(radius.numerator, radius.denominator)[0]
+        snapshot = series._float_entries(table, bits, rho)
+        for pair in pt_pairs(n_exponent):
+            for theta in (pair.theta_right, pair.theta_left):
+                a, b = energy_polynomials(table, radius, theta, ctx40)
+                assert {(a.frac, a.rho), (b.frac, b.rho)} == {(bits, n_exponent * rho)}
+                want = oracles.complex_collapse(snapshot, n_exponent, 50, bits, rho, radius, theta)
+                for got, ref in zip((a.re, a.im, b.re, b.im), want):
+                    assert max(abs(g - r) for g, r in zip(got, ref)) <= 2, (radius, theta)
+
+
+def test_energy_polynomials_refuse_a_point_off_the_wedge_centres(table3, ctx40):
+    # the centres of N=3 are -1/10 + 2k/5; 0, 1/10 and 1/2 are not among them
+    for theta in (Fraction(0), Fraction(1, 2), Fraction(-1, 10) + Fraction(1, 5)):
+        with pytest.raises(ParameterError, match="not a wedge centre"):
+            energy_polynomials(table3, Fraction(3), theta, ctx40)
+
+
+def test_energy_scale_drops_only_unused_bits(table7, ctx40):
+    # N=7 at r = 3 is stored at S = 2**14; asked for |E| <= 2**7 it is
+    # rescaled down, coefficient q by 7*q bits, and agrees with the full
+    # scale to working precision up to |E| = 128
+    full = energy_polynomials(table7, Fraction(3), pt_pairs(7)[2].theta_right, ctx40)
+    small = [f.rescaled(7) for f in full]
+    for f, s in zip(full, small):
+        assert (f.rho, s.rho, s.frac) == (14, 7, f.frac)
+        for k in range(len(f)):  # coefficient k rounded once, to the nearest 2**(7k)
+            assert abs((s.re[k] << 7 * k) - f.re[k]) <= (1 << 7 * k) // 2
+        assert max(map(abs, s.re + s.im)).bit_length() < max(map(abs, f.re + f.im)).bit_length()
     with ctx40.workdps():
-        z = mp.mpc("3.1", "-1.0")
-        coeffs_a, coeffs_b = energy_polynomials(table3, z, ctx40)
-        for e_str in ("0.5", "17.25"):
-            e_val = mp.mpf(e_str)
-            p1, _, p2, _ = oracles.direct_psi(table3, z, e_val, ctx40.dps + 20)
-            assert abs(eval_energy_poly(coeffs_a, e_val) - p1) < ctx40.tolerance(-10)
-            assert abs(eval_energy_poly(coeffs_b, e_val) - p2) < ctx40.tolerance(-10)
+        for e_str in ("0.5", "59.03", "128", "-100"):
+            for f, s in zip(full, small):
+                want = eval_energy_poly(f, mp.mpf(e_str))
+                assert abs(eval_energy_poly(s, mp.mpf(e_str)) - want) <= ctx40.tolerance(5) * abs(want)
 
 
 def test_space_polynomial_matches(table3, ctx40):
@@ -283,14 +332,14 @@ def test_space_polynomial_matches(table3, ctx40):
 
 
 def test_polys_beyond_their_scale(table3, ctx40):
-    # the energy polynomials at |z| = 8 are scaled for |E| <= 8**3; far
+    # the energy polynomials at r = 79/10 are scaled for |E| <= 8**3; far
     # beyond, their majorant outgrows the stored rounding and the digits
     # stay.  A space polynomial scaled for |z| <= 2 has lost the bits of
     # its tail at |z| = 7.9 and refuses the point
     hi = PrecisionContext(70)
-    z = mp.mpc("-3.2", "-7.2")
-    a40, _ = energy_polynomials(table3, z, ctx40)
-    a70, _ = energy_polynomials(table3, z, hi)
+    radius, theta = Fraction(79, 10), pt_pairs(3)[0].theta_left
+    a40, _ = energy_polynomials(table3, radius, theta, ctx40)
+    a70, _ = energy_polynomials(table3, radius, theta, hi)
     for e_str in ("3000", "-2000"):
         with ctx40.workdps():
             got = eval_energy_poly(a40, mp.mpf(e_str))
@@ -308,7 +357,7 @@ def test_polys_beyond_their_scale(table3, ctx40):
 def _probe_polys(table, pair_index, radius, ctx):
     """The energy polynomials at the right probe of a pair."""
     pair = pt_pairs(table.n_exponent)[pair_index]
-    return energy_polynomials(table, polar_point(Fraction(radius), pair.theta_right, ctx), ctx)
+    return energy_polynomials(table, Fraction(radius), pair.theta_right, ctx)
 
 
 def assert_grid_matches_horner(polys, den, ts, ctx):

@@ -86,6 +86,9 @@ COMMANDS = (
     "wavefunction --N 7 --radius 3 --pair 1 --level 1 --xmin=-4 --xmax=4 --step=1/2",
     "expect --N 4 --pair 0 --radius 6 --level 1 --parity odd --moments 0,2 --contour wedge_rays --lambda 5",
     "nodes --N 4 --pair 0 --radius 6 --level 2 --parity even",
+    "spectrum --N 7 --radius 3 --pair 1 --levels 4 --health-emax 32",
+    "spectrum --N 2 --pair 1 --force --levels 3 --emax 1000",
+    "scan --N 3 --emin=-4 --emax 4 --step 1/4",
 )
 
 
