@@ -57,7 +57,6 @@ from .series import (
     eval_psi,
     residual,
     space_polynomial,
-    tail_ratio,
     wronskian,
 )
 from .wedges import WedgePair, ground_angle, pt_pairs, pt_reflect, reduce_angle
@@ -85,7 +84,6 @@ __all__ = [
     "eval_psi",
     "residual",
     "boundary_residual",
-    "tail_ratio",
     "wronskian",
     "energy_polynomials",
     "space_polynomial",

@@ -28,13 +28,19 @@ from .observables import (
 )
 from .precision import PrecisionContext, as_fraction, real_str
 from .quantize import (
-    connection_coefficient,
     health_check,
     quantize_p_symmetric,
     scan_im_c,
     spectrum,
 )
-from .series import TruncationParams, build_tables, eval_psi, wronskian
+from .series import (
+    TruncationParams,
+    build_tables,
+    energy_polynomials,
+    eval_energy_poly,
+    eval_psi,
+    wronskian,
+)
 from .wedges import angle_radians, pt_pairs
 
 ENV_DIGITS = "PTSPEC_DIGITS"
@@ -275,7 +281,8 @@ def _parse_moments(raw: str):
 
 def _cmd_expect(args) -> int:
     pair, ctx, trunc = _setup(args)
-    contour = build_contour(pair, args.lam, args.contour)
+    lam = min(Fraction(5), trunc.radius) if args.lam is None else args.lam
+    contour = build_contour(pair, lam, args.contour)
     level = _resolve_level(args, pair, ctx, trunc)
     moments = _parse_moments(args.moments)
     results = [expectation(level, m, contour) for m in moments]
@@ -348,9 +355,11 @@ def _cmd_selfcheck(args) -> int:
             p1, _, p2, _ = eval_psi(table3, z, mp.mpf(e), ctx)
             q1, _, q2, _ = eval_psi(table3, -mp.conj(z), mp.mpf(e), ctx)
             worst_pt = max(worst_pt, abs(q1 - mp.conj(p1)), abs(q2 - mp.conj(p2)))
-        c_r = connection_coefficient(pair3, mp.mpf("5.5"), trunc, ctx, "right")
-        c_l = connection_coefficient(pair3, mp.mpf("5.5"), trunc, ctx, "left")
-        worst_pt = max(worst_pt, abs(c_l - mp.conj(c_r)))
+        right, left = (energy_polynomials(table3, trunc.radius, theta, ctx)
+                       for theta in (pair3.theta_right, pair3.theta_left))
+        for poly_r, poly_l in zip(right, left):
+            p_r, p_l = (eval_energy_poly(poly, mp.mpf("5.5")) for poly in (poly_r, poly_l))
+            worst_pt = max(worst_pt, abs(p_l - mp.conj(p_r)))
         checks.append(("pt_reflection", worst_pt < tol, f"max deviation = {_num(worst_pt, 3)}"))
 
         worst_o = mp.mpf(0)
@@ -426,7 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--moments", default="1,2,3,4", help="comma list of moment orders")
     p.add_argument("--contour", choices=("real_line", "wedge_rays"), default="real_line")
-    p.add_argument("--lambda", dest="lam", default="5", help="contour extent")
+    p.add_argument("--lambda", dest="lam", default=None,
+                   help="contour extent (default min(5, radius))")
 
     sub.add_parser("wedges", parents=[common], help="list PT wedge pairs")
 

@@ -25,7 +25,7 @@ from . import series
 from .errors import DivergenceError, ParameterError, RadiusError, WindingError
 from .precision import ComplexHP, PrecisionContext, as_fraction
 from .quantize import EnergyLevel, _level_poly
-from .wedges import angle_radians
+from .wedges import polar_point, reduce_angle
 
 __all__ = ["NodeSet", "turning_points", "newton_zero", "find_nodes"]
 
@@ -60,7 +60,14 @@ class NodeSet:
 
 def turning_points(level: EnergyLevel):
     """Turning points (iz)**N = -E whose direction lies in the pair's
-    wedges, sorted by angle, at the level's working precision."""
+    wedges, sorted by angle, at the level's working precision.
+
+    iz = |E|**(1/N) exp(i*pi*(phi + 2k)/N) with phi = 1 for E > 0 and 0
+    for E < 0, so the directions are the exact Fractions (phi + 2k)/N -
+    1/2.  Those inside the pair's wedges (WedgePair.contains_angle) are
+    kept, sorted by their angle reduced to (-1, 1], and placed by
+    wedges.polar_point: a point on an axis has an exactly zero re or im.
+    """
     n = level.pair.n_exponent
     ctx = PrecisionContext(level.diagnostics.digits)
     with ctx.workdps():
@@ -68,24 +75,9 @@ def turning_points(level: EnergyLevel):
         if e_val == 0:
             return ()
         rho = abs(e_val) ** (mp.mpf(1) / n)
-        phi = mp.pi if e_val > 0 else mp.mpf(0)
-        half = mp.pi * mp.mpf(level.pair.half_width.numerator) / level.pair.half_width.denominator
-        centers = [angle_radians(t, ctx) for t in (level.pair.theta_right, level.pair.theta_left)]
-        picked = []
-        for k in range(n):
-            z = -mp.mpc(0, 1) * rho * mp.exp(mp.mpc(0, 1) * (phi + 2 * mp.pi * k) / n)
-            ang = mp.arg(z)
-            for center in centers:
-                d = ang - center
-                while d > mp.pi:
-                    d -= 2 * mp.pi
-                while d <= -mp.pi:
-                    d += 2 * mp.pi
-                if abs(d) < half:
-                    picked.append((ang, z))
-                    break
-        picked.sort(key=lambda t: t[0])
-        return tuple(z for _, z in picked)
+        phi = 1 if e_val > 0 else 0
+        angles = sorted(reduce_angle(Fraction(phi + 2 * k, n) - Fraction(1, 2)) for k in range(n))
+        return tuple(rho * polar_point(1, t, ctx) for t in angles if level.pair.contains_angle(t))
 
 
 def newton_zero(level: EnergyLevel, z0, tol, region: Optional[tuple] = None) -> ComplexHP:

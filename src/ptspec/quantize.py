@@ -9,8 +9,10 @@ the Wronskian of the solutions that decay in the right and in the left
 wedge, with zR = r*exp(i*theta_right) and zL = r*exp(i*theta_left) the
 probe points on the two wedges' center rays.  It vanishes exactly when
 some combination of psi1 and psi2 vanishes at both probes, and it has
-no poles.  Both probes are read from the right one.  On a PT pair the
-left values are the complex conjugates at real E, so D = 2i Im(psi1
+no poles.  Every read takes the right probe alone, and both probes of
+D come from it.  On a PT pair the left values are the complex
+conjugates at real E (the left energy polynomials are the right ones
+conjugated, to the last fixed-point bits), so D = 2i Im(psi1
 conj psi2) and its zeros are those of Im c, where c(E) =
 -psi1(zR)/psi2(zR) makes psi = psi1 + c*psi2 decay in both wedges at
 once.  On the parity pair of even N they are (psi1, -psi2), so D = -2
@@ -27,7 +29,8 @@ Every probe's polynomials are stored at the energy scale of its request
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
 scan_im_c (on the exact grid as well), connection_coefficient and the
-health check.
+health check.  The health check never raises on bad health: a pair
+whose probe the truncation cannot evaluate at its e_max fails.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .errors import (
     DivergenceError,
     ParameterError,
     PoleError,
+    RadiusError,
     TruncationError,
 )
 from .precision import ComplexHP, Fractionable, PrecisionContext, RealHP, as_fraction
@@ -160,19 +164,14 @@ def _scale(*energies) -> Optional[int]:
     return sigma if top <= Fraction(2) ** sigma else sigma + 1
 
 
-def _probe_polys(
-    pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, scale, which_side: str = "right"
-):
-    """(psi1, psi2) as energy polynomials at the probe of radius
-    trunc.radius on the chosen wedge, from the table of (N, trunc.pmax),
-    rescaled down to the energy scale 2**scale of the request (see
-    _scale) when that is below the probe's own.  The rescaled copies are
-    not memoized: they live as long as the caller holds them."""
-    if which_side not in ("right", "left"):
-        raise ParameterError(f"which_side must be 'right' or 'left', got {which_side!r}")
-    theta = pair.theta_right if which_side == "right" else pair.theta_left
+def _probe_polys(pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, scale):
+    """(psi1, psi2) as energy polynomials at the right probe of radius
+    trunc.radius, from the table of (N, trunc.pmax), rescaled down to the
+    energy scale 2**scale of the request (see _scale) when that is below
+    the probe's own.  The rescaled copies are not memoized: they live as
+    long as the caller holds them."""
     table = series.build_tables(pair.n_exponent, trunc.pmax)
-    polys = series.energy_polynomials(table, trunc.radius, theta, ctx)
+    polys = series.energy_polynomials(table, trunc.radius, pair.theta_right, ctx)
     if scale is None or scale >= polys[0].rho:
         return polys
     return tuple(p.rescaled(scale) for p in polys)
@@ -198,18 +197,15 @@ def _c_from_polys(poly_a, poly_b, E, ctx: PrecisionContext) -> ComplexHP:
 
 
 def connection_coefficient(
-    pair: WedgePair,
-    E,
-    trunc: TruncationParams,
-    ctx: PrecisionContext,
-    which_side: str = "right",
+    pair: WedgePair, E, trunc: TruncationParams, ctx: PrecisionContext
 ) -> ComplexHP:
-    """c(E) at the probe point of the chosen wedge (default right).
+    """c(E) at the right probe.
 
-    For real E the left side gives the complex conjugate, so both sides
-    share the same Im c zeros.
+    At real E the left probe of a PT pair gives the complex conjugate
+    (its energy polynomials are the right ones conjugated, to the last
+    fixed-point bits), so the right probe alone carries the Im c zeros.
     """
-    poly_a, poly_b = _probe_polys(pair, trunc, ctx, _scale(E), which_side)
+    poly_a, poly_b = _probe_polys(pair, trunc, ctx, _scale(E))
     return _c_from_polys(poly_a, poly_b, E, ctx)
 
 
@@ -552,6 +548,8 @@ def health_check(
     c(0.9r).  The largest boundary term is the same on every angle of
     the radius, so it is taken once; psi1 and c come from the probes'
     energy polynomials.  Purely diagnostic: never raises on bad health.
+    A pair whose probe the truncation cannot evaluate at e_max
+    (RadiusError) gets an infinite tail and c discrepancy, and fails.
     """
     cap = as_fraction(e_max)
     table = series.build_tables(n_exponent, trunc.pmax)
@@ -566,18 +564,21 @@ def health_check(
         for pair in pt_pairs(n_exponent):
             outer_polys = _probe_polys(pair, trunc, ctx, scale)
             inner_polys = _probe_polys(pair, inner, ctx, scale)
-            # the left probe, -conj z (PT pair) or -z (parity pair), gives the
-            # same tail: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even
-            psi1 = abs(series.eval_energy_poly(outer_polys[0], ev))
-            tail = peak / psi1 if psi1 else mp.inf
-            c_disc = mp.inf
-            for probe in (ev, ev * mp.mpf(97) / 96):
-                try:
-                    c_out = _c_from_polys(*outer_polys, probe, ctx)
-                    c_disc = abs(c_out - _c_from_polys(*inner_polys, probe, ctx))
-                    break
-                except PoleError:
-                    continue
+            try:
+                # the left probe, -conj z (PT pair) or -z (parity pair), gives the
+                # same tail: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even
+                psi1 = abs(series.eval_energy_poly(outer_polys[0], ev))
+                tail = peak / psi1 if psi1 else mp.inf
+                c_disc = mp.inf
+                for probe in (ev, ev * mp.mpf(97) / 96):
+                    try:
+                        c_out = _c_from_polys(*outer_polys, probe, ctx)
+                        c_disc = abs(c_out - _c_from_polys(*inner_polys, probe, ctx))
+                        break
+                    except PoleError:
+                        continue
+            except RadiusError:  # e_max beyond what the truncation evaluates
+                tail = c_disc = mp.inf
             entries.append(
                 HealthEntry(
                     pair_index=pair.index,

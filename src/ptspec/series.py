@@ -35,8 +35,8 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
   energy_polynomials sums the snapshot into polynomials in E (degree
   pmax, for eigenvalue scans); at fixed E, space_polynomial sums it into
   alpha*psi1 + beta*psi2 as a polynomial in w = iz (for nodes,
-  wavefunctions and exact moments; eval_psi, residual and tail_ratio
-  collapse afresh).  Both return ScaledPoly: integer coefficients of the
+  wavefunctions and exact moments; eval_psi and residual collapse
+  afresh).  Both return ScaledPoly: integer coefficients of the
   scaled variable.  The energy side does its work once per radius: at a
   wedge centre arg w = 2*pi*(k+1)/(N+2), so w**(N+2) = r**(N+2) and
 
@@ -45,15 +45,16 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
   with alpha_q(r) = sum_p a[p,q] r**((N+2)*p) and beta_q(r) real.
   _radial_sums gives them once per (table, radius, bits, rho), shared by
   every wedge pair at that radius, and each probe multiplies them by the
-  powers of w.  A caller whose energies stay below a power of two
+  powers of w, placed from cospi and sinpi of its exact phase theta +
+  1/2 like every point at a rational angle (wedges.polar_point).  A caller whose energies stay below a power of two
   2**sigma < R**N rescales the energy polynomials down to it:
   ScaledPoly.rescaled shifts coefficient q right by (N*rho - sigma)*q
   bits, dropping bits that only larger energies would use;
 * integer kernel: _horner evaluates a polynomial and its first Taylor
   coefficients on (re, im) integer pairs at |u| <= 1, with its bits set
   by the cancellation measured at the call point; eval_energy_poly,
-  poly_psi, poly_psi_d, eval_psi, residual, tail_ratio and the moment
-  integrals all run through it;
+  poly_psi, poly_psi_d, eval_psi, residual and the moment integrals all
+  run through it;
 * exact grid: grid_evaluator gives energy polynomials on a grid of
   rationals t/den exactly, as Horner's rule in the short integer t on
   integer coefficients, for the scans that need only signs and ratios;
@@ -66,7 +67,7 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
 
 Beside them, _rim gives the terms of the last antidiagonal p + q = pmax
 from the integer numerators, which make up boundary_residual and the
-maximum rim_peak behind tail_ratio and the health check's tails.
+maximum rim_peak behind the health check's tails.
 
 One memo policy covers every result reused across calls: the table, the
 snapshot, the radial sums and the two collapses here, and the level
@@ -109,7 +110,6 @@ __all__ = [
     "residual",
     "boundary_residual",
     "rim_peak",
-    "tail_ratio",
     "wronskian",
     "energy_polynomials",
     "eval_energy_poly",
@@ -531,25 +531,6 @@ def rim_peak(table: CoefficientTable, radius, E, ctx: PrecisionContext) -> RealH
         return max(_rim(table, mp.mpf(radius), abs(mp.mpf(E)), "psi1"))
 
 
-def tail_ratio(
-    table: CoefficientTable,
-    z,
-    E,
-    ctx: PrecisionContext,
-) -> RealHP:
-    """Largest boundary-term magnitude relative to |psi1(z)|: rim_peak
-    over psi1 from eval_psi.
-
-    This is the convergence diagnostic: well inside the reliable region
-    the last antidiagonal is negligible against the sum.
-    """
-    with ctx.workdps():
-        psi1 = eval_psi(table, z, E, ctx)[0]
-        if psi1 == 0:
-            return mp.inf
-        return rim_peak(table, abs(mp.mpc(z)), E, ctx) / abs(psi1)
-
-
 def wronskian(table: CoefficientTable, z, E, ctx: PrecisionContext) -> ComplexHP:
     """psi1 * psi2' - psi1' * psi2; exactly i for the full series."""
     p1, d1, p2, d2 = eval_psi(table, z, E, ctx)
@@ -782,8 +763,8 @@ def _fit_scale(coeffs: ScaledPoly, rho_x, lx, prec: int):
     need = _resolution(coeffs.bounds, len(coeffs) - 1, None if lx is None else lx - coeffs.rho, prec)
     if lost and need is not None and coeffs.frac - lost < need:
         raise RadiusError(
-            f"point beyond the scale radius 2**{scale} of a polynomial whose"
-            " coefficients carry too few bits there"
+            f"point at 2**{rho_x} beyond the scale radius 2**{scale} of a polynomial"
+            " whose coefficients carry too few bits there"
         )
     return coeffs, need
 

@@ -63,18 +63,13 @@ def angle_radians(f: Fraction, ctx: PrecisionContext) -> RealHP:
 
 
 def polar_point(rho: Fraction, theta_pi: Fraction, ctx: PrecisionContext):
-    """rho * exp(i*pi*theta_pi) as an mpc, exact on the four half-axes."""
+    """rho * exp(i*pi*theta_pi) as an mpc: rho * (cospi + i*sinpi) of the
+    exact angle, the one rule for every point at a rational multiple of
+    pi, which gives exact zeros on the four half-axes."""
     with ctx.workdps():
         r = ctx.mpf(rho)
-        if theta_pi == 0:
-            return mp.mpc(r)
-        if theta_pi == 1:
-            return mp.mpc(-r)
-        if theta_pi == Fraction(1, 2):
-            return mp.mpc(0, 1) * r
-        if theta_pi == Fraction(-1, 2):
-            return mp.mpc(0, -1) * r
-        return r * mp.exp(mp.mpc(0, 1) * angle_radians(theta_pi, ctx))
+        arg = mp.mpf(theta_pi.numerator) / theta_pi.denominator
+        return r * mp.mpc(mp.cospi(arg), mp.sinpi(arg))
 
 
 @dataclass(frozen=True)

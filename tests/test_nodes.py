@@ -6,6 +6,8 @@ import mpmath as mp
 import pytest
 
 from ptspec import (
+    EnergyLevel,
+    LevelDiagnostics,
     ParameterError,
     PrecisionContext,
     RadiusError,
@@ -19,6 +21,7 @@ from ptspec import (
     newton_zero,
     nodes,
     pt_pairs,
+    reduce_angle,
     series,
     spectrum,
     turning_points,
@@ -110,6 +113,30 @@ def test_turning_points_in_wedges(levels3, ctx40):
             assert abs(left - (-mp.conj(want_r))) < mp.mpf("1e-35")
             for z in pts:
                 assert abs((mp.mpc(0, 1) * z) ** 3 + levels3[n].E) < mp.mpf("1e-33")
+
+
+def test_turning_points_of_every_pair(ctx40):
+    # planted levels at E = 7/2 (-7/2 on the imaginary-axis parity pair,
+    # whose bound spectrum is negative): one turning point in each wedge,
+    # each solving (iz)**N = -E, and exact zeros on an axis
+    for n_exponent in range(2, 9):
+        for pair in pt_pairs(n_exponent):
+            e_val = Fraction(-7, 2) if pair.theta_right == Fraction(1, 2) else Fraction(7, 2)
+            with ctx40.workdps():
+                diagnostics = LevelDiagnostics(100, Fraction(8), ctx40.digits, mp.mpf(0), True)
+                level = EnergyLevel(0, ctx40.mpf(e_val), None, pair, diagnostics)
+                points = turning_points(level)
+                assert len(points) == 2, (n_exponent, pair.index)
+                for z in points:
+                    residual = abs((mp.mpc(0, 1) * z) ** n_exponent + level.E)
+                    assert residual <= mp.mpf(10) ** (1 - ctx40.dps) * abs(level.E)
+                    angle = Fraction(float(mp.arg(z) / mp.pi)).limit_denominator(4 * n_exponent)
+                    angle = reduce_angle(angle)
+                    assert pair.contains_angle(angle), (n_exponent, pair.index, angle)
+                    if angle in (0, 1):
+                        assert z.imag == 0, (n_exponent, pair.index, angle)
+                    if abs(angle) == Fraction(1, 2):
+                        assert z.real == 0, (n_exponent, pair.index, angle)
 
 
 def test_newton_polish_from_nearby_seed(levels3, ctx40):

@@ -1,5 +1,6 @@
 """Eigenvalue machinery: golden spectrum, parity route, health gates."""
 
+import itertools
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,6 +20,7 @@ from ptspec import (
     health_check,
     level_weights,
     pt_pairs,
+    pt_reflect,
     quantize_p_symmetric,
     refine_root,
     scan_im_c,
@@ -117,14 +119,24 @@ def test_c_matches_shooting_n7():
         assert abs(ref - c) <= 1e-9 * abs(c), level.n
 
 
-def test_connection_coefficient_sides(pair3, trunc8, ctx40):
-    with ctx40.workdps():
-        e_val = mp.mpf("5.5")
-        right = connection_coefficient(pair3, e_val, trunc8, ctx40, "right")
-        left = connection_coefficient(pair3, e_val, trunc8, ctx40, "left")
-        assert abs(left - mp.conj(right)) < ctx40.tolerance(-8)
-    with pytest.raises(ParameterError):
-        connection_coefficient(pair3, 1, trunc8, ctx40, "middle")
+def test_left_probe_is_the_right_one_conjugated():
+    # every read takes the right probe: on a PT pair the left probe's
+    # energy polynomials are the right ones conjugated, in the same fixed
+    # point, to 1 unit of the last bit on Re and 2 on Im (the worst case
+    # over these exponents, radii and precisions)
+    for n_exponent in range(2, 9):
+        table = series.build_tables(n_exponent, 100)
+        pairs = [p for p in pt_pairs(n_exponent) if pt_reflect(p.theta_right) == p.theta_left]
+        for digits, radius, pair in itertools.product(
+            (20, 40, 80), (Fraction(8), Fraction(3), Fraction(27, 10), Fraction(1, 2)), pairs
+        ):
+            ctx = PrecisionContext(digits)
+            right, left = (series.energy_polynomials(table, radius, theta, ctx)
+                           for theta in (pair.theta_right, pair.theta_left))
+            for r, l in zip(right, left, strict=True):
+                assert (l.frac, l.rho) == (r.frac, r.rho)
+                assert all(abs(x - y) <= 1 for x, y in zip(r.re, l.re, strict=True))
+                assert all(abs(x + y) <= 2 for x, y in zip(r.im, l.im, strict=True))
 
 
 def test_c_real_at_eigenvalue(pair3, levels3, trunc8, ctx40):
@@ -445,8 +457,8 @@ def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypa
     # them: the scan of spectrum (e_max = 20) reads the grid up to E = 1
     # and refuses 21/20 at the working precision, the health check of
     # `spectrum --N 3 --radius 3/4 --pmax 40 --force --levels 1 --emax 20`
-    # refuses its psi1 at E = 30, and at 53 bits the grid reaches E = 8 and
-    # refuses 161/20
+    # cannot evaluate its psi1 at E = 30 and fails the pair instead of
+    # raising, and at 53 bits the grid reaches E = 8 and refuses 161/20
     asked = []
     grid_evaluator = series.grid_evaluator
 
@@ -464,8 +476,8 @@ def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypa
     with pytest.raises(RadiusError):
         spectrum(pair, 1, trunc, ctx40, e_max=Fraction(20))
     assert asked[-2:] == [1, Fraction(21, 20)]
-    with pytest.raises(RadiusError):
-        health_check(3, trunc, Fraction(30), ctx40)
+    report = health_check(3, trunc, Fraction(30), ctx40)
+    assert not report.passed and all(e.tail == mp.inf for e in report.entries)
     at, _ = recording(quantize._probe_polys(pair, trunc, ctx40, quantize._scale(20)), 20)
     at(160)
     with pytest.raises(RadiusError):

@@ -21,11 +21,11 @@ from ptspec import (
     boundary_residual,
     build_tables,
     eval_psi,
+    health_check,
     level_weights,
     pt_pairs,
     residual,
     spectrum,
-    tail_ratio,
     wronskian,
 )
 from ptspec.wedges import polar_point
@@ -43,6 +43,7 @@ from ptspec.series import (
     poly_psi,
     poly_psi_d,
     poly_square,
+    rim_peak,
     space_polynomial,
 )
 
@@ -113,7 +114,7 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(table3, ctx40):
             eval_energy_poly(energy_polynomials(table, Fraction(5, 2), theta, ctx40)[0], e_val),
             poly_psi(space_polynomial(table, e_val, 1, 0, ctx40, radius=3), z),
             eval_psi(table, z, e_val, ctx40),
-            tail_ratio(table, z, e_val, ctx40),
+            rim_peak(table, abs(z), e_val, ctx40),
             boundary_residual(table, z, e_val, ctx40, "psi2"),
         )
 
@@ -431,30 +432,30 @@ def test_grid_evaluator_validation(table3, ctx40):
         grid_evaluator((a, ScaledPoly(b.re[:-1], b.im[:-1], b.frac, b.rho)), 20)
 
 
-def test_tail_ratio_grows_with_radius(table7, ctx40):
+def test_health_tails_grow_with_radius(ctx40):
+    near, far = (health_check(7, TruncationParams(100, Fraction(r)), 30, ctx40) for r in (3, 8))
     with ctx40.workdps():
-        near = tail_ratio(table7, mp.mpf(3), mp.mpf(30), ctx40)
-        far = tail_ratio(table7, mp.mpf(8), mp.mpf(30), ctx40)
-        assert near < mp.mpf("1e-10") < far
+        assert all(e.tail < mp.mpf("1e-10") for e in near.entries)
+        assert any(e.tail > mp.mpf("1e-10") for e in far.entries)
 
 
-def test_tail_ratio_matches_definition(table7, ctx40):
+def test_health_tails_match_definition(table7, ctx40):
     # max over the rim p + q = P of |a[p,P-p] E^q w^m|, over |psi1| from
-    # the direct double sum
+    # the direct double sum at the wedge centre of each pair
     pmax, step = table7.pmax, table7.n_exponent + 2
     a = oracles.fraction_tables(table7)[0]
-    with ctx40.workdps():
-        e_val = mp.mpf(30)
-        for radius in (3, 8):
-            z = mp.mpf(radius)
-            w = mp.mpc(0, 1) * z
+    for radius in (3, 8):
+        report = health_check(7, TruncationParams(100, Fraction(radius)), 30, ctx40)
+        with ctx40.workdps():
+            e_val = mp.mpf(30)
             rim = [(a[(p, pmax - p)], pmax - p, step * p + 2 * (pmax - p))
                    for p in range(pmax + 1)]
-            worst = max(abs(mp.mpf(a.numerator) / a.denominator * e_val**q * w**m)
+            worst = max(mp.mpf(a.numerator) / a.denominator * e_val**q * mp.mpf(radius)**m
                         for a, q, m in rim)
-            want = worst / abs(eval_psi(table7, z, e_val, ctx40)[0])
-            got = tail_ratio(table7, z, e_val, ctx40)
-            assert abs(got - want) <= mp.mpf("1e-30") * want, radius
+            for entry, pair in zip(report.entries, pt_pairs(7), strict=True):
+                z = polar_point(Fraction(radius), pair.theta_right, PrecisionContext(ctx40.digits + 20))
+                want = worst / abs(oracles.direct_psi(table7, z, e_val, ctx40.dps + 20)[0])
+                assert abs(entry.tail - want) <= mp.mpf("1e-30") * want, (radius, pair.index)
 
 
 def _majorant_taylor(coeffs, t, order):

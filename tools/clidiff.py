@@ -89,6 +89,10 @@ COMMANDS = (
     "spectrum --N 7 --radius 3 --pair 1 --levels 4 --health-emax 32",
     "spectrum --N 2 --pair 1 --force --levels 3 --emax 1000",
     "scan --N 3 --emin=-4 --emax 4 --step 1/4",
+    "nodes --N 4 --pair 0 --radius 6 --level 0",
+    "nodes --N 6 --pair 2 --radius 4 --level 0",
+    "spectrum --N 3 --radius 3/4 --pmax 40 --levels 1 --emax 1",
+    "expect --N 6 --pair 2 --radius 4 --level 0 --moments 0,2",
 )
 
 
