@@ -4,11 +4,11 @@ A PrecisionContext carries the requested number of significant digits;
 internally every computation runs with GUARD_DIGITS extra digits so
 that the requested digits are fully trustworthy.  Values outside the
 series layer are mpmath numbers at that working precision.  Inside it
-(ptspec.series) the snapshot, the collapses and Horner's rule run on
-fixed-point Python integers whose bits follow from the same working
-precision, and their results come back as mpmath numbers.  Numbers
-cross process boundaries (CLI output, saved tables) only as decimal
-strings, never as binary floats.
+(ptspec.series) the coefficient recursion, the collapses and Horner's
+rule run on fixed-point Python integers whose bits follow from the same
+working precision, and their results come back as mpmath numbers.
+Numbers cross process boundaries (CLI output) only as decimal strings,
+never as binary floats.
 """
 
 from __future__ import annotations

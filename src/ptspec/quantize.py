@@ -23,14 +23,18 @@ series.grid_evaluator on the per-angle energy polynomials, and refines
 each sign change at full precision through series.eval_energy_poly,
 attaching c on a PT pair and the even/odd tag on the parity pair.
 quantize_p_symmetric is spectrum on the parity pair looked up by N.
-Every probe's polynomials are stored at the energy scale of its request
-(_scale): spectrum's e_max, the scan window, the refined bracket, the
-|E| of connection_coefficient and 97/96 of the health check's e_max.
+A probe's polynomials come from the radial sums of one pass of the
+coefficient recursion at its radius, shared by every pair of N there,
+and are stored at the energy scale of its request (_scale): spectrum's
+e_max, the scan window, the refined bracket, the |E| of
+connection_coefficient and 97/96 of the health check's e_max.
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
 scan_im_c (on the exact grid as well), connection_coefficient and the
-health check.  The health check never raises on bad health: a pair
-whose probe the truncation cannot evaluate at its e_max fails.
+health check.  The health check reads its tails from the last
+antidiagonal of the same recursion at (radius, e_max), and never raises
+on bad health: a pair whose probe the truncation cannot evaluate at its
+e_max fails.
 """
 
 from __future__ import annotations
@@ -139,24 +143,16 @@ def level_weights(level: EnergyLevel):
 
 def _level_poly(level: EnergyLevel, ctx: PrecisionContext):
     """The level's psi at ctx.dps as a space polynomial in w = iz, from
-    the table of its N and pmax and scaled for its validated disk."""
+    the truncation of its N and pmax and scaled for its validated disk."""
     table = series.build_tables(level.pair.n_exponent, level.diagnostics.pmax)
     alpha, beta = level_weights(level)
     return series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
 
 
-def _exact(x) -> Fraction:
-    """x, an mpf or anything as_fraction reads, as an exact Fraction."""
-    if isinstance(x, mp.mpf):
-        man, exp = x.man_exp
-        return man * Fraction(2) ** exp
-    return as_fraction(x)
-
-
 def _scale(*energies) -> Optional[int]:
     """The energy scale of a request: the smallest sigma with 2**sigma >=
     |E| for every E given, None when they are all zero."""
-    top = max(abs(_exact(e)) for e in energies)
+    top = max(abs(series._exact(e)) for e in energies)
     if not top:
         return None
     # top lies strictly between 2**(sigma-1) and 2**(sigma+1)
@@ -166,7 +162,7 @@ def _scale(*energies) -> Optional[int]:
 
 def _probe_polys(pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, scale):
     """(psi1, psi2) as energy polynomials at the right probe of radius
-    trunc.radius, from the table of (N, trunc.pmax), rescaled down to the
+    trunc.radius, from the truncation (N, trunc.pmax), rescaled down to the
     energy scale 2**scale of the request (see _scale) when that is below
     the probe's own.  The rescaled copies are not memoized: they live as
     long as the caller holds them."""

@@ -1,4 +1,4 @@
-"""Coefficient tables and truncated-series evaluation.
+"""Series coefficients by their recursion, and truncated-series evaluation.
 
 The equation -psi''(z) - (iz)**N psi(z) = E psi(z) has two fundamental
 solutions, analytic at z = 0, expandable in the variable w = iz:
@@ -11,43 +11,38 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
     (m-1)*m     * a[p,q] = a[p-1,q] + a[p,q-1],   m = (N+2)*p + 2*q
     m2*(m2+1)   * b[p,q] = b[p-1,q] + b[p,q-1],   m2 = (N+2)*p + 2*q
 
-(absent neighbors count as zero).  The module is built in layers:
+(absent neighbors count as zero).  Every coefficient is positive, and
+none is stored: build_tables gives only the truncation p + q <= pmax.
+The module is built in layers:
 
-* exact table: build_tables gives the coefficients for (N, pmax),
-  truncated on the antidiagonal p + q <= pmax, as integer numerators
-  over factorials, A[p,q] = m! * a[p,q] and B[p,q] = (m+1)! * b[p,q].
-  a[p,q] sums over the lattice paths to (p,q) the products of
-  1/((m_i-1)*m_i) along the path; m_i grows by at least 2 per step, so
-  the pairs {m_i-1, m_i} never overlap and their product divides m!
-  (likewise {m_i, m_i+1} and (m+1)!).  Multiplying the recursions
-  through gives them without a division:
-
-    A[p,q] = A[p,q-1] + perm(m-2, N) * A[p-1,q]
-    B[p,q] = B[p,q-1] + perm(m-1, N) * B[p-1,q]
-
-  so no gcd runs on the long numbers.  Tables are never saved: each
-  process builds its own, which is cheaper than checking a file would be;
-* integer snapshot: _float_entries rounds them once per working
-  precision and scale R = 2**rho to integers round(a[p,q] * R**m *
-  S**q * 2**bits) with S = R**N, the fixed point in which a term is
-  A * u**m * v**q for u = w/R and v = E/S;
+* the recursion pass: _pass runs both recursions once, scaled to the
+  point of use as X[p,q] = a[p,q] x**p y**q for x, y >= 0, in integers
+  with every division rounded down.  All terms are positive, so no
+  rounding is amplified by cancellation: its fractional bits need only
+  cover max X, which _log2_peaks finds first.  Three readers run it:
+  _radial_sums at (x, y) = (r**(N+2), R**(N+2)), R = 2**rho >= r, sums it
+  over p into the real radial sums alpha_q and beta_q of one radius;
+  _space_sums at (R**(N+2), R**2 |E|) sums it for each m into the
+  coefficients of psi1 and psi2 in u = w/R at real E; _rim at (|w|**(N+2),
+  |w|**2 |E|) takes the last antidiagonal p + q = pmax, far below max X,
+  at the working precision, for boundary_residual and the maximum
+  rim_peak behind the health check's tails;
 * integer collapses: at a wedge centre z = r*exp(i*pi*theta),
-  energy_polynomials sums the snapshot into polynomials in E (degree
-  pmax, for eigenvalue scans); at fixed E, space_polynomial sums it into
-  alpha*psi1 + beta*psi2 as a polynomial in w = iz (for nodes,
-  wavefunctions and exact moments; eval_psi and residual collapse
-  afresh).  Both return ScaledPoly: integer coefficients of the
-  scaled variable.  The energy side does its work once per radius: at a
-  wedge centre arg w = 2*pi*(k+1)/(N+2), so w**(N+2) = r**(N+2) and
+  energy_polynomials turns the radial sums into polynomials in E (degree
+  pmax, for eigenvalue scans); at fixed E, space_polynomial combines the
+  space sums into alpha*psi1 + beta*psi2 as a polynomial in w = iz (for
+  nodes, wavefunctions and exact moments; eval_psi and residual collapse
+  afresh).  Both return ScaledPoly: integer coefficients of the scaled
+  variable.  At a wedge centre arg w = 2*pi*(k+1)/(N+2), so w**(N+2) =
+  r**(N+2) and
 
     psi1 = sum_q alpha_q(r) (w**2 E)**q,   psi2 = w sum_q beta_q(r) (w**2 E)**q
 
-  with alpha_q(r) = sum_p a[p,q] r**((N+2)*p) and beta_q(r) real.
-  _radial_sums gives them once per (table, radius, bits, rho), shared by
-  every wedge pair at that radius, and each probe multiplies them by the
-  powers of w, placed from cospi and sinpi of its exact phase theta +
-  1/2 like every point at a rational angle (wedges.polar_point).  A caller whose energies stay below a power of two
-  2**sigma < R**N rescales the energy polynomials down to it:
+  with alpha_q(r) = sum_p a[p,q] r**((N+2)*p) and beta_q(r) real; each
+  probe multiplies them by the powers of w, placed from cospi and sinpi
+  of its exact phase theta + 1/2 like every point at a rational angle
+  (wedges.polar_point).  A caller whose energies stay below a power of
+  two 2**sigma < R**N rescales the energy polynomials down to it:
   ScaledPoly.rescaled shifts coefficient q right by (N*rho - sigma)*q
   bits, dropping bits that only larger energies would use;
 * integer kernel: _horner evaluates a polynomial and its first Taylor
@@ -65,22 +60,18 @@ with a[0,0] = b[0,0] = 1 and the two-term recursions
 * mpc at the boundary: every value handed back to quantize, nodes and
   observables is an mpmath number at the working precision.
 
-Beside them, _rim gives the terms of the last antidiagonal p + q = pmax
-from the integer numerators, which make up boundary_residual and the
-maximum rim_peak behind the health check's tails.
-
-One memo policy covers every result reused across calls: the table, the
-snapshot, the radial sums and the two collapses here, and the level
-square and moment integrals in observables, are pure stages wrapped by
-memo, which keeps the MEMO_CAP most recently used results of each under
-their argument tuple.  Numbers in those tuples compare by value (two radii or two
-contexts of the same value share an entry), tables by identity.
+One memo policy covers every result reused across calls: the table
+handle, the radial and space sums and the two collapses here, and the
+level square and moment integrals in observables, are pure stages
+wrapped by memo, which keeps the MEMO_CAP most recently used results of
+each under their argument tuple.  Everything in those tuples, tables
+included, compares by value (two radii, contexts or tables of the same
+value share an entry).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,7 +79,7 @@ from operator import mul
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp, from_rational
+from mpmath.libmp import dps_to_prec, from_man_exp
 
 from .errors import ParameterError, RadiusError
 from .precision import (
@@ -141,44 +132,15 @@ class TruncationParams:
             raise ParameterError(f"radius must be positive, got {self.radius}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CoefficientTable:
-    """Exact series coefficients for one (N, pmax).
-
-    a_num and b_num map (p, q) with p + q <= pmax to the integers
-    A[p,q] = m! * a[p,q] and B[p,q] = (m+1)! * b[p,q], m = (N+2)*p + 2*q
-    (see the module docstring for why they are integers).  Instances
-    are built by build_tables and must be treated as immutable.  A table
-    compares and hashes by identity, as its dict fields are unhashable;
-    memo keys hold it that way.
-    """
+    """The truncation p + q <= pmax of the series of one N: a value with
+    no coefficients.  The evaluators read N and pmax from it and run the
+    recursions scaled to their point (see _pass); equal tables share memo
+    entries."""
 
     n_exponent: int
     pmax: int
-    a_num: dict
-    b_num: dict
-
-    def entry_count(self) -> int:
-        return len(self.a_num)
-
-
-def _factorials(top: int) -> list:
-    """[0!, 1!, ..., top!]."""
-    return list(itertools.accumulate(range(1, top + 1), mul, initial=1))
-
-
-def _numerators(nums: dict, n_exponent: int, pmax: int, shift: int):
-    """((p, q), C[p,q]) in (p+q, p) order by the integer recursion, for
-    C[p,q] = (m+shift)! * c[p,q] with c = a (shift 0) or b (shift 1).
-    Each value reads its neighbours (p, q-1) and (p-1, q) from nums when
-    it is produced, so build_tables fills nums as it goes."""
-    yield (0, 0), 1
-    step = n_exponent + 2
-    for s in range(1, pmax + 1):
-        for p in range(s + 1):
-            q = s - p
-            factor = math.perm(step * p + 2 * q + shift - 2, n_exponent)
-            yield (p, q), nums.get((p, q - 1), 0) + factor * nums.get((p - 1, q), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +153,8 @@ _MEMOS: list = []
 def memo(stage):
     """The pure function stage with its results kept under its argument
     tuple: equal arguments of the same types share an entry (so 3.0 never
-    skips the validation of 3), and the least recently used entry goes
-    first once MEMO_CAP are held.  The result is a plain function
+    skips the validation of 3, and equal tables share one), and the least
+    recently used entry goes first once MEMO_CAP are held.  The result is a plain function
     carrying stage's name and module, as per-function tracing needs."""
     cached = functools.lru_cache(maxsize=MEMO_CAP, typed=True)(stage)
     _MEMOS.append(cached)
@@ -212,16 +174,12 @@ def clear_memos() -> None:
 
 @memo
 def build_tables(n_exponent: int, pmax: int) -> CoefficientTable:
-    """Exact coefficient tables for given N, pmax (memoized)."""
+    """The validated truncation (N, pmax) of the series (memoized)."""
     if not isinstance(n_exponent, int) or n_exponent < 2:
         raise ParameterError(f"N must be an integer >= 2, got {n_exponent!r}")
     if not isinstance(pmax, int) or pmax < 1:
         raise ParameterError(f"pmax must be a positive integer, got {pmax!r}")
-    a_num: dict = {}
-    b_num: dict = {}
-    for nums, shift in ((a_num, 0), (b_num, 1)):
-        nums.update(_numerators(nums, n_exponent, pmax, shift))  # reads nums as it fills
-    return CoefficientTable(n_exponent, pmax, a_num, b_num)
+    return CoefficientTable(n_exponent, pmax)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +188,16 @@ def build_tables(n_exponent: int, pmax: int) -> CoefficientTable:
 # exact integer operations and rounding happens only in explicit shifts
 
 
+def _count(table: CoefficientTable) -> int:
+    """The number of (p, q) with p + q <= pmax."""
+    return (table.pmax + 1) * (table.pmax + 2) // 2
+
+
 def _bits(table: CoefficientTable, dps: int) -> int:
-    """Fractional bits of snapshots and collapses at working precision dps:
-    mpmath's bits for dps plus room for the rounding of every table entry
-    and for the kernel's Taylor orders (see _resolution)."""
-    count = max(table.entry_count(), (table.n_exponent + 2) * table.pmax + 2)
+    """Fractional bits of the collapses at working precision dps: mpmath's
+    bits for dps plus room for the roundings of the recursion pass and for
+    the kernel's Taylor orders (see _resolution)."""
+    count = max(_count(table), (table.n_exponent + 2) * table.pmax + 2)
     return dps_to_prec(dps) + 3 * count.bit_length() + 1
 
 
@@ -379,61 +342,74 @@ def _scaled(coeffs: Sequence, rho: int, lu, prec: int) -> ScaledPoly:
 
 
 # ---------------------------------------------------------------------------
-# the integer snapshot, taken once per (table, bits, rho)
+# the recursion pass, run once per point of use
 
 
-@memo
-def _float_entries(table: CoefficientTable, bits: int, rho: int):
-    """The exact table at R = 2**rho and S = R**N as an integer snapshot
-    (abits, entries), memoized: entries (q, m, A, B) in (p+q, p) order with
-
-        A = round(a[p,q] * R**m * S**q * 2**bits)
-        B = round(b[p,q] * R**(m+1) * S**q * 2**bits),
-
-    so a term a[p,q] w**m E**q is A * u**m * v**q * 2**-bits with u = w/R
-    and v = E/S.  R**m * S**q = R**((N+2)*(p+q)) is constant along an
-    antidiagonal.  Each is rounded from the integer numerator over m! or
-    (m+1)!.  abits >= 1 bounds log2 of the largest |A|, |B| in units
-    (A = 2**bits at p = q = 0)."""
-    step = table.n_exponent + 2
-    top = step * table.pmax + 1
-    # k! = odd[k] * 2**twos[k] (Legendre); the power of two joins the shift,
-    # which keeps the divisor as short as a reduced denominator
-    twos = [k - k.bit_count() for k in range(top + 1)]
-    odd = [f >> v for f, v in zip(_factorials(top), twos)]
-
-    def rounded(num: int, k: int, t: int) -> int:
-        """round(num * 2**t / k!), halves up."""
-        den, t = odd[k], t - twos[k]
-        if t >= 0:
-            num <<= t
-        else:
-            den <<= -t
-        return (2 * num + den) // (2 * den)
-
-    entries = []
-    longest = 0
-    for s in range(table.pmax + 1):
-        shift = rho * step * s + bits
-        for p in range(s + 1):
-            q = s - p
-            m = step * p + 2 * q
-            a = rounded(table.a_num[(p, q)], m, shift)
-            b = rounded(table.b_num[(p, q)], m + 1, shift + rho)
-            longest = max(longest, a.bit_length(), b.bit_length())
-            entries.append((q, m, a, b))
-    return longest - bits, tuple(entries)
+def _log2_peaks(step: int, pmax: int, x: Fraction, y: Fraction):
+    """(log2 of the largest X[p,q] = a[p,q] x**p y**q over p + q <= pmax,
+    log2 of the largest on the rim p + q = pmax), from the recursion of
+    _pass run on floating-point logarithms, which neither overflow nor
+    underflow: good to far better than a bit."""
+    lx, ly = (math.log2(v.numerator) - math.log2(v.denominator) if v else -math.inf for v in (x, y))
+    row, peak = [0.0], 0.0
+    for s in range(1, pmax + 1):
+        new = []
+        for p, (left, right) in enumerate(zip([-math.inf] + row, row + [-math.inf])):
+            m = 2 * s + (step - 2) * p
+            hi, lo = max(lx + left, ly + right), min(lx + left, ly + right)
+            new.append(hi + math.log2(1 + 2.0 ** (lo - hi)) - math.log2((m - 1) * m)
+                       if hi > -math.inf else hi)
+        row = new
+        peak = max(peak, max(row))
+    return peak, max(row)
 
 
-def _powers(xr: int, xi: int, s: int, top: int, frac: int):
-    """Fixed-point powers (x**k for k = 0..top) of x = (xr + i*xi) / 2**s at
-    frac fractional bits, as lists of real and imaginary parts."""
-    pr, pi = [1 << frac], [0]
-    for _ in range(top):
-        r, i = pr[-1], pi[-1]
-        pr.append((r * xr - i * xi) >> s)
-        pi.append((r * xi + i * xr) >> s)
-    return pr, pi
+def _pass(step: int, pmax: int, x: Fraction, y: Fraction, b0: Fraction, frac: int) -> list:
+    """The antidiagonals s = 0..pmax of the recursions scaled by x, y >= 0:
+    per s the pair (A, B) of lists over p = 0..s of
+
+        A[p] = X[p,q] = a[p,q] x**p y**q,   B[p] = b0 * b[p,q] x**p y**q,
+
+    q = s - p, as integers at frac fractional bits, from
+
+        X[p,q] = (x X[p-1,q] + y X[p,q-1]) / ((m-1)*m)
+
+    (m*(m+1) for B) with every division rounded down.  All terms are
+    positive, so a stored value is below the exact one by the roundings
+    it inherits: the unit lost at (p',q') reaches (p,q) through the same
+    recursion started at (p',q'), whose divisors exceed those of
+    X[p-p',q-q'] from (0,0).  So the shortfall is below sum X[p-p',q-q']
+    <= count * max X units; that of B likewise, as b[p,q] <= a[p,q]."""
+    den = x.denominator * y.denominator
+    cx, cy = x.numerator * y.denominator, y.numerator * x.denominator
+    k = (den & -den).bit_length() - 1  # den = odd * 2**k: the power of two is a shift
+    odd = den >> k
+    a, b = [1 << frac], [(b0.numerator << frac) // b0.denominator]
+    rows = [(a, b)]
+    for s in range(1, pmax + 1):
+        ms = [2 * s + (step - 2) * p for p in range(s + 1)]
+        a = [((cx * l + cy * r) >> k) // (odd * (m - 1) * m) for l, r, m in zip([0] + a, a + [0], ms)]
+        b = [((cx * l + cy * r) >> k) // (odd * m * (m + 1)) for l, r, m in zip([0] + b, b + [0], ms)]
+        rows.append((a, b))
+    return rows
+
+
+def _sum_bits(table: CoefficientTable, x: Fraction, y: Fraction, bits: int) -> int:
+    """Fractional bits at which _pass(x, y) leaves every sum of up to pmax + 1
+    of its values within 2**-bits: the error bound of _pass, count * max X
+    units per value, times pmax + 1, with two bits for the estimate of
+    max X."""
+    peak, _ = _log2_peaks(table.n_exponent + 2, table.pmax, x, y)
+    spread = _count(table).bit_length() + (table.pmax + 1).bit_length()
+    return bits + math.ceil(peak) + spread + 2
+
+
+def _exact(x) -> Fraction:
+    """x, an mpf or anything as_fraction reads, as an exact Fraction."""
+    if isinstance(x, mp.mpf):
+        man, exp = x.man_exp
+        return man * Fraction(2) ** exp
+    return as_fraction(x)
 
 
 def eval_psi(
@@ -488,18 +464,32 @@ def residual(
 
 def _rim(table: CoefficientTable, w, ev, which: str) -> list:
     """Terms c[p,q] * E**q * w**m of psi1 (c = a) or psi2 (c = b, m + 1)
-    on the last antidiagonal p + q = pmax, from the integer numerators at
-    the working precision.  Each coefficient is the numerator over m! or
-    (m+1)!, rounded once to nearest."""
-    nums, shift = (table.a_num, 0) if which == "psi1" else (table.b_num, 1)
+    on the last antidiagonal p + q = pmax, at the working precision.
+
+    Their sizes are the rim of _pass at (x, y) = (|w|**(N+2), |w|**2 |E|),
+    rounded at 2**-prec relative to the largest of them: the rim of b is
+    within a factor 2*pmax + 1 of that of a, and both are far below the
+    peak of the pass, so its bits come from _log2_peaks.  Signs and
+    phases (E/|E|)**q * (w/|w|)**m follow in mpmath."""
     step, pmax = table.n_exponent + 2, table.pmax
-    facts = _factorials(step * pmax + 1)
     prec = mp.mp.prec
+    guard = (step * pmax + 2).bit_length() + 4  # rounding x and y perturbs a term by <= m roundings
+    with mp.workprec(prec + guard):
+        size = abs(w)
+        if not size:
+            return [mp.mpf(0)] * (pmax + 1)
+        x, y = _exact(size**step), _exact(size * size * abs(ev))
+        unit = w / size
+    peak, rim = _log2_peaks(step, pmax, x, y)
+    spread = _count(table).bit_length() + (step * pmax + 2).bit_length()
+    frac = prec + 4 + spread + math.ceil(peak - rim)
+    a, b = _pass(step, pmax, x, y, Fraction(1), frac)[-1]
+    sign = -1 if ev < 0 else 1
+    row, lift = (a, 1) if which == "psi1" else (b, w)
     out = []
-    for p in range(pmax + 1):
-        m = step * p + 2 * (pmax - p) + shift
-        coeff = mp.make_mpf(from_rational(nums[(p, pmax - p)], facts[m], prec, "n"))
-        out.append(coeff * ev ** (pmax - p) * w ** m)
+    for p, t in enumerate(row):
+        term = mp.make_mpf(from_man_exp(t, -frac, prec, "n")) * sign ** (pmax - p)
+        out.append(term * unit ** (step * p + 2 * (pmax - p)) * lift)
     return out
 
 
@@ -544,31 +534,25 @@ def wronskian(table: CoefficientTable, z, E, ctx: PrecisionContext) -> ComplexHP
 
 @memo
 def _radial_sums(table: CoefficientTable, radius: Fraction, bits: int, rho: int):
-    """(alpha, beta, frac): the real sums of the snapshot at |u| = t =
-    radius / 2**rho <= 1,
+    """(alpha, beta, frac): at R = 2**rho >= radius, the real sums
 
-        alpha[q] = sum_p A * t**((N+2)*p),   beta[q] = sum_p B * t**((N+2)*p),
+        alpha[q] = sum_p a[p,q] r**((N+2)*p) R**((N+2)*q),
+        beta[q] = R * sum_p b[p,q] r**((N+2)*p) R**((N+2)*q),
 
-    over the entries (q, m, A, B) of _float_entries(table, bits, rho), at
-    bits + frac fractional bits.  At a wedge centre u**(N+2) = t**(N+2),
-    so u**m = t**((N+2)*p) * u**(2q) and these sums are all a probe of
-    that radius needs from the table.  Memoized: every wedge pair of N at
-    one radius shares them.  The powers of t are exact integers rounded
-    down at frac bits, enough that their rounding stays below 2**-bits
-    in every sum."""
-    abits, entries = _float_entries(table, bits, rho)
+    as integers at frac fractional bits, each within 2**-bits below the
+    exact sum: the sums over p of _pass at (x, y) = (r**(N+2), R**(N+2)).
+    At a wedge centre u**(N+2) = (r/R)**(N+2) for u = iz/R, so a[p,q] w**m
+    E**q = X[p,q] * u**(2q) * (E/R**N)**q and these sums are all a probe
+    of that radius needs from the series.  Memoized: every wedge pair of N
+    at one radius shares them."""
     step, pmax = table.n_exponent + 2, table.pmax
-    frac = bits + abits + (step * pmax + 1).bit_length() + 1
-    t = (radius / Fraction(2) ** rho) ** step
-    powers, num, den = [], 1, 1
-    for _ in range(pmax + 1):
-        powers.append((num << frac) // den)
-        num, den = num * t.numerator, den * t.denominator
+    x, y = radius**step, Fraction(2) ** (rho * step)
+    frac = _sum_bits(table, x, y, bits)
     alpha, beta = [0] * (pmax + 1), [0] * (pmax + 1)
-    for q, m, a, b in entries:
-        tp = powers[(m - 2 * q) // step]
-        alpha[q] += a * tp
-        beta[q] += b * tp
+    for s, (a, b) in enumerate(_pass(step, pmax, x, y, Fraction(2) ** rho, frac)):
+        for p in range(s + 1):
+            alpha[s - p] += a[p]
+            beta[s - p] += b[p]
     return tuple(alpha), tuple(beta), frac
 
 
@@ -602,8 +586,12 @@ def energy_polynomials(table: CoefficientTable, radius, theta, ctx: PrecisionCon
         t = mp.ldexp(mp.mpf(radius.numerator) / radius.denominator, frac - rho)
         arg = mp.mpf(phase.numerator) / phase.denominator
         ur, ui = (int(mp.nint(t * part(arg))) for part in (mp.cospi, mp.sinpi))
-    pr, pi = _powers(ur, ui, frac, 2 * table.pmax + 1, frac)
-    shift = 2 * frac
+    pr, pi = [1 << frac], [0]  # u**k at frac fractional bits
+    for _ in range(2 * table.pmax + 1):
+        r, i = pr[-1], pi[-1]
+        pr.append((r * ur - i * ui) >> frac)
+        pi.append((r * ui + i * ur) >> frac)
+    shift = 2 * frac - bits
     return tuple(
         ScaledPoly(
             tuple((x * pr[2 * q + odd]) >> shift for q, x in enumerate(sums)),
@@ -644,31 +632,42 @@ def space_polynomial(
         return _collapse_space(table, ev, mp.mpc(alpha), mp.mpc(beta), rho, ctx.dps)
 
 
+@memo
+def _space_sums(table: CoefficientTable, ev, bits: int, rho: int):
+    """(psi1, psi2, frac): the coefficients of psi1 and psi2 in u = w /
+    2**rho at real E = ev,
+
+        psi1[k] = sum over m = k of a[p,q] R**m E**q,
+        psi2[k] = sum over m + 1 = k of b[p,q] R**(m+1) E**q,
+
+    as integers at frac fractional bits, each within 2**-bits of the exact
+    sum: the sums of _pass at (x, y) = (R**(N+2), R**2 |E|), each term
+    signed by (E/|E|)**q.  Memoized: the two halves
+    of eval_psi share one pass."""
+    step, pmax = table.n_exponent + 2, table.pmax
+    x, y = Fraction(2) ** (rho * step), Fraction(2) ** (2 * rho) * abs(_exact(ev))
+    frac = _sum_bits(table, x, y, bits)
+    size = step * pmax + 2
+    psi1, psi2 = [0] * size, [0] * size
+    for s, (a, b) in enumerate(_pass(step, pmax, x, y, Fraction(2) ** rho, frac)):
+        for p in range(s + 1):
+            m = 2 * s + (step - 2) * p
+            sign = -1 if ev < 0 and (s - p) % 2 else 1
+            psi1[m] += sign * a[p]
+            psi2[m + 1] += sign * b[p]
+    return tuple(psi1), tuple(psi2), frac
+
+
 def _collapse_space(table: CoefficientTable, ev, al, be, rho: int, dps: int) -> ScaledPoly:
-    """Sum the integer snapshot for working precision dps at real E = ev
-    into the coefficients of alpha*psi1 + beta*psi2 in w, as a ScaledPoly
-    at scale 2**rho."""
+    """alpha*psi1 + beta*psi2 at real E = ev as a ScaledPoly in w at scale
+    2**rho, from _space_sums at the bits of working precision dps."""
     bits = _bits(table, dps)
-    abits, entries = _float_entries(table, bits, rho)
-    er, _, ee = _split(ev)
-    s = table.n_exponent * rho - ee  # v = E / S = er / 2**s
-    if s < 0:
-        er, s = er << -s, 0
-    # |v| <= 2**lv; powers above 1 grow, so they carry that many more bits
-    lv = max(0, abs(er).bit_length() - s) * table.pmax
-    frac = bits + abits + lv + table.pmax.bit_length() + 2
-    pv, _ = _powers(er, 0, s, table.pmax, frac)
-    size = (table.n_exponent + 2) * table.pmax + 2
-    sum_a, sum_b = [0] * size, [0] * size
-    for q, m, a, b in entries:
-        sum_a[m] += a * pv[q]
-        sum_b[m + 1] += b * pv[q]
+    sum_a, sum_b, frac = _space_sums(table, ev, bits, rho)
     ar, ai, ea = _split(al)
     br, bi, eb = _split(be)
-    e0 = min(ea, eb)
-    e0 = min(e0, frac)  # weights as integers over 2**-e0, then one shift
+    e0 = min(ea, eb, frac - bits)  # weights as integers over 2**-e0, then one shift
     ar, ai, br, bi = ar << (ea - e0), ai << (ea - e0), br << (eb - e0), bi << (eb - e0)
-    shift = frac - e0
+    shift = frac - bits - e0
     re = tuple((ar * x + br * y) >> shift for x, y in zip(sum_a, sum_b))
     im = tuple((ai * x + bi * y) >> shift for x, y in zip(sum_a, sum_b))
     return ScaledPoly(re, im, bits, rho)

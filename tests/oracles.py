@@ -1,14 +1,16 @@
 """Independent oracles the tests compare against.
 
 Nothing here imports ptspec; reference values are produced by separate
-algorithms (a fresh dictionary-based recursion, a direct double sum,
-float shooting integrations, tanh-sinh quadrature, an mpmath
-polynomial square, a schoolbook integer square, the complex collapse of
-the integer snapshot at a general point) so agreement is meaningful.
+algorithms (the exact coefficients by a dictionary-based recursion in
+Fractions, a direct double sum, float shooting integrations, tanh-sinh
+quadrature, an mpmath polynomial square, a schoolbook integer square,
+the complex collapse of the exact coefficients at a general point) so
+agreement is meaningful.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 
 import mpmath as mp
 import numpy as np
@@ -16,11 +18,13 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 
+@lru_cache(maxsize=None)
 def brute_tables(n_exponent, pmax):
-    """Recompute both coefficient families with a plain dict recursion.
+    """Recompute both coefficient families with a plain dict recursion,
+    exactly, as Fractions (memoized; callers must not change the dicts).
 
-    Same recurrences, different data layout and iteration order from
-    the library's table builder.
+    The library keeps no coefficients: it runs the recursion rounded in
+    integers at its point of use, so these are its exact reference.
     """
     a = {(0, 0): Fraction(1)}
     b = {(0, 0): Fraction(1)}
@@ -36,16 +40,22 @@ def brute_tables(n_exponent, pmax):
 
 
 def fraction_tables(table):
-    """(a, b): a table's coefficients as Fractions, built from its integer
-    numerators as a[p,q] = A[p,q] / m! and b[p,q] = B[p,q] / (m+1)!,
-    m = (N+2)*p + 2*q."""
-    step = table.n_exponent + 2
-    a, b = {}, {}
-    for (p, q), num in table.a_num.items():
-        m = step * p + 2 * q
-        a[(p, q)] = Fraction(num, factorial(m))
-        b[(p, q)] = Fraction(table.b_num[(p, q)], factorial(m + 1))
-    return a, b
+    """(a, b): the exact coefficients of a table's N and pmax as Fractions,
+    from brute_tables."""
+    return brute_tables(table.n_exponent, table.pmax)
+
+
+def floor_sums(terms, bits):
+    """{k: floor(2**bits * t_k)} for t_k the sum of the Fractions that terms
+    pairs with k, exactly: each t_k over one common denominator."""
+    groups = {}
+    for k, t in terms:
+        groups.setdefault(k, []).append(t)
+    out = {}
+    for k, ts in groups.items():
+        den = lcm(*(t.denominator for t in ts))
+        out[k] = (sum(t.numerator * (den // t.denominator) for t in ts) << bits) // den
+    return out
 
 
 def closed_a0q(q):
@@ -75,10 +85,11 @@ def closed_bp0(n_exponent, p):
 def direct_psi(table, z, e_val, dps):
     """(psi1, psi1', psi2, psi2') at z by the plain double sum in mpmath at dps.
 
-    Sums a[p,q] w**m E**q and b[p,q] w**(m+1) E**q over the exact table
-    entry by entry, derivatives taken with respect to z (d/dz = i d/dw).
-    Shares no code with the solver's integer collapses or its Horner
-    kernel, so those can be checked against it.
+    Sums a[p,q] w**m E**q and b[p,q] w**(m+1) E**q over the exact
+    coefficients of brute_tables for the table's N and pmax, entry by
+    entry, derivatives taken with respect to z (d/dz = i d/dw).  Shares no
+    code with the solver's recursion pass, its integer collapses or its
+    Horner kernel, so those can be checked against it.
     """
     step = table.n_exponent + 2
     with mp.workdps(dps):
@@ -107,23 +118,42 @@ def direct_psi(table, z, e_val, dps):
         return psi1, i_unit * dpsi1, psi2, i_unit * dpsi2
 
 
-def complex_collapse(snapshot, n_exponent, pmax, bits, rho, radius, theta):
+@lru_cache(maxsize=None)
+def _scaled_rows(n_exponent, pmax, rho):
+    """Per q, (D, nums_a, nums_b, ms): the exact a[p,q] R**m S**q and
+    b[p,q] R**(m+1) S**q as the integers nums over one denominator D, with
+    R = 2**rho and S = R**N, so R**m S**q = R**((N+2)*(p+q))."""
+    a, b = brute_tables(n_exponent, pmax)
+    step = n_exponent + 2
+    rows = []
+    for q in range(pmax + 1):
+        keys = [(p, q) for p in range(pmax - q + 1)]
+        ta = [a[key] * Fraction(2) ** (rho * step * sum(key)) for key in keys]
+        tb = [b[key] * Fraction(2) ** (rho * (step * sum(key) + 1)) for key in keys]
+        den = lcm(*(t.denominator for t in ta + tb))
+        rows.append((den, [t.numerator * (den // t.denominator) for t in ta],
+                     [t.numerator * (den // t.denominator) for t in tb],
+                     [step * p + 2 * q for p, _ in keys]))
+    return rows
+
+
+def complex_collapse(n_exponent, pmax, bits, rho, radius, theta):
     """The energy polynomials at z = radius * exp(i*pi*theta), any theta,
-    by the complex sum of an integer snapshot: the integer parts (a_re,
+    by the complex sum of the exact coefficients: the integer parts (a_re,
     a_im, b_re, b_im) of the coefficients of psi1 and psi2 in E at energy
     scale 2**(N*rho) and bits fractional bits.
 
-    snapshot is (abits, entries) with entries (q, m, A, B) standing for
-    a[p,q] w**m E**q = A * u**m * v**q * 2**-bits, u = w / 2**rho and v =
-    E / 2**(N*rho), likewise B with u**(m+1).  Coefficient q of psi1 is
-    sum A * u**m over its entries, four multiplies of an entry by the
-    complex powers of u per entry, with u taken from mpmath at well above
-    the fixed point's precision, so the point carries no rounding of its
-    own.  Needs no wedge centre.
+    Coefficient q of psi1 is sum_p a[p,q] R**m S**q u**m with u = w / R, R
+    = 2**rho and S = R**N, likewise b with u**(m+1): each is the floor of
+    an exact sum over one common denominator, with the powers of u as
+    integers at frac fractional bits taken from mpmath at well above the
+    fixed point's precision, so the point carries no rounding of its own.
+    Needs no wedge centre.
     """
-    abits, entries = snapshot
+    rows = _scaled_rows(n_exponent, pmax, rho)
     top = (n_exponent + 2) * pmax + 1
-    frac = bits + abits + top.bit_length() + 1
+    peak = max(max(map(abs, nums_a)).bit_length() - den.bit_length() for den, nums_a, _, _ in rows)
+    frac = bits + max(peak, 0) + top.bit_length() + 40
     with mp.workprec(frac + 40):
         r = mp.mpf(radius.numerator) / radius.denominator
         phase = mp.mpf(theta.numerator) / theta.denominator + mp.mpf(1) / 2
@@ -134,13 +164,12 @@ def complex_collapse(snapshot, n_exponent, pmax, bits, rho, radius, theta):
         r, i = pr[-1], pi[-1]
         pr.append((r * xr - i * xi) >> frac)
         pi.append((r * xi + i * xr) >> frac)
-    sums = [[0] * (pmax + 1) for _ in range(4)]
-    for q, m, a, b in entries:
-        sums[0][q] += a * pr[m]
-        sums[1][q] += a * pi[m]
-        sums[2][q] += b * pr[m + 1]
-        sums[3][q] += b * pi[m + 1]
-    return tuple(tuple(x >> frac for x in part) for part in sums)
+    out = [[], [], [], []]
+    for den, nums_a, nums_b, ms in rows:
+        for part, nums, powers, lift in zip(out, (nums_a, nums_a, nums_b, nums_b), (pr, pi, pr, pi), (0, 0, 1, 1)):
+            total = sum(n * powers[m + lift] for n, m in zip(nums, ms))
+            part.append((total << bits) // (den << frac))
+    return tuple(map(tuple, out))
 
 
 def _shoot_to_origin(n_exponent, theta, e_val, s_inf):

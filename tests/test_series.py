@@ -1,6 +1,5 @@
 """Coefficient tables and series evaluation against independent oracles."""
 
-import math
 import sys
 import types
 from fractions import Fraction
@@ -31,7 +30,6 @@ from ptspec import (
 from ptspec.wedges import polar_point
 from ptspec.series import (
     MEMO_CAP,
-    CoefficientTable,
     ScaledPoly,
     _antiderivative,
     _horner,
@@ -69,59 +67,6 @@ def test_recursion_identity_exact_all_entries(table3):
         )
 
 
-@pytest.mark.parametrize("n_exponent", [2, 3, 4, 5, 7])
-def test_matches_brute_force_recursion(n_exponent):
-    table = build_tables(n_exponent, 25)
-    a_ref, b_ref = oracles.brute_tables(n_exponent, 25)
-    assert oracles.fraction_tables(table) == (a_ref, b_ref)
-
-
-@pytest.mark.parametrize("n_exponent", [2, 3, 5, 7])
-@pytest.mark.parametrize("bits", [64, 200])
-@pytest.mark.parametrize("rho", [-3, 2])
-def test_snapshot_matches_brute_force_rounding(n_exponent, bits, rho):
-    # round(c * R**m * S**q * 2**bits) with R = 2**rho, S = R**N, from the
-    # oracle's Fractions; rho = -3 drives the scale exponent below zero
-    # on the outer antidiagonals at either bits
-    pmax = 20
-    a_ref, b_ref = oracles.brute_tables(n_exponent, pmax)
-    step = n_exponent + 2
-    want = []
-    for s in range(pmax + 1):
-        for p in range(s + 1):
-            q = s - p
-            m = step * p + 2 * q
-            scale = Fraction(2) ** (rho * (m + n_exponent * q) + bits)
-            # nearest integer; no entry is a tie, so the tie rule is moot
-            a = math.floor(a_ref[(p, q)] * scale + Fraction(1, 2))
-            b = math.floor(b_ref[(p, q)] * scale * Fraction(2) ** rho + Fraction(1, 2))
-            want.append((q, m, a, b))
-    longest = max(max(a.bit_length(), b.bit_length()) for _, _, a, b in want)
-    got = series._float_entries(build_tables(n_exponent, pmax), bits, rho)
-    assert got == (longest - bits, tuple(want))
-
-
-def test_hot_paths_leave_the_fraction_views_unbuilt(table3, ctx40):
-    # the evaluation paths run on the integer numerators alone: a table
-    # holding nothing else, which shares no memo entry with table3 as
-    # tables hash by identity, gives table3's values bit for bit
-    fresh = CoefficientTable(3, 100, table3.a_num, table3.b_num)
-
-    def values(table):
-        z, e_val = mp.mpc("2.5", "-0.7"), mp.mpf("4.25")
-        theta = pt_pairs(3)[0].theta_right
-        return (
-            eval_energy_poly(energy_polynomials(table, Fraction(5, 2), theta, ctx40)[0], e_val),
-            poly_psi(space_polynomial(table, e_val, 1, 0, ctx40, radius=3), z),
-            eval_psi(table, z, e_val, ctx40),
-            rim_peak(table, abs(z), e_val, ctx40),
-            boundary_residual(table, z, e_val, ctx40, "psi2"),
-        )
-
-    with ctx40.workdps():
-        assert values(fresh) == values(table3)
-
-
 def test_closed_forms(table3):
     a, b = oracles.fraction_tables(table3)
     for q in range(0, 101, 10):
@@ -132,9 +77,44 @@ def test_closed_forms(table3):
         assert b[(p, 0)] == oracles.closed_bp0(3, p)
 
 
-def test_entry_count(table3):
-    assert table3.entry_count() == 101 * 102 // 2
-    assert len(table3.b_num) == table3.entry_count()
+_RADII = (Fraction(8), Fraction(3), Fraction(27, 10), Fraction(2), Fraction(1, 2))
+_ENERGIES = (Fraction(0), Fraction(11, 2), Fraction(-7, 2), Fraction(30))
+
+
+@pytest.mark.parametrize(
+    "n_exponent, pmax, digits",
+    [(n, 60 if n <= 4 else 50 if n <= 8 else 40, 40) for n in range(2, 17)] + [(3, 150, 80)],
+)
+def test_recursion_matches_the_exact_coefficients(n_exponent, pmax, digits):
+    # the sums of the rounded-down recursion pass lie within 1 unit of
+    # floor(exact * 2**bits): on the energy side at radii down to 1/2
+    # (rho = -1), on the space side at E of both signs and at every scale
+    # the radii give; the long case at one radius and energy
+    radii, energies = (_RADII, _ENERGIES) if pmax < 100 else (_RADII[:1], _ENERGIES[1:2])
+    table = build_tables(n_exponent, pmax)
+    ctx = PrecisionContext(digits)
+    bits = series._bits(table, ctx.dps)
+    a, b = oracles.brute_tables(n_exponent, pmax)
+    step = n_exponent + 2
+
+    def assert_within_a_unit(sums, frac, x, y, b0, key_a, key_b):
+        # sums of a[p,q] x**p y**q by key_a(p, q), and of b0 b[p,q] x**p y**q by key_b
+        for got, coeffs, lift, key in ((sums[0], a, 1, key_a), (sums[1], b, b0, key_b)):
+            terms = ((key(p, q), lift * c * x**p * y**q) for (p, q), c in coeffs.items())
+            want = oracles.floor_sums(terms, bits)
+            assert max(abs((v >> (frac - bits)) - want.get(k, 0)) for k, v in enumerate(got)) <= 1
+
+    for radius in radii:
+        rho = series._ratio_point(radius.numerator, radius.denominator)[0]
+        *sums, frac = series._radial_sums(table, radius, bits, rho)
+        x, y = radius**step, Fraction(2) ** (rho * step)
+        assert_within_a_unit(sums, frac, x, y, Fraction(2) ** rho, lambda p, q: q, lambda p, q: q)
+    for e_val in energies:
+        for rho in {series._scale_exponent(n_exponent, E=ctx.mpf(e_val), radius=r) for r in radii}:
+            *sums, frac = series._space_sums(table, ctx.mpf(e_val), bits, rho)
+            x, y = Fraction(2) ** (rho * step), Fraction(2) ** (2 * rho) * e_val
+            assert_within_a_unit(sums, frac, x, y, Fraction(2) ** rho,
+                                 lambda p, q: step * p + 2 * q, lambda p, q: step * p + 2 * q + 1)
 
 
 def test_build_tables_validation():
@@ -152,7 +132,7 @@ def test_build_tables_cached():
 
 MEMOIZED = (
     series.build_tables,
-    series._float_entries,
+    series._space_sums,
     series.energy_polynomials,
     series.space_polynomial,
     observables._level_square,
@@ -276,17 +256,16 @@ def test_energy_polynomials_match_eval(table3, ctx40):
 def test_radial_collapse_matches_the_complex_collapse(n_exponent, ctx40):
     # the radial sums times the powers of u, on both sides of every pair of
     # N at radii down to 1/2 (rho = -1), agree with the complex collapse of
-    # the same snapshot at the same point to a unit of 2**-bits
+    # the exact coefficients at the same point to 2 units of 2**-bits
     table = build_tables(n_exponent, 50)
     bits = series._bits(table, ctx40.dps)
     for radius in (Fraction(8), Fraction(3), Fraction(27, 10), Fraction(3, 4), Fraction(1, 2)):
         rho = series._ratio_point(radius.numerator, radius.denominator)[0]
-        snapshot = series._float_entries(table, bits, rho)
         for pair in pt_pairs(n_exponent):
             for theta in (pair.theta_right, pair.theta_left):
                 a, b = energy_polynomials(table, radius, theta, ctx40)
                 assert {(a.frac, a.rho), (b.frac, b.rho)} == {(bits, n_exponent * rho)}
-                want = oracles.complex_collapse(snapshot, n_exponent, 50, bits, rho, radius, theta)
+                want = oracles.complex_collapse(n_exponent, 50, bits, rho, radius, theta)
                 for got, ref in zip((a.re, a.im, b.re, b.im), want):
                     assert max(abs(g - r) for g, r in zip(got, ref)) <= 2, (radius, theta)
 
@@ -456,6 +435,36 @@ def test_health_tails_match_definition(table7, ctx40):
                 z = polar_point(Fraction(radius), pair.theta_right, PrecisionContext(ctx40.digits + 20))
                 want = worst / abs(oracles.direct_psi(table7, z, e_val, ctx40.dps + 20)[0])
                 assert abs(entry.tail - want) <= mp.mpf("1e-30") * want, (radius, pair.index)
+
+
+@pytest.mark.parametrize(
+    "n_exponent, radius, e_val, theta",
+    [(7, Fraction(3), Fraction(30), Fraction(1, 12)), (7, Fraction(3), Fraction(30), Fraction(-1, 2)),
+     (3, Fraction(8), Fraction(5), Fraction(1, 6)), (3, Fraction(8), Fraction(-7, 2), Fraction(-1, 6))],
+)
+def test_rim_keeps_its_relative_precision(n_exponent, radius, e_val, theta, ctx40):
+    # rim_peak and boundary_residual against the exact rim terms
+    # c[p,q] E**q w**m of brute_tables, to 10**-digits relative, though at
+    # N=7 the rim lies 70 digits below psi1; at angles where the rim terms
+    # do not cancel, so the relative precision of each term is what shows
+    pmax, step = 100, n_exponent + 2
+    table = build_tables(n_exponent, pmax)
+    a, b = oracles.brute_tables(n_exponent, pmax)
+    rim = [(p, pmax - p, step * p + 2 * (pmax - p)) for p in range(pmax + 1)]
+    peak = max(a[p, q] * abs(e_val) ** q * radius**m for p, q, m in rim)
+    hi = PrecisionContext(ctx40.digits + 30)
+    with ctx40.workdps():
+        got = rim_peak(table, ctx40.mpf(radius), ctx40.mpf(e_val), ctx40)
+    assert abs(got - hi.mpf(peak)) <= ctx40.tolerance() * hi.mpf(peak)
+    z = polar_point(radius, theta, hi)
+    for which, coeffs, lift in (("psi1", a, 0), ("psi2", b, 1)):
+        with hi.workdps():
+            w, ev = mp.mpc(0, 1) * z, hi.mpf(e_val)
+            want = -(w**n_exponent + ev) * mp.fsum(
+                hi.mpf(coeffs[p, q]) * ev**q * w ** (m + lift) for p, q, m in rim)
+        with ctx40.workdps():
+            got = boundary_residual(table, z, ctx40.mpf(e_val), ctx40, which)
+        assert abs(got - want) <= ctx40.tolerance() * abs(want), which
 
 
 def _majorant_taylor(coeffs, t, order):

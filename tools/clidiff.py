@@ -93,6 +93,8 @@ COMMANDS = (
     "nodes --N 6 --pair 2 --radius 4 --level 0",
     "spectrum --N 3 --radius 3/4 --pmax 40 --levels 1 --emax 1",
     "expect --N 6 --pair 2 --radius 4 --level 0 --moments 0,2",
+    "spectrum --N 10 --pair 5 --radius 3 --pmax 200 --levels 3 --emax 300 --force",
+    "spectrum --N 16 --pair 8 --radius 2 --pmax 200 --levels 3 --emax 300 --force",
 )
 
 
