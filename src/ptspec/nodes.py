@@ -191,7 +191,10 @@ def find_nodes(level: EnergyLevel, region: Optional[tuple] = None) -> NodeSet:
     the search runs at the level's working precision.  It defaults
     to the arch box |re| <= ext, -ext <= im <= 0, ext = 1.2*|E|**(1/N) to
     3 digits but at most radius/sqrt(2); for N=3 it holds as many zeros
-    as the level index.  Boxes are split into four until each holds one
+    as the level index.  On the p-symmetric pair of an even N, whose
+    eigenfunctions are even or odd (odd ones vanish at z = 0), it
+    defaults to the square |re|, |im| <= ext, which z = 0 and the real
+    axis cross inside.  Boxes are split into four until each holds one
     zero, which Newton from the box centre polishes.  WindingError: a zero
     on an edge, quarter windings not summing to their box's, or a counted
     zero not placed within _SPLIT_CAP splits.  Zeros on re = 0 above the
@@ -205,7 +208,7 @@ def find_nodes(level: EnergyLevel, region: Optional[tuple] = None) -> NodeSet:
             scale = mp.mpf(12) / 10 * abs(mp.mpf(level.E)) ** (mp.mpf(1) / level.pair.n_exponent)
             ext = as_fraction(mp.nstr(scale, 3))
         ext = min(ext, Fraction(math.isqrt(int(radius**2 * 10**6 / 2)), 1000))
-        region = (-ext, ext, -ext, Fraction(0))
+        region = (-ext, ext, -ext, ext if level.pair.p_symmetric else Fraction(0))
     root = tuple(as_fraction(v) for v in region)
     re_min, re_max, im_min, im_max = root
     shown = ",".join(map(str, root))

@@ -19,14 +19,16 @@ The module is built in layers:
   point of use as X[p,q] = a[p,q] x**p y**q for x, y >= 0, in integers
   with every division rounded down.  All terms are positive, so no
   rounding is amplified by cancellation: its fractional bits need only
-  cover max X, which _log2_peaks finds first.  Three readers run it:
-  _radial_sums at (x, y) = (r**(N+2), R**(N+2)), R = 2**rho >= r, sums it
-  over p into the real radial sums alpha_q and beta_q of one radius;
-  _space_sums at (R**(N+2), R**2 |E|) sums it for each m into the
-  coefficients of psi1 and psi2 in u = w/R at real E; _rim at (|w|**(N+2),
-  |w|**2 |E|) takes the last antidiagonal p + q = pmax, far below max X,
-  at the working precision, for boundary_residual and the maximum
-  rim_peak behind the health check's tails;
+  cover max X, and the equation bounds that in closed form (_peak_bound).
+  Three readers run it: _radial_sums at (x, y) = (r**(N+2), R**(N+2)),
+  R = 2**rho >= r, sums it over p into the real radial sums alpha_q and
+  beta_q of one radius; _space_sums at (R**(N+2), R**2 |E|) sums it for
+  each m into the coefficients of psi1 and psi2 in u = w/R at real E;
+  _rim at (|w|**(N+2), |w|**2 |E|) takes the last antidiagonal p + q =
+  pmax, often far below max X, at the working precision, for
+  boundary_residual and the maximum rim_peak behind the health check's
+  tails: it runs the pass at a point scaled up by a power of two until
+  no antidiagonal sum falls, so the rim holds the largest values;
 * integer collapses: at a wedge centre z = r*exp(i*pi*theta),
   energy_polynomials turns the radial sums into polynomials in E (degree
   pmax, for eigenvalue scans); at fixed E, space_polynomial combines the
@@ -319,54 +321,14 @@ def _resolution(bounds, deg: int, lu, prec: int):
     return need
 
 
-def _scaled(coeffs: Sequence, rho: int, lu, prec: int) -> ScaledPoly:
-    """A plain coefficient sequence as a ScaledPoly at scale 2**rho, with the
-    fractional bits _horner needs at |u| >= 2**lu."""
-    parts = []
-    for c in coeffs:
-        (sr, mr, er, _), (si, mi, ei, _) = mp.mpc(c)._mpc_
-        if (not mr and er) or (not mi and ei):
-            raise ParameterError(f"non-finite coefficient {c}")
-        parts.append((-mr if sr else mr, er, -mi if si else mi, ei))
-    lgs = []
-    for k, (mr, er, mi, ei) in enumerate(parts):
-        tops = [m.bit_length() + e for m, e in ((mr, er), (mi, ei)) if m]
-        lgs.append(max(tops) - 1 + rho * k if tops else None)
-    frac = (_resolution(_bounds(lgs), len(parts) - 1, lu, prec) or 0) + 1
-    re, im = [], []
-    for k, (mr, er, mi, ei) in enumerate(parts):
-        for m, e, out in ((mr, er, re), (mi, ei, im)):
-            t = e + rho * k + frac
-            out.append(m << t if t >= 0 else (m + (1 << (-t - 1))) >> -t)
-    return ScaledPoly(tuple(re), tuple(im), frac, rho)
-
-
 # ---------------------------------------------------------------------------
 # the recursion pass, run once per point of use
 
 
-def _log2_peaks(step: int, pmax: int, x: Fraction, y: Fraction):
-    """(log2 of the largest X[p,q] = a[p,q] x**p y**q over p + q <= pmax,
-    log2 of the largest on the rim p + q = pmax), from the recursion of
-    _pass run on floating-point logarithms, which neither overflow nor
-    underflow: good to far better than a bit."""
-    lx, ly = (math.log2(v.numerator) - math.log2(v.denominator) if v else -math.inf for v in (x, y))
-    row, peak = [0.0], 0.0
-    for s in range(1, pmax + 1):
-        new = []
-        for p, (left, right) in enumerate(zip([-math.inf] + row, row + [-math.inf])):
-            m = 2 * s + (step - 2) * p
-            hi, lo = max(lx + left, ly + right), min(lx + left, ly + right)
-            new.append(hi + math.log2(1 + 2.0 ** (lo - hi)) - math.log2((m - 1) * m)
-                       if hi > -math.inf else hi)
-        row = new
-        peak = max(peak, max(row))
-    return peak, max(row)
-
-
-def _pass(step: int, pmax: int, x: Fraction, y: Fraction, b0: Fraction, frac: int) -> list:
-    """The antidiagonals s = 0..pmax of the recursions scaled by x, y >= 0:
-    per s the pair (A, B) of lists over p = 0..s of
+def _pass(step: int, pmax: int, x: Fraction, y: Fraction, b0: Fraction, frac: int):
+    """Yield the antidiagonals s = 0..pmax of the recursions scaled by x, y
+    >= 0 in turn, so only the one in hand stays alive: per s the pair (A, B)
+    of lists over p = 0..s of
 
         A[p] = X[p,q] = a[p,q] x**p y**q,   B[p] = b0 * b[p,q] x**p y**q,
 
@@ -379,29 +341,49 @@ def _pass(step: int, pmax: int, x: Fraction, y: Fraction, b0: Fraction, frac: in
     it inherits: the unit lost at (p',q') reaches (p,q) through the same
     recursion started at (p',q'), whose divisors exceed those of
     X[p-p',q-q'] from (0,0).  So the shortfall is below sum X[p-p',q-q']
-    <= count * max X units; that of B likewise, as b[p,q] <= a[p,q]."""
+    <= count * max X units; that of B likewise, as b[p,q] <= a[p,q].  The
+    callers size frac from closed-form facts of the recursion, not from a
+    second run of it: a bound on max X (_peak_bound), or the growth of the
+    antidiagonal sums (_rim)."""
     den = x.denominator * y.denominator
     cx, cy = x.numerator * y.denominator, y.numerator * x.denominator
     k = (den & -den).bit_length() - 1  # den = odd * 2**k: the power of two is a shift
     odd = den >> k
     a, b = [1 << frac], [(b0.numerator << frac) // b0.denominator]
-    rows = [(a, b)]
+    yield a, b
     for s in range(1, pmax + 1):
         ms = [2 * s + (step - 2) * p for p in range(s + 1)]
         a = [((cx * l + cy * r) >> k) // (odd * (m - 1) * m) for l, r, m in zip([0] + a, a + [0], ms)]
         b = [((cx * l + cy * r) >> k) // (odd * m * (m + 1)) for l, r, m in zip([0] + b, b + [0], ms)]
-        rows.append((a, b))
-    return rows
+        yield a, b
+
+
+def _peak_bound(table: CoefficientTable, x: Fraction, y: Fraction) -> float:
+    """An upper bound on log2 of max X[p,q] = a[p,q] x**p y**q over p + q <=
+    pmax, in closed form.  Put A = 2*sqrt(x)/(N+2) + sqrt(y); the bound is
+    A*log2(e) when A <= 2*pmax, and 2*pmax*log2(e*A/(2*pmax)) otherwise:
+
+    * sum X is psi1 at the real point w = x**(1/(N+2)), E = y/w**2, and
+      psi'' = (t**N + E) psi with psi'(0) = 0, so u = psi'/psi obeys u' =
+      V - u**2 with u(0) = 0: u never rises above sqrt(V), which does not
+      decrease, and log sum X <= int_0^w sqrt(t**N + E) dt <= A;
+    * every X[p,q] at (x, y) is tau**-(p+q) times its value at (tau*x,
+      tau*y), so X <= tau**-pmax * exp(A*sqrt(tau)) for 0 < tau <= 1, least
+      at sqrt(tau) = 2*pmax/A."""
+    pmax = table.pmax
+    big = 2 * math.sqrt(x) / (table.n_exponent + 2) + math.sqrt(y)
+    if big <= 2 * pmax:
+        return big * math.log2(math.e)
+    return 2 * pmax * math.log2(math.e * big / (2 * pmax))
 
 
 def _sum_bits(table: CoefficientTable, x: Fraction, y: Fraction, bits: int) -> int:
     """Fractional bits at which _pass(x, y) leaves every sum of up to pmax + 1
     of its values within 2**-bits: the error bound of _pass, count * max X
-    units per value, times pmax + 1, with two bits for the estimate of
-    max X."""
-    peak, _ = _log2_peaks(table.n_exponent + 2, table.pmax, x, y)
+    units per value, times pmax + 1, with max X from _peak_bound and one
+    guard bit for the floating-point evaluation of that bound."""
     spread = _count(table).bit_length() + (table.pmax + 1).bit_length()
-    return bits + math.ceil(peak) + spread + 2
+    return bits + math.ceil(_peak_bound(table, x, y)) + spread + 1
 
 
 def _exact(x) -> Fraction:
@@ -467,10 +449,15 @@ def _rim(table: CoefficientTable, w, ev, which: str) -> list:
     on the last antidiagonal p + q = pmax, at the working precision.
 
     Their sizes are the rim of _pass at (x, y) = (|w|**(N+2), |w|**2 |E|),
-    rounded at 2**-prec relative to the largest of them: the rim of b is
-    within a factor 2*pmax + 1 of that of a, and both are far below the
-    peak of the pass, so its bits come from _log2_peaks.  Signs and
-    phases (E/|E|)**q * (w/|w|)**m follow in mpmath."""
+    run at (2**k x, 2**k y) for the least k >= 0 with 2**k (x + y) >=
+    ((N+2)*pmax)**2 and read at frac + k*pmax fractional bits, an exact
+    shift.  As m <= (N+2)*s, the sum of antidiagonal s obeys T_s >= (x + y)
+    T_(s-1) / ((N+2)*s)**2, so after the scaling no sum falls: the rim's is
+    the largest, and its largest term is at least 1/(pmax+1) of every
+    value.  frac = prec + 4 + spread + bits(pmax+1) thus rounds every rim
+    term at 2**-prec relative to the largest of them (the rim of b is
+    within a factor 2*pmax + 1 of that of a).  Signs and phases (E/|E|)**q
+    * (w/|w|)**m follow in mpmath."""
     step, pmax = table.n_exponent + 2, table.pmax
     prec = mp.mp.prec
     guard = (step * pmax + 2).bit_length() + 4  # rounding x and y perturbs a term by <= m roundings
@@ -480,15 +467,16 @@ def _rim(table: CoefficientTable, w, ev, which: str) -> list:
             return [mp.mpf(0)] * (pmax + 1)
         x, y = _exact(size**step), _exact(size * size * abs(ev))
         unit = w / size
-    peak, rim = _log2_peaks(step, pmax, x, y)
+    k = (math.ceil((step * pmax) ** 2 / (x + y)) - 1).bit_length()
     spread = _count(table).bit_length() + (step * pmax + 2).bit_length()
-    frac = prec + 4 + spread + math.ceil(peak - rim)
-    a, b = _pass(step, pmax, x, y, Fraction(1), frac)[-1]
+    frac = prec + 4 + spread + (pmax + 1).bit_length()
+    for a, b in _pass(step, pmax, x * 2**k, y * 2**k, Fraction(1), frac):
+        pass  # on to the last antidiagonal, the rim
     sign = -1 if ev < 0 else 1
     row, lift = (a, 1) if which == "psi1" else (b, w)
     out = []
     for p, t in enumerate(row):
-        term = mp.make_mpf(from_man_exp(t, -frac, prec, "n")) * sign ** (pmax - p)
+        term = mp.make_mpf(from_man_exp(t, -frac - k * pmax, prec, "n")) * sign ** (pmax - p)
         out.append(term * unit ** (step * p + 2 * (pmax - p)) * lift)
     return out
 
@@ -603,7 +591,7 @@ def energy_polynomials(table: CoefficientTable, radius, theta, ctx: PrecisionCon
     )
 
 
-def eval_energy_poly(coeffs: "ScaledPoly | Sequence", E) -> ComplexHP:
+def eval_energy_poly(coeffs: ScaledPoly, E) -> ComplexHP:
     """Horner evaluation of an energy polynomial at real E."""
     return _horner(coeffs, mp.mpf(E))[0]
 
@@ -673,12 +661,12 @@ def _collapse_space(table: CoefficientTable, ev, al, be, rho: int, dps: int) -> 
     return ScaledPoly(re, im, bits, rho)
 
 
-def poly_psi(coeffs: "ScaledPoly | Sequence", z) -> ComplexHP:
+def poly_psi(coeffs: ScaledPoly, z) -> ComplexHP:
     """Evaluate a space polynomial at z (Horner in w = iz)."""
     return _horner(coeffs, mp.mpc(0, 1) * mp.mpc(z))[0]
 
 
-def poly_psi_d(coeffs: "ScaledPoly | Sequence", z):
+def poly_psi_d(coeffs: ScaledPoly, z):
     """Evaluate (psi, dpsi/dz) of a space polynomial at z."""
     psi, dpsi = _horner(coeffs, mp.mpc(0, 1) * mp.mpc(z), 1)
     return psi, mp.mpc(0, 1) * dpsi
@@ -826,29 +814,25 @@ def grid_evaluator(polys: Sequence[ScaledPoly], den: int):
     return at, m ** d << first.frac
 
 
-def _horner(coeffs: "ScaledPoly | Sequence", x, order: int = 0) -> list:
+def _horner(coeffs: ScaledPoly, x, order: int = 0) -> list:
     """[P(x), P'(x), ..., P^(order)(x)/order!] for P(x) = sum_k coeffs[k] x**k.
 
-    coeffs is a ScaledPoly or a plain sequence of mpmath numbers, which is
-    scaled to the point first.  Horner's rule runs on (re, im) integer
-    pairs in u = x / 2**rho, |u| <= 1, with u exact and every step rounded
-    down to the working bits F of _resolution: 2**-F * deg**(j+1) stays
-    below 2**-prec times the majorant of the j-th Taylor coefficient for
-    j <= 2, whatever order is asked, so the value does not depend on
-    order.  Each
-    coefficient updates the highest order first.  Every polynomial
-    evaluation in ptspec runs through this loop except the grid scans of
-    grid_evaluator; at order 0 it is one complex multiply-add per
+    Horner's rule runs on the (re, im) integer pairs of the ScaledPoly
+    coeffs in u = x / 2**rho, |u| <= 1, with u exact and every step
+    rounded down to the working bits F of _resolution: 2**-F * deg**(j+1)
+    stays below 2**-prec times the majorant of the j-th Taylor coefficient
+    for j <= 2, whatever order is asked, so the value does not depend on
+    order.  Each coefficient updates the highest order first.  Every
+    polynomial evaluation in ptspec runs through this loop except the grid
+    scans of grid_evaluator; at order 0 it is one complex multiply-add per
     coefficient, the cost of the node winding count.  Results are mpc at
-    the working precision.  A ScaledPoly meeting a point outside its
-    scale goes through _fit_scale, which may raise RadiusError.
+    the working precision.  A point outside the scale goes through
+    _fit_scale, which may raise RadiusError.
     """
     if order > 2:
         raise ParameterError(f"_horner covers Taylor orders up to 2, got {order}")
     prec = mp.mp.prec
     xr, xi, e, rho_x, lx = _point(x)
-    if not isinstance(coeffs, ScaledPoly):
-        coeffs = _scaled(coeffs, 0 if rho_x is None else rho_x, None if lx is None else lx - rho_x, prec)
     coeffs, need = _fit_scale(coeffs, rho_x, lx, prec)
     rho = coeffs.rho
     s = 0 if rho_x is None else rho - e  # u = (xr + i*xi) / 2**s

@@ -1,11 +1,13 @@
 """Independent oracles the tests compare against.
 
-Nothing here imports ptspec; reference values are produced by separate
-algorithms (the exact coefficients by a dictionary-based recursion in
-Fractions, a direct double sum, float shooting integrations, tanh-sinh
-quadrature, an mpmath polynomial square, a schoolbook integer square,
-the complex collapse of the exact coefficients at a general point) so
-agreement is meaningful.
+Nothing here runs ptspec's algorithms; reference values are produced by
+separate algorithms (the exact coefficients by a dictionary-based
+recursion in Fractions, a direct double sum, float shooting
+integrations, tanh-sinh quadrature, an mpmath polynomial square, a
+schoolbook integer square, the complex collapse of the exact
+coefficients at a general point) so agreement is meaningful.  The one
+name taken from ptspec is its ScaledPoly container, which fixed_point
+fills with mpmath coefficients rounded by a rule of its own.
 """
 
 from fractions import Fraction
@@ -16,6 +18,8 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+from ptspec.series import ScaledPoly
 
 
 @lru_cache(maxsize=None)
@@ -56,6 +60,21 @@ def floor_sums(terms, bits):
         den = lcm(*(t.denominator for t in ts))
         out[k] = (sum(t.numerator * (den // t.denominator) for t in ts) << bits) // den
     return out
+
+
+def fixed_point(coeffs, rho, prec):
+    """The polynomial sum_k c_k x**k of the mpmath numbers coeffs as a
+    ScaledPoly at scale 2**rho: both parts of each D_k = c_k 2**(rho*k)
+    rounded to nearest at one count of fractional bits, the least that
+    keeps every nonzero D_k to 2**-(prec+1) of itself.  So at any |u| <= 1
+    the stored error of each Taylor coefficient stays below 2**-(prec+1)
+    times its majorant sum_k binom(k, j) |D_k| |u|**(k-j), term by term."""
+    scaled = [(mp.ldexp(c.real, rho * k), mp.ldexp(c.imag, rho * k))
+              for k, c in enumerate(map(mp.mpc, coeffs))]  # exact: only exponents move
+    tops = [max(mp.frexp(v)[1] for v in parts if v) - 1 for parts in scaled if any(parts)]
+    frac = prec + 1 - min(tops, default=prec + 1)
+    re, im = ([int(mp.nint(mp.ldexp(parts[i], frac))) for parts in scaled] for i in (0, 1))
+    return ScaledPoly(tuple(re), tuple(im), frac, rho)
 
 
 def closed_a0q(q):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import oracles
 from ptspec import (
     EnergyLevel,
     LevelDiagnostics,
@@ -243,8 +244,28 @@ def test_default_box_finds_zeros_near_its_edge():
             assert any(abs(z - want) < mp.mpf("1e-18") for z in found.arch_nodes)
 
 
+def test_parity_pair_default_box_holds_the_real_zeros():
+    # on the p-symmetric pair the default box is the square around z = 0:
+    # odd levels vanish there and the N=2 zeros are real, where the arch
+    # box has its top edge; levels 1-3 of the oscillator give the Hermite
+    # zeros, to the accuracy of the level (E off by about 1e-22 at r = 8)
+    ctx = PrecisionContext(20)
+    levels = spectrum(pt_pairs(2)[1], 4, TruncationParams(100, Fraction(8)), ctx)
+    hermite = {1: ["0"], 2: ["-0.5", "0.5"], 3: ["-1.5", "0", "1.5"]}  # squares, signed
+    for n, squares in hermite.items():
+        found = find_nodes(levels[n])
+        assert found.axis_nodes == () and len(found.arch_nodes) == n
+        with ctx.workdps():
+            for z, sq in zip(found.arch_nodes, squares):
+                want = mp.sign(mp.mpf(sq)) * mp.sqrt(abs(mp.mpf(sq)))
+                assert abs(z - want) < mp.mpf("1e-18"), (n, z)
+    level = spectrum(pt_pairs(4)[0], 2, TruncationParams(100, Fraction(6)), ctx)[1]
+    assert level.parity == "odd" and find_nodes(level).arch_nodes == (0,)
+
+
 def _planted(zeros, ctx):
-    """Coefficients in w = iz of prod (z - z_j), the layout of a space polynomial."""
+    """prod (z - z_j) as a space polynomial in w = iz, at scale 2 (the
+    regions below lie in |z| <= sqrt(2))."""
     with ctx.workdps():
         coeffs = [mp.mpc(1)]
         for z in zeros:
@@ -252,7 +273,7 @@ def _planted(zeros, ctx):
             root = mp.mpc(0, 1) * mp.mpc(z)
             shifted = [mp.mpc(0)] + coeffs
             coeffs = [-mp.mpc(0, 1) * (s - root * c) for s, c in zip(shifted, coeffs + [0])]
-        return tuple(coeffs)
+        return oracles.fixed_point(coeffs, 1, mp.mp.prec)
 
 
 def test_winding_isolates_planted_zeros(monkeypatch, levels3, ctx40):

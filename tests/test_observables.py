@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fixed_point
 from ptspec import (
     DegenerateNormError,
     GeometryError,
@@ -24,7 +25,6 @@ from ptspec import (
 from ptspec import series
 from ptspec.cli import main
 from ptspec.series import (
-    _scaled,
     moment_integral,
     poly_psi,
     poly_square,
@@ -273,11 +273,12 @@ def test_exact_integral_matches_quadrature(coeffs, m, z0, z1):
         a = 2 * mp.mpc(*z0)
         b = 2 * mp.mpc(*z1)
         # scale 2**2 covers |a|, |b| <= 2*sqrt(2)
-        value, size = moment_integral(poly_square(_scaled(poly, 2, -2, mp.mp.prec)), m, a, b)
+        stored = fixed_point(poly, 2, mp.mp.prec)
+        value, size = moment_integral(poly_square(stored), m, a, b)
 
         def integrand(t):
             z = a + t * (b - a)
-            return poly_psi(poly, z) ** 2 * z**m * (b - a)
+            return poly_psi(stored, z) ** 2 * z**m * (b - a)
 
         want = mp.quad(integrand, [0, 1])
         assert abs(value - want) <= mp.mpf("1e-20") * max(1, size)

@@ -1,5 +1,6 @@
 """Coefficient tables and series evaluation against independent oracles."""
 
+import math
 import sys
 import types
 from fractions import Fraction
@@ -33,7 +34,6 @@ from ptspec.series import (
     ScaledPoly,
     _antiderivative,
     _horner,
-    _scaled,
     energy_polynomials,
     eval_energy_poly,
     grid_evaluator,
@@ -115,6 +115,54 @@ def test_recursion_matches_the_exact_coefficients(n_exponent, pmax, digits):
             x, y = Fraction(2) ** (rho * step), Fraction(2) ** (2 * rho) * e_val
             assert_within_a_unit(sums, frac, x, y, Fraction(2) ** rho,
                                  lambda p, q: step * p + 2 * q, lambda p, q: step * p + 2 * q + 1)
+
+
+def _log2(v: Fraction) -> float:
+    return math.log2(v.numerator) - math.log2(v.denominator)
+
+
+@pytest.mark.parametrize("n_exponent", range(2, 17))
+def test_peak_bound_covers_the_exact_peak(n_exponent, ctx40):
+    # the closed-form bound on log2 max a[p,q] x**p y**q against the exact
+    # max over brute_tables: never below it and at most 64 bits above, at
+    # the energy points (r**(N+2), R**(N+2)), the space points (R**(N+2),
+    # R**2 |E|) and the rim points (r**(N+2), r**2 |E|); at each rim point
+    # scaled by the least 2**k with 2**k (x + y) >= ((N+2)*pmax)**2, no
+    # antidiagonal sum falls and the largest rim term is at least
+    # 1/(pmax+1) of every value, as _rim relies on
+    pmax = 60 if n_exponent <= 4 else 50 if n_exponent <= 8 else 40
+    table = build_tables(n_exponent, pmax)
+    step = n_exponent + 2
+    logs = [(p, q, _log2(c)) for (p, q), c in oracles.brute_tables(n_exponent, pmax)[0].items()]
+
+    def log_terms(x, y):  # (p + q, log2 of a[p,q] x**p y**q) of the nonzero terms
+        lx, ly = _log2(x), _log2(y) if y else None
+        return [(p + q, lg + p * lx + (q * ly if q else 0)) for p, q, lg in logs if y or not q]
+
+    energy = [(r**step, Fraction(2) ** (series._ratio_point(r.numerator, r.denominator)[0] * step))
+              for r in _RADII]
+    space, rim = [], []
+    for r in _RADII:
+        for e_val in _ENERGIES:
+            rho = series._scale_exponent(n_exponent, E=ctx40.mpf(e_val), radius=r)
+            space.append((Fraction(2) ** (rho * step), Fraction(2) ** (2 * rho) * abs(e_val)))
+            rim.append((r**step, r**2 * abs(e_val)))
+    for x, y in energy + space + rim:
+        want = max(lg for _, lg in log_terms(x, y))
+        got = series._peak_bound(table, x, y)
+        assert want <= got <= want + 64, (x, y)
+    for x, y in rim:
+        k = 0
+        while 2**k * (x + y) < (step * pmax) ** 2:
+            k += 1
+        terms = log_terms(2**k * x, 2**k * y)
+        sums = []
+        for s in range(pmax + 1):
+            top = max(lg for t, lg in terms if t == s)
+            sums.append(top + math.log2(sum(2 ** (lg - top) for t, lg in terms if t == s)))
+        assert all(later >= earlier for earlier, later in zip(sums, sums[1:])), (x, y)
+        rim_top = max(lg for t, lg in terms if t == pmax)
+        assert rim_top + math.log2(pmax + 1) >= max(lg for _, lg in terms), (x, y)
 
 
 def test_build_tables_validation():
@@ -440,7 +488,8 @@ def test_health_tails_match_definition(table7, ctx40):
 @pytest.mark.parametrize(
     "n_exponent, radius, e_val, theta",
     [(7, Fraction(3), Fraction(30), Fraction(1, 12)), (7, Fraction(3), Fraction(30), Fraction(-1, 2)),
-     (3, Fraction(8), Fraction(5), Fraction(1, 6)), (3, Fraction(8), Fraction(-7, 2), Fraction(-1, 6))],
+     (3, Fraction(8), Fraction(5), Fraction(1, 6)), (3, Fraction(8), Fraction(-7, 2), Fraction(-1, 6)),
+     (3, Fraction(3, 4), Fraction(30), Fraction(1, 6))],
 )
 def test_rim_keeps_its_relative_precision(n_exponent, radius, e_val, theta, ctx40):
     # rim_peak and boundary_residual against the exact rim terms
@@ -489,9 +538,10 @@ def test_horner_matches_polyval(coeffs, dps, x, real_x):
     with mp.workdps(dps):
         poly = [mp.mpc(*c) for c in coeffs]
         point = mp.mpf(x[0]) if real_x else mp.mpf(x[0]) * mp.expjpi(x[1])
-        got = _horner(poly, point, 2)
-        assert _horner(poly, point, 1) == got[:2]
-        assert _horner(poly, point)[0] == got[0]
+        stored = oracles.fixed_point(poly, 1, mp.mp.prec)  # scale 2 covers |x| <= 2
+        got = _horner(stored, point, 2)
+        assert _horner(stored, point, 1) == got[:2]
+        assert _horner(stored, point)[0] == got[0]
     deg = len(poly) - 1
     with mp.workdps(dps + 20):
         value, slope = mp.polyval(poly[::-1], point, derivative=True)
@@ -515,8 +565,8 @@ def test_horner_matches_polyval(coeffs, dps, x, real_x):
 def test_integer_kernel_wide_exponents(coeffs, tiny_c0, dps, rho, depth, x, real_x):
     # binary exponents of the coefficients over +-300 (c_0 down to 2^-600
     # when tiny), points from the scale radius 2^rho down to 2^(rho-61):
-    # the plain sequence (scaled to the point) and a ScaledPoly at scale
-    # 2^rho (the form of the collapses) both stay within the bound of
+    # ScaledPolys at the scale of the point and at scale 2^rho (the form of
+    # the collapses) both stay within the bound of
     # test_horner_matches_polyval against mpmath at dps + 20
     with mp.workdps(dps):
         poly = [mp.mpc(re, im) * mp.ldexp(1, e) for re, im, e in coeffs]
@@ -524,10 +574,11 @@ def test_integer_kernel_wide_exponents(coeffs, tiny_c0, dps, rho, depth, x, real
             poly[0] *= mp.ldexp(1, -300)
         size = mp.ldexp(mp.mpf(x[0]), rho - depth)
         point = size if real_x else size * mp.expjpi(x[1])
-        stored = _scaled(poly, rho, -depth - 1, mp.mp.prec)
-        assert isinstance(stored, ScaledPoly) and len(stored) == len(poly)
+        near = oracles.fixed_point(poly, rho - depth, mp.mp.prec)  # |point| <= 2^(rho-depth)
+        stored = oracles.fixed_point(poly, rho, mp.mp.prec)
+        assert isinstance(stored, ScaledPoly) and len(near) == len(stored) == len(poly)
         results = []
-        for form in (poly, stored):
+        for form in (near, stored):
             got = _horner(form, point, 2)
             assert _horner(form, point, 1) == got[:2]
             assert _horner(form, point)[0] == got[0]
@@ -560,7 +611,7 @@ def test_integer_square_and_antiderivative(coeffs, dps, m, rho, ends):
     with mp.workdps(dps):
         poly = [mp.mpc(*c) for c in coeffs]
         points = [mp.ldexp(mp.mpf(r), rho) * mp.expjpi(t) for r, t in ends]
-        square = poly_square(_scaled(poly, rho, -1, mp.mp.prec))
+        square = poly_square(oracles.fixed_point(poly, rho, mp.mp.prec))
         assert len(square) == 2 * len(poly) - 1 and square.rho == rho
         anti = _antiderivative(square, m)
         got = [_horner(anti, w)[0] for w in points]

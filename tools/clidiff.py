@@ -95,6 +95,11 @@ COMMANDS = (
     "expect --N 6 --pair 2 --radius 4 --level 0 --moments 0,2",
     "spectrum --N 10 --pair 5 --radius 3 --pmax 200 --levels 3 --emax 300 --force",
     "spectrum --N 16 --pair 8 --radius 2 --pmax 200 --levels 3 --emax 300 --force",
+    "nodes --N 2 --pair 1 --level 1",
+    "nodes --N 2 --pair 1 --level 3",
+    "nodes --N 4 --pair 0 --radius 6 --level 1",
+    "nodes --N 3 --level 2 --digits 80 --pmax 150",
+    "expect --N 3 --level 0 --moments 0,2,3 --digits 80 --pmax 150",
 )
 
 
