@@ -51,7 +51,6 @@ from .quantize import (
 from .series import (
     CoefficientTable,
     TruncationParams,
-    boundary_residual,
     build_tables,
     energy_polynomials,
     eval_psi,
@@ -83,7 +82,6 @@ __all__ = [
     "build_tables",
     "eval_psi",
     "residual",
-    "boundary_residual",
     "wronskian",
     "energy_polynomials",
     "space_polynomial",

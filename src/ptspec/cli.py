@@ -363,11 +363,7 @@ def _cmd_selfcheck(args) -> int:
         checks.append(("pt_reflection", worst_pt < tol, f"max deviation = {_num(worst_pt, 3)}"))
 
         worst_o = mp.mpf(0)
-        even = quantize_p_symmetric(2, "even", 2, trunc, ctx)
-        odd = quantize_p_symmetric(2, "odd", 2, trunc, ctx)
-        for lv, ref in zip(even, (1, 5)):
-            worst_o = max(worst_o, abs(lv.E - ref))
-        for lv, ref in zip(odd, (3, 7)):
+        for lv, ref in zip(quantize_p_symmetric(2, "both", 4, trunc, ctx), (1, 3, 5, 7)):
             worst_o = max(worst_o, abs(lv.E - ref))
         checks.append(("n2_oracle", worst_o < mp.mpf("1e-12"), f"max |E - ref| = {_num(worst_o, 3)}"))
 

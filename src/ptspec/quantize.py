@@ -25,8 +25,8 @@ attaching c on a PT pair and the even/odd tag on the parity pair.
 quantize_p_symmetric is spectrum on the parity pair looked up by N.
 A probe's polynomials come from the radial sums of one pass of the
 coefficient recursion at its radius, shared by every pair of N there,
-and are stored at the energy scale of its request (_scale): spectrum's
-e_max, the scan window, the refined bracket, the |E| of
+and are stored at the energy scale of its request (series._scale):
+spectrum's e_max, the scan window, the refined bracket, the |E| of
 connection_coefficient and 97/96 of the health check's e_max.
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
@@ -149,23 +149,12 @@ def _level_poly(level: EnergyLevel, ctx: PrecisionContext):
     return series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
 
 
-def _scale(*energies) -> Optional[int]:
-    """The energy scale of a request: the smallest sigma with 2**sigma >=
-    |E| for every E given, None when they are all zero."""
-    top = max(abs(series._exact(e)) for e in energies)
-    if not top:
-        return None
-    # top lies strictly between 2**(sigma-1) and 2**(sigma+1)
-    sigma = top.numerator.bit_length() - top.denominator.bit_length()
-    return sigma if top <= Fraction(2) ** sigma else sigma + 1
-
-
 def _probe_polys(pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, scale):
     """(psi1, psi2) as energy polynomials at the right probe of radius
     trunc.radius, from the truncation (N, trunc.pmax), rescaled down to the
-    energy scale 2**scale of the request (see _scale) when that is below
-    the probe's own.  The rescaled copies are not memoized: they live as
-    long as the caller holds them."""
+    energy scale 2**scale of the request (see series._scale) when that is
+    below the probe's own.  The rescaled copies are not memoized: they
+    live as long as the caller holds them."""
     table = series.build_tables(pair.n_exponent, trunc.pmax)
     polys = series.energy_polynomials(table, trunc.radius, pair.theta_right, ctx)
     if scale is None or scale >= polys[0].rho:
@@ -201,7 +190,7 @@ def connection_coefficient(
     (its energy polynomials are the right ones conjugated, to the last
     fixed-point bits), so the right probe alone carries the Im c zeros.
     """
-    poly_a, poly_b = _probe_polys(pair, trunc, ctx, _scale(E))
+    poly_a, poly_b = _probe_polys(pair, trunc, ctx, series._scale(E))
     return _c_from_polys(poly_a, poly_b, E, ctx)
 
 
@@ -226,7 +215,7 @@ def scan_im_c(
     if e_max <= e_min:
         raise ParameterError(f"empty energy window [{e_min}, {e_max}]")
     den = math.lcm(e_min.denominator, step.denominator)
-    at, _ = series.grid_evaluator(_probe_polys(pair, trunc, ctx, _scale(e_min, e_max)), den)
+    at, _ = series.grid_evaluator(_probe_polys(pair, trunc, ctx, series._scale(e_min, e_max)), den)
     t0, dt = int(e_min * den), int(step * den)
     guard = 100 ** (ctx.digits // 2)
     points = []
@@ -360,7 +349,7 @@ def _root_and_estimate(
     bracket, then on the whole bracket; inf when neither holds a sign
     change.
     """
-    reader = _reader(pair, trunc.pmax, ctx, _scale(*bracket))
+    reader = _reader(pair, trunc.pmax, ctx, series._scale(*bracket))
     lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
     e_root = _hybrid_root(reader(trunc.radius), (lo, hi), tol, ends)
     delta = max(mp.mpf("1e-6"), 100 * tol * max(mp.mpf(1), abs(e_root)))
@@ -405,7 +394,7 @@ def refine_root(
         if tol <= 0:
             raise ParameterError("tol must be positive")
         e_root, est = _root_and_estimate(pair, trunc, ctx, bracket, tol, ends)
-        c_val = _c_from_polys(*_probe_polys(pair, trunc, ctx, _scale(*bracket)), e_root, ctx)
+        c_val = _c_from_polys(*_probe_polys(pair, trunc, ctx, series._scale(*bracket)), e_root, ctx)
         return EnergyLevel(n, e_root, c_val.real, pair, _diagnostics(trunc, ctx, est))
 
 
@@ -455,7 +444,8 @@ def spectrum(
         raise ParameterError(f"step must be positive, got {step}")
     direction = -1 if pair.theta_right == Fraction(1, 2) else 1
     tol = ctx.tolerance(5)
-    at, unit = series.grid_evaluator(_probe_polys(pair, trunc, ctx, _scale(cap)), step.denominator)
+    polys = _probe_polys(pair, trunc, ctx, series._scale(cap))
+    at, unit = series.grid_evaluator(polys, step.denominator)
     levels: list = []
     prev = None  # (k, D, Re psi1) at the last grid point where D is not zero
     with ctx.workdps():
@@ -492,14 +482,13 @@ def quantize_p_symmetric(
     n_levels: int,
     trunc: TruncationParams,
     ctx: PrecisionContext,
-    step: Fractionable = DEFAULT_SCAN_STEP,
-    e_max: Fractionable = DEFAULT_ENERGY_CAP,
 ):
-    """spectrum of the p-symmetric pair of an even N, looked up by N."""
+    """spectrum of the p-symmetric pair of an even N, looked up by N, with
+    spectrum's default energy cap and scan step."""
     psym = [p for p in pt_pairs(n_exponent) if p.p_symmetric]
     if not psym:
         raise ParameterError(f"N={n_exponent} has no p-symmetric pair (N must be even)")
-    return spectrum(psym[0], n_levels, trunc, ctx, e_max, step, parity)
+    return spectrum(psym[0], n_levels, trunc, ctx, parity=parity)
 
 
 @dataclass(frozen=True)
@@ -549,7 +538,7 @@ def health_check(
     """
     cap = as_fraction(e_max)
     table = series.build_tables(n_exponent, trunc.pmax)
-    scale = _scale(cap * Fraction(97, 96))
+    scale = series._scale(cap * Fraction(97, 96))
     inner = TruncationParams(trunc.pmax, trunc.radius * _INNER_RADIUS)
     tail_threshold = mp.mpf(10) ** TAIL_THRESHOLD_EXPONENT
     c_threshold = mp.mpf(10) ** (-(ctx.digits // 4))

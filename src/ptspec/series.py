@@ -25,18 +25,17 @@ The module is built in layers:
   beta_q of one radius; _space_sums at (R**(N+2), R**2 |E|) sums it for
   each m into the coefficients of psi1 and psi2 in u = w/R at real E;
   _rim at (|w|**(N+2), |w|**2 |E|) takes the last antidiagonal p + q =
-  pmax, often far below max X, at the working precision, for
-  boundary_residual and the maximum rim_peak behind the health check's
+  pmax, often far below max X, at the working precision, for the
+  closed-form residual and the maximum rim_peak behind the health check's
   tails: it runs the pass at a point scaled up by a power of two until
   no antidiagonal sum falls, so the rim holds the largest values;
 * integer collapses: at a wedge centre z = r*exp(i*pi*theta),
   energy_polynomials turns the radial sums into polynomials in E (degree
   pmax, for eigenvalue scans); at fixed E, space_polynomial combines the
   space sums into alpha*psi1 + beta*psi2 as a polynomial in w = iz (for
-  nodes, wavefunctions and exact moments; eval_psi and residual collapse
-  afresh).  Both return ScaledPoly: integer coefficients of the scaled
-  variable.  At a wedge centre arg w = 2*pi*(k+1)/(N+2), so w**(N+2) =
-  r**(N+2) and
+  nodes, wavefunctions and exact moments; eval_psi collapses afresh).
+  Both return ScaledPoly: integer coefficients of the scaled variable.
+  At a wedge centre arg w = 2*pi*(k+1)/(N+2), so w**(N+2) = r**(N+2) and
 
     psi1 = sum_q alpha_q(r) (w**2 E)**q,   psi2 = w sum_q beta_q(r) (w**2 E)**q
 
@@ -47,11 +46,11 @@ The module is built in layers:
   two 2**sigma < R**N rescales the energy polynomials down to it:
   ScaledPoly.rescaled shifts coefficient q right by (N*rho - sigma)*q
   bits, dropping bits that only larger energies would use;
-* integer kernel: _horner evaluates a polynomial and its first Taylor
-  coefficients on (re, im) integer pairs at |u| <= 1, with its bits set
-  by the cancellation measured at the call point; eval_energy_poly,
-  poly_psi, poly_psi_d, eval_psi, residual and the moment integrals all
-  run through it;
+* integer kernel: _horner evaluates a polynomial P and, when asked, its
+  slope P' on (re, im) integer pairs at |u| <= 1, with its bits set by
+  the cancellation measured at the call point; eval_energy_poly,
+  poly_psi, poly_psi_d, eval_psi and the moment integrals all run
+  through it;
 * exact grid: grid_evaluator gives energy polynomials on a grid of
   rationals t/den exactly, as Horner's rule in the short integer t on
   integer coefficients, for the scans that need only signs and ratios;
@@ -101,7 +100,6 @@ __all__ = [
     "build_tables",
     "eval_psi",
     "residual",
-    "boundary_residual",
     "rim_peak",
     "wronskian",
     "energy_polynomials",
@@ -230,18 +228,34 @@ def _point(x):
     return xr, xi, e, e + ((n2 - 1).bit_length() + 1) // 2, lx
 
 
+def _exact(x) -> Fraction:
+    """x, an mpf or anything as_fraction reads, as an exact Fraction."""
+    if isinstance(x, mp.mpf):
+        man, exp = x.man_exp
+        if not man and exp:  # mpmath's zero has exponent 0
+            raise ParameterError(f"cannot evaluate at the non-finite value {x}")
+        return man * Fraction(2) ** exp
+    return as_fraction(x)
+
+
+def _scale(*values) -> int | None:
+    """The smallest sigma with 2**sigma >= |x| for every x given, exactly
+    (through _exact); None when they are all zero."""
+    top = max(abs(_exact(x)) for x in values)
+    if not top:
+        return None
+    # top lies strictly between 2**(sigma-1) and 2**(sigma+1)
+    sigma = top.numerator.bit_length() - top.denominator.bit_length()
+    return sigma if top <= Fraction(2) ** sigma else sigma + 1
+
+
 def _scale_exponent(n_exponent: int, z=None, E=None, radius=None) -> int:
-    """Smallest rho with 2**rho >= |z| and radius (up to the slack of
-    _point) and 2**(N*rho) >= |E|; 0 when all are absent or zero."""
-    points = [z]
-    if radius is not None:
-        r = as_fraction(radius)
-        points.append(mp.mpf(r.numerator) / r.denominator)
-    rhos = [_point(x)[3] for x in points if x is not None]
-    if E is not None:
-        er, _, ee = _split(mp.mpf(E))
-        if er:
-            rhos.append(-(-(ee + (abs(er) - 1).bit_length()) // n_exponent))
+    """Smallest rho with 2**rho >= |z| (up to the slack of _point) and
+    radius, and 2**(N*rho) >= |E|; 0 when all are absent or zero."""
+    rhos = [None if z is None else _point(z)[3], None if radius is None else _scale(radius)]
+    sigma = None if E is None else _scale(E)
+    if sigma is not None:
+        rhos.append(-(-sigma // n_exponent))
     return max((rho for rho in rhos if rho is not None), default=0)
 
 
@@ -290,10 +304,10 @@ class ScaledPoly:
 
 def _bounds(lgs) -> tuple:
     """From floor(log2 |D_k|) per coefficient (None for 0): per Taylor order
-    j <= 2 the first nonzero coefficient at k >= j as (k, lg), and the
+    j <= 1 the first nonzero coefficient at k >= j as (k, lg), and the
     largest coefficient as (k, lg)."""
     firsts = []
-    for j in range(min(3, len(lgs))):
+    for j in range(min(2, len(lgs))):
         firsts.append(next(((k, lg) for k, lg in enumerate(lgs) if k >= j and lg is not None), None))
     known = [(k, lg) for k, lg in enumerate(lgs) if lg is not None]
     return tuple(firsts), max(known, key=lambda hit: hit[1], default=None)
@@ -302,7 +316,7 @@ def _bounds(lgs) -> tuple:
 def _resolution(bounds, deg: int, lu, prec: int):
     """Fractional bits at which _horner's rounding stays below 2**-prec times
     the majorant sum_k binom(k, j) |D_k| |u|**(k-j) of each Taylor order
-    j <= 2, that is F = prec + (j+1)*bits(deg) + bits(kappa) with kappa the
+    j <= 1, that is F = prec + (j+1)*bits(deg) + bits(kappa) with kappa the
     ratio of the unit to a lower bound of the majorant at |u| >= 2**lu
     (lu None: u = 0).  None when every majorant is zero."""
     firsts, peak = bounds
@@ -386,14 +400,6 @@ def _sum_bits(table: CoefficientTable, x: Fraction, y: Fraction, bits: int) -> i
     return bits + math.ceil(_peak_bound(table, x, y)) + spread + 1
 
 
-def _exact(x) -> Fraction:
-    """x, an mpf or anything as_fraction reads, as an exact Fraction."""
-    if isinstance(x, mp.mpf):
-        man, exp = x.man_exp
-        return man * Fraction(2) ** exp
-    return as_fraction(x)
-
-
 def eval_psi(
     table: CoefficientTable,
     z,
@@ -428,20 +434,17 @@ def residual(
 ):
     """ODE residual -psi'' - (iz)**N psi - E psi of one truncated series.
 
-    Every interior term cancels through the recursion, so the result
-    consists purely of boundary (p + q = pmax) contributions; it
-    measures the truncation error directly.
+    Every interior term cancels through the recursion, so the residual
+    is -(w**N + E) times the sum of the rim terms c[p,q] * E**q * w**m,
+    p + q = pmax (_rim): it measures the truncation error directly, in
+    closed form and without the cancellation of a second derivative.
     """
     if which not in ("psi1", "psi2"):
         raise ParameterError(f"which must be 'psi1' or 'psi2', got {which!r}")
     with ctx.workdps():
         w = mp.mpc(0, 1) * mp.mpc(z)
         ev = mp.mpf(E)
-        rho = _scale_exponent(table.n_exponent, z=z, E=ev)
-        weights = (1, 0) if which == "psi1" else (0, 1)
-        psi, _, half_d2 = _horner(_collapse_space(table, ev, *weights, rho, ctx.dps), w, 2)
-        # d/dz = i d/dw, so -psi'' in z is P''(w)
-        return 2 * half_d2 - (w ** table.n_exponent + ev) * psi
+        return -(w ** table.n_exponent + ev) * mp.fsum(_rim(table, w, ev, which))
 
 
 def _rim(table: CoefficientTable, w, ev, which: str) -> list:
@@ -479,25 +482,6 @@ def _rim(table: CoefficientTable, w, ev, which: str) -> list:
         term = mp.make_mpf(from_man_exp(t, -frac - k * pmax, prec, "n")) * sign ** (pmax - p)
         out.append(term * unit ** (step * p + 2 * (pmax - p)) * lift)
     return out
-
-
-def boundary_residual(
-    table: CoefficientTable,
-    z,
-    E,
-    ctx: PrecisionContext,
-    which: str = "psi1",
-):
-    """Closed form of the residual: -(w**N + E) times the sum of the rim
-    terms c[p,q] * E**q * w**m.  Cheap, and must agree with residual()
-    to working precision.
-    """
-    if which not in ("psi1", "psi2"):
-        raise ParameterError(f"which must be 'psi1' or 'psi2', got {which!r}")
-    with ctx.workdps():
-        w = mp.mpc(0, 1) * mp.mpc(z)
-        ev = mp.mpf(E)
-        return -(w ** table.n_exponent + ev) * mp.fsum(_rim(table, w, ev, which))
 
 
 def rim_peak(table: CoefficientTable, radius, E, ctx: PrecisionContext) -> RealHP:
@@ -567,7 +551,7 @@ def energy_polynomials(table: CoefficientTable, radius, theta, ctx: PrecisionCon
     phase = theta + Fraction(1, 2)  # arg w / pi
     if (phase * step / 2).denominator != 1:
         raise ParameterError(f"theta={theta} is not a wedge centre of N={table.n_exponent}")
-    rho = _ratio_point(radius.numerator, radius.denominator)[0]
+    rho = _scale(radius)
     bits = _bits(table, ctx.dps)
     alpha, beta, frac = _radial_sums(table, radius, bits, rho)
     with mp.workprec(frac + 20):
@@ -815,22 +799,23 @@ def grid_evaluator(polys: Sequence[ScaledPoly], den: int):
 
 
 def _horner(coeffs: ScaledPoly, x, order: int = 0) -> list:
-    """[P(x), P'(x), ..., P^(order)(x)/order!] for P(x) = sum_k coeffs[k] x**k.
+    """[P(x)] at order 0, [P(x), P'(x)] at order 1, for P(x) = sum_k
+    coeffs[k] x**k; ParameterError above order 1.
 
     Horner's rule runs on the (re, im) integer pairs of the ScaledPoly
     coeffs in u = x / 2**rho, |u| <= 1, with u exact and every step
     rounded down to the working bits F of _resolution: 2**-F * deg**(j+1)
     stays below 2**-prec times the majorant of the j-th Taylor coefficient
-    for j <= 2, whatever order is asked, so the value does not depend on
-    order.  Each coefficient updates the highest order first.  Every
+    for j <= 1, whatever order is asked, so the value does not depend on
+    order.  Each coefficient updates the slope before the value.  Every
     polynomial evaluation in ptspec runs through this loop except the grid
     scans of grid_evaluator; at order 0 it is one complex multiply-add per
     coefficient, the cost of the node winding count.  Results are mpc at
     the working precision.  A point outside the scale goes through
     _fit_scale, which may raise RadiusError.
     """
-    if order > 2:
-        raise ParameterError(f"_horner covers Taylor orders up to 2, got {order}")
+    if order not in (0, 1):
+        raise ParameterError(f"_horner covers Taylor orders 0 and 1, got {order}")
     prec = mp.mp.prec
     xr, xi, e, rho_x, lx = _point(x)
     coeffs, need = _fit_scale(coeffs, rho_x, lx, prec)
@@ -842,15 +827,11 @@ def _horner(coeffs: ScaledPoly, x, order: int = 0) -> list:
         d = frac - coeffs.frac
         re, im = [r << d for r in re], [i << d for i in im]
 
-    vr = vi = 0
-    tr, ti = [0] * order, [0] * order  # Taylor accumulators of P^(k)(u)/k!, k >= 1
+    vr = vi = tr = ti = 0  # P(u) and P'(u)
     for cr, ci in zip(reversed(re), reversed(im)):
         if order:
-            for k in range(order - 1, 0, -1):
-                tr[k], ti[k] = (((tr[k] * xr - ti[k] * xi) >> s) + tr[k - 1],
-                                ((tr[k] * xi + ti[k] * xr) >> s) + ti[k - 1])
-            tr[0], ti[0] = ((tr[0] * xr - ti[0] * xi) >> s) + vr, ((tr[0] * xi + ti[0] * xr) >> s) + vi
+            tr, ti = ((tr * xr - ti * xi) >> s) + vr, ((tr * xi + ti * xr) >> s) + vi
         vr, vi = ((vr * xr - vi * xi) >> s) + cr, ((vr * xi + vi * xr) >> s) + ci
-    pairs = [(vr, vi, -frac)] + [(tr[k], ti[k], -frac - (k + 1) * rho) for k in range(order)]
+    pairs = [(vr, vi, -frac), (tr, ti, -frac - rho)][:order + 1]
     return [mp.make_mpc((from_man_exp(r, exp, prec, "n"), from_man_exp(i, exp, prec, "n")))
             for r, i, exp in pairs]

@@ -179,7 +179,7 @@ def test_exact_scan_sign_matches_reader(n_exponent, pair_index, radius, ctx40):
     pair = pt_pairs(n_exponent)[pair_index]
     trunc = TruncationParams(100, Fraction(radius))
     direction = -1 if pair.theta_right == Fraction(1, 2) else 1
-    scale = quantize._scale(quantize.DEFAULT_ENERGY_CAP)  # spectrum's scale
+    scale = series._scale(quantize.DEFAULT_ENERGY_CAP)  # spectrum's scale
     polys = quantize._probe_polys(pair, trunc, ctx40, scale)
     at, _ = series.grid_evaluator(polys, 20)
     reader = quantize._reader(pair, 100, ctx40, scale)(trunc.radius)
@@ -478,7 +478,7 @@ def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypa
     assert asked[-2:] == [1, Fraction(21, 20)]
     report = health_check(3, trunc, Fraction(30), ctx40)
     assert not report.passed and all(e.tail == mp.inf for e in report.entries)
-    at, _ = recording(quantize._probe_polys(pair, trunc, ctx40, quantize._scale(20)), 20)
+    at, _ = recording(quantize._probe_polys(pair, trunc, ctx40, series._scale(20)), 20)
     at(160)
     with pytest.raises(RadiusError):
         at(161)

@@ -18,7 +18,6 @@ from ptspec import (
     PrecisionContext,
     RadiusError,
     TruncationParams,
-    boundary_residual,
     build_tables,
     eval_psi,
     health_check,
@@ -105,7 +104,7 @@ def test_recursion_matches_the_exact_coefficients(n_exponent, pmax, digits):
             assert max(abs((v >> (frac - bits)) - want.get(k, 0)) for k, v in enumerate(got)) <= 1
 
     for radius in radii:
-        rho = series._ratio_point(radius.numerator, radius.denominator)[0]
+        rho = series._scale(radius)
         *sums, frac = series._radial_sums(table, radius, bits, rho)
         x, y = radius**step, Fraction(2) ** (rho * step)
         assert_within_a_unit(sums, frac, x, y, Fraction(2) ** rho, lambda p, q: q, lambda p, q: q)
@@ -139,8 +138,7 @@ def test_peak_bound_covers_the_exact_peak(n_exponent, ctx40):
         lx, ly = _log2(x), _log2(y) if y else None
         return [(p + q, lg + p * lx + (q * ly if q else 0)) for p, q, lg in logs if y or not q]
 
-    energy = [(r**step, Fraction(2) ** (series._ratio_point(r.numerator, r.denominator)[0] * step))
-              for r in _RADII]
+    energy = [(r**step, Fraction(2) ** (series._scale(r) * step)) for r in _RADII]
     space, rim = [], []
     for r in _RADII:
         for e_val in _ENERGIES:
@@ -236,25 +234,11 @@ def test_small_z_free_limit(table3, ctx40):
             assert abs(p2 - mp.mpc(0, 1) * mp.sin(z * root) / root) < abs(z) ** 5
 
 
-@pytest.mark.parametrize("which", ["psi1", "psi2"])
-def test_residual_matches_boundary_form(table3, ctx40, which):
-    # the ODE defect of the truncated sum telescopes to the p+q=P rim;
-    # compare where the true defect is large enough to clear the
-    # cancellation noise of the direct second derivative
-    with ctx40.workdps():
-        for z, e_str in ((mp.mpf(8), "5.0"), (mp.mpc("7.2", "2.1"), "11.5")):
-            direct = residual(table3, z, mp.mpf(e_str), ctx40, which)
-            rim = boundary_residual(table3, z, mp.mpf(e_str), ctx40, which)
-            assert abs(rim) > mp.mpf("1e-6")
-            assert abs(direct - rim) / abs(rim) < mp.mpf("1e-15")
-
-
 def test_residual_small_inside_disk(table3, ctx40):
-    # direct evaluation is limited by cancellation at working precision;
-    # the rim form shows the true defect scale
+    # the closed form shows the true defect scale, far below what a direct
+    # second derivative could resolve at working precision
     with ctx40.workdps():
-        assert abs(residual(table3, mp.mpf(2), mp.mpf(5), ctx40)) < mp.mpf("1e-30")
-        assert abs(boundary_residual(table3, mp.mpf(2), mp.mpf(5), ctx40)) < mp.mpf("1e-200")
+        assert abs(residual(table3, mp.mpf(2), mp.mpf(5), ctx40)) < mp.mpf("1e-200")
 
 
 def test_wronskian_is_i(table3, ctx40):
@@ -308,7 +292,7 @@ def test_radial_collapse_matches_the_complex_collapse(n_exponent, ctx40):
     table = build_tables(n_exponent, 50)
     bits = series._bits(table, ctx40.dps)
     for radius in (Fraction(8), Fraction(3), Fraction(27, 10), Fraction(3, 4), Fraction(1, 2)):
-        rho = series._ratio_point(radius.numerator, radius.denominator)[0]
+        rho = series._scale(radius)
         for pair in pt_pairs(n_exponent):
             for theta in (pair.theta_right, pair.theta_left):
                 a, b = energy_polynomials(table, radius, theta, ctx40)
@@ -451,6 +435,28 @@ def test_grid_evaluator_refuses_what_horner_refuses(ctx40):
     assert not refused[0] and refused[-1]
 
 
+def test_scale_is_the_least_power_of_two_above():
+    # the smallest sigma with 2**sigma >= |x| for every x given, exact at
+    # powers of two and 2**-80 (relative) on either side of them, below 1,
+    # for negative values and for mpf input; None when all are zero
+    for k in (-70, -3, -1, 0, 1, 3, 70):
+        power = Fraction(2) ** k
+        assert series._scale(power) == series._scale(-power) == series._scale(mp.ldexp(1, k)) == k
+        assert series._scale(power * (1 + Fraction(1, 2**80))) == k + 1
+        assert series._scale(-power * (1 - Fraction(1, 2**80))) == k
+    assert series._scale(Fraction(3, 4)) == 0 and series._scale(Fraction(1, 3)) == -1
+    assert series._scale("0.05") == -4 and series._scale(mp.mpf(2) ** 30 + mp.mpf(2) ** -20) == 31
+    assert series._scale(5, Fraction(-33, 2), 0, mp.mpf(-1)) == 5
+    assert series._scale(0) is None and series._scale(0, Fraction(0), mp.mpf(0)) is None
+    with pytest.raises(ParameterError):  # so eval_psi keeps refusing a non-finite E
+        series._scale(1, mp.inf)
+    with pytest.raises(ParameterError):
+        eval_psi(build_tables(3, 20), 1, mp.inf, PrecisionContext(20))
+    # the grid's rule for a rational t/den agrees
+    for t, den in ((1, 1), (3, 4), (9, 8), (-8, 1), (7, 20), (1, 2**40)):
+        assert series._scale(Fraction(t, den)) == series._ratio_point(t, den)[0]
+
+
 def test_grid_evaluator_validation(table3, ctx40):
     a, b = _probe_polys(table3, 0, 8, ctx40)
     with pytest.raises(ParameterError):
@@ -489,13 +495,17 @@ def test_health_tails_match_definition(table7, ctx40):
     "n_exponent, radius, e_val, theta",
     [(7, Fraction(3), Fraction(30), Fraction(1, 12)), (7, Fraction(3), Fraction(30), Fraction(-1, 2)),
      (3, Fraction(8), Fraction(5), Fraction(1, 6)), (3, Fraction(8), Fraction(-7, 2), Fraction(-1, 6)),
-     (3, Fraction(3, 4), Fraction(30), Fraction(1, 6))],
+     (3, Fraction(3, 4), Fraction(30), Fraction(1, 6)),
+     (3, Fraction(8), Fraction(5), Fraction(0)),
+     (3, Fraction(15, 2), Fraction(23, 2), (Fraction(24, 25), Fraction(7, 25)))],
 )
 def test_rim_keeps_its_relative_precision(n_exponent, radius, e_val, theta, ctx40):
-    # rim_peak and boundary_residual against the exact rim terms
-    # c[p,q] E**q w**m of brute_tables, to 10**-digits relative, though at
-    # N=7 the rim lies 70 digits below psi1; at angles where the rim terms
-    # do not cancel, so the relative precision of each term is what shows
+    # rim_peak and residual against the exact rim terms c[p,q] E**q w**m
+    # of brute_tables, to 10**-digits relative, though at N=7 the rim lies
+    # 70 digits below psi1; mostly at angles where the rim terms do not
+    # cancel, so the relative precision of each term is what shows, and
+    # at z = 8 and 7.2 + 2.1i, where the residual clears 1e-6.  theta is
+    # the angle of z in units of pi, or z / radius as an exact (cos, sin)
     pmax, step = 100, n_exponent + 2
     table = build_tables(n_exponent, pmax)
     a, b = oracles.brute_tables(n_exponent, pmax)
@@ -505,14 +515,18 @@ def test_rim_keeps_its_relative_precision(n_exponent, radius, e_val, theta, ctx4
     with ctx40.workdps():
         got = rim_peak(table, ctx40.mpf(radius), ctx40.mpf(e_val), ctx40)
     assert abs(got - hi.mpf(peak)) <= ctx40.tolerance() * hi.mpf(peak)
-    z = polar_point(radius, theta, hi)
+    if isinstance(theta, tuple):
+        with hi.workdps():
+            z = mp.mpc(*(hi.mpf(radius * t) for t in theta))
+    else:
+        z = polar_point(radius, theta, hi)
     for which, coeffs, lift in (("psi1", a, 0), ("psi2", b, 1)):
         with hi.workdps():
             w, ev = mp.mpc(0, 1) * z, hi.mpf(e_val)
             want = -(w**n_exponent + ev) * mp.fsum(
                 hi.mpf(coeffs[p, q]) * ev**q * w ** (m + lift) for p, q, m in rim)
         with ctx40.workdps():
-            got = boundary_residual(table, z, ctx40.mpf(e_val), ctx40, which)
+            got = residual(table, z, ctx40.mpf(e_val), ctx40, which)
         assert abs(got - want) <= ctx40.tolerance() * abs(want), which
 
 
@@ -539,15 +553,14 @@ def test_horner_matches_polyval(coeffs, dps, x, real_x):
         poly = [mp.mpc(*c) for c in coeffs]
         point = mp.mpf(x[0]) if real_x else mp.mpf(x[0]) * mp.expjpi(x[1])
         stored = oracles.fixed_point(poly, 1, mp.mp.prec)  # scale 2 covers |x| <= 2
-        got = _horner(stored, point, 2)
-        assert _horner(stored, point, 1) == got[:2]
+        got = _horner(stored, point, 1)
         assert _horner(stored, point)[0] == got[0]
+        with pytest.raises(ParameterError):
+            _horner(stored, point, 2)
     deg = len(poly) - 1
     with mp.workdps(dps + 20):
         value, slope = mp.polyval(poly[::-1], point, derivative=True)
-        half_curv = mp.fsum(mp.binomial(k, 2) * c * point ** (k - 2)
-                            for k, c in enumerate(poly) if k >= 2)
-        for order, want in enumerate((value, slope, half_curv)):
+        for order, want in enumerate((value, slope)):
             bound = mp.mpf(10) ** -dps * max(deg, 1) * _majorant_taylor(poly, abs(point), order)
             assert abs(got[order] - want) <= bound, order
 
@@ -579,17 +592,16 @@ def test_integer_kernel_wide_exponents(coeffs, tiny_c0, dps, rho, depth, x, real
         assert isinstance(stored, ScaledPoly) and len(near) == len(stored) == len(poly)
         results = []
         for form in (near, stored):
-            got = _horner(form, point, 2)
-            assert _horner(form, point, 1) == got[:2]
+            got = _horner(form, point, 1)
             assert _horner(form, point)[0] == got[0]
+            with pytest.raises(ParameterError):
+                _horner(form, point, 2)
             results.append(got)
     deg = len(poly) - 1
     with mp.workdps(dps + 20):
         value, slope = mp.polyval(poly[::-1], point, derivative=True)
-        half_curv = mp.fsum(mp.binomial(k, 2) * c * point ** (k - 2)
-                            for k, c in enumerate(poly) if k >= 2)
         for got in results:
-            for order, want in enumerate((value, slope, half_curv)):
+            for order, want in enumerate((value, slope)):
                 bound = mp.mpf(10) ** -dps * max(deg, 1) * _majorant_taylor(poly, abs(point), order)
                 assert abs(got[order] - want) <= bound, order
 

@@ -59,6 +59,8 @@ COMMANDS = (
     "spectrum --N 3 --radius 3/4 --pmax 40 --force --levels 1 --emax 20",
     "spectrum --N 3 --radius 3/4 --pmax 40 --force --levels 1 --emax 1",
     "selfcheck",
+    "selfcheck --digits 20",
+    "selfcheck --digits 80",
     "wedges --N 4",
     "wedges --N 4 --format csv",
     "wedges --N 7 --format csv --digits 20",
