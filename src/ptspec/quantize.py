@@ -24,10 +24,12 @@ each sign change at full precision through series.eval_energy_poly,
 attaching c on a PT pair and the even/odd tag on the parity pair.
 quantize_p_symmetric is spectrum on the parity pair looked up by N.
 A probe's polynomials come from the radial sums of one pass of the
-coefficient recursion at its radius, shared by every pair of N there,
-and are stored at the energy scale of its request (series._scale):
-spectrum's e_max, the scan window, the refined bracket, the |E| of
-connection_coefficient and 97/96 of the health check's e_max.
+coefficient recursion at its radius, shared by every pair of N there.
+Each request rounds them once, down to its own energy scale
+(series._scale), and reads every value from that copy: spectrum's grid
+and every level's root, est_error and c at its e_max, refine_root at
+its bracket, scan_im_c at its window, connection_coefficient at |E| and
+the health check at 97/96 of its e_max.
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
 scan_im_c (on the exact grid as well), connection_coefficient and the
@@ -299,36 +301,34 @@ def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
 
 
 # ---------------------------------------------------------------------------
-# the pipeline shared by PT pairs and the parity pair: the reader maps a probe
-# radius r to a real f(E) whose sign changes are the zeros of D(E)
+# the pipeline shared by PT pairs and the parity pair: each request rounds the
+# right probe's energy polynomials at r and 0.9r once, to its energy scale, and
+# _level reads a level from them through the reader of the determinant D(E)
 
 
-def _reader(pair: WedgePair, pmax: int, ctx: PrecisionContext, scale) -> Callable:
-    """radius -> f, with f(E) a real multiple of the truncated spectral
-    determinant D(E) = psi1(zR) psi2(zL) - psi1(zL) psi2(zR) at the
-    probes of radius r, for |E| up to the energy scale 2**scale.
+def _probes(pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, scale):
+    """The right probe's energy polynomials (psi1, psi2) at radius r and at
+    0.9r, both at the energy scale 2**scale: a level is read from the
+    first and compared with the second."""
+    inner = TruncationParams(trunc.pmax, trunc.radius * _INNER_RADIUS)
+    return _probe_polys(pair, trunc, ctx, scale), _probe_polys(pair, inner, ctx, scale)
 
-    Only the right probe is collapsed.  On a PT pair zL = -conj zR, so
-    (psi1, psi2)(zL) = conj (psi1, psi2)(zR) at real E and f = D/(2i) =
-    Im(psi1 conj psi2), of the opposite sign to Im c.  On a parity pair
-    zL = -zR, where psi1 is even and psi2 odd, so D = -2 psi1 psi2 and
-    f = psi1 times the nonzero part of psi2: on the pair's axis psi1 is
-    real and psi2 real (imaginary axis) or imaginary (real axis), its
-    other part an exact zero of the integer kernel.  Two Horners per E.
+
+def _reader(parity: bool, polys, ev):
+    """A real multiple f of the truncated spectral determinant D(E) =
+    psi1(zR) psi2(zL) - psi1(zL) psi2(zR) at E = ev, from the energy
+    polynomials polys = (psi1, psi2) of the right probe.
+
+    On a PT pair zL = -conj zR, so (psi1, psi2)(zL) = conj (psi1,
+    psi2)(zR) at real E and f = D/(2i) = Im(psi1 conj psi2), of the
+    opposite sign to Im c.  On a parity pair zL = -zR, where psi1 is even
+    and psi2 odd, so D = -2 psi1 psi2 and f = psi1 times the nonzero part
+    of psi2: on the pair's axis psi1 is real and psi2 real (imaginary
+    axis) or imaginary (real axis), its other part an exact zero of the
+    integer kernel.  Two Horners.
     """
-    parity = pair.parity_swapped()
-
-    def reader(radius: Fraction):
-        poly_a, poly_b = _probe_polys(pair, TruncationParams(pmax, radius), ctx, scale)
-
-        def f(ev):
-            p1 = series.eval_energy_poly(poly_a, ev)
-            p2 = series.eval_energy_poly(poly_b, ev)
-            return _determinant(parity, p1.real, p1.imag, p2.real, p2.imag)
-
-        return f
-
-    return reader
+    p1, p2 = (series.eval_energy_poly(poly, ev) for poly in polys)
+    return _determinant(parity, p1.real, p1.imag, p2.real, p2.imag)
 
 
 def _determinant(parity: bool, p1r, p1i, p2r, p2i):
@@ -337,65 +337,56 @@ def _determinant(parity: bool, p1r, p1i, p2r, p2i):
     return p1r * (p2r + p2i) if parity else p1i * p2r - p1r * p2i
 
 
-def _root_and_estimate(
-    pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, bracket, tol, ends=None
-):
-    """(root of the pair's reader at trunc.radius in bracket, est_error);
-    ends, if given, are that reader at the bracket ends.  The probes are
-    stored at the bracket's energy scale.
+def _level(
+    pair: WedgePair, n: int, probes, bracket, tol, trunc: TruncationParams,
+    ctx: PrecisionContext, ends=None, tag=None,
+) -> EnergyLevel:
+    """Level n of the pair from probes = _probes(...), at the working
+    precision: the root of the reader at r in bracket to tol, reusing
+    its values at the bracket ends when the scan passes them as ends.
 
-    est_error is the shift of the root under the reader at 0.9*radius,
-    searched on the part of a +-delta window around the root inside the
-    bracket, then on the whole bracket; inf when neither holds a sign
-    change.
+    est_error is the shift of the root under the reader at 0.9r, searched
+    on the part of a +-delta window around the root inside the bracket,
+    then on the whole bracket; inf when neither holds a sign change.  The
+    level is stable when est_error <= 10**(-digits/2).  It carries the
+    scan's parity tag when given, and c at the root otherwise.
     """
-    reader = _reader(pair, trunc.pmax, ctx, series._scale(*bracket))
+    swapped = pair.parity_swapped()
+    outer, inner = probes
     lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
-    e_root = _hybrid_root(reader(trunc.radius), (lo, hi), tol, ends)
+    e_root = _hybrid_root(lambda ev: _reader(swapped, outer, ev), (lo, hi), tol, ends)
     delta = max(mp.mpf("1e-6"), 100 * tol * max(mp.mpf(1), abs(e_root)))
-    inner = reader(trunc.radius * _INNER_RADIUS)
     est = mp.inf
     for window in ((max(lo, e_root - delta), min(hi, e_root + delta)), (lo, hi)):
         try:
-            est = abs(e_root - _hybrid_root(inner, window, tol))
+            est = abs(e_root - _hybrid_root(lambda ev: _reader(swapped, inner, ev), window, tol))
             break
         except BracketError:
             continue
-    return e_root, est
-
-
-def _diagnostics(trunc: TruncationParams, ctx: PrecisionContext, est) -> LevelDiagnostics:
-    """The stability rule: a level is stable when est_error <= 10**(-digits/2)."""
     stable = bool(est <= mp.mpf(10) ** (-(ctx.digits // 2)))
-    return LevelDiagnostics(trunc.pmax, trunc.radius, ctx.digits, est, stable)
+    diagnostics = LevelDiagnostics(trunc.pmax, trunc.radius, ctx.digits, est, stable)
+    c = None if tag else _c_from_polys(*outer, e_root, ctx).real
+    return EnergyLevel(n, e_root, c, pair, diagnostics, tag)
 
 
 def refine_root(
-    pair: WedgePair,
-    bracket,
-    tol,
-    trunc: TruncationParams,
-    ctx: PrecisionContext,
-    n: int = 0,
-    ends=None,
+    pair: WedgePair, bracket, tol, trunc: TruncationParams, ctx: PrecisionContext, n: int = 0
 ) -> EnergyLevel:
     """Refine one level of a PT pair, a sign change of D/(2i) =
     Im(psi1 conj psi2) at the right probe, and attach c there.
 
-    est_error is the shift of the root when the probe radius drops to
-    0.9r, an estimate (not a bound) of the finite-radius truncation
-    error.  The stable flag clears when est_error exceeds
-    10**(-digits/2).  The level index n is only recorded, not used;
-    ends, when given, are that reader at the bracket ends as a scan
-    sampled them.
+    The probes are stored at the bracket's energy scale.  est_error is
+    the shift of the root when the probe radius drops to 0.9r, an
+    estimate (not a bound) of the finite-radius truncation error.  The
+    stable flag clears when est_error exceeds 10**(-digits/2).  The
+    level index n is only recorded, not used.
     """
     with ctx.workdps():
         tol = mp.mpf(tol)
         if tol <= 0:
             raise ParameterError("tol must be positive")
-        e_root, est = _root_and_estimate(pair, trunc, ctx, bracket, tol, ends)
-        c_val = _c_from_polys(*_probe_polys(pair, trunc, ctx, series._scale(*bracket)), e_root, ctx)
-        return EnergyLevel(n, e_root, c_val.real, pair, _diagnostics(trunc, ctx, est))
+        probes = _probes(pair, trunc, ctx, series._scale(*bracket))
+        return _level(pair, n, probes, bracket, tol, trunc, ctx)
 
 
 def spectrum(
@@ -419,13 +410,15 @@ def spectrum(
     is stepped over, so the bracket runs from the last nonzero sample
     across it.
 
-    The pair picks the route.  On a PT pair every bracket goes to
-    refine_root.  On the p-symmetric pair of an even N the even states
-    are pure psi1 and the odd ones pure psi2, so a level is "even" when
-    Re psi1 changes sign across its bracket and "odd" otherwise; parity
-    "even" or "odd" passes the other brackets over before they are
-    refined, "both" keeps every level, and c is None.  Any other
-    parity-swapped pair has no quantization route (ParameterError).
+    Every level is refined from the probes of the grid, at r and 0.9r
+    and rounded once to the energy scale of e_max.  The pair picks the
+    route.  A level of a PT pair carries c.  On the p-symmetric pair of
+    an even N the even states are pure psi1 and the odd ones pure psi2,
+    so a level is "even" when Re psi1 changes sign across its bracket
+    and "odd" otherwise; parity "even" or "odd" passes the other
+    brackets over before they are refined, "both" keeps every level,
+    and c is None.  Any other parity-swapped pair has no quantization
+    route (ParameterError).
     """
     swapped = pair.parity_swapped()
     if swapped and not pair.p_symmetric:
@@ -444,8 +437,8 @@ def spectrum(
         raise ParameterError(f"step must be positive, got {step}")
     direction = -1 if pair.theta_right == Fraction(1, 2) else 1
     tol = ctx.tolerance(5)
-    polys = _probe_polys(pair, trunc, ctx, series._scale(cap))
-    at, unit = series.grid_evaluator(polys, step.denominator)
+    probes = _probes(pair, trunc, ctx, series._scale(cap))
+    at, unit = series.grid_evaluator(probes[0], step.denominator)
     levels: list = []
     prev = None  # (k, D, Re psi1) at the last grid point where D is not zero
     with ctx.workdps():
@@ -460,19 +453,14 @@ def spectrum(
                 continue
             if prev is not None and (prev[1] < 0) != (fv < 0):
                 lo, hi = sorted((prev, (k, fv, lanes[0])), key=lambda point: direction * point[0])
-                bracket = tuple(ctx.mpf(direction * point[0] * step) for point in (lo, hi))
-                ends = (_rounded(lo[1], unit * unit), _rounded(hi[1], unit * unit))
-                n = len(levels)
-                if not swapped:
-                    levels.append(refine_root(pair, bracket, tol, trunc, ctx, n, ends))
-                else:
-                    tag = "even" if (lo[2] < 0) != (hi[2] < 0) else "odd"
-                    if parity in ("both", tag):
-                        e_root, est = _root_and_estimate(pair, trunc, ctx, bracket, tol, ends)
-                        diagnostics = _diagnostics(trunc, ctx, est)
-                        levels.append(EnergyLevel(n, e_root, None, pair, diagnostics, tag))
-                if len(levels) == n_levels:
-                    return tuple(levels)
+                tag = ("even" if (lo[2] < 0) != (hi[2] < 0) else "odd") if swapped else None
+                if not swapped or parity in ("both", tag):
+                    bracket = tuple(ctx.mpf(direction * point[0] * step) for point in (lo, hi))
+                    ends = (_rounded(lo[1], unit * unit), _rounded(hi[1], unit * unit))
+                    level = _level(pair, len(levels), probes, bracket, tol, trunc, ctx, ends, tag)
+                    levels.append(level)
+                    if len(levels) == n_levels:
+                        return tuple(levels)
             prev = (k, fv, lanes[0])
 
 
@@ -539,7 +527,6 @@ def health_check(
     cap = as_fraction(e_max)
     table = series.build_tables(n_exponent, trunc.pmax)
     scale = series._scale(cap * Fraction(97, 96))
-    inner = TruncationParams(trunc.pmax, trunc.radius * _INNER_RADIUS)
     tail_threshold = mp.mpf(10) ** TAIL_THRESHOLD_EXPONENT
     c_threshold = mp.mpf(10) ** (-(ctx.digits // 4))
     entries = []
@@ -547,8 +534,7 @@ def health_check(
         ev = ctx.mpf(cap)
         peak = series.rim_peak(table, ctx.mpf(trunc.radius), ev, ctx)
         for pair in pt_pairs(n_exponent):
-            outer_polys = _probe_polys(pair, trunc, ctx, scale)
-            inner_polys = _probe_polys(pair, inner, ctx, scale)
+            outer_polys, inner_polys = _probes(pair, trunc, ctx, scale)
             try:
                 # the left probe, -conj z (PT pair) or -z (parity pair), gives the
                 # same tail: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even

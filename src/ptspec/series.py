@@ -42,10 +42,11 @@ The module is built in layers:
   with alpha_q(r) = sum_p a[p,q] r**((N+2)*p) and beta_q(r) real; each
   probe multiplies them by the powers of w, placed from cospi and sinpi
   of its exact phase theta + 1/2 like every point at a rational angle
-  (wedges.polar_point).  A caller whose energies stay below a power of
-  two 2**sigma < R**N rescales the energy polynomials down to it:
-  ScaledPoly.rescaled shifts coefficient q right by (N*rho - sigma)*q
-  bits, dropping bits that only larger energies would use;
+  (wedges.polar_point).  A request whose energies stay below a power of
+  two 2**sigma < R**N rescales its probe's energy polynomials once, down
+  to it, and reads every value from that copy: ScaledPoly.rescaled shifts
+  coefficient q right by (N*rho - sigma)*q bits, dropping bits that only
+  larger energies would use;
 * integer kernel: _horner evaluates a polynomial P and, when asked, its
   slope P' on (re, im) integer pairs at |u| <= 1, with its bits set by
   the cancellation measured at the call point; eval_energy_poly,
@@ -541,10 +542,11 @@ def energy_polynomials(table: CoefficientTable, radius, theta, ctx: PrecisionCon
     probe of the radius shares.  Any other theta raises ParameterError.
 
     The energy scale is S = R**N for the smallest power of two R >=
-    radius; a caller whose |E| stays below a smaller power of two rescales
-    them down to it (ScaledPoly.rescaled).  Memoized per (table, radius,
-    theta, ctx); eigenvalue scans collapse once per probe and then
-    evaluate thousands of energies at polynomial cost.
+    radius; a request whose |E| stays below a smaller power of two
+    rescales them once down to it (ScaledPoly.rescaled) and evaluates
+    that copy only.  Memoized per (table, radius, theta, ctx); eigenvalue
+    scans collapse once per probe and then evaluate thousands of energies
+    at polynomial cost.
     """
     radius, theta = as_fraction(radius), as_fraction(theta)
     step = table.n_exponent + 2
@@ -621,10 +623,11 @@ def _space_sums(table: CoefficientTable, ev, bits: int, rho: int):
     frac = _sum_bits(table, x, y, bits)
     size = step * pmax + 2
     psi1, psi2 = [0] * size, [0] * size
+    negative = ev < 0
     for s, (a, b) in enumerate(_pass(step, pmax, x, y, Fraction(2) ** rho, frac)):
         for p in range(s + 1):
             m = 2 * s + (step - 2) * p
-            sign = -1 if ev < 0 and (s - p) % 2 else 1
+            sign = -1 if negative and (s - p) % 2 else 1
             psi1[m] += sign * a[p]
             psi2[m + 1] += sign * b[p]
     return tuple(psi1), tuple(psi2), frac

@@ -182,7 +182,6 @@ def test_exact_scan_sign_matches_reader(n_exponent, pair_index, radius, ctx40):
     scale = series._scale(quantize.DEFAULT_ENERGY_CAP)  # spectrum's scale
     polys = quantize._probe_polys(pair, trunc, ctx40, scale)
     at, _ = series.grid_evaluator(polys, 20)
-    reader = quantize._reader(pair, 100, ctx40, scale)(trunc.radius)
     changes, prev, k = 0, 0, 0
     with ctx40.workdps():
         while changes < 4:
@@ -191,7 +190,8 @@ def test_exact_scan_sign_matches_reader(n_exponent, pair_index, radius, ctx40):
             changes += prev * sign < 0
             prev = sign or prev
             if k % 10 == 0:
-                assert sign == mp.sign(reader(ctx40.mpf(Fraction(direction * k, 20)))), k
+                ev = ctx40.mpf(Fraction(direction * k, 20))
+                assert sign == mp.sign(quantize._reader(pair.parity_swapped(), polys, ev)), k
             k += 1
             assert k < 2000
 
@@ -301,6 +301,50 @@ def test_hybrid_root_raises_when_the_bracket_cannot_close():
         with pytest.raises(DivergenceError, match="did not close"):
             _hybrid_root(f, (mp.mpf(0), mp.mpf("0.5")), mp.mpf("1e-60"))
     assert len(calls) == 2 + _ROOT_STEPS
+
+
+@pytest.mark.parametrize("n_exponent, radius, n_levels", [(3, 8, 5), (3, 8, 1), (4, 6, 4), (4, 6, 1)])
+def test_spectrum_builds_its_probes_once(n_exponent, radius, n_levels, ctx40, monkeypatch):
+    # the grid and every level read one probe at r and one at 0.9r, built
+    # once before the scan, so their number does not grow with n_levels
+    built = []
+    probe_polys = quantize._probe_polys
+
+    def counted(pair, trunc, ctx, scale):
+        built.append(trunc.radius)
+        return probe_polys(pair, trunc, ctx, scale)
+
+    monkeypatch.setattr(quantize, "_probe_polys", counted)
+    trunc = TruncationParams(100, Fraction(radius))
+    spectrum(pt_pairs(n_exponent)[0], n_levels, trunc, ctx40)
+    assert built == [trunc.radius, trunc.radius * Fraction(9, 10)]
+
+
+@pytest.mark.parametrize("n_exponent, pair_index, radius", [(3, 0, 8), (7, 1, 3), (4, 0, 6)])
+def test_the_probe_scale_moves_no_level(n_exponent, pair_index, radius, ctx40, request):
+    # spectrum reads its levels from probes at the energy scale of e_max
+    # (2**7 at 100, 2**10 at 1000) and refine_root from probes at the
+    # bracket's scale: E, c and est_error agree far below what is printed.
+    # The parity pair (N = 4) has no c, and refine_root would meet the
+    # poles of c at its odd levels
+    pair = pt_pairs(n_exponent)[pair_index]
+    trunc = TruncationParams(100, Fraction(radius))
+    near = request.getfixturevalue("levels3") if n_exponent == 3 else spectrum(pair, 4, trunc, ctx40)
+    far = spectrum(pair, len(near), trunc, ctx40, e_max=Fraction(1000))
+    with ctx40.workdps():
+        for level, far_level in zip(near, far, strict=True):
+            others = [far_level]
+            if level.c is not None:
+                lo = Fraction(int(mp.floor(20 * level.E)), 20)
+                bracket = (ctx40.mpf(lo), ctx40.mpf(lo + Fraction(1, 20)))
+                others.append(refine_root(pair, bracket, ctx40.tolerance(5), trunc, ctx40, level.n))
+            for other in others:
+                assert (other.n, other.parity) == (level.n, level.parity)
+                assert abs(other.E - level.E) <= mp.mpf("1e-43")
+                if level.c is not None:
+                    assert abs(other.c - level.c) <= mp.mpf("1e-40")
+                est = level.diagnostics.est_error
+                assert abs(other.diagnostics.est_error - est) <= mp.mpf("1e-3") * est
 
 
 def test_refine_root_empty_bracket(pair3, trunc8, ctx40):

@@ -102,6 +102,9 @@ COMMANDS = (
     "nodes --N 4 --pair 0 --radius 6 --level 1",
     "nodes --N 3 --level 2 --digits 80 --pmax 150",
     "expect --N 3 --level 0 --moments 0,2,3 --digits 80 --pmax 150",
+    "spectrum --N 3 --levels 5 --emax 1000",
+    "spectrum --N 4 --pair 0 --radius 6 --levels 4 --emax 1000",
+    "spectrum --N 7 --radius 3 --pair 2 --levels 4 --emax 10000",
 )
 
 
