@@ -6,9 +6,9 @@ argument principle; Delves and Lyness, Math. Comp. 21 (1967) 543), and
 boxes are split until each holds one zero, which Newton polishes.  Each
 line, a root box edge or a split's cross line, is sampled once, and a
 box's edges are slices of lines (Kravanja and Van Barel, Computing the
-Zeros of Analytic Functions, LNM 1727, 2000).  PT zeros come in two
-families: finitely many on an arch below the real axis, and an infinite
-ladder up the positive imaginary axis.
+Zeros of Analytic Functions, LNM 1727, 2000), counted from float phases.
+PT zeros come in two families: finitely many on an arch below the real
+axis, and an infinite ladder up the positive imaginary axis.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
+from mpmath.libmp import to_float
 
 from . import series
 from .errors import DivergenceError, ParameterError, RadiusError, WindingError
@@ -121,17 +122,29 @@ def _winding_counter(poly, ctx: PrecisionContext):
     2**_EDGE_DEPTH equal steps, each bisected while it turns by more than
     _MAX_PHASE_STEP.  A box's edges (bottom, right, top, left) are paths in
     increasing coordinate; split cuts them and the box's two cross lines at
-    _SPLIT of each side, re-checking the steps beside each cut point."""
+    _SPLIT of each side, re-checking the steps beside each cut point.  Each
+    sample keeps one float phase, from the mantissas of Re and Im psi
+    shifted by one common exponent, so no |psi| overflows; a step turns by
+    the difference of two phases wrapped to [-pi, pi].  53 bits suffice:
+    each phase is off by about 2**-52 rad, so a box's turns sum to 2*pi
+    times its winding number far inside _TURN_TOL, and only a turn that
+    close to _MAX_PHASE_STEP could be bisected otherwise."""
 
     @functools.cache
-    def psi(pt):
+    def phase(pt):
         value = series.poly_psi(poly, mp.mpc(ctx.mpf(pt[0]), ctx.mpf(pt[1])))
         if value == 0:
             raise WindingError(f"psi vanishes on a box edge at {complex(*map(float, pt))}")
-        return value
+        parts = value._mpc_  # (sign, mantissa, exponent, bits) of Re and Im
+        top = max(e + bits for _, m, e, bits in parts if m)
+        re, im = (to_float((s, m, e - top, bits)) if m else 0.0 for s, m, e, bits in parts)
+        return math.atan2(im, re)
+
+    def turn(a, b):
+        return math.remainder(phase(b) - phase(a), math.tau)
 
     def fill(a, b, depth=_EDGE_DEPTH):  # the points bisection adds strictly between a and b
-        if depth >= _EDGE_DEPTH and abs(mp.arg(psi(b) / psi(a))) <= _MAX_PHASE_STEP:
+        if depth >= _EDGE_DEPTH and abs(turn(a, b)) <= _MAX_PHASE_STEP:
             return []
         if depth == _BISECT_CAP:
             raise WindingError(f"a zero lies on a box edge near {complex(*map(float, a))}")
@@ -162,11 +175,10 @@ def _winding_counter(poly, ctx: PrecisionContext):
 
     def winding(edges):
         signs = (1, 1, -1, -1)  # counter-clockwise: the top and left paths run backwards
-        steps = (s * mp.arg(psi(b) / psi(a)) for s, e in zip(signs, edges) for a, b in zip(e, e[1:]))
-        turns = mp.fsum(steps) / (2 * mp.pi)
-        if abs(turns - mp.nint(turns)) > _TURN_TOL:
+        turns = sum(s * turn(a, b) for s, e in zip(signs, edges) for a, b in zip(e, e[1:])) / math.tau
+        if abs(turns - round(turns)) > _TURN_TOL:
             raise WindingError(f"winding number {mp.nstr(turns, 8)} is not an integer")
-        return int(mp.nint(turns))
+        return round(turns)
 
     return boundary, split, winding
 

@@ -379,12 +379,14 @@ def refine_root(
     the shift of the root when the probe radius drops to 0.9r, an
     estimate (not a bound) of the finite-radius truncation error.  The
     stable flag clears when est_error exceeds 10**(-digits/2).  The
-    level index n is only recorded, not used.
+    level index n is only recorded, not used.  The bracket ends are read
+    exactly, as spectrum's are.
     """
     with ctx.workdps():
         tol = mp.mpf(tol)
         if tol <= 0:
             raise ParameterError("tol must be positive")
+        bracket = tuple(ctx.mpf(series._exact(end)) for end in bracket)
         probes = _probes(pair, trunc, ctx, series._scale(*bracket))
         return _level(pair, n, probes, bracket, tol, trunc, ctx)
 

@@ -49,9 +49,10 @@ The module is built in layers:
   larger energies would use;
 * integer kernel: _horner evaluates a polynomial P and, when asked, its
   slope P' on (re, im) integer pairs at |u| <= 1, with its bits set by
-  the cancellation measured at the call point; eval_energy_poly,
-  poly_psi, poly_psi_d, eval_psi and the moment integrals all run
-  through it;
+  the cancellation measured at the call point, and drops the tail that a
+  suffix bound (ScaledPoly.kept) certifies below half a unit of them;
+  eval_energy_poly, poly_psi, poly_psi_d, eval_psi and the moment
+  integrals all run through it;
 * exact grid: grid_evaluator gives energy polynomials on a grid of
   rationals t/den exactly, as Horner's rule in the short integer t on
   integer coefficients, for the scans that need only signs and ratios;
@@ -75,8 +76,11 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, islice
 from operator import mul
 from typing import Sequence
 
@@ -266,23 +270,40 @@ class ScaledPoly:
     c_k * 2**(rho*k) = (re[k] + i*im[k]) * 2**-frac, so |x| <= 2**rho puts
     the variable u = x / 2**rho in the unit disk.  len() is the number of
     coefficients.  bounds holds lower bounds of log2 of the scaled
-    coefficients that _horner turns into its working bits."""
+    coefficients that _horner turns into its working bits, and tail[k] the
+    largest bit length of re[j] and im[j] over j >= k, for kept()."""
 
     re: tuple
     im: tuple
     frac: int
     rho: int
     bounds: tuple = field(init=False, repr=False, compare=False)
+    tail: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lgs = [
-            max(r.bit_length(), i.bit_length()) - 1 - self.frac if r or i else None
-            for r, i in zip(self.re, self.im)
-        ]
-        object.__setattr__(self, "bounds", _bounds(lgs))
+        sizes = [max(r.bit_length(), i.bit_length()) for r, i in zip(self.re, self.im)]
+        object.__setattr__(self, "bounds", _bounds([b - 1 - self.frac if b else None for b in sizes]))
+        suffix = list(accumulate(reversed(sizes), max))[::-1]
+        object.__setattr__(self, "tail", memoryview(struct.pack(f"{len(suffix)}I", *suffix)).cast("I"))
 
     def __len__(self) -> int:
         return len(self.re)
+
+    def kept(self, n2: int, s: int, frac: int) -> int:
+        """How many leading coefficients D_0..D_K a point u with |u|**2 = n2 /
+        4**s needs at frac working bits; all when u = 0 or |u| may reach 1.
+        For lu = log2(n2)/2 - s, d the degree, the dropped tails of the value
+        and the slope are at most sum_{k>K} k |D_k| |u|**(k-1) < 2**(tail[K+1]
+        + 1/2 - self.frac + 2*bits(d) + K*lu), as |D_k| < 2**(tail[K+1] + 1/2 -
+        self.frac) for k > K: under half a unit 2**-(frac+1) once tail[K+1] = 0
+        or tail[K+1] + 2*bits(d) + 2 + K*lu <= self.frac - frac, half a bit
+        spared for the float rounding of lu.  The left side falls with K:
+        bisection finds the least such K."""
+        d = len(self) - 1
+        if not n2 or (lu := math.log2(n2) / 2 - s) >= 0 or d < 1:
+            return len(self)
+        tail, limit = self.tail, self.frac - frac - 2 - 2 * d.bit_length()
+        return 1 + bisect_left(range(d), True, key=lambda k: tail[k + 1] <= max(limit - k * lu, 0))
 
     def rescaled(self, rho: int) -> "ScaledPoly":
         """The same coefficients at the scale 2**rho: coefficient k shifts by
@@ -809,12 +830,17 @@ def _horner(coeffs: ScaledPoly, x, order: int = 0) -> list:
     coeffs in u = x / 2**rho, |u| <= 1, with u exact and every step
     rounded down to the working bits F of _resolution: 2**-F * deg**(j+1)
     stays below 2**-prec times the majorant of the j-th Taylor coefficient
-    for j <= 1, whatever order is asked, so the value does not depend on
-    order.  Each coefficient updates the slope before the value.  Every
+    for j <= 1.  Only D_0..D_K run, K + 1 = coeffs.kept at |u|**2 =
+    (xr**2 + xi**2) / 4**s, from the integers of the point (a float of xr
+    or xi may overflow): the dropped tail moves order j by under half a
+    unit 2**-(F+1) and the K rounded steps by under sqrt(2)*K (value) or
+    K**2 (slope) units, so it stays within 2*(deg+1)**(j+1) units of the
+    full sum.  Neither F nor K depends on the order asked, so neither does
+    the value.  Each coefficient updates the slope before the value.  Every
     polynomial evaluation in ptspec runs through this loop except the grid
     scans of grid_evaluator; at order 0 it is one complex multiply-add per
-    coefficient, the cost of the node winding count.  Results are mpc at
-    the working precision.  A point outside the scale goes through
+    kept coefficient, the cost of the node winding count.  Results are mpc
+    at the working precision.  A point outside the scale goes through
     _fit_scale, which may raise RadiusError.
     """
     if order not in (0, 1):
@@ -825,13 +851,13 @@ def _horner(coeffs: ScaledPoly, x, order: int = 0) -> list:
     rho = coeffs.rho
     s = 0 if rho_x is None else rho - e  # u = (xr + i*xi) / 2**s
     frac = coeffs.frac if need is None else max(coeffs.frac, need)
-    re, im = coeffs.re, coeffs.im
-    if frac > coeffs.frac:
-        d = frac - coeffs.frac
-        re, im = [r << d for r in re], [i << d for i in im]
+    cut = len(coeffs) - coeffs.kept(xr * xr + xi * xi, s, frac)
+    top_down = islice(zip(reversed(coeffs.re), reversed(coeffs.im)), cut, None)
+    if (d := frac - coeffs.frac) > 0:
+        top_down = [(r << d, i << d) for r, i in top_down]
 
     vr = vi = tr = ti = 0  # P(u) and P'(u)
-    for cr, ci in zip(reversed(re), reversed(im)):
+    for cr, ci in top_down:
         if order:
             tr, ti = ((tr * xr - ti * xi) >> s) + vr, ((tr * xi + ti * xr) >> s) + vi
         vr, vi = ((vr * xr - vi * xi) >> s) + cr, ((vr * xi + vi * xr) >> s) + ci

@@ -1,6 +1,8 @@
 """Eigenfunction zeros: counts, values, classification, turning points."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -28,6 +30,7 @@ from ptspec import (
     turning_points,
     wavefunction_samples,
 )
+from ptspec.cli import main
 from ptspec.series import poly_psi, space_polynomial
 
 # regression anchors, frozen from a digits=50 run
@@ -374,3 +377,86 @@ def test_split_rechecks_the_steps_beside_a_cut(ctx40):
                 values = [poly_psi(poly, mp.mpc(*map(ctx40.mpf, pt))) for pt in path]
                 turns = [abs(mp.arg(b / a)) for a, b in zip(values, values[1:])]
                 assert max(turns) <= nodes._MAX_PHASE_STEP
+
+
+def _clidiff_commands():
+    path = Path(__file__).resolve().parents[1] / "tools" / "clidiff.py"
+    spec = importlib.util.spec_from_file_location("clidiff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COMMANDS
+
+
+def _reference_turns(poly, edges):
+    """The winding of psi along edges in turns, from mp.arg of each step's
+    quotient summed at the working precision."""
+    def psi(pt):
+        return poly_psi(poly, mp.mpc(*(mp.mpf(v.numerator) / v.denominator for v in pt)))
+
+    signs = (1, 1, -1, -1)
+    steps = [s * mp.arg(psi(b) / psi(a)) for s, e in zip(signs, edges) for a, b in zip(e, e[1:])]
+    return mp.fsum(steps) / (2 * mp.pi)
+
+
+def test_float_phases_count_like_mp_arg_on_every_clidiff_root_box(monkeypatch):
+    # the root box of each nodes command of tools/clidiff.py: the count
+    # from float phases is the mp.arg count on the same sample points (one
+    # command's region leaves the validated disk and is refused first)
+    class RootCounted(Exception):
+        pass
+
+    counted = []
+    counter = nodes._winding_counter
+
+    def root_only(poly, ctx):
+        boundary, split, winding = counter(poly, ctx)
+
+        def checked(edges):
+            turns = _reference_turns(poly, edges)
+            assert abs(turns - mp.nint(turns)) < mp.mpf("1e-20")
+            counted.append((winding(edges), int(mp.nint(turns))))
+            raise RootCounted
+
+        return boundary, split, checked
+
+    monkeypatch.setattr(nodes, "_winding_counter", root_only)
+    commands = [c for c in _clidiff_commands() if c.startswith("nodes ")]
+    assert len(commands) >= 10
+    refused = 0
+    for command in commands:
+        try:
+            refused += main(command.split()) == 1
+        except RootCounted:
+            pass
+    assert len(counted) + refused == len(commands) and refused <= 1
+    assert all(got == want for got, want in counted), counted
+    assert sum(want for _, want in counted) > 0
+
+
+def test_edge_zero_messages(ctx40):
+    # psi exactly zero at a sample point, and a zero on an edge between
+    # sample points, which bisection meets at its depth cap
+    with ctx40.workdps():
+        at_sample = oracles.fixed_point([mp.mpc(-1), mp.mpc(1)], 1, mp.mp.prec)  # w - 1: z = -i
+        between = _planted([mp.mpc(1, 0) / 3 - mp.mpc(0, 1)], ctx40)
+    for poly, message in (
+        (at_sample, r"^psi vanishes on a box edge at -1j$"),
+        (between, r"^a zero lies on a box edge near \(0\.333333333333\d*-1j\)$"),
+    ):
+        boundary, _, _ = nodes._winding_counter(poly, ctx40)
+        with ctx40.workdps(), pytest.raises(WindingError, match=message):
+            boundary((Fraction(-1), Fraction(1), Fraction(-1), Fraction(1)))
+
+
+def test_winding_of_psi_beyond_float_range(ctx40):
+    # |psi| near 2**1200 > 1e308 on every edge: the phases come from the
+    # mantissas, so the count is still the number of zeros in the box
+    with ctx40.workdps():
+        zeros = [mp.mpc("0.3", "0.2"), mp.mpc("-0.5", "-0.5"), mp.mpc("0.6", "-0.1")]
+        small = _planted(zeros, ctx40)
+        poly = series.ScaledPoly(small.re, small.im, small.frac - 1200, small.rho)
+        assert abs(poly_psi(poly, mp.mpc(1, 1))) > mp.mpf("1e308")
+        boundary, split, winding = nodes._winding_counter(poly, ctx40)
+        edges = boundary((Fraction(-1), Fraction(1), Fraction(-1), Fraction(1)))
+        assert winding(edges) == 3
+        assert [winding(e) for _, e in split(edges)] == [1, 0, 1, 1]

@@ -243,6 +243,16 @@ def test_refine_root_in_bracket(pair3, trunc8, ctx40):
         assert lv.n == 3
 
 
+def test_refine_root_reads_a_bracket_of_fractions(pair3, trunc8, ctx40):
+    # Fraction ends are read exactly, like floats by their decimal intent
+    tol = ctx40.tolerance(5)
+    exact = refine_root(pair3, (Fraction(23, 20), Fraction(6, 5)), tol, trunc8, ctx40)
+    floats = refine_root(pair3, (1.15, 1.2), tol, trunc8, ctx40)
+    with ctx40.workdps():
+        assert exact.E == floats.E
+        assert mp.nstr(exact.E, 40) == GOLDEN_N3[0][0]
+
+
 def test_hybrid_root_closes_without_rounding_noise():
     # f(x) = x - 1/3 with 1/3 held to 80 digits: the secant lands on the
     # root at once and every later value keeps the same sign.  The

@@ -606,6 +606,94 @@ def test_integer_kernel_wide_exponents(coeffs, tiny_c0, dps, rho, depth, x, real
                 assert abs(got[order] - want) <= bound, order
 
 
+def _exact_sums(poly, u, keep):
+    """(P(u), P'(u), value tail, slope tail) of a ScaledPoly at the scaled
+    point u, in mpmath: the full sums, and sum_{k>=keep} |D_k| |u|**k and
+    sum_{k>=keep} k |D_k| |u|**(k-1) of the coefficients a cut drops."""
+    coeffs = [mp.mpc(r, i) * mp.ldexp(1, -poly.frac) for r, i in zip(poly.re, poly.im)]
+    value, slope = mp.polyval(coeffs[::-1], u, derivative=True)
+    dropped = list(enumerate(coeffs))[keep:]
+    tail = mp.fsum(abs(c) * abs(u) ** k for k, c in dropped)
+    slope_tail = mp.fsum(k * abs(c) * abs(u) ** (k - 1) for k, c in dropped)
+    return value, slope, tail, slope_tail
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=st.lists(st.tuples(_unit, _unit, st.integers(-8, 8)), min_size=120, max_size=120),
+    length=st.integers(1, 120),
+    top=st.integers(-300, 300),
+    decay=st.integers(0, 12),
+    extra=st.integers(0, 300),
+    dps=st.integers(15, 80),
+    rho=st.integers(-10, 10),
+    depth=st.integers(0, 60),
+    x=st.tuples(st.floats(0.5, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)),
+)
+def test_horner_cut_stays_within_its_bound(coeffs, length, top, decay, extra, dps, rho, depth, x):
+    # a ScaledPoly of up to 120 coefficients at scale 2^rho, exponents from +-300,
+    # falling by 2^-decay per degree and stored at prec + extra fractional
+    # bits, like the collapses (so its tail can fall below them), at |u|
+    # from 2^-61 to 1: the coefficients _horner drops move the value and
+    # the slope by under half a unit 2^-(F+1) of its working bits F, and
+    # both orders stay within 2 (deg+1)^(j+1) units of the full exact sum
+    # of the stored coefficients (plus the final rounding to prec bits)
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+        frac = prec + extra
+        parts = [mp.mpc(re, im) * mp.ldexp(1, top + e - decay * k + rho * k + frac)
+                 for k, (re, im, e) in enumerate(coeffs[:length])]
+        stored = ScaledPoly(*(tuple(int(mp.nint(getattr(c, part))) for c in parts)
+                              for part in ("real", "imag")), frac, rho)
+        point = mp.ldexp(mp.mpf(x[0]), rho - depth) * mp.expjpi(x[1])
+        got = _horner(stored, point, 1)
+        xr, xi, e, rho_x, lx = series._point(point)
+        _, need = series._fit_scale(stored, rho_x, lx, prec)
+        work = max(frac, need or 0)  # the working bits F
+        keep = stored.kept(xr * xr + xi * xi, rho - e, work)
+    deg = len(stored) - 1
+    with mp.workprec(2 * prec + 64 * len(stored) + 700):
+        u = point * mp.ldexp(1, -rho)
+        value, slope, tail, slope_tail = _exact_sums(stored, u, keep)
+        unit = mp.ldexp(1, -work)
+        assert tail < unit / 2 and slope_tail < unit / 2
+        for order, (g, want, lift) in enumerate(((got[0], value, 1), (got[1], slope, mp.ldexp(1, -rho)))):
+            bound = 2 * (deg + 1) ** (order + 1) * unit * lift + mp.ldexp(abs(g), 1 - prec)
+            assert abs(g - want * lift) <= bound, order
+
+
+def test_horner_keeps_a_coefficient_just_above_the_cut():
+    # P(u) = 1 + u + m 2^-frac u^40 + 0 u^41 + ... + 0 u^44 at u = 1/2, where
+    # frac = 80 are the working bits: kept() drops D_40 only when bits(m) +
+    # 2*bits(44) + 2 - 39 <= 0.  At bits(m) = 26, one bit above that
+    # threshold, D_40 must stay; at 25 bits it is cut, the coefficients
+    # after it are zero, and the exact dropped tails lie below half a unit
+    with mp.workprec(64):
+        frac, j = 80, 40
+        for m, keep in ((2**25, j + 1), (2**25 - 1, j)):
+            re = (1 << frac, 1 << frac) + (0,) * (j - 2) + (m,) + (0,) * 4
+            poly = ScaledPoly(re, (0,) * len(re), frac, 0)
+            assert series._fit_scale(poly, 0, -1, mp.mp.prec)[1] <= frac  # F = frac
+            assert poly.kept(1, 1, frac) == keep, m  # u = 1/2
+            got = _horner(poly, mp.mpf(0.5), 1)
+            with mp.workprec(400):
+                value, slope, tail, slope_tail = _exact_sums(poly, mp.mpf(0.5), keep)
+                unit = mp.ldexp(1, -frac)
+                assert tail < unit / 2 and slope_tail < unit / 2
+                for order, (g, want) in enumerate(zip(got, (value, slope))):
+                    assert abs(g - want) <= 2 * len(poly) ** (order + 1) * unit + mp.ldexp(abs(g), -63)
+
+
+def test_the_suffix_bound_adds_no_measurable_memory(table3, levels3, ctx40):
+    # four bytes per coefficient: under 5% of the coefficients of a level
+    # polynomial of N=3 (502 of them at 226 fractional bits)
+    level = levels3[1]
+    poly = space_polynomial(table3, level.E, *level_weights(level), ctx40, level.diagnostics.radius)
+    assert len(poly.tail) == len(poly) and poly.tail.nbytes == 4 * len(poly)
+    coefficient_bytes = sum(map(sys.getsizeof, (poly.re, poly.im, *poly.re, *poly.im)))
+    assert sys.getsizeof(poly.tail) + sys.getsizeof(poly.tail.obj) < coefficient_bytes / 20
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     coeffs=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=41),

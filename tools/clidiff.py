@@ -105,6 +105,8 @@ COMMANDS = (
     "spectrum --N 3 --levels 5 --emax 1000",
     "spectrum --N 4 --pair 0 --radius 6 --levels 4 --emax 1000",
     "spectrum --N 7 --radius 3 --pair 2 --levels 4 --emax 10000",
+    "wavefunction --N 3 --level 1 --xmin=-7 --xmax=7 --step=1/4",
+    "wavefunction --N 3 --level 1 --digits 80 --pmax 150 --xmin=-4 --xmax=4 --step=1/2",
 )
 
 
