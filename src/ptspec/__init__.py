@@ -40,11 +40,8 @@ from .quantize import (
     HealthReport,
     LevelDiagnostics,
     ScanPoint,
-    connection_coefficient,
     health_check,
     level_weights,
-    quantize_p_symmetric,
-    refine_root,
     scan_im_c,
     spectrum,
 )
@@ -96,11 +93,8 @@ __all__ = [
     "HealthEntry",
     "HealthReport",
     "level_weights",
-    "connection_coefficient",
     "scan_im_c",
-    "refine_root",
     "spectrum",
-    "quantize_p_symmetric",
     "health_check",
     "NodeSet",
     "turning_points",

@@ -29,7 +29,6 @@ from .observables import (
 from .precision import PrecisionContext, as_fraction, real_str
 from .quantize import (
     health_check,
-    quantize_p_symmetric,
     scan_im_c,
     spectrum,
 )
@@ -363,7 +362,8 @@ def _cmd_selfcheck(args) -> int:
         checks.append(("pt_reflection", worst_pt < tol, f"max deviation = {_num(worst_pt, 3)}"))
 
         worst_o = mp.mpf(0)
-        for lv, ref in zip(quantize_p_symmetric(2, "both", 4, trunc, ctx), (1, 3, 5, 7)):
+        (pair2,) = [p for p in pt_pairs(2) if p.p_symmetric]
+        for lv, ref in zip(spectrum(pair2, 4, trunc, ctx), (1, 3, 5, 7)):
             worst_o = max(worst_o, abs(lv.E - ref))
         checks.append(("n2_oracle", worst_o < mp.mpf("1e-12"), f"max |E - ref| = {_num(worst_o, 3)}"))
 

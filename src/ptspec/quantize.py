@@ -22,21 +22,19 @@ on an exact Fraction grid, reading its sign exactly from
 series.grid_evaluator on the per-angle energy polynomials, and refines
 each sign change at full precision through series.eval_energy_poly,
 attaching c on a PT pair and the even/odd tag on the parity pair.
-quantize_p_symmetric is spectrum on the parity pair looked up by N.
-A probe's polynomials come from the radial sums of one pass of the
-coefficient recursion at its radius, shared by every pair of N there.
-Each request rounds them once, down to its own energy scale
-(series._scale), and reads every value from that copy: spectrum's grid
-and every level's root, est_error and c at its e_max, refine_root at
-its bracket, scan_im_c at its window, connection_coefficient at |E| and
-the health check at 97/96 of its e_max.
+Each level's est_error is one Newton step at its root on the same
+reader at 0.9r.  A probe's polynomials come from the radial sums of one
+pass of the coefficient recursion at its radius, shared by every pair
+of N there.  Each request rounds them once, down to its own energy
+scale (series._scale), and reads every value from that copy:
+spectrum's grid and every level's root, est_error and c at its e_max,
+scan_im_c at its window and the health check at 97/96 of its e_max.
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
-scan_im_c (on the exact grid as well), connection_coefficient and the
-health check.  The health check reads its tails from the last
-antidiagonal of the same recursion at (radius, e_max), and never raises
-on bad health: a pair whose probe the truncation cannot evaluate at its
-e_max fails.
+scan_im_c (on the exact grid as well) and the health check.  The health
+check reads its tails from the last antidiagonal of the same recursion
+at (radius, e_max), and never raises on bad health: a pair whose probe
+the truncation cannot evaluate at its e_max fails.
 """
 
 from __future__ import annotations
@@ -71,11 +69,8 @@ __all__ = [
     "HealthReport",
     "TAIL_THRESHOLD_EXPONENT",
     "level_weights",
-    "connection_coefficient",
     "scan_im_c",
-    "refine_root",
     "spectrum",
-    "quantize_p_symmetric",
     "health_check",
 ]
 
@@ -84,8 +79,8 @@ __all__ = [
 # ones (N=7 r=8, N=3 P=10) fail with a wide margin on both sides
 TAIL_THRESHOLD_EXPONENT = -10
 
-# c at radius r against c at 0.9r: the root shift behind est_error and the
-# health check's c discrepancy
+# the probe at r against the probe at 0.9r: est_error, one Newton step of
+# the 0.9r reader from the level's root, and the health check's c discrepancy
 _INNER_RADIUS = Fraction(9, 10)
 
 DEFAULT_SCAN_STEP = Fraction(1, 20)
@@ -181,19 +176,6 @@ def _c_from_polys(poly_a, poly_b, E, ctx: PrecisionContext) -> ComplexHP:
                 f"{mp.nstr(abs(p2) / max(abs(p1), mp.mpf('1e-999')), 5)})"
             )
         return -p1 / p2
-
-
-def connection_coefficient(
-    pair: WedgePair, E, trunc: TruncationParams, ctx: PrecisionContext
-) -> ComplexHP:
-    """c(E) at the right probe.
-
-    At real E the left probe of a PT pair gives the complex conjugate
-    (its energy polynomials are the right ones conjugated, to the last
-    fixed-point bits), so the right probe alone carries the Im c zeros.
-    """
-    poly_a, poly_b = _probe_polys(pair, trunc, ctx, series._scale(E))
-    return _c_from_polys(poly_a, poly_b, E, ctx)
 
 
 def scan_im_c(
@@ -342,53 +324,32 @@ def _level(
     ctx: PrecisionContext, ends=None, tag=None,
 ) -> EnergyLevel:
     """Level n of the pair from probes = _probes(...), at the working
-    precision: the root of the reader at r in bracket to tol, reusing
+    precision: the root E_r of the reader at r in bracket to tol, reusing
     its values at the bracket ends when the scan passes them as ends.
 
-    est_error is the shift of the root under the reader at 0.9r, searched
-    on the part of a +-delta window around the root inside the bracket,
-    then on the whole bracket; inf when neither holds a sign change.  The
-    level is stable when est_error <= 10**(-digits/2).  It carries the
-    scan's parity tag when given, and c at the root otherwise.
+    est_error is the shift of the root under the reader f at 0.9r, from
+    one Newton step at E_r: |f(E_r)/f'(E_r)|, with f and f' from P and P'
+    of the two inner polynomials (D is bilinear in psi1 and psi2).  It is
+    inf when f' = 0 or when the step leaves the bracket.  The level is
+    stable when est_error <= 10**(-digits/2).  It carries the scan's
+    parity tag when given, and c at the root otherwise.
     """
     swapped = pair.parity_swapped()
     outer, inner = probes
     lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
     e_root = _hybrid_root(lambda ev: _reader(swapped, outer, ev), (lo, hi), tol, ends)
-    delta = max(mp.mpf("1e-6"), 100 * tol * max(mp.mpf(1), abs(e_root)))
-    est = mp.inf
-    for window in ((max(lo, e_root - delta), min(hi, e_root + delta)), (lo, hi)):
-        try:
-            est = abs(e_root - _hybrid_root(lambda ev: _reader(swapped, inner, ev), window, tol))
-            break
-        except BracketError:
-            continue
+
+    def det(a, b):
+        return _determinant(swapped, a.real, a.imag, b.real, b.imag)
+
+    (p1, d1), (p2, d2) = (series._horner(poly, e_root, 1) for poly in inner)
+    slope = det(d1, p2) + det(p1, d2)
+    shift = det(p1, p2) / slope if slope else mp.inf
+    est = abs(shift) if lo <= e_root - shift <= hi else mp.inf
     stable = bool(est <= mp.mpf(10) ** (-(ctx.digits // 2)))
     diagnostics = LevelDiagnostics(trunc.pmax, trunc.radius, ctx.digits, est, stable)
     c = None if tag else _c_from_polys(*outer, e_root, ctx).real
     return EnergyLevel(n, e_root, c, pair, diagnostics, tag)
-
-
-def refine_root(
-    pair: WedgePair, bracket, tol, trunc: TruncationParams, ctx: PrecisionContext, n: int = 0
-) -> EnergyLevel:
-    """Refine one level of a PT pair, a sign change of D/(2i) =
-    Im(psi1 conj psi2) at the right probe, and attach c there.
-
-    The probes are stored at the bracket's energy scale.  est_error is
-    the shift of the root when the probe radius drops to 0.9r, an
-    estimate (not a bound) of the finite-radius truncation error.  The
-    stable flag clears when est_error exceeds 10**(-digits/2).  The
-    level index n is only recorded, not used.  The bracket ends are read
-    exactly, as spectrum's are.
-    """
-    with ctx.workdps():
-        tol = mp.mpf(tol)
-        if tol <= 0:
-            raise ParameterError("tol must be positive")
-        bracket = tuple(ctx.mpf(series._exact(end)) for end in bracket)
-        probes = _probes(pair, trunc, ctx, series._scale(*bracket))
-        return _level(pair, n, probes, bracket, tol, trunc, ctx)
 
 
 def spectrum(
@@ -464,21 +425,6 @@ def spectrum(
                     if len(levels) == n_levels:
                         return tuple(levels)
             prev = (k, fv, lanes[0])
-
-
-def quantize_p_symmetric(
-    n_exponent: int,
-    parity: str,
-    n_levels: int,
-    trunc: TruncationParams,
-    ctx: PrecisionContext,
-):
-    """spectrum of the p-symmetric pair of an even N, looked up by N, with
-    spectrum's default energy cap and scan step."""
-    psym = [p for p in pt_pairs(n_exponent) if p.p_symmetric]
-    if not psym:
-        raise ParameterError(f"N={n_exponent} has no p-symmetric pair (N must be even)")
-    return spectrum(psym[0], n_levels, trunc, ctx, parity=parity)
 
 
 @dataclass(frozen=True)

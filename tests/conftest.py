@@ -45,6 +45,12 @@ def cli_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
+def p_symmetric_pair(n_exponent):
+    """The p-symmetric pair of an even N, found by its flag."""
+    (pair,) = [p for p in pt_pairs(n_exponent) if p.p_symmetric]
+    return pair
+
+
 @pytest.fixture(scope="session")
 def ctx40():
     return PrecisionContext(40)

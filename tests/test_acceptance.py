@@ -15,14 +15,13 @@ from fractions import Fraction
 import mpmath as mp
 
 import oracles
-from conftest import ACCEPTANCE_LINES, cli_env
+from conftest import ACCEPTANCE_LINES, cli_env, p_symmetric_pair
 from ptspec import (
     TruncationParams,
     build_contour,
     eval_psi,
     expectation,
     pt_pairs,
-    quantize_p_symmetric,
     spectrum,
     wronskian,
 )
@@ -217,8 +216,8 @@ def test_acceptance_6_n7_multi_spectrum(ctx40):
 
 def test_acceptance_7_n2_oracle(trunc8, ctx40):
     with ctx40.workdps():
-        even = quantize_p_symmetric(2, "even", 3, trunc8, ctx40)
-        odd = quantize_p_symmetric(2, "odd", 2, trunc8, ctx40)
+        even = spectrum(p_symmetric_pair(2), 3, trunc8, ctx40, parity="even")
+        odd = spectrum(p_symmetric_pair(2), 2, trunc8, ctx40, parity="odd")
         worst = mp.mpf(0)
         for lv, want in zip(even, (1, 5, 9)):
             worst = max(worst, abs(lv.E - want))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import p_symmetric_pair
 from oracles import fixed_point
 from ptspec import (
     DegenerateNormError,
@@ -20,6 +21,7 @@ from ptspec import (
     identity_checks,
     level_weights,
     pt_pairs,
+    spectrum,
     wavefunction_samples,
 )
 from ptspec import series
@@ -122,9 +124,7 @@ def test_identity_checks_pass(levels3, ctx40):
 
 def test_identity_checks_other_power(trunc8, ctx40):
     # no virial column away from the cubic case
-    from ptspec import quantize_p_symmetric
-
-    levels = quantize_p_symmetric(2, "even", 1, trunc8, ctx40)
+    levels = spectrum(p_symmetric_pair(2), 1, trunc8, ctx40, parity="even")
     report = identity_checks(levels)
     assert report.passed
     assert report.rows[0].virial_abs is None
@@ -234,9 +234,7 @@ def test_n2_closed_form_moments(trunc8, ctx40):
     # inside the validated radius 8, keeps every tail below 4e-16 while
     # the levels themselves are within 1e-21 of 2n+1; the tolerance is
     # twice the tail, which also covers the next order of its expansion.
-    from ptspec import quantize_p_symmetric
-
-    levels = quantize_p_symmetric(2, "both", 4, trunc8, ctx40)
+    levels = spectrum(p_symmetric_pair(2), 4, trunc8, ctx40)
     lam = 7
     path = build_contour(levels[0].pair, lam, "real_line")
     with ctx40.workdps():

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 import oracles
+from conftest import p_symmetric_pair
 from ptspec import (
     BracketError,
     DivergenceError,
@@ -16,13 +17,10 @@ from ptspec import (
     RadiusError,
     TruncationError,
     TruncationParams,
-    connection_coefficient,
     health_check,
     level_weights,
     pt_pairs,
     pt_reflect,
-    quantize_p_symmetric,
-    refine_root,
     scan_im_c,
     quantize,
     series,
@@ -140,8 +138,10 @@ def test_left_probe_is_the_right_one_conjugated():
 
 
 def test_c_real_at_eigenvalue(pair3, levels3, trunc8, ctx40):
+    E = levels3[0].E
     with ctx40.workdps():
-        c = connection_coefficient(pair3, levels3[0].E, trunc8, ctx40)
+        polys = quantize._probe_polys(pair3, trunc8, ctx40, series._scale(E))
+        c = quantize._c_from_polys(*polys, E, ctx40)
         assert abs(mp.im(c)) < mp.mpf("1e-35")
         assert abs(mp.re(c) - levels3[0].c) < mp.mpf("1e-35")
 
@@ -236,21 +236,23 @@ def test_scan_validation(pair3, trunc8, ctx40):
         scan_im_c(pair3, 2, 1, Fraction(1, 10), trunc8, ctx40)
 
 
-def test_refine_root_in_bracket(pair3, trunc8, ctx40):
+def test_spectrum_refines_a_unit_bracket(pair3, trunc8, ctx40):
+    # at scan step 1 level 3 is refined from the whole cell (11, 12)
+    lv = spectrum(pair3, 4, trunc8, ctx40, step=1)[3]
     with ctx40.workdps():
-        lv = refine_root(pair3, (11, 12), mp.mpf("1e-25"), trunc8, ctx40, n=3)
-        assert abs(lv.E - mp.mpf(GOLDEN_N3[3][0])) < mp.mpf("1e-24")
+        assert 11 < lv.E < 12
+        assert abs(lv.E - mp.mpf(GOLDEN_N3[3][0])) < mp.mpf("1e-36")
         assert lv.n == 3
 
 
-def test_refine_root_reads_a_bracket_of_fractions(pair3, trunc8, ctx40):
-    # Fraction ends are read exactly, like floats by their decimal intent
-    tol = ctx40.tolerance(5)
-    exact = refine_root(pair3, (Fraction(23, 20), Fraction(6, 5)), tol, trunc8, ctx40)
-    floats = refine_root(pair3, (1.15, 1.2), tol, trunc8, ctx40)
+def test_spectrum_reads_a_float_step_by_its_decimal_intent(pair3, trunc8, ctx40):
+    # the scan step 0.05 is read as 1/20, so both grids bracket the
+    # ground state by (23/20, 6/5) and refine it to the same bits
+    exact = spectrum(pair3, 1, trunc8, ctx40, step=Fraction(1, 20))
+    floats = spectrum(pair3, 1, trunc8, ctx40, step=0.05)
     with ctx40.workdps():
-        assert exact.E == floats.E
-        assert mp.nstr(exact.E, 40) == GOLDEN_N3[0][0]
+        assert exact[0].E == floats[0].E
+        assert mp.nstr(exact[0].E, 40) == GOLDEN_N3[0][0]
 
 
 def test_hybrid_root_closes_without_rounding_noise():
@@ -332,35 +334,60 @@ def test_spectrum_builds_its_probes_once(n_exponent, radius, n_levels, ctx40, mo
 
 @pytest.mark.parametrize("n_exponent, pair_index, radius", [(3, 0, 8), (7, 1, 3), (4, 0, 6)])
 def test_the_probe_scale_moves_no_level(n_exponent, pair_index, radius, ctx40, request):
-    # spectrum reads its levels from probes at the energy scale of e_max
-    # (2**7 at 100, 2**10 at 1000) and refine_root from probes at the
-    # bracket's scale: E, c and est_error agree far below what is printed.
-    # The parity pair (N = 4) has no c, and refine_root would meet the
-    # poles of c at its odd levels
+    # spectrum reads its levels from probes at the energy scale of e_max:
+    # 2**7 at the default 100 and 2**10 at 1000.  E, c and est_error agree
+    # far below what is printed
     pair = pt_pairs(n_exponent)[pair_index]
     trunc = TruncationParams(100, Fraction(radius))
     near = request.getfixturevalue("levels3") if n_exponent == 3 else spectrum(pair, 4, trunc, ctx40)
     far = spectrum(pair, len(near), trunc, ctx40, e_max=Fraction(1000))
     with ctx40.workdps():
-        for level, far_level in zip(near, far, strict=True):
-            others = [far_level]
+        for level, other in zip(near, far, strict=True):
+            assert (other.n, other.parity) == (level.n, level.parity)
+            assert abs(other.E - level.E) <= mp.mpf("1e-43")
             if level.c is not None:
-                lo = Fraction(int(mp.floor(20 * level.E)), 20)
-                bracket = (ctx40.mpf(lo), ctx40.mpf(lo + Fraction(1, 20)))
-                others.append(refine_root(pair, bracket, ctx40.tolerance(5), trunc, ctx40, level.n))
-            for other in others:
-                assert (other.n, other.parity) == (level.n, level.parity)
-                assert abs(other.E - level.E) <= mp.mpf("1e-43")
-                if level.c is not None:
-                    assert abs(other.c - level.c) <= mp.mpf("1e-40")
-                est = level.diagnostics.est_error
-                assert abs(other.diagnostics.est_error - est) <= mp.mpf("1e-3") * est
+                assert abs(other.c - level.c) <= mp.mpf("1e-40")
+            est = level.diagnostics.est_error
+            assert abs(other.diagnostics.est_error - est) <= mp.mpf("1e-3") * est
 
 
-def test_refine_root_empty_bracket(pair3, trunc8, ctx40):
-    # Im c does not change sign between the n=0 and n=1 roots
-    with pytest.raises(BracketError):
-        refine_root(pair3, (2, 3), mp.mpf("1e-25"), trunc8, ctx40)
+@pytest.mark.parametrize("n_exponent, pair_index, radius, n_levels",
+                         [(3, 0, 8, 5), (7, 1, 3, 4), (7, 2, 3, 4), (4, 0, 6, 4), (2, 1, 8, 5)])
+def test_est_error_is_the_root_shift_to_a_newton_step(n_exponent, pair_index, radius, n_levels, ctx40):
+    # est_error, one Newton step of the 0.9r reader from the level's root,
+    # against the shift to that reader's own root in the level's grid cell
+    pair = pt_pairs(n_exponent)[pair_index]
+    trunc = TruncationParams(100, Fraction(radius))
+    levels = spectrum(pair, n_levels, trunc, ctx40)
+    _, inner = quantize._probes(pair, trunc, ctx40, series._scale(quantize.DEFAULT_ENERGY_CAP))
+    with ctx40.workdps():
+        for level in levels:
+            lo = mp.floor(20 * level.E) / 20
+            root = quantize._hybrid_root(lambda ev: quantize._reader(pair.parity_swapped(), inner, ev),
+                                         (lo, lo + mp.mpf(1) / 20), ctx40.tolerance(5))
+            shift = abs(level.E - root)
+            assert abs(level.diagnostics.est_error - shift) <= mp.mpf("1e-3") * shift, level.n
+
+
+def test_est_error_is_inf_when_the_newton_step_leaves_the_bracket(ctx40):
+    # N=10 pair 5 at r=3 and pmax 100 cannot hold level 2 (E = 60.05): the
+    # 0.9r reader keeps its sign across the level's cell, and the Newton
+    # step from the level moves by about 16
+    levels = spectrum(pt_pairs(10)[5], 3, TruncationParams(100, Fraction(3)), ctx40, e_max=300)
+    assert levels[2].diagnostics.est_error == mp.inf
+    assert not levels[2].diagnostics.stable
+    assert all(mp.isfinite(lv.diagnostics.est_error) for lv in levels[:2])
+
+
+def test_hybrid_root_needs_a_sign_change(pair3, trunc8, ctx40):
+    # D does not change sign between the n=0 and n=1 roots
+    from ptspec.quantize import _hybrid_root
+
+    with ctx40.workdps():
+        polys = quantize._probe_polys(pair3, trunc8, ctx40, series._scale(3))
+        with pytest.raises(BracketError):
+            _hybrid_root(lambda ev: quantize._reader(False, polys, ev),
+                         (mp.mpf(2), mp.mpf(3)), ctx40.tolerance(5))
 
 
 def test_spectrum_rejects_the_other_parity_pair(trunc8, ctx40):
@@ -371,17 +398,18 @@ def test_spectrum_rejects_the_other_parity_pair(trunc8, ctx40):
 
 @pytest.mark.parametrize("n_exponent, radius", [(2, 8), (4, 6)])
 def test_spectrum_on_the_parity_pair_is_the_lookup_by_n(n_exponent, radius, ctx40):
+    # the pair looked up by N and its p_symmetric flag: "both" keeps the
+    # first even and the first odd level, each read as under its filter
     trunc = TruncationParams(100, Fraction(radius))
-    (pair,) = [p for p in pt_pairs(n_exponent) if p.p_symmetric]
-    for parity in ("even", "odd", "both"):
-        direct = spectrum(pair, 2, trunc, ctx40, parity=parity)
-        looked_up = quantize_p_symmetric(n_exponent, parity, 2, trunc, ctx40)
-        assert [(lv.E, lv.diagnostics.est_error, lv.parity) for lv in direct] == [
-            (lv.E, lv.diagnostics.est_error, lv.parity) for lv in looked_up
-        ]
-        assert all(lv.c is None and lv.pair == pair for lv in direct)
+    pair = p_symmetric_pair(n_exponent)
+    found = {parity: spectrum(pair, 2, trunc, ctx40, parity=parity) for parity in ("even", "odd", "both")}
+    for parity, levels in found.items():
+        assert all(lv.c is None and lv.pair == pair for lv in levels)
         if parity != "both":
-            assert {lv.parity for lv in direct} == {parity}
+            assert {lv.parity for lv in levels} == {parity}
+    assert [(lv.E, lv.diagnostics.est_error, lv.parity) for lv in found["both"]] == [
+        (lv.E, lv.diagnostics.est_error, lv.parity) for lv in (found["even"][0], found["odd"][0])
+    ]
 
 
 def test_spectrum_rejects_a_bad_parity_on_a_pt_pair(pair3, trunc8, ctx40):
@@ -397,8 +425,8 @@ def test_spectrum_needs_room_below_emax(pair3, trunc8, ctx40):
 
 def test_parity_n2_analytic(trunc8, ctx40):
     with ctx40.workdps():
-        even = quantize_p_symmetric(2, "even", 3, trunc8, ctx40)
-        odd = quantize_p_symmetric(2, "odd", 3, trunc8, ctx40)
+        even = spectrum(p_symmetric_pair(2), 3, trunc8, ctx40, parity="even")
+        odd = spectrum(p_symmetric_pair(2), 3, trunc8, ctx40, parity="odd")
         for lv, want in zip(even, (1, 5, 9)):
             assert abs(lv.E - want) < mp.mpf("1e-15")
             assert lv.parity == "even" and lv.c is None
@@ -410,8 +438,8 @@ def test_parity_n2_analytic(trunc8, ctx40):
 def test_parity_n4_regression_and_oracle(ctx40):
     trunc = TruncationParams(100, Fraction(6))
     with ctx40.workdps():
-        even = quantize_p_symmetric(4, "even", 2, trunc, ctx40)
-        odd = quantize_p_symmetric(4, "odd", 2, trunc, ctx40)
+        even = spectrum(p_symmetric_pair(4), 2, trunc, ctx40, parity="even")
+        odd = spectrum(p_symmetric_pair(4), 2, trunc, ctx40, parity="odd")
         for lv, ref in zip(even, N4_EVEN):
             assert abs(lv.E - mp.mpf(ref)) < mp.mpf("1e-25")
         for lv, ref in zip(odd, N4_ODD):
@@ -426,29 +454,22 @@ def test_parity_n4_regression_and_oracle(ctx40):
 def test_parity_both_interleaves(trunc8, ctx40):
     # the oscillator levels 1,3,5,7,9 alternate even/odd, renumbered 0..4
     with ctx40.workdps():
-        both = quantize_p_symmetric(2, "both", 5, trunc8, ctx40)
+        both = spectrum(p_symmetric_pair(2), 5, trunc8, ctx40)
         assert [lv.n for lv in both] == [0, 1, 2, 3, 4]
         assert [lv.parity for lv in both] == ["even", "odd", "even", "odd", "even"]
         for lv, want in zip(both, (1, 3, 5, 7, 9)):
             assert abs(lv.E - want) < mp.mpf("1e-15")
     for bad in ("all", "Both", None):
         with pytest.raises(ParameterError):
-            quantize_p_symmetric(2, bad, 2, trunc8, ctx40)
-
-
-def test_parity_requires_even_n(trunc8, ctx40):
-    with pytest.raises(ParameterError):
-        quantize_p_symmetric(3, "even", 1, trunc8, ctx40)
-    with pytest.raises(ParameterError):
-        quantize_p_symmetric(3, "sideways", 1, trunc8, ctx40)
+            spectrum(p_symmetric_pair(2), 2, trunc8, ctx40, parity=bad)
 
 
 def test_level_weights(levels3, trunc8, ctx40):
     with ctx40.workdps():
         alpha, beta = level_weights(levels3[0])
         assert alpha == 1 and abs(beta - levels3[0].c) == 0
-        even = quantize_p_symmetric(2, "even", 1, trunc8, ctx40)[0]
-        odd = quantize_p_symmetric(2, "odd", 1, trunc8, ctx40)[0]
+        even = spectrum(p_symmetric_pair(2), 1, trunc8, ctx40, parity="even")[0]
+        odd = spectrum(p_symmetric_pair(2), 1, trunc8, ctx40, parity="odd")[0]
         assert level_weights(even) == (1, 0)
         assert level_weights(odd) == (0, 1)
 

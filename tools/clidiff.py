@@ -96,6 +96,7 @@ COMMANDS = (
     "spectrum --N 3 --radius 3/4 --pmax 40 --levels 1 --emax 1",
     "expect --N 6 --pair 2 --radius 4 --level 0 --moments 0,2",
     "spectrum --N 10 --pair 5 --radius 3 --pmax 200 --levels 3 --emax 300 --force",
+    "spectrum --N 10 --pair 5 --radius 3 --levels 3 --emax 300 --force",
     "spectrum --N 16 --pair 8 --radius 2 --pmax 200 --levels 3 --emax 300 --force",
     "nodes --N 2 --pair 1 --level 1",
     "nodes --N 2 --pair 1 --level 3",
