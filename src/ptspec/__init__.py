@@ -25,10 +25,8 @@ from .nodes import NodeSet, find_nodes, newton_zero, turning_points
 from .observables import (
     Contour,
     ExpectationResult,
-    IdentityReport,
     IdentityRow,
     build_contour,
-    default_contour,
     expectation,
     identity_checks,
     wavefunction_samples,
@@ -36,9 +34,7 @@ from .observables import (
 from .precision import ComplexHP, PrecisionContext, RealHP, as_fraction
 from .quantize import (
     EnergyLevel,
-    HealthEntry,
     HealthReport,
-    LevelDiagnostics,
     ScanPoint,
     health_check,
     level_weights,
@@ -88,9 +84,7 @@ __all__ = [
     "pt_reflect",
     "pt_pairs",
     "ScanPoint",
-    "LevelDiagnostics",
     "EnergyLevel",
-    "HealthEntry",
     "HealthReport",
     "level_weights",
     "scan_im_c",
@@ -103,9 +97,7 @@ __all__ = [
     "Contour",
     "ExpectationResult",
     "IdentityRow",
-    "IdentityReport",
     "build_contour",
-    "default_contour",
     "expectation",
     "identity_checks",
     "wavefunction_samples",

@@ -143,8 +143,8 @@ def _level_json(level, args) -> dict:
         "E": _num(level.E, args.digits),
         "c": None if level.c is None else _num(level.c, args.digits),
         "parity": level.parity,
-        "est_error": _num(level.diagnostics.est_error, 3),
-        "stable": level.diagnostics.stable,
+        "est_error": _num(level.est_error, 3),
+        "stable": level.stable,
         "params": _params_dict(args),
     }
 
@@ -155,14 +155,13 @@ def _health_json(report) -> dict:
         "e_max": str(report.e_max),
         "entries": [
             {
-                "pair": e.pair_index,
-                "theta_right_pi": str(e.theta_right),
-                "theta_left_pi": str(e.theta_left),
-                "tail": _num(e.tail, 3),
-                "c_discrepancy": _num(e.c_discrepancy, 3),
-                "passed": e.passed,
+                "pair": report.pair.index,
+                "theta_right_pi": str(report.pair.theta_right),
+                "theta_left_pi": str(report.pair.theta_left),
+                "tail": _num(report.tail, 3),
+                "c_discrepancy": _num(report.c_discrepancy, 3),
+                "passed": report.passed,
             }
-            for e in report.entries
         ],
     }
 
@@ -217,7 +216,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     pair, ctx, trunc = _setup(args)
-    health = health_check(args.N, trunc, args.health_emax, ctx)
+    health = health_check(pair, trunc, args.health_emax, ctx)
     if not health.passed and not args.force:
         _emit_json(
             {
@@ -285,7 +284,7 @@ def _cmd_expect(args) -> int:
     level = _resolve_level(args, pair, ctx, trunc)
     moments = _parse_moments(args.moments)
     results = [expectation(level, m, contour) for m in moments]
-    identities = identity_checks([level], contour=contour).rows[0]
+    identities = identity_checks(level, contour)
     rows = [
         {
             "m": r.m,

@@ -70,7 +70,7 @@ def turning_points(level: EnergyLevel):
     wedges.polar_point: a point on an axis has an exactly zero re or im.
     """
     n = level.pair.n_exponent
-    ctx = PrecisionContext(level.diagnostics.digits)
+    ctx = level.ctx
     with ctx.workdps():
         e_val = mp.mpf(level.E)
         if e_val == 0:
@@ -90,9 +90,8 @@ def newton_zero(level: EnergyLevel, z0, tol, region: Optional[tuple] = None) -> 
     given region (re_min, re_max, im_min, im_max), and DivergenceError
     after 100 steps.
     """
-    ctx = PrecisionContext(level.diagnostics.digits)
+    ctx, bound = level.ctx, level.trunc.radius
     poly = _level_poly(level, ctx)
-    bound = level.diagnostics.radius
     with ctx.workdps():
         tol = mp.mpf(tol)
         if tol <= 0:
@@ -213,8 +212,7 @@ def find_nodes(level: EnergyLevel, region: Optional[tuple] = None) -> NodeSet:
     axis (to 1e-10) are axis nodes, the rest arch nodes, sorted by im (to the
     Newton tolerance), then re.
     """
-    ctx = PrecisionContext(level.diagnostics.digits)
-    radius = level.diagnostics.radius
+    ctx, radius = level.ctx, level.trunc.radius
     if region is None:
         with ctx.workdps():
             scale = mp.mpf(12) / 10 * abs(mp.mpf(level.E)) ** (mp.mpf(1) / level.pair.n_exponent)

@@ -54,7 +54,6 @@ __all__ = [
     "Contour",
     "ExpectationResult",
     "IdentityRow",
-    "IdentityReport",
     "build_contour",
     "expectation",
     "identity_checks",
@@ -151,8 +150,7 @@ def expectation(level: EnergyLevel, m: int, contour: Contour) -> ExpectationResu
     """
     if not isinstance(m, int) or m < 0:
         raise ParameterError(f"moment order must be a non-negative integer, got {m!r}")
-    ctx = PrecisionContext(level.diagnostics.digits)
-    radius = level.diagnostics.radius
+    ctx, radius = level.ctx, level.trunc.radius
     if contour.max_radius() > radius:
         raise RadiusError(
             f"contour extends to {contour.max_radius()} beyond the validated radius {radius}"
@@ -185,47 +183,19 @@ class IdentityRow:
     virial_ok: Optional[bool]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    rows: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            row.ehrenfest_ok and (row.virial_ok is None or row.virial_ok)
-            for row in self.rows
-        )
-
-
-def default_contour(level: EnergyLevel) -> Contour:
-    """real_line with lambda = min(5, r) on the level's pair when the
-    geometry allows it, otherwise the wedge rays at the full validated
-    radius r of the level."""
-    radius = level.diagnostics.radius
-    try:
-        return build_contour(level.pair, min(Fraction(5), radius), "real_line")
-    except GeometryError:
-        return build_contour(level.pair, radius, "wedge_rays")
-
-
-def identity_checks(levels, contour: Optional[Contour] = None) -> IdentityReport:
-    """Model identities: <z^(N-1)> = 0 for every level (the PT form of
-    Ehrenfest's theorem), and for N=3 the virial form <z^3> = -(2/5)iE."""
-    rows = []
-    for level in levels:
-        n_exp = level.pair.n_exponent
-        with PrecisionContext(level.diagnostics.digits).workdps():
-            path = contour or default_contour(level)
-            eh_abs = abs(expectation(level, n_exp - 1, path).value)
-            vir_abs = vir_ok = None
-            if n_exp == 3:
-                v3 = expectation(level, 3, path)
-                vir_abs = abs(v3.value + mp.mpc(0, 2) / 5 * mp.mpf(level.E))
-                vir_ok = bool(vir_abs < mp.mpf(VIRIAL_TOL))
-            rows.append(
-                IdentityRow(level.n, eh_abs, bool(eh_abs < mp.mpf(EHRENFEST_TOL)), vir_abs, vir_ok)
-            )
-    return IdentityReport(tuple(rows))
+def identity_checks(level: EnergyLevel, contour: Contour) -> IdentityRow:
+    """Model identities of one level over the contour: <z^(N-1)> = 0 (the
+    PT form of Ehrenfest's theorem), and for N=3 the virial form
+    <z^3> = -(2/5)iE."""
+    n_exp = level.pair.n_exponent
+    with level.ctx.workdps():
+        eh_abs = abs(expectation(level, n_exp - 1, contour).value)
+        vir_abs = vir_ok = None
+        if n_exp == 3:
+            v3 = expectation(level, 3, contour)
+            vir_abs = abs(v3.value + mp.mpc(0, 2) / 5 * mp.mpf(level.E))
+            vir_ok = bool(vir_abs < mp.mpf(VIRIAL_TOL))
+        return IdentityRow(level.n, eh_abs, bool(eh_abs < mp.mpf(EHRENFEST_TOL)), vir_abs, vir_ok)
 
 
 def wavefunction_samples(
@@ -239,10 +209,9 @@ def wavefunction_samples(
         raise ParameterError(f"step must be positive, got {step}")
     if x_max <= x_min:
         raise ParameterError(f"empty sample window [{x_min}, {x_max}]")
-    radius = level.diagnostics.radius
+    ctx, radius = level.ctx, level.trunc.radius
     if max(abs(x_min), abs(x_max)) > radius:
         raise RadiusError(f"sample window leaves the validated disk |z| <= {radius}")
-    ctx = PrecisionContext(level.diagnostics.digits)
     poly = _level_poly(level, ctx)
     out = []
     with ctx.workdps():

@@ -32,9 +32,10 @@ scan_im_c at its window and the health check at 97/96 of its e_max.
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
 scan_im_c (on the exact grid as well) and the health check.  The health
-check reads its tails from the last antidiagonal of the same recursion
-at (radius, e_max), and never raises on bad health: a pair whose probe
-the truncation cannot evaluate at its e_max fails.
+check judges the pair that spectrum quantizes: it reads its tail from
+the last antidiagonal of the same recursion at (radius, e_max), and
+never raises on bad health: a pair whose probe the truncation cannot
+evaluate at its e_max fails.
 """
 
 from __future__ import annotations
@@ -63,9 +64,7 @@ from .wedges import WedgePair, pt_pairs
 
 __all__ = [
     "ScanPoint",
-    "LevelDiagnostics",
     "EnergyLevel",
-    "HealthEntry",
     "HealthReport",
     "TAIL_THRESHOLD_EXPONENT",
     "level_weights",
@@ -101,29 +100,24 @@ class ScanPoint:
 
 
 @dataclass(frozen=True)
-class LevelDiagnostics:
-    """Truncation metadata carried by every level."""
-
-    pmax: int
-    radius: Fraction
-    digits: int
-    est_error: RealHP
-    stable: bool
-
-
-@dataclass(frozen=True)
 class EnergyLevel:
-    """A refined eigenvalue.
+    """A refined eigenvalue with the truncation and precision it was
+    refined at, which the eigenfunction stages reuse.
 
     c is the (real) connection coefficient for Im-c levels and None for
-    parity levels, where parity is "even" or "odd" instead.
+    parity levels, where parity is "even" or "odd" instead.  est_error
+    is the shift of the root from r to 0.9r by one Newton step (see
+    _level), and the level is stable when it is at most 10**(-digits/2).
     """
 
     n: int
     E: RealHP
     c: Optional[RealHP]
     pair: WedgePair
-    diagnostics: LevelDiagnostics
+    trunc: TruncationParams
+    ctx: PrecisionContext
+    est_error: RealHP
+    stable: bool
     parity: Optional[str] = None
 
 
@@ -141,9 +135,9 @@ def level_weights(level: EnergyLevel):
 def _level_poly(level: EnergyLevel, ctx: PrecisionContext):
     """The level's psi at ctx.dps as a space polynomial in w = iz, from
     the truncation of its N and pmax and scaled for its validated disk."""
-    table = series.build_tables(level.pair.n_exponent, level.diagnostics.pmax)
+    table = series.build_tables(level.pair.n_exponent, level.trunc.pmax)
     alpha, beta = level_weights(level)
-    return series.space_polynomial(table, level.E, alpha, beta, ctx, level.diagnostics.radius)
+    return series.space_polynomial(table, level.E, alpha, beta, ctx, level.trunc.radius)
 
 
 def _probe_polys(pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, scale):
@@ -347,9 +341,8 @@ def _level(
     shift = det(p1, p2) / slope if slope else mp.inf
     est = abs(shift) if lo <= e_root - shift <= hi else mp.inf
     stable = bool(est <= mp.mpf(10) ** (-(ctx.digits // 2)))
-    diagnostics = LevelDiagnostics(trunc.pmax, trunc.radius, ctx.digits, est, stable)
     c = None if tag else _c_from_polys(*outer, e_root, ctx).real
-    return EnergyLevel(n, e_root, c, pair, diagnostics, tag)
+    return EnergyLevel(n, e_root, c, pair, trunc, ctx, est, stable, tag)
 
 
 def spectrum(
@@ -428,93 +421,54 @@ def spectrum(
 
 
 @dataclass(frozen=True)
-class HealthEntry:
-    """Truncation diagnostics for one wedge pair."""
+class HealthReport:
+    """The truncation's health on one wedge pair up to E = e_max."""
 
-    pair_index: int
-    theta_right: Fraction
-    theta_left: Fraction
+    pair: WedgePair
+    e_max: Fraction
     tail: RealHP
     c_discrepancy: RealHP
-    tail_ok: bool
-    c_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.tail_ok and self.c_ok
-
-
-@dataclass(frozen=True)
-class HealthReport:
-    """Per-pair health entries plus the overall verdict."""
-
-    n_exponent: int
-    pmax: int
-    radius: Fraction
-    e_max: Fraction
-    entries: tuple
     passed: bool
 
 
 def health_check(
-    n_exponent: int,
+    pair: WedgePair,
     trunc: TruncationParams,
     e_max: Fractionable,
     ctx: PrecisionContext,
 ) -> HealthReport:
-    """Diagnose whether (pmax, radius) is trustworthy for N up to E = e_max.
+    """Diagnose whether (pmax, radius) is trustworthy for the pair up to
+    E = e_max.
 
-    For every wedge angle the largest boundary term (p + q = pmax) must
-    be negligible against the partial sum, and c(r) must agree with
-    c(0.9r).  The largest boundary term is the same on every angle of
-    the radius, so it is taken once; psi1 and c come from the probes'
-    energy polynomials.  Purely diagnostic: never raises on bad health.
-    A pair whose probe the truncation cannot evaluate at e_max
-    (RadiusError) gets an infinite tail and c discrepancy, and fails.
+    The largest boundary term (p + q = pmax) must be negligible against
+    psi1 at the right probe, and c(r) must agree with c(0.9r); psi1 and
+    c come from the probes' energy polynomials.  Purely diagnostic:
+    never raises on bad health.  A pair whose probe the truncation
+    cannot evaluate at e_max (RadiusError) gets an infinite tail and c
+    discrepancy, and fails.
     """
     cap = as_fraction(e_max)
-    table = series.build_tables(n_exponent, trunc.pmax)
-    scale = series._scale(cap * Fraction(97, 96))
+    table = series.build_tables(pair.n_exponent, trunc.pmax)
     tail_threshold = mp.mpf(10) ** TAIL_THRESHOLD_EXPONENT
     c_threshold = mp.mpf(10) ** (-(ctx.digits // 4))
-    entries = []
     with ctx.workdps():
         ev = ctx.mpf(cap)
         peak = series.rim_peak(table, ctx.mpf(trunc.radius), ev, ctx)
-        for pair in pt_pairs(n_exponent):
-            outer_polys, inner_polys = _probes(pair, trunc, ctx, scale)
-            try:
-                # the left probe, -conj z (PT pair) or -z (parity pair), gives the
-                # same tail: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even
-                psi1 = abs(series.eval_energy_poly(outer_polys[0], ev))
-                tail = peak / psi1 if psi1 else mp.inf
-                c_disc = mp.inf
-                for probe in (ev, ev * mp.mpf(97) / 96):
-                    try:
-                        c_out = _c_from_polys(*outer_polys, probe, ctx)
-                        c_disc = abs(c_out - _c_from_polys(*inner_polys, probe, ctx))
-                        break
-                    except PoleError:
-                        continue
-            except RadiusError:  # e_max beyond what the truncation evaluates
-                tail = c_disc = mp.inf
-            entries.append(
-                HealthEntry(
-                    pair_index=pair.index,
-                    theta_right=pair.theta_right,
-                    theta_left=pair.theta_left,
-                    tail=tail,
-                    c_discrepancy=c_disc,
-                    tail_ok=bool(tail < tail_threshold),
-                    c_ok=bool(c_disc < c_threshold),
-                )
-            )
-    entries = tuple(entries)
-    return HealthReport(
-        n_exponent=n_exponent,
-        pmax=trunc.pmax,
-        radius=trunc.radius,
-        e_max=cap,
-        entries=entries,
-        passed=all(e.passed for e in entries),
-    )
+        outer_polys, inner_polys = _probes(pair, trunc, ctx, series._scale(cap * Fraction(97, 96)))
+        try:
+            # the left probe, -conj z (PT pair) or -z (parity pair), gives the
+            # same tail: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even
+            psi1 = abs(series.eval_energy_poly(outer_polys[0], ev))
+            tail = peak / psi1 if psi1 else mp.inf
+            c_disc = mp.inf
+            for probe in (ev, ev * mp.mpf(97) / 96):
+                try:
+                    c_out = _c_from_polys(*outer_polys, probe, ctx)
+                    c_disc = abs(c_out - _c_from_polys(*inner_polys, probe, ctx))
+                    break
+                except PoleError:
+                    continue
+        except RadiusError:  # e_max beyond what the truncation evaluates
+            tail = c_disc = mp.inf
+        passed = bool(tail < tail_threshold and c_disc < c_threshold)
+    return HealthReport(pair, cap, tail, c_disc, passed)

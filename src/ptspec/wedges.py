@@ -111,7 +111,8 @@ def pt_pairs(n_exponent: int) -> tuple:
     parity pair {+pi/2, -pi/2} built from the two self-reflected
     centers.  Exactly one pair of an even N has p_symmetric set:
     the pair whose members are parity images of each other, preferring
-    the one that is also member-swapped by PT when both exist.
+    the one that is also member-swapped by PT when both exist, which is
+    theta_right = 0 when N = 2 (mod 4) and 1/2 when N = 0 (mod 4).
     """
     if not isinstance(n_exponent, int) or n_exponent < 2:
         raise ParameterError(f"N must be an integer >= 2, got {n_exponent!r}")
@@ -129,14 +130,9 @@ def pt_pairs(n_exponent: int) -> tuple:
             tl = pt_reflect(tr)
         raw.append((tr, tl))
 
-    flags = [False] * count
-    if even:
-        candidates = [
-            i for i, (tr, tl) in enumerate(raw) if reduce_angle(tr + 1) == tl
-        ]
-        if len(candidates) > 1:
-            candidates = [i for i in candidates if pt_reflect(raw[i][0]) == raw[i][1]]
-        flags[candidates[0]] = True
+    # the parity image of theta is theta + 1, so the pairs of parity images
+    # are {0, 1} (present when N = 2 mod 4, and PT-swapped) and {1/2, -1/2}
+    flagged = {0: Fraction(1, 2), 2: Fraction(0)}.get(n_exponent % 4)
 
     order = sorted(range(count), key=lambda i: raw[i][0], reverse=True)
     return tuple(
@@ -146,7 +142,7 @@ def pt_pairs(n_exponent: int) -> tuple:
             theta_right=raw[i][0],
             theta_left=raw[i][1],
             half_width=Fraction(1, n_exponent + 2),
-            p_symmetric=flags[i],
+            p_symmetric=raw[i][0] == flagged,
         )
         for pos, i in enumerate(order)
     )

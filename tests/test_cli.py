@@ -8,8 +8,9 @@ import mpmath as mp
 import pytest
 
 from conftest import cli_env
-from ptspec import series
+from ptspec import PrecisionContext, TruncationParams, health_check, pt_pairs, series
 from ptspec.cli import main
+from ptspec.precision import real_str
 
 
 def run(argv, capsys):
@@ -93,7 +94,23 @@ def test_spectrum_health_gate(capsys):
     doc = json.loads(out)
     assert "health check failed" in doc["error"]
     assert doc["health"]["passed"] is False
-    assert any(not e["passed"] for e in doc["health"]["entries"])
+    (entry,) = doc["health"]["entries"]
+    assert entry["pair"] == 1 and entry["passed"] is False
+
+
+@pytest.mark.parametrize("n_exponent, radius, pair_index", [(7, 3, 2), (4, 6, 0)])
+def test_spectrum_health_reports_the_requested_pair(capsys, n_exponent, radius, pair_index):
+    argv = ["spectrum", "--N", str(n_exponent), "--radius", str(radius),
+            "--pair", str(pair_index), "--levels", "1"]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0 and err == ""
+    (entry,) = json.loads(out)["health"]["entries"]
+    pair = pt_pairs(n_exponent)[pair_index]
+    assert entry["pair"] == pair_index
+    assert entry["theta_right_pi"] == str(pair.theta_right)
+    report = health_check(pair, TruncationParams(100, radius), 30, PrecisionContext(40))
+    assert entry["tail"] == real_str(report.tail, 3)
+    assert entry["c_discrepancy"] == real_str(report.c_discrepancy, 3)
 
 
 def test_spectrum_parity_forced(capsys):

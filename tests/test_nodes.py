@@ -10,7 +10,6 @@ import pytest
 import oracles
 from ptspec import (
     EnergyLevel,
-    LevelDiagnostics,
     ParameterError,
     PrecisionContext,
     RadiusError,
@@ -127,8 +126,8 @@ def test_turning_points_of_every_pair(ctx40):
         for pair in pt_pairs(n_exponent):
             e_val = Fraction(-7, 2) if pair.theta_right == Fraction(1, 2) else Fraction(7, 2)
             with ctx40.workdps():
-                diagnostics = LevelDiagnostics(100, Fraction(8), ctx40.digits, mp.mpf(0), True)
-                level = EnergyLevel(0, ctx40.mpf(e_val), None, pair, diagnostics)
+                level = EnergyLevel(0, ctx40.mpf(e_val), None, pair,
+                                    TruncationParams(100, Fraction(8)), ctx40, mp.mpf(0), True)
                 points = turning_points(level)
                 assert len(points) == 2, (n_exponent, pair.index)
                 for z in points:

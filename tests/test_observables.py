@@ -16,7 +16,6 @@ from ptspec import (
     ParameterError,
     RadiusError,
     build_contour,
-    default_contour,
     expectation,
     identity_checks,
     level_weights,
@@ -113,10 +112,9 @@ def test_est_error_is_quadrature_sized(moments3, ctx40):
 
 
 def test_identity_checks_pass(levels3, ctx40):
-    report = identity_checks(levels3[:4])
-    assert report.passed
-    with ctx40.workdps():
-        for n, row in enumerate(report.rows):
+    for n, level in enumerate(levels3[:4]):
+        row = identity_checks(level, build_contour(level.pair, 5, "real_line"))
+        with ctx40.workdps():
             assert row.n == n
             assert row.ehrenfest_ok and row.ehrenfest_abs < mp.mpf("1e-9")
             assert row.virial_ok and row.virial_abs < mp.mpf("1e-8")
@@ -124,11 +122,11 @@ def test_identity_checks_pass(levels3, ctx40):
 
 def test_identity_checks_other_power(trunc8, ctx40):
     # no virial column away from the cubic case
-    levels = spectrum(p_symmetric_pair(2), 1, trunc8, ctx40, parity="even")
-    report = identity_checks(levels)
-    assert report.passed
-    assert report.rows[0].virial_abs is None
-    assert report.rows[0].virial_ok is None
+    (level,) = spectrum(p_symmetric_pair(2), 1, trunc8, ctx40, parity="even")
+    row = identity_checks(level, build_contour(level.pair, 5, "real_line"))
+    assert row.ehrenfest_ok
+    assert row.virial_abs is None
+    assert row.virial_ok is None
 
 
 def test_degenerate_norm_detected(table3, levels3, contour3, trunc8, ctx40):
@@ -176,16 +174,6 @@ def test_real_line_needs_straddling_pair():
     # wedge boundaries exclude the axis directions
     with pytest.raises(GeometryError):
         build_contour(pt_pairs(4)[1], 5, "real_line")
-
-
-def test_default_contour_styles(levels3):
-    path = default_contour(levels3[0])
-    assert path.style == "real_line"
-    assert path.lam == 5
-    # only the pair and the radius of the level matter
-    fallback = default_contour(dataclasses.replace(levels3[0], pair=pt_pairs(4)[1]))
-    assert fallback.style == "wedge_rays"
-    assert fallback.lam == levels3[0].diagnostics.radius == 8
 
 
 def test_contour_geometry(pair3, contour3):

@@ -62,10 +62,10 @@ def test_spectrum_monotone_and_diagnosed(levels3, ctx40):
         for prev, cur in zip(levels3, levels3[1:]):
             assert cur.E > prev.E
         for lv in levels3:
-            assert lv.diagnostics.est_error < mp.mpf("1e-30")
-            assert lv.diagnostics.stable
-            assert lv.diagnostics.pmax == 100
-            assert lv.diagnostics.digits == 40
+            assert lv.est_error < mp.mpf("1e-30")
+            assert lv.stable
+            assert lv.trunc.pmax == 100
+            assert lv.ctx.digits == 40
 
 
 def test_c_approaches_minus_sqrt_e(levels3, ctx40):
@@ -205,7 +205,7 @@ def test_spectrum_finds_a_level_on_a_grid_point(pair3, trunc8, ctx40, monkeypatc
     monkeypatch.setattr(series, "energy_polynomials", lambda table, radius, theta, ctx: (p1, p2))
     (level,) = spectrum(pair3, 1, trunc8, ctx40)
     assert level.E == 1
-    assert level.diagnostics.est_error == 0
+    assert level.est_error == 0
 
 
 def test_scan_brackets_ground_root(pair3, trunc8, ctx40):
@@ -347,8 +347,8 @@ def test_the_probe_scale_moves_no_level(n_exponent, pair_index, radius, ctx40, r
             assert abs(other.E - level.E) <= mp.mpf("1e-43")
             if level.c is not None:
                 assert abs(other.c - level.c) <= mp.mpf("1e-40")
-            est = level.diagnostics.est_error
-            assert abs(other.diagnostics.est_error - est) <= mp.mpf("1e-3") * est
+            est = level.est_error
+            assert abs(other.est_error - est) <= mp.mpf("1e-3") * est
 
 
 @pytest.mark.parametrize("n_exponent, pair_index, radius, n_levels",
@@ -366,7 +366,7 @@ def test_est_error_is_the_root_shift_to_a_newton_step(n_exponent, pair_index, ra
             root = quantize._hybrid_root(lambda ev: quantize._reader(pair.parity_swapped(), inner, ev),
                                          (lo, lo + mp.mpf(1) / 20), ctx40.tolerance(5))
             shift = abs(level.E - root)
-            assert abs(level.diagnostics.est_error - shift) <= mp.mpf("1e-3") * shift, level.n
+            assert abs(level.est_error - shift) <= mp.mpf("1e-3") * shift, level.n
 
 
 def test_est_error_is_inf_when_the_newton_step_leaves_the_bracket(ctx40):
@@ -374,9 +374,9 @@ def test_est_error_is_inf_when_the_newton_step_leaves_the_bracket(ctx40):
     # 0.9r reader keeps its sign across the level's cell, and the Newton
     # step from the level moves by about 16
     levels = spectrum(pt_pairs(10)[5], 3, TruncationParams(100, Fraction(3)), ctx40, e_max=300)
-    assert levels[2].diagnostics.est_error == mp.inf
-    assert not levels[2].diagnostics.stable
-    assert all(mp.isfinite(lv.diagnostics.est_error) for lv in levels[:2])
+    assert levels[2].est_error == mp.inf
+    assert not levels[2].stable
+    assert all(mp.isfinite(lv.est_error) for lv in levels[:2])
 
 
 def test_hybrid_root_needs_a_sign_change(pair3, trunc8, ctx40):
@@ -407,8 +407,8 @@ def test_spectrum_on_the_parity_pair_is_the_lookup_by_n(n_exponent, radius, ctx4
         assert all(lv.c is None and lv.pair == pair for lv in levels)
         if parity != "both":
             assert {lv.parity for lv in levels} == {parity}
-    assert [(lv.E, lv.diagnostics.est_error, lv.parity) for lv in found["both"]] == [
-        (lv.E, lv.diagnostics.est_error, lv.parity) for lv in (found["even"][0], found["odd"][0])
+    assert [(lv.E, lv.est_error, lv.parity) for lv in found["both"]] == [
+        (lv.E, lv.est_error, lv.parity) for lv in (found["even"][0], found["odd"][0])
     ]
 
 
@@ -475,22 +475,24 @@ def test_level_weights(levels3, trunc8, ctx40):
 
 
 def test_health_pass_and_fail_cases(trunc8, ctx40):
-    assert health_check(3, trunc8, Fraction(30), ctx40).passed
-    assert not health_check(7, trunc8, Fraction(30), ctx40).passed
-    assert health_check(7, TruncationParams(100, Fraction(3)), Fraction(30), ctx40).passed
-    assert not health_check(3, TruncationParams(10), Fraction(30), ctx40).passed
+    def verdicts(n_exponent, trunc):
+        return [health_check(pair, trunc, Fraction(30), ctx40).passed for pair in pt_pairs(n_exponent)]
+
+    assert verdicts(3, trunc8) == [True]
+    assert verdicts(7, trunc8) == [False] * 3
+    assert verdicts(7, TruncationParams(100, Fraction(3))) == [True] * 3
+    assert verdicts(3, TruncationParams(10)) == [False]
 
 
 def test_health_report_structure(trunc8, ctx40):
-    report = health_check(3, trunc8, Fraction(30), ctx40)
+    (pair,) = pt_pairs(3)
+    report = health_check(pair, trunc8, Fraction(30), ctx40)
     assert report.e_max == Fraction(30)
-    assert len(report.entries) == len(pt_pairs(3))
-    entry = report.entries[0]
-    assert entry.pair_index == 0
-    assert entry.tail_ok and entry.c_ok and entry.passed
+    assert report.pair == pair and report.pair.index == 0
+    assert report.passed
     with PrecisionContext(40).workdps():
-        assert entry.tail < mp.mpf("1e-10")
-        assert entry.c_discrepancy < mp.mpf("1e-10")
+        assert report.tail < mp.mpf("1e-10")
+        assert report.c_discrepancy < mp.mpf("1e-10")
 
 
 # health_check(7, r = 3, e_max = 32) as the complex collapse at a general
@@ -516,12 +518,12 @@ def test_health_check_covers_its_second_probe(pole_at_32, ctx40, monkeypatch):
             return c_from_polys(poly_a, poly_b, E, ctx)
 
         monkeypatch.setattr(quantize, "_c_from_polys", planted)
-    report = health_check(7, TruncationParams(100, Fraction(3)), Fraction(32), ctx40)
-    assert report.passed and report.e_max == 32
-    with ctx40.workdps():
-        for entry, want in zip(report.entries, HEALTH_N7_R3_E32[pole_at_32], strict=True):
-            assert entry.tail_ok and entry.c_ok
-            for got, ref in zip((entry.tail, entry.c_discrepancy), want):
+    trunc = TruncationParams(100, Fraction(3))
+    for pair, want in zip(pt_pairs(7), HEALTH_N7_R3_E32[pole_at_32], strict=True):
+        report = health_check(pair, trunc, Fraction(32), ctx40)
+        assert report.passed and report.e_max == 32
+        with ctx40.workdps():
+            for got, ref in zip((report.tail, report.c_discrepancy), want):
                 assert abs(got - mp.mpf(ref)) <= mp.mpf("1e-9") * mp.mpf(ref)
 
 
@@ -551,8 +553,8 @@ def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypa
     with pytest.raises(RadiusError):
         spectrum(pair, 1, trunc, ctx40, e_max=Fraction(20))
     assert asked[-2:] == [1, Fraction(21, 20)]
-    report = health_check(3, trunc, Fraction(30), ctx40)
-    assert not report.passed and all(e.tail == mp.inf for e in report.entries)
+    report = health_check(pair, trunc, Fraction(30), ctx40)
+    assert not report.passed and report.tail == mp.inf
     at, _ = recording(quantize._probe_polys(pair, trunc, ctx40, series._scale(20)), 20)
     at(160)
     with pytest.raises(RadiusError):

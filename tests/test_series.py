@@ -466,10 +466,11 @@ def test_grid_evaluator_validation(table3, ctx40):
 
 
 def test_health_tails_grow_with_radius(ctx40):
-    near, far = (health_check(7, TruncationParams(100, Fraction(r)), 30, ctx40) for r in (3, 8))
+    near, far = ([health_check(pair, TruncationParams(100, Fraction(r)), 30, ctx40)
+                  for pair in pt_pairs(7)] for r in (3, 8))
     with ctx40.workdps():
-        assert all(e.tail < mp.mpf("1e-10") for e in near.entries)
-        assert any(e.tail > mp.mpf("1e-10") for e in far.entries)
+        assert all(report.tail < mp.mpf("1e-10") for report in near)
+        assert any(report.tail > mp.mpf("1e-10") for report in far)
 
 
 def test_health_tails_match_definition(table7, ctx40):
@@ -478,17 +479,19 @@ def test_health_tails_match_definition(table7, ctx40):
     pmax, step = table7.pmax, table7.n_exponent + 2
     a = oracles.fraction_tables(table7)[0]
     for radius in (3, 8):
-        report = health_check(7, TruncationParams(100, Fraction(radius)), 30, ctx40)
+        trunc = TruncationParams(100, Fraction(radius))
         with ctx40.workdps():
             e_val = mp.mpf(30)
             rim = [(a[(p, pmax - p)], pmax - p, step * p + 2 * (pmax - p))
                    for p in range(pmax + 1)]
             worst = max(mp.mpf(a.numerator) / a.denominator * e_val**q * mp.mpf(radius)**m
                         for a, q, m in rim)
-            for entry, pair in zip(report.entries, pt_pairs(7), strict=True):
+            for pair in pt_pairs(7):
+                report = health_check(pair, trunc, 30, ctx40)
+                assert report.pair == pair
                 z = polar_point(Fraction(radius), pair.theta_right, PrecisionContext(ctx40.digits + 20))
                 want = worst / abs(oracles.direct_psi(table7, z, e_val, ctx40.dps + 20)[0])
-                assert abs(entry.tail - want) <= mp.mpf("1e-30") * want, (radius, pair.index)
+                assert abs(report.tail - want) <= mp.mpf("1e-30") * want, (radius, pair.index)
 
 
 @pytest.mark.parametrize(
@@ -688,7 +691,7 @@ def test_the_suffix_bound_adds_no_measurable_memory(table3, levels3, ctx40):
     # four bytes per coefficient: under 5% of the coefficients of a level
     # polynomial of N=3 (502 of them at 226 fractional bits)
     level = levels3[1]
-    poly = space_polynomial(table3, level.E, *level_weights(level), ctx40, level.diagnostics.radius)
+    poly = space_polynomial(table3, level.E, *level_weights(level), ctx40, level.trunc.radius)
     assert len(poly.tail) == len(poly) and poly.tail.nbytes == 4 * len(poly)
     coefficient_bytes = sum(map(sys.getsizeof, (poly.re, poly.im, *poly.re, *poly.im)))
     assert sys.getsizeof(poly.tail) + sys.getsizeof(poly.tail.obj) < coefficient_bytes / 20
@@ -758,6 +761,6 @@ def test_poly_square_of_empty_and_level_polynomials(table3, table7, ctx40):
     for table, pair, radius in ((table3, 0, 8), (table7, 1, 3)):
         trunc = TruncationParams(100, Fraction(radius))
         level = spectrum(pt_pairs(table.n_exponent)[pair], 2, trunc, ctx40)[1]
-        poly = space_polynomial(table, level.E, *level_weights(level), ctx40, level.diagnostics.radius)
+        poly = space_polynomial(table, level.E, *level_weights(level), ctx40, level.trunc.radius)
         square = poly_square(poly)
         assert (square.re, square.im) == oracles.schoolbook_square(poly.re, poly.im)

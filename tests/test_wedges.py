@@ -132,13 +132,19 @@ def test_pt_closure_of_ordinary_pairs():
 
 
 def test_p_symmetric_flag_unique_for_even():
-    for n_exponent in range(2, 13):
-        flagged = [p for p in pt_pairs(n_exponent) if p.p_symmetric]
+    # from the definition: the pair whose members are parity images, and of
+    # two such pairs the one that PT also swaps
+    for n_exponent in range(2, 41):
+        pairs = pt_pairs(n_exponent)
+        flagged = [p for p in pairs if p.p_symmetric]
         if n_exponent % 2:
             assert flagged == []
-        else:
-            assert len(flagged) == 1
-            assert flagged[0].parity_swapped()
+            continue
+        candidates = [p for p in pairs if reduce_angle(p.theta_right + 1) == p.theta_left]
+        if len(candidates) > 1:
+            candidates = [p for p in candidates if pt_reflect(p.theta_right) == p.theta_left]
+        assert flagged == candidates, n_exponent
+        assert flagged[0].parity_swapped()
 
 
 def test_parity_swapped():

@@ -11,7 +11,9 @@ tree against the last commit.  Every command of COMMANDS runs as
 PYTHONPATH=TREE/src, and the two runs are compared on stdout, stderr and
 exit code.  One line per command says `identical` or `differs`; for a
 difference it adds the stream and the first differing line of each side.
-The exit code is the number of commands that differ.
+After the summary line it prints the line count of src/ptspec/*.py in
+each tree, as `wc -l` counts it.  The exit code is the number of
+commands that differ.
 """
 
 from __future__ import annotations
@@ -164,6 +166,11 @@ def compare(old_tree: Path, new_tree: Path, command: str) -> str:
     return "\n".join(lines)
 
 
+def line_count(tree: Path) -> int:
+    """Newlines in the tree's src/ptspec/*.py, the total of `wc -l`."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "ptspec").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", help="checkout directory or git revision")
@@ -179,7 +186,8 @@ def main(argv=None) -> int:
             report = compare(old, new, command)
             print(report, flush=True)
             differs += report.startswith("differs")
-    print(f"{len(COMMANDS) - differs} identical, {differs} differ")
+        print(f"{len(COMMANDS) - differs} identical, {differs} differ")
+        print(f"lines in src/ptspec: {line_count(old)} -> {line_count(new)}")
     return differs
 
 
