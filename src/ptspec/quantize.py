@@ -290,10 +290,12 @@ def _probes(pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, sca
     return _probe_polys(pair, trunc, ctx, scale), _probe_polys(pair, inner, ctx, scale)
 
 
-def _reader(parity: bool, polys, ev):
+def _reader(parity: bool, polys, ev, order: int = 0):
     """A real multiple f of the truncated spectral determinant D(E) =
     psi1(zR) psi2(zL) - psi1(zL) psi2(zR) at E = ev, from the energy
-    polynomials polys = (psi1, psi2) of the right probe.
+    polynomials polys = (psi1, psi2) of the right probe; (f, f') at order
+    1, with P and P' of both polynomials from the kernel, as D is
+    bilinear in psi1 and psi2.
 
     On a PT pair zL = -conj zR, so (psi1, psi2)(zL) = conj (psi1,
     psi2)(zR) at real E and f = D/(2i) = Im(psi1 conj psi2), of the
@@ -303,8 +305,13 @@ def _reader(parity: bool, polys, ev):
     axis) or imaginary (real axis), its other part an exact zero of the
     integer kernel.  Two Horners.
     """
-    p1, p2 = (series.eval_energy_poly(poly, ev) for poly in polys)
-    return _determinant(parity, p1.real, p1.imag, p2.real, p2.imag)
+    def det(a, b):
+        return _determinant(parity, a.real, a.imag, b.real, b.imag)
+
+    if not order:
+        return det(*(series.eval_energy_poly(poly, ev) for poly in polys))
+    (p1, d1), (p2, d2) = (series._horner(poly, ev, 1) for poly in polys)
+    return det(p1, p2), det(d1, p2) + det(p1, d2)
 
 
 def _determinant(parity: bool, p1r, p1i, p2r, p2i):
@@ -322,23 +329,17 @@ def _level(
     its values at the bracket ends when the scan passes them as ends.
 
     est_error is the shift of the root under the reader f at 0.9r, from
-    one Newton step at E_r: |f(E_r)/f'(E_r)|, with f and f' from P and P'
-    of the two inner polynomials (D is bilinear in psi1 and psi2).  It is
-    inf when f' = 0 or when the step leaves the bracket.  The level is
-    stable when est_error <= 10**(-digits/2).  It carries the scan's
-    parity tag when given, and c at the root otherwise.
+    one Newton step at E_r: |f(E_r)/f'(E_r)|, with (f, f') from the
+    reader at order 1.  It is inf when f' = 0 or when the step leaves the
+    bracket.  The level is stable when est_error <= 10**(-digits/2).  It
+    carries the scan's parity tag when given, and c at the root otherwise.
     """
     swapped = pair.parity_swapped()
     outer, inner = probes
     lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
     e_root = _hybrid_root(lambda ev: _reader(swapped, outer, ev), (lo, hi), tol, ends)
-
-    def det(a, b):
-        return _determinant(swapped, a.real, a.imag, b.real, b.imag)
-
-    (p1, d1), (p2, d2) = (series._horner(poly, e_root, 1) for poly in inner)
-    slope = det(d1, p2) + det(p1, d2)
-    shift = det(p1, p2) / slope if slope else mp.inf
+    value, slope = _reader(swapped, inner, e_root, 1)
+    shift = value / slope if slope else mp.inf
     est = abs(shift) if lo <= e_root - shift <= hi else mp.inf
     stable = bool(est <= mp.mpf(10) ** (-(ctx.digits // 2)))
     c = None if tag else _c_from_polys(*outer, e_root, ctx).real

@@ -33,8 +33,9 @@ The module is built in layers:
   energy_polynomials turns the radial sums into polynomials in E (degree
   pmax, for eigenvalue scans); at fixed E, space_polynomial combines the
   space sums into alpha*psi1 + beta*psi2 as a polynomial in w = iz (for
-  nodes, wavefunctions and exact moments; eval_psi collapses afresh).
-  Both return ScaledPoly: integer coefficients of the scaled variable.
+  nodes, wavefunctions, exact moments and eval_psi).  Both return
+  ScaledPoly: integer coefficients of the scaled variable u = x/2**rho,
+  read only in the disk |u| <= 1 it is scaled for.
   At a wedge centre arg w = 2*pi*(k+1)/(N+2), so w**(N+2) = r**(N+2) and
 
     psi1 = sum_q alpha_q(r) (w**2 E)**q,   psi2 = w sum_q beta_q(r) (w**2 E)**q
@@ -42,20 +43,22 @@ The module is built in layers:
   with alpha_q(r) = sum_p a[p,q] r**((N+2)*p) and beta_q(r) real; each
   probe multiplies them by the powers of w, placed from cospi and sinpi
   of its exact phase theta + 1/2 like every point at a rational angle
-  (wedges.polar_point).  A request whose energies stay below a power of
-  two 2**sigma < R**N rescales its probe's energy polynomials once, down
-  to it, and reads every value from that copy: ScaledPoly.rescaled shifts
-  coefficient q right by (N*rho - sigma)*q bits, dropping bits that only
-  larger energies would use;
+  (wedges.polar_point).  They are read only at |E| <= R**N, the energy
+  scale.  A request whose energies stay below a power of two 2**sigma <
+  R**N rescales them once, down to it, and reads every value from that
+  copy: ScaledPoly.rescaled shifts coefficient q right by (N*rho -
+  sigma)*q bits, dropping bits that only larger energies would use;
 * integer kernel: _horner evaluates a polynomial P and, when asked, its
   slope P' on (re, im) integer pairs at |u| <= 1, with its bits set by
   the cancellation measured at the call point, and drops the tail that a
   suffix bound (ScaledPoly.kept) certifies below half a unit of them;
-  eval_energy_poly, poly_psi, poly_psi_d, eval_psi and the moment
-  integrals all run through it;
+  eval_energy_poly, poly_psi, poly_psi_d and the moment integrals all
+  run through it.  A point past |u| <= 1 (and _point's slack of 2**-60)
+  raises RadiusError: no polynomial is read outside its scale disk;
 * exact grid: grid_evaluator gives energy polynomials on a grid of
   rationals t/den exactly, as Horner's rule in the short integer t on
   integer coefficients, for the scans that need only signs and ratios;
+  it refuses the points the kernel refuses;
 * exact moments in integers: poly_square squares a space polynomial as
   one packed integer product, and moment_integral evaluates the
   integer antiderivative of S(w) w**m at the two contour ends, so no
@@ -254,16 +257,6 @@ def _scale(*values) -> int | None:
     return sigma if top <= Fraction(2) ** sigma else sigma + 1
 
 
-def _scale_exponent(n_exponent: int, z=None, E=None, radius=None) -> int:
-    """Smallest rho with 2**rho >= |z| (up to the slack of _point) and
-    radius, and 2**(N*rho) >= |E|; 0 when all are absent or zero."""
-    rhos = [None if z is None else _point(z)[3], None if radius is None else _scale(radius)]
-    sigma = None if E is None else _scale(E)
-    if sigma is not None:
-        rhos.append(-(-sigma // n_exponent))
-    return max((rho for rho in rhos if rho is not None), default=0)
-
-
 @dataclass(frozen=True)
 class ScaledPoly:
     """The polynomial sum_k c_k x**k in fixed point at scale 2**rho:
@@ -306,15 +299,15 @@ class ScaledPoly:
         return 1 + bisect_left(range(d), True, key=lambda k: tail[k + 1] <= max(limit - k * lu, 0))
 
     def rescaled(self, rho: int) -> "ScaledPoly":
-        """The same coefficients at the scale 2**rho: coefficient k shifts by
-        (rho - self.rho)*k bits, exactly to a larger scale and rounded once
-        to nearest to a smaller one, which drops the bits that only points
-        beyond 2**rho would use."""
-        d = rho - self.rho
+        """The same coefficients at a scale 2**rho at most its own (nothing
+        moves up): coefficient k shifts right by (self.rho - rho)*k bits,
+        rounded once to nearest, dropping the bits that only points beyond
+        2**rho would use."""
+        d = self.rho - rho
 
         def moved(c: int, k: int) -> int:
             s = d * k
-            return c << s if s >= 0 else (c + (1 << (-s - 1))) >> -s
+            return (c + (1 << s >> 1)) >> s
 
         return ScaledPoly(
             tuple(moved(r, k) for k, r in enumerate(self.re)),
@@ -431,19 +424,16 @@ def eval_psi(
     """Evaluate the truncated fundamental pair at one point.
 
     Returns (psi1, psi1', psi2, psi2') as mpc values, derivatives taken
-    with respect to z: the space collapses of psi1 and psi2 at E, each
-    evaluated with its slope by _horner.  Integer arithmetic in a fixed
-    order, so results are reproducible bit for bit.
+    with respect to z: psi1 and psi2 as space polynomials at E, scaled
+    for the least disk |z| <= 2**rho that holds z (up to _point's slack),
+    each read with its slope by poly_psi_d.  Integer arithmetic in a
+    fixed order, so results are reproducible bit for bit.
     """
     with ctx.workdps():
-        w = mp.mpc(0, 1) * mp.mpc(z)
-        ev = mp.mpf(E)
-        rho = _scale_exponent(table.n_exponent, z=z, E=ev)
-        i_unit = mp.mpc(0, 1)
+        radius = Fraction(2) ** (_point(z)[3] or 0)  # z = 0 is read at any scale
         out = []
         for weights in ((1, 0), (0, 1)):
-            psi, dpsi = _horner(_collapse_space(table, ev, *weights, rho, ctx.dps), w, 1)
-            out += [psi, i_unit * dpsi]
+            out += poly_psi_d(space_polynomial(table, E, *weights, ctx, radius), z)
         return tuple(out)
 
 
@@ -563,11 +553,12 @@ def energy_polynomials(table: CoefficientTable, radius, theta, ctx: PrecisionCon
     probe of the radius shares.  Any other theta raises ParameterError.
 
     The energy scale is S = R**N for the smallest power of two R >=
-    radius; a request whose |E| stays below a smaller power of two
-    rescales them once down to it (ScaledPoly.rescaled) and evaluates
-    that copy only.  Memoized per (table, radius, theta, ctx); eigenvalue
-    scans collapse once per probe and then evaluate thousands of energies
-    at polynomial cost.
+    radius, and every |E| > S raises RadiusError, in the kernel and on
+    the exact grid alike; a request whose |E| stays below a smaller power
+    of two rescales them once down to it (ScaledPoly.rescaled) and
+    evaluates that copy only.  Memoized per (table, radius, theta, ctx);
+    eigenvalue scans collapse once per probe and then evaluate thousands
+    of energies at polynomial cost.
     """
     radius, theta = as_fraction(radius), as_fraction(theta)
     step = table.n_exponent + 2
@@ -614,17 +605,28 @@ def space_polynomial(
 ):
     """Collapse at fixed E: alpha*psi1 + beta*psi2 as a polynomial in w = iz.
 
-    Returns a ScaledPoly of the C_k with psi(z) = sum_k C_k w**k,
-    scaled for |z| <= radius, the disk the caller evaluates in; well
-    outside it the evaluators raise RadiusError.  Memoized per (table, E,
-    alpha, beta, ctx, radius); node searches, wavefunction sampling and
-    the moments of one level reuse one collapse for thousands of point
-    evaluations.
+    Returns a ScaledPoly of the C_k with psi(z) = sum_k C_k w**k at the
+    scale 2**rho, the least power of two with 2**rho >= radius and
+    2**(N*rho) >= |E|, each rounded once from the space sums: it is read
+    at |z| <= 2**rho, and RadiusError is raised past that disk.  Memoized
+    per (table, E, alpha, beta, ctx, radius); node searches, wavefunction
+    sampling and the moments of one level reuse one collapse for
+    thousands of point evaluations.
     """
     with ctx.workdps():
-        ev = mp.mpf(E)
-        rho = _scale_exponent(table.n_exponent, E=ev, radius=radius)
-        return _collapse_space(table, ev, mp.mpc(alpha), mp.mpc(beta), rho, ctx.dps)
+        ev, rho = mp.mpf(E), _scale(radius)
+        if ev:
+            rho = max(rho, -(-_scale(ev) // table.n_exponent))
+        bits = _bits(table, ctx.dps)
+        sum_a, sum_b, frac = _space_sums(table, ev, bits, rho)
+        ar, ai, ea = _split(alpha)
+        br, bi, eb = _split(beta)
+    e0 = min(ea, eb, frac - bits)  # weights as integers over 2**-e0, then one shift
+    ar, ai, br, bi = ar << (ea - e0), ai << (ea - e0), br << (eb - e0), bi << (eb - e0)
+    shift = frac - bits - e0
+    re = tuple((ar * x + br * y) >> shift for x, y in zip(sum_a, sum_b))
+    im = tuple((ai * x + bi * y) >> shift for x, y in zip(sum_a, sum_b))
+    return ScaledPoly(re, im, bits, rho)
 
 
 @memo
@@ -652,21 +654,6 @@ def _space_sums(table: CoefficientTable, ev, bits: int, rho: int):
             psi1[m] += sign * a[p]
             psi2[m + 1] += sign * b[p]
     return tuple(psi1), tuple(psi2), frac
-
-
-def _collapse_space(table: CoefficientTable, ev, al, be, rho: int, dps: int) -> ScaledPoly:
-    """alpha*psi1 + beta*psi2 at real E = ev as a ScaledPoly in w at scale
-    2**rho, from _space_sums at the bits of working precision dps."""
-    bits = _bits(table, dps)
-    sum_a, sum_b, frac = _space_sums(table, ev, bits, rho)
-    ar, ai, ea = _split(al)
-    br, bi, eb = _split(be)
-    e0 = min(ea, eb, frac - bits)  # weights as integers over 2**-e0, then one shift
-    ar, ai, br, bi = ar << (ea - e0), ai << (ea - e0), br << (eb - e0), bi << (eb - e0)
-    shift = frac - bits - e0
-    re = tuple((ar * x + br * y) >> shift for x, y in zip(sum_a, sum_b))
-    im = tuple((ai * x + bi * y) >> shift for x, y in zip(sum_a, sum_b))
-    return ScaledPoly(re, im, bits, rho)
 
 
 def poly_psi(coeffs: ScaledPoly, z) -> ComplexHP:
@@ -744,40 +731,6 @@ def moment_integral(square: ScaledPoly, m: int, z0, z1):
 # the evaluation kernel
 
 
-def _fit_scale(coeffs: ScaledPoly, rho_x, lx, prec: int):
-    """(coeffs at the scale of a point x, the fractional bits _resolution
-    asks at x), for rho_x and lx of x as _point gives them.  A point
-    beyond the scale 2**rho is met by rescaling with exact shifts, which
-    multiply the stored rounding by up to |u|**deg in the old scale;
-    RadiusError when that leaves fewer bits than the point needs (a space
-    polynomial far outside the disk it was built for)."""
-    lost, scale = 0, coeffs.rho  # bits by which rescaling amplifies the stored rounding
-    if rho_x is not None and rho_x > scale:
-        lost = (rho_x - scale) * (len(coeffs) - 1)
-        coeffs = coeffs.rescaled(rho_x)
-    need = _resolution(coeffs.bounds, len(coeffs) - 1, None if lx is None else lx - coeffs.rho, prec)
-    if lost and need is not None and coeffs.frac - lost < need:
-        raise RadiusError(
-            f"point at 2**{rho_x} beyond the scale radius 2**{scale} of a polynomial"
-            " whose coefficients carry too few bits there"
-        )
-    return coeffs, need
-
-
-def _ratio_point(t: int, den: int):
-    """(rho, lx) of _point for the rational point t/den, t != 0: the
-    smallest rho with |t| <= den * 2**rho and lx = floor(log2 |t/den|).
-    They are _point's at t/den rounded to the working precision (at least
-    53 bits) as long as |t| and den are below 2**50: t/den then lies
-    2**-51 or more (relative) from any power of two it is not, too far
-    for the rounding or _point's slack of 2**-60 to carry it across."""
-    a = abs(t)
-    lx = a.bit_length() - den.bit_length()  # floor(log2 |t/den|) is lx or lx - 1
-    if a << max(-lx, 0) < den << max(lx, 0):
-        lx -= 1
-    return (lx if a << max(-lx, 0) == den << max(lx, 0) else lx + 1), lx
-
-
 def grid_evaluator(polys: Sequence[ScaledPoly], den: int):
     """(at, unit): the exact values of ScaledPolys of one length, frac and
     scale 2**rho on the grid of points t/den, t an integer.
@@ -788,8 +741,10 @@ def grid_evaluator(polys: Sequence[ScaledPoly], den: int):
     Horner's rule in an integer u on G_j = D_j * M**(d-j): u = t, or t *
     2**-rho when rho < 0 (then M = den).  Each step is one multiply by a
     short integer plus an add, with no rounding, so the sign of any
-    integer combination of the values is exact.  at refuses the points
-    _horner refuses (RadiusError from _fit_scale).
+    integer combination of the values is exact.  at raises RadiusError
+    for |t/den| > 2**rho, exactly: for |t|, den < 2**50, t/den lies
+    2**-51 or more (relative) from any power of two it is not, beyond
+    _horner's slack of 2**-60, so both refuse the same points.
     """
     first = polys[0]
     if any((len(p), p.frac, p.rho) != (len(first), first.frac, first.rho) for p in polys):
@@ -801,16 +756,12 @@ def grid_evaluator(polys: Sequence[ScaledPoly], den: int):
     weights = [m ** k for k in range(d + 1)]  # M**(d-j) for j = d, ..., 0
     lanes = [tuple(map(mul, part[::-1], weights)) if any(part) else ()
              for p in polys for part in (p.re, p.im)]
-    checked = set()
 
     def at(t: int) -> list:
         u = t << lift
         if abs(u) > m:  # |t/den| > 2**rho
-            key = (*_ratio_point(t, den), mp.mp.prec)
-            if key not in checked:
-                for p in polys:
-                    _fit_scale(p, *key)
-                checked.add(key)
+            raise RadiusError(f"point at 2**{_scale(Fraction(t, den))} beyond the scale"
+                              f" radius 2**{rho} of a polynomial")
         out = []
         for lane in lanes:
             v = 0
@@ -840,15 +791,17 @@ def _horner(coeffs: ScaledPoly, x, order: int = 0) -> list:
     polynomial evaluation in ptspec runs through this loop except the grid
     scans of grid_evaluator; at order 0 it is one complex multiply-add per
     kept coefficient, the cost of the node winding count.  Results are mpc
-    at the working precision.  A point outside the scale goes through
-    _fit_scale, which may raise RadiusError.
+    at the working precision.  A point past |u| <= 1, beyond _point's
+    slack of 2**-60, raises RadiusError.
     """
     if order not in (0, 1):
         raise ParameterError(f"_horner covers Taylor orders 0 and 1, got {order}")
     prec = mp.mp.prec
     xr, xi, e, rho_x, lx = _point(x)
-    coeffs, need = _fit_scale(coeffs, rho_x, lx, prec)
     rho = coeffs.rho
+    if rho_x is not None and rho_x > rho:
+        raise RadiusError(f"point at 2**{rho_x} beyond the scale radius 2**{rho} of a polynomial")
+    need = _resolution(coeffs.bounds, len(coeffs) - 1, None if lx is None else lx - rho, prec)
     s = 0 if rho_x is None else rho - e  # u = (xr + i*xi) / 2**s
     frac = coeffs.frac if need is None else max(coeffs.frac, need)
     cut = len(coeffs) - coeffs.kept(xr * xr + xi * xi, s, frac)

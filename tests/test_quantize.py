@@ -529,13 +529,12 @@ def test_health_check_covers_its_second_probe(pole_at_32, ctx40, monkeypatch):
 
 def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypatch):
     # r = 3/4 and pmax 40 keep the energy polynomials at scale 1, below any
-    # e_max asked here, so they are never rescaled, and points beyond E = 1
-    # are refused where the complex collapse at a general point refused
-    # them: the scan of spectrum (e_max = 20) reads the grid up to E = 1
-    # and refuses 21/20 at the working precision, the health check of
-    # `spectrum --N 3 --radius 3/4 --pmax 40 --force --levels 1 --emax 20`
-    # cannot evaluate its psi1 at E = 30 and fails the pair instead of
-    # raising, and at 53 bits the grid reaches E = 8 and refuses 161/20
+    # e_max asked here, so they are never rescaled, and every point beyond
+    # E = 1 is refused: the scan of spectrum (e_max = 20) reads the grid up
+    # to E = 1 and refuses 21/20 at the working precision, the health check
+    # of `spectrum --N 3 --radius 3/4 --pmax 40 --force --levels 1 --emax
+    # 20` cannot evaluate its psi1 at E = 30 and fails the pair instead of
+    # raising, and at 53 bits the grid refuses 21/20 as well
     asked = []
     grid_evaluator = series.grid_evaluator
 
@@ -556,9 +555,9 @@ def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypa
     report = health_check(pair, trunc, Fraction(30), ctx40)
     assert not report.passed and report.tail == mp.inf
     at, _ = recording(quantize._probe_polys(pair, trunc, ctx40, series._scale(20)), 20)
-    at(160)
+    at(20)
     with pytest.raises(RadiusError):
-        at(161)
+        at(21)
 
 
 def test_parity_image_pairs_isospectral(ctx40):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_rational, mpf_cos_sin_pi, mpf_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +80,13 @@ _RADII = (Fraction(8), Fraction(3), Fraction(27, 10), Fraction(2), Fraction(1, 2
 _ENERGIES = (Fraction(0), Fraction(11, 2), Fraction(-7, 2), Fraction(30))
 
 
+def _space_scale(n_exponent, e_val, radius):
+    """The scale rho of space_polynomial: the least with 2**rho >= radius
+    and 2**(N*rho) >= |E|."""
+    rho = series._scale(radius)
+    return max(rho, -(-series._scale(e_val) // n_exponent)) if e_val else rho
+
+
 @pytest.mark.parametrize(
     "n_exponent, pmax, digits",
     [(n, 60 if n <= 4 else 50 if n <= 8 else 40, 40) for n in range(2, 17)] + [(3, 150, 80)],
@@ -109,7 +116,9 @@ def test_recursion_matches_the_exact_coefficients(n_exponent, pmax, digits):
         x, y = radius**step, Fraction(2) ** (rho * step)
         assert_within_a_unit(sums, frac, x, y, Fraction(2) ** rho, lambda p, q: q, lambda p, q: q)
     for e_val in energies:
-        for rho in {series._scale_exponent(n_exponent, E=ctx.mpf(e_val), radius=r) for r in radii}:
+        rhos = {space_polynomial(table, ctx.mpf(e_val), 1, 0, ctx, r).rho for r in radii}
+        assert rhos == {_space_scale(n_exponent, e_val, r) for r in radii}
+        for rho in rhos:
             *sums, frac = series._space_sums(table, ctx.mpf(e_val), bits, rho)
             x, y = Fraction(2) ** (rho * step), Fraction(2) ** (2 * rho) * e_val
             assert_within_a_unit(sums, frac, x, y, Fraction(2) ** rho,
@@ -142,7 +151,7 @@ def test_peak_bound_covers_the_exact_peak(n_exponent, ctx40):
     space, rim = [], []
     for r in _RADII:
         for e_val in _ENERGIES:
-            rho = series._scale_exponent(n_exponent, E=ctx40.mpf(e_val), radius=r)
+            rho = _space_scale(n_exponent, e_val, r)
             space.append((Fraction(2) ** (rho * step), Fraction(2) ** (2 * rho) * abs(e_val)))
             rim.append((r**step, r**2 * abs(e_val)))
     for x, y in energy + space + rim:
@@ -344,26 +353,65 @@ def test_space_polynomial_matches(table3, ctx40):
 
 
 def test_polys_beyond_their_scale(table3, ctx40):
-    # the energy polynomials at r = 79/10 are scaled for |E| <= 8**3; far
-    # beyond, their majorant outgrows the stored rounding and the digits
-    # stay.  A space polynomial scaled for |z| <= 2 has lost the bits of
-    # its tail at |z| = 7.9 and refuses the point
-    hi = PrecisionContext(70)
+    # the energy polynomials at r = 79/10 are scaled for |E| <= 8**3 and
+    # read only there: the kernel and the exact grid both read E = 512
+    # and both refuse E = 3000 and -2000.  A space polynomial scaled for
+    # |z| <= 2 refuses the point at |z| = 7.9
     radius, theta = Fraction(79, 10), pt_pairs(3)[0].theta_left
-    a40, _ = energy_polynomials(table3, radius, theta, ctx40)
-    a70, _ = energy_polynomials(table3, radius, theta, hi)
-    for e_str in ("3000", "-2000"):
+    polys = energy_polynomials(table3, radius, theta, ctx40)
+    at, _ = grid_evaluator(polys, 1)
+    at(512)
+    with ctx40.workdps():
+        eval_energy_poly(polys[0], 512)
+    for e_val, rho in ((3000, 12), (-2000, 11)):
+        refusal = rf"^point at 2\*\*{rho} beyond the scale radius 2\*\*9 "
+        with pytest.raises(RadiusError, match=refusal):
+            at(e_val)
         with ctx40.workdps():
-            got = eval_energy_poly(a40, mp.mpf(e_str))
-        with hi.workdps():
-            want = eval_energy_poly(a70, mp.mpf(e_str))
-            assert abs(got - want) < ctx40.tolerance(5) * abs(want)
+            for poly in polys:
+                with pytest.raises(RadiusError, match=refusal):
+                    eval_energy_poly(poly, e_val)
     with ctx40.workdps():
         near = space_polynomial(table3, mp.mpf("4.1"), 1, mp.mpf("-0.5"), ctx40, radius=2)
         p1, _, p2, _ = eval_psi(table3, mp.mpc("1.9", "0.3"), mp.mpf("4.1"), ctx40)
         assert abs(poly_psi(near, mp.mpc("1.9", "0.3")) - (p1 - p2 / 2)) < ctx40.tolerance(-10)
         with pytest.raises(RadiusError):
             poly_psi(near, mp.mpc("7.9", "0.3"))
+
+
+def test_space_polynomial_reads_its_disk_and_no_further(table3, ctx40):
+    # radius 2 and E = 4.1 scale a space polynomial for |z| <= 2: the
+    # kernel reads it on that circle and within _point's slack of 2**-60
+    # past it, and refuses 2**-50 past it.  At radius 8, a power of two,
+    # the points polar_point puts on the circle |z| = 8 are rounded at the
+    # working precision and the slack keeps them inside the disk
+    e_val = mp.mpf("4.1")
+    near = space_polynomial(table3, e_val, 1, 0, ctx40, radius=2)
+    rim = space_polynomial(table3, e_val, 1, 0, ctx40, radius=8)
+    assert (near.rho, rim.rho) == (1, 3)
+    on_rim = [polar_point(Fraction(8), theta, ctx40) for theta in (Fraction(1, 7), Fraction(-1, 10))]
+    with ctx40.workdps():
+        inside = [mp.mpf(2), mp.mpc(0, -2), mp.mpf(2) + mp.ldexp(1, -62)]
+        for poly, z in [(near, z) for z in inside] + [(rim, z) for z in on_rim]:
+            want = oracles.direct_psi(table3, z, e_val, ctx40.dps + 20)[0]
+            assert abs(poly_psi(poly, z) - want) <= ctx40.tolerance(5) * abs(want), z
+        for z in (mp.mpf(2) + mp.ldexp(1, -50), mp.mpc(0, -2) * (1 + mp.ldexp(1, -50))):
+            with pytest.raises(RadiusError, match=r"^point at 2\*\*2 beyond the scale radius 2\*\*1 "):
+                poly_psi(near, z)
+
+
+@pytest.mark.parametrize("n_exponent", [3, 7])
+def test_eval_psi_reads_python_numbers_as_mpmath_ones(n_exponent):
+    # the benchmark's set-up probe calls eval_psi(build_tables(N, pmax),
+    # complex, int, PrecisionContext(d)) outside any workdps block: the
+    # result is bit for bit that of the same call on mpc and mpf inputs
+    # inside one, at |z| < 1 and beyond
+    table, ctx = build_tables(n_exponent, 100), PrecisionContext(40)
+    for z in (complex("0.7+0.3j"), complex("-1.5+0.25j")):
+        got = eval_psi(table, z, 5, ctx)
+        with ctx.workdps():
+            want = eval_psi(table, mp.mpc(z), mp.mpf(5), ctx)
+        assert [v._mpc_ for v in got] == [v._mpc_ for v in want]
 
 
 def _probe_polys(table, pair_index, radius, ctx):
@@ -410,29 +458,31 @@ def test_grid_evaluator_matches_horner(n_exponent, pair_index, radius, den, ts, 
     assert_grid_matches_horner(polys, den, ts, ctx40)
 
 
+def _refusal(read):
+    """The message of the RadiusError read() raises, or None."""
+    try:
+        read()
+    except RadiusError as error:
+        return str(error)
+    return None
+
+
 def test_grid_evaluator_refuses_what_horner_refuses(ctx40):
-    # radius 3/4 and pmax 40 scale the energy polynomials for |E| <= 1;
-    # beyond, the grid refuses exactly the points _horner refuses
+    # radius 3/4 and pmax 40 scale the energy polynomials for |E| <= 1:
+    # the grid and _horner read every point of that disk and refuse every
+    # point past it with the same message, on both sides of E = 0 (the
+    # parity pair scans toward negative E) and at 53 bits as at the
+    # working precision
     table = build_tables(3, 40)
     polys = _probe_polys(table, 0, Fraction(3, 4), ctx40)
     at, _ = grid_evaluator(polys, 20)
-    refused = []
-    with ctx40.workdps():
-        for t in range(420):
-            try:
-                at(t)
-                grid = False
-            except RadiusError:
-                grid = True
-            try:
-                for poly in polys:
-                    eval_energy_poly(poly, ctx40.mpf(Fraction(t, 20)))
-                kernel = False
-            except RadiusError:
-                kernel = True
-            assert grid == kernel, t
-            refused.append(grid)
-    assert not refused[0] and refused[-1]
+    for precision in (ctx40.workdps(), mp.workprec(53)):
+        with precision:
+            for t in range(-420, 421):
+                grid = _refusal(lambda: at(t))
+                kernel = _refusal(lambda: [eval_energy_poly(poly, mp.mpf(t) / 20) for poly in polys])
+                assert grid == kernel, t
+                assert (grid is None) == (abs(t) <= 20), t
 
 
 def test_scale_is_the_least_power_of_two_above():
@@ -452,9 +502,6 @@ def test_scale_is_the_least_power_of_two_above():
         series._scale(1, mp.inf)
     with pytest.raises(ParameterError):
         eval_psi(build_tables(3, 20), 1, mp.inf, PrecisionContext(20))
-    # the grid's rule for a rational t/den agrees
-    for t, den in ((1, 1), (3, 4), (9, 8), (-8, 1), (7, 20), (1, 2**40)):
-        assert series._scale(Fraction(t, den)) == series._ratio_point(t, den)[0]
 
 
 def test_grid_evaluator_validation(table3, ctx40):
@@ -542,6 +589,15 @@ def _majorant_taylor(coeffs, t, order):
 _unit = st.floats(-1, 1, allow_nan=False)
 
 
+def _polar(size, turn):
+    """size * exp(i*pi*turn) at the working precision, each part rounded
+    toward zero: a point on the scale circle |x| = size stays in the disk
+    _horner reads, where rounding to nearest may put it outside."""
+    prec = mp.mp.prec
+    parts = mpf_cos_sin_pi(mp.mpf(turn)._mpf_, prec, "d")
+    return mp.mpc(*(mp.make_mpf(mpf_mul(size._mpf_, part, prec, "d")) for part in parts))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     coeffs=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=41),
@@ -554,7 +610,7 @@ def test_horner_matches_polyval(coeffs, dps, x, real_x):
     # error bound 10^-dps * deg * (Taylor coefficient of sum |c_k| x^k)
     with mp.workdps(dps):
         poly = [mp.mpc(*c) for c in coeffs]
-        point = mp.mpf(x[0]) if real_x else mp.mpf(x[0]) * mp.expjpi(x[1])
+        point = mp.mpf(x[0]) if real_x else _polar(mp.mpf(x[0]), x[1])
         stored = oracles.fixed_point(poly, 1, mp.mp.prec)  # scale 2 covers |x| <= 2
         got = _horner(stored, point, 1)
         assert _horner(stored, point)[0] == got[0]
@@ -589,7 +645,7 @@ def test_integer_kernel_wide_exponents(coeffs, tiny_c0, dps, rho, depth, x, real
         if tiny_c0:
             poly[0] *= mp.ldexp(1, -300)
         size = mp.ldexp(mp.mpf(x[0]), rho - depth)
-        point = size if real_x else size * mp.expjpi(x[1])
+        point = size if real_x else _polar(size, x[1])
         near = oracles.fixed_point(poly, rho - depth, mp.mp.prec)  # |point| <= 2^(rho-depth)
         stored = oracles.fixed_point(poly, rho, mp.mp.prec)
         assert isinstance(stored, ScaledPoly) and len(near) == len(stored) == len(poly)
@@ -648,10 +704,10 @@ def test_horner_cut_stays_within_its_bound(coeffs, length, top, decay, extra, dp
                  for k, (re, im, e) in enumerate(coeffs[:length])]
         stored = ScaledPoly(*(tuple(int(mp.nint(getattr(c, part))) for c in parts)
                               for part in ("real", "imag")), frac, rho)
-        point = mp.ldexp(mp.mpf(x[0]), rho - depth) * mp.expjpi(x[1])
+        point = _polar(mp.ldexp(mp.mpf(x[0]), rho - depth), x[1])
         got = _horner(stored, point, 1)
         xr, xi, e, rho_x, lx = series._point(point)
-        _, need = series._fit_scale(stored, rho_x, lx, prec)
+        need = series._resolution(stored.bounds, len(stored) - 1, lx - rho, prec)
         work = max(frac, need or 0)  # the working bits F
         keep = stored.kept(xr * xr + xi * xi, rho - e, work)
     deg = len(stored) - 1
@@ -676,7 +732,7 @@ def test_horner_keeps_a_coefficient_just_above_the_cut():
         for m, keep in ((2**25, j + 1), (2**25 - 1, j)):
             re = (1 << frac, 1 << frac) + (0,) * (j - 2) + (m,) + (0,) * 4
             poly = ScaledPoly(re, (0,) * len(re), frac, 0)
-            assert series._fit_scale(poly, 0, -1, mp.mp.prec)[1] <= frac  # F = frac
+            assert series._resolution(poly.bounds, len(poly) - 1, -1, mp.mp.prec) <= frac  # F = frac
             assert poly.kept(1, 1, frac) == keep, m  # u = 1/2
             got = _horner(poly, mp.mpf(0.5), 1)
             with mp.workprec(400):
@@ -713,7 +769,7 @@ def test_integer_square_and_antiderivative(coeffs, dps, m, rho, ends):
     # returns (-i)^(m+1) times their difference and the two majorants
     with mp.workdps(dps):
         poly = [mp.mpc(*c) for c in coeffs]
-        points = [mp.ldexp(mp.mpf(r), rho) * mp.expjpi(t) for r, t in ends]
+        points = [_polar(mp.ldexp(mp.mpf(r), rho), t) for r, t in ends]
         square = poly_square(oracles.fixed_point(poly, rho, mp.mp.prec))
         assert len(square) == 2 * len(poly) - 1 and square.rho == rho
         anti = _antiderivative(square, m)

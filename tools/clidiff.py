@@ -110,6 +110,7 @@ COMMANDS = (
     "spectrum --N 7 --radius 3 --pair 2 --levels 4 --emax 10000",
     "wavefunction --N 3 --level 1 --xmin=-7 --xmax=7 --step=1/4",
     "wavefunction --N 3 --level 1 --digits 80 --pmax 150 --xmin=-4 --xmax=4 --step=1/2",
+    "scan --N 2 --pair 1 --emin 63 --emax 65 --step 1/2",
 )
 
 
