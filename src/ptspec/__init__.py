@@ -10,7 +10,6 @@ eigenfunctions come from the same series.
 """
 
 from .errors import (
-    BracketError,
     DegenerateNormError,
     DivergenceError,
     GeometryError,
@@ -58,7 +57,6 @@ __version__ = "1.0.0"
 __all__ = [
     "PtspecError",
     "ParameterError",
-    "BracketError",
     "PoleError",
     "RadiusError",
     "DivergenceError",

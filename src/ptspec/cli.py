@@ -27,11 +27,7 @@ from .observables import (
     wavefunction_samples,
 )
 from .precision import PrecisionContext, as_fraction, real_str
-from .quantize import (
-    health_check,
-    scan_im_c,
-    spectrum,
-)
+from .quantize import HEALTH_ENERGY, health_check, scan_im_c, spectrum
 from .series import (
     TruncationParams,
     build_tables,
@@ -152,7 +148,7 @@ def _level_json(level, args) -> dict:
 def _health_json(report) -> dict:
     return {
         "passed": report.passed,
-        "e_max": str(report.e_max),
+        "e_max": str(HEALTH_ENERGY),
         "entries": [
             {
                 "pair": report.pair.index,
@@ -216,7 +212,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     pair, ctx, trunc = _setup(args)
-    health = health_check(pair, trunc, args.health_emax, ctx)
+    health = health_check(pair, trunc, ctx)
     if not health.passed and not args.force:
         _emit_json(
             {
@@ -414,7 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--emax", default="100", help="scan ceiling in E")
     p.add_argument("--step", default="0.05", help="scan grid step")
-    p.add_argument("--health-emax", dest="health_emax", default="30")
     p.add_argument("--force", action="store_true", help="proceed despite failed health check")
 
     p = sub.add_parser("scan", parents=[common], help="sample Im c on an energy grid")

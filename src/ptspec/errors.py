@@ -13,10 +13,6 @@ class ParameterError(PtspecError, ValueError):
     """Invalid argument values (wrong N, empty windows, bad flags)."""
 
 
-class BracketError(PtspecError):
-    """Root refinement requested on an interval without a sign change."""
-
-
 class PoleError(PtspecError):
     """psi2 vanished (relative to psi1) at the evaluation point."""
 

@@ -6,16 +6,17 @@ PT inner products carry no complex conjugation: the moments are
 
 over any contour that starts deep in the left wedge of the level's
 pair and ends deep in the right one; analyticity makes the value
-contour independent.  Two piecewise-linear styles are offered: the
-real segment [-lambda, lambda] (valid when the wedges straddle the
-real axis) and the two anti-Stokes rays through the origin.
+contour independent.  Two styles are offered: the real segment
+[-lambda, lambda] (valid when the wedges straddle the real axis) and
+the two anti-Stokes rays through the origin.
 
 psi at fixed E is a polynomial C in w = iz, so with S = C*C and
 z = -iw each integral is exact from the antiderivative,
-(-i)^(m+1) [sum_j S_j w^(j+m+1) / (j+m+1)] between the contour's first
-and last vertex.  series forms S and that antiderivative in integers on
-the scaled coefficients of C (series.poly_square, series.moment_integral),
-so no mpc coefficient list is built; rounding happens only in the floor
+(-i)^(m+1) [sum_j S_j w^(j+m+1) / (j+m+1)] between the contour's two
+ends, and a Contour holds only those.  series forms S and that
+antiderivative in integers on the scaled coefficients of C
+(series.poly_square, series.moment_integral), so no mpc coefficient
+list is built; rounding happens only in the floor
 divisions by j+m+1 and in the two endpoint evaluations.  Those sums
 cancel (kappa = sum |term| / |sum| is ~1e18 for the ground state on
 [-5, 5]), so a pass at the working dps measures kappa of the norm and
@@ -66,23 +67,24 @@ VIRIAL_TOL = "1e-8"
 
 @dataclass(frozen=True)
 class Contour:
-    """Piecewise-linear path given by polar vertices (rho, theta/pi),
-    both exact Fractions, traversed left wedge -> right wedge."""
+    """A path from the left wedge to the right one, held as its two ends:
+    the polar points (rho, theta/pi) left and right, exact Fractions at
+    rho = lam.  A moment reads only the ends, so the path between them
+    is not stored."""
 
     style: str
     lam: Fraction
-    vertices: tuple
-
-    def max_radius(self) -> Fraction:
-        return max(rho for rho, _ in self.vertices)
+    left: tuple
+    right: tuple
 
 
 def build_contour(pair: WedgePair, lam: Fractionable, style: str) -> Contour:
     """Contour between the wedges of a pair.
 
-    real_line: single segment -lambda -> +lambda; requires one wedge of
-    the pair to contain the 0 direction and the other the pi direction.
-    wedge_rays: lambda*e^(i*theta_left) -> 0 -> lambda*e^(i*theta_right).
+    real_line: the segment -lambda -> +lambda; requires one wedge of the
+    pair to contain the 0 direction and the other the pi direction.
+    wedge_rays: lambda*e^(i*theta_left) -> 0 -> lambda*e^(i*theta_right),
+    the two anti-Stokes rays through the origin.
     """
     lam = as_fraction(lam)
     if lam <= 0:
@@ -93,13 +95,9 @@ def build_contour(pair: WedgePair, lam: Fractionable, style: str) -> Contour:
                 f"pair {pair.index} (centers {pair.theta_right}pi, {pair.theta_left}pi)"
                 " does not straddle the real axis; use wedge_rays"
             )
-        return Contour(style, lam, ((lam, Fraction(1)), (lam, Fraction(0))))
+        return Contour(style, lam, (lam, Fraction(1)), (lam, Fraction(0)))
     if style == "wedge_rays":
-        return Contour(
-            style,
-            lam,
-            ((lam, pair.theta_left), (Fraction(0), Fraction(0)), (lam, pair.theta_right)),
-        )
+        return Contour(style, lam, (lam, pair.theta_left), (lam, pair.theta_right))
     raise ParameterError(f"style must be 'real_line' or 'wedge_rays', got {style!r}")
 
 
@@ -119,8 +117,7 @@ def _path_integral(level: EnergyLevel, m: int, contour: Contour, ctx: PrecisionC
     ctx.dps, memoized per (level, m, contour, ctx)."""
     square = _level_square(level, ctx)
     with ctx.workdps():
-        z0 = polar_point(*contour.vertices[0], ctx)
-        z1 = polar_point(*contour.vertices[-1], ctx)
+        z0, z1 = (polar_point(*end, ctx) for end in (contour.left, contour.right))
         return series.moment_integral(square, m, z0, z1)
 
 
@@ -151,10 +148,8 @@ def expectation(level: EnergyLevel, m: int, contour: Contour) -> ExpectationResu
     if not isinstance(m, int) or m < 0:
         raise ParameterError(f"moment order must be a non-negative integer, got {m!r}")
     ctx, radius = level.ctx, level.trunc.radius
-    if contour.max_radius() > radius:
-        raise RadiusError(
-            f"contour extends to {contour.max_radius()} beyond the validated radius {radius}"
-        )
+    if contour.lam > radius:
+        raise RadiusError(f"contour extends to {contour.lam} beyond the validated radius {radius}")
     norm, norm_size = _path_integral(level, 0, contour, ctx)
     with ctx.workdps():
         if abs(norm) <= norm_size * mp.mpf(10) ** -ctx.dps:

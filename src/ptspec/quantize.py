@@ -28,14 +28,15 @@ pass of the coefficient recursion at its radius, shared by every pair
 of N there.  Each request rounds them once, down to its own energy
 scale (series._scale), and reads every value from that copy:
 spectrum's grid and every level's root, est_error and c at its e_max,
-scan_im_c at its window and the health check at 97/96 of its e_max.
+scan_im_c at its window and the health check at HEALTH_ENERGY.
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
 scan_im_c (on the exact grid as well) and the health check.  The health
-check judges the pair that spectrum quantizes: it reads its tail from
-the last antidiagonal of the same recursion at (radius, e_max), and
-never raises on bad health: a pair whose probe the truncation cannot
-evaluate at its e_max fails.
+check judges the pair that spectrum quantizes at the one energy
+HEALTH_ENERGY: it reads its tail from the last antidiagonal of the same
+recursion at the probe radius, and never raises on bad health: a pair
+whose probe the truncation cannot evaluate there, or whose c has a pole
+there, fails.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from mpmath.libmp import from_rational
 
 from . import series
 from .errors import (
-    BracketError,
     DivergenceError,
     ParameterError,
     PoleError,
@@ -67,6 +67,7 @@ __all__ = [
     "EnergyLevel",
     "HealthReport",
     "TAIL_THRESHOLD_EXPONENT",
+    "HEALTH_ENERGY",
     "level_weights",
     "scan_im_c",
     "spectrum",
@@ -77,6 +78,9 @@ __all__ = [
 # known-good configurations (N=3 r=8, N=7 r=3) pass and the known-bad
 # ones (N=7 r=8, N=3 P=10) fail with a wide margin on both sides
 TAIL_THRESHOLD_EXPONENT = -10
+
+# the one energy at which the health check judges a truncation
+HEALTH_ENERGY = Fraction(30)
 
 # the probe at r against the probe at 0.9r: est_error, one Newton step of
 # the 0.9r reader from the level's root, and the health check's c discrepancy
@@ -107,7 +111,7 @@ class EnergyLevel:
     c is the (real) connection coefficient for Im-c levels and None for
     parity levels, where parity is "even" or "odd" instead.  est_error
     is the shift of the root from r to 0.9r by one Newton step (see
-    _level), and the level is stable when it is at most 10**(-digits/2).
+    refine_root), and the level is stable when it is at most 10**(-digits/2).
     """
 
     n: int
@@ -210,11 +214,12 @@ def scan_im_c(
     return tuple(points)
 
 
-def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
-    """Root of a smooth real function f that changes sign on bracket, by
+def _hybrid_root(f: Callable, lo, hi, f_lo, f_hi, tol) -> RealHP:
+    """Root of a smooth real function f on the bracket lo < hi, by
     Dekker's secant with Brent's safeguard from the bracket ends down to
-    a bracket no wider than tol (on E), reusing f at the ends when the
-    caller passes them.
+    a bracket no wider than tol (on E).  f_lo and f_hi are the values at
+    the ends, nonzero and of opposite signs: spectrum passes those of its
+    exact grid, which steps over an exact zero.
 
     The iterate is the end of the bracket where |f| is smallest.  A
     secant step from it is taken when it is shorter than half the step
@@ -223,23 +228,10 @@ def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
     every two steps.  A step shorter than tol/2 is lengthened to tol/2,
     so once the secant has settled on the root the next point lands
     across it and the far end of the bracket moves in.  Returns the
-    secant point of the final bracket.  Raises BracketError when f has no
-    sign change, and DivergenceError when the bracket is still wider than
-    tol after _ROOT_STEPS evaluations (tol below what the working
-    precision resolves).
+    secant point of the final bracket.  Raises DivergenceError when the
+    bracket is still wider than tol after _ROOT_STEPS evaluations (tol
+    below what the working precision resolves).
     """
-    lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
-    if not lo < hi:
-        raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
-    f_lo, f_hi = ends if ends is not None else (f(lo), f(hi))
-    if f_lo == 0:
-        return lo
-    if f_hi == 0:
-        return hi
-    if mp.sign(f_lo) == mp.sign(f_hi):
-        raise BracketError(
-            f"no sign change on [{mp.nstr(lo, 12)}, {mp.nstr(hi, 12)}]"
-        )
     half_tol = tol / 2
     x_pre, f_pre, x_cur, f_cur = lo, f_lo, hi, f_hi
     x_far, f_far = x_pre, f_pre  # the other end of the bracket
@@ -279,7 +271,7 @@ def _hybrid_root(f: Callable, bracket, tol, ends=None) -> RealHP:
 # ---------------------------------------------------------------------------
 # the pipeline shared by PT pairs and the parity pair: each request rounds the
 # right probe's energy polynomials at r and 0.9r once, to its energy scale, and
-# _level reads a level from them through the reader of the determinant D(E)
+# refine_root reads a level from them through the reader of the determinant D(E)
 
 
 def _probes(pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, scale):
@@ -320,24 +312,24 @@ def _determinant(parity: bool, p1r, p1i, p2r, p2i):
     return p1r * (p2r + p2i) if parity else p1i * p2r - p1r * p2i
 
 
-def _level(
-    pair: WedgePair, n: int, probes, bracket, tol, trunc: TruncationParams,
-    ctx: PrecisionContext, ends=None, tag=None,
+def refine_root(
+    pair: WedgePair, n: int, probes, lo, hi, ends, tol, trunc: TruncationParams,
+    ctx: PrecisionContext, tag=None,
 ) -> EnergyLevel:
     """Level n of the pair from probes = _probes(...), at the working
-    precision: the root E_r of the reader at r in bracket to tol, reusing
-    its values at the bracket ends when the scan passes them as ends.
+    precision: the root E_r of the reader at r in the grid cell (lo, hi)
+    to tol, from ends = (f(lo), f(hi)), the reader's values that the scan
+    passes.
 
     est_error is the shift of the root under the reader f at 0.9r, from
     one Newton step at E_r: |f(E_r)/f'(E_r)|, with (f, f') from the
     reader at order 1.  It is inf when f' = 0 or when the step leaves the
-    bracket.  The level is stable when est_error <= 10**(-digits/2).  It
+    cell.  The level is stable when est_error <= 10**(-digits/2).  It
     carries the scan's parity tag when given, and c at the root otherwise.
     """
     swapped = pair.parity_swapped()
     outer, inner = probes
-    lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
-    e_root = _hybrid_root(lambda ev: _reader(swapped, outer, ev), (lo, hi), tol, ends)
+    e_root = _hybrid_root(lambda ev: _reader(swapped, outer, ev), lo, hi, *ends, tol)
     value, slope = _reader(swapped, inner, e_root, 1)
     shift = value / slope if slope else mp.inf
     est = abs(shift) if lo <= e_root - shift <= hi else mp.inf
@@ -412,10 +404,11 @@ def spectrum(
                 lo, hi = sorted((prev, (k, fv, lanes[0])), key=lambda point: direction * point[0])
                 tag = ("even" if (lo[2] < 0) != (hi[2] < 0) else "odd") if swapped else None
                 if not swapped or parity in ("both", tag):
-                    bracket = tuple(ctx.mpf(direction * point[0] * step) for point in (lo, hi))
+                    e_lo, e_hi = (ctx.mpf(direction * point[0] * step) for point in (lo, hi))
                     ends = (_rounded(lo[1], unit * unit), _rounded(hi[1], unit * unit))
-                    level = _level(pair, len(levels), probes, bracket, tol, trunc, ctx, ends, tag)
-                    levels.append(level)
+                    levels.append(
+                        refine_root(pair, len(levels), probes, e_lo, e_hi, ends, tol, trunc, ctx, tag)
+                    )
                     if len(levels) == n_levels:
                         return tuple(levels)
             prev = (k, fv, lanes[0])
@@ -423,53 +416,44 @@ def spectrum(
 
 @dataclass(frozen=True)
 class HealthReport:
-    """The truncation's health on one wedge pair up to E = e_max."""
+    """The truncation's health on one wedge pair at E = HEALTH_ENERGY."""
 
     pair: WedgePair
-    e_max: Fraction
     tail: RealHP
     c_discrepancy: RealHP
     passed: bool
 
 
-def health_check(
-    pair: WedgePair,
-    trunc: TruncationParams,
-    e_max: Fractionable,
-    ctx: PrecisionContext,
-) -> HealthReport:
-    """Diagnose whether (pmax, radius) is trustworthy for the pair up to
-    E = e_max.
+def health_check(pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext) -> HealthReport:
+    """Diagnose whether (pmax, radius) is trustworthy for the pair at
+    E = HEALTH_ENERGY.
 
     The largest boundary term (p + q = pmax) must be negligible against
     psi1 at the right probe, and c(r) must agree with c(0.9r); psi1 and
     c come from the probes' energy polynomials.  Purely diagnostic:
     never raises on bad health.  A pair whose probe the truncation
-    cannot evaluate at e_max (RadiusError) gets an infinite tail and c
-    discrepancy, and fails.
+    cannot evaluate at that energy (RadiusError) gets an infinite tail
+    and c discrepancy, one whose c has a pole there (PoleError) an
+    infinite c discrepancy, and either fails.
     """
-    cap = as_fraction(e_max)
     table = series.build_tables(pair.n_exponent, trunc.pmax)
     tail_threshold = mp.mpf(10) ** TAIL_THRESHOLD_EXPONENT
     c_threshold = mp.mpf(10) ** (-(ctx.digits // 4))
     with ctx.workdps():
-        ev = ctx.mpf(cap)
-        peak = series.rim_peak(table, ctx.mpf(trunc.radius), ev, ctx)
-        outer_polys, inner_polys = _probes(pair, trunc, ctx, series._scale(cap * Fraction(97, 96)))
+        ev = ctx.mpf(HEALTH_ENERGY)
+        # every a[p,q] is positive, so the rim terms at the real point w = r
+        # have the magnitudes they have in every direction of that radius
+        peak = max(series._rim(table, ctx.mpf(trunc.radius), ev, "psi1"))
+        outer_polys, inner_polys = _probes(pair, trunc, ctx, series._scale(HEALTH_ENERGY))
+        tail = c_disc = mp.inf
         try:
             # the left probe, -conj z (PT pair) or -z (parity pair), gives the
             # same tail: psi1(-conj z) = conj psi1(z) at real E, and psi1 is even
             psi1 = abs(series.eval_energy_poly(outer_polys[0], ev))
             tail = peak / psi1 if psi1 else mp.inf
-            c_disc = mp.inf
-            for probe in (ev, ev * mp.mpf(97) / 96):
-                try:
-                    c_out = _c_from_polys(*outer_polys, probe, ctx)
-                    c_disc = abs(c_out - _c_from_polys(*inner_polys, probe, ctx))
-                    break
-                except PoleError:
-                    continue
-        except RadiusError:  # e_max beyond what the truncation evaluates
-            tail = c_disc = mp.inf
+            c_out = _c_from_polys(*outer_polys, ev, ctx)
+            c_disc = abs(c_out - _c_from_polys(*inner_polys, ev, ctx))
+        except (PoleError, RadiusError):  # a pole of c, or E beyond the truncation's reach
+            pass
         passed = bool(tail < tail_threshold and c_disc < c_threshold)
-    return HealthReport(pair, cap, tail, c_disc, passed)
+    return HealthReport(pair, tail, c_disc, passed)

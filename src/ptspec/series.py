@@ -26,8 +26,8 @@ The module is built in layers:
   each m into the coefficients of psi1 and psi2 in u = w/R at real E;
   _rim at (|w|**(N+2), |w|**2 |E|) takes the last antidiagonal p + q =
   pmax, often far below max X, at the working precision, for the
-  closed-form residual and the maximum rim_peak behind the health check's
-  tails: it runs the pass at a point scaled up by a power of two until
+  closed-form residual and the largest rim term behind the health
+  check's tail: it runs the pass at a point scaled up by a power of two until
   no antidiagonal sum falls, so the rim holds the largest values;
 * integer collapses: at a wedge centre z = r*exp(i*pi*theta),
   energy_polynomials turns the radial sums into polynomials in E (degree
@@ -91,12 +91,7 @@ import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_man_exp
 
 from .errors import ParameterError, RadiusError
-from .precision import (
-    ComplexHP,
-    PrecisionContext,
-    RealHP,
-    as_fraction,
-)
+from .precision import ComplexHP, PrecisionContext, as_fraction
 
 __all__ = [
     "MEMO_CAP",
@@ -108,7 +103,6 @@ __all__ = [
     "build_tables",
     "eval_psi",
     "residual",
-    "rim_peak",
     "wronskian",
     "energy_polynomials",
     "eval_energy_poly",
@@ -494,15 +488,6 @@ def _rim(table: CoefficientTable, w, ev, which: str) -> list:
         term = mp.make_mpf(from_man_exp(t, -frac - k * pmax, prec, "n")) * sign ** (pmax - p)
         out.append(term * unit ** (step * p + 2 * (pmax - p)) * lift)
     return out
-
-
-def rim_peak(table: CoefficientTable, radius, E, ctx: PrecisionContext) -> RealHP:
-    """Largest magnitude of the terms of psi1 on the last antidiagonal
-    p + q = pmax at |z| = radius and |E|.  Every a[p,q] is positive, so
-    these are the rim terms at the real point w = radius, E = |E|: one
-    value for every direction of that radius."""
-    with ctx.workdps():
-        return max(_rim(table, mp.mpf(radius), abs(mp.mpf(E)), "psi1"))
 
 
 def wronskian(table: CoefficientTable, z, E, ctx: PrecisionContext) -> ComplexHP:

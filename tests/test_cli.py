@@ -104,11 +104,13 @@ def test_spectrum_health_reports_the_requested_pair(capsys, n_exponent, radius, 
             "--pair", str(pair_index), "--levels", "1"]
     rc, out, err = run(argv, capsys)
     assert rc == 0 and err == ""
-    (entry,) = json.loads(out)["health"]["entries"]
+    health = json.loads(out)["health"]
+    assert health["e_max"] == "30"
+    (entry,) = health["entries"]
     pair = pt_pairs(n_exponent)[pair_index]
     assert entry["pair"] == pair_index
     assert entry["theta_right_pi"] == str(pair.theta_right)
-    report = health_check(pair, TruncationParams(100, radius), 30, PrecisionContext(40))
+    report = health_check(pair, TruncationParams(100, radius), PrecisionContext(40))
     assert entry["tail"] == real_str(report.tail, 3)
     assert entry["c_discrepancy"] == real_str(report.c_discrepancy, 3)
 

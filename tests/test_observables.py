@@ -178,13 +178,11 @@ def test_real_line_needs_straddling_pair():
 
 def test_contour_geometry(pair3, contour3):
     assert contour3.style == "real_line"
-    assert contour3.max_radius() == 5
-    assert len(contour3.vertices) == 2
+    assert contour3.lam == 5
+    assert (contour3.left, contour3.right) == ((5, 1), (5, 0))
     rays = build_contour(pair3, Fraction(5), "wedge_rays")
-    assert len(rays.vertices) == 3
-    assert rays.vertices[1] == (Fraction(0), Fraction(0))
-    assert rays.vertices[0][1] == pair3.theta_left
-    assert rays.vertices[2][1] == pair3.theta_right
+    assert rays.lam == 5
+    assert (rays.left, rays.right) == ((5, pair3.theta_left), (5, pair3.theta_right))
 
 
 def test_wavefunction_samples_grid(levels3, ctx40):

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from conftest import p_symmetric_pair
 from ptspec import (
-    BracketError,
     DivergenceError,
     ParameterError,
     PoleError,
@@ -196,13 +195,18 @@ def test_exact_scan_sign_matches_reader(n_exponent, pair_index, radius, ctx40):
             assert k < 2000
 
 
-def test_spectrum_finds_a_level_on_a_grid_point(pair3, trunc8, ctx40, monkeypatch):
-    # planted p1 = i(E - 1), p2 = 1 on a PT pair: the reader is E - 1, exactly
-    # zero at the grid point E = 1, which must not hide the level
+def _plant_a_grid_zero(monkeypatch):
+    # p1 = i(E - 1), p2 = 1 on a PT pair: the reader is E - 1, exactly zero
+    # at the grid point E = 1
     frac, rho = 64, 7  # at scale 2**7 for the whole scan up to E = 100
     p1 = series.ScaledPoly((0, 0), (-(1 << frac), 1 << (frac + rho)), frac, rho)
     p2 = series.ScaledPoly((1 << frac, 0), (0, 0), frac, rho)
     monkeypatch.setattr(series, "energy_polynomials", lambda table, radius, theta, ctx: (p1, p2))
+
+
+def test_spectrum_finds_a_level_on_a_grid_point(pair3, trunc8, ctx40, monkeypatch):
+    # the planted exact zero of the reader at E = 1 must not hide the level
+    _plant_a_grid_zero(monkeypatch)
     (level,) = spectrum(pair3, 1, trunc8, ctx40)
     assert level.E == 1
     assert level.est_error == 0
@@ -271,7 +275,8 @@ def test_hybrid_root_closes_without_rounding_noise():
         return x - root
 
     with mp.workdps(50):
-        got = _hybrid_root(f, (mp.mpf(0), mp.mpf("0.5")), mp.mpf("1e-45"))
+        lo, hi = mp.mpf(0), mp.mpf("0.5")
+        got = _hybrid_root(f, lo, hi, f(lo), f(hi), mp.mpf("1e-45"))
         assert abs(got - root) < mp.mpf("1e-45")
     assert len(calls) <= 25
 
@@ -291,7 +296,8 @@ def test_hybrid_root_does_not_creep_along_a_steep_side():
             calls.append(x)
             return mp.exp(200 * (x - root)) - 1
 
-        got = _hybrid_root(f, (mp.mpf(0), mp.mpf(1)), mp.mpf("1e-40"))
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        got = _hybrid_root(f, lo, hi, f(lo), f(hi), mp.mpf("1e-40"))
         assert abs(got - root) <= mp.mpf("1e-40")
     assert len(calls) <= 30
 
@@ -310,8 +316,9 @@ def test_hybrid_root_raises_when_the_bracket_cannot_close():
         return x - root
 
     with mp.workdps(30):
+        lo, hi = mp.mpf(0), mp.mpf("0.5")
         with pytest.raises(DivergenceError, match="did not close"):
-            _hybrid_root(f, (mp.mpf(0), mp.mpf("0.5")), mp.mpf("1e-60"))
+            _hybrid_root(f, lo, hi, f(lo), f(hi), mp.mpf("1e-60"))
     assert len(calls) == 2 + _ROOT_STEPS
 
 
@@ -363,8 +370,12 @@ def test_est_error_is_the_root_shift_to_a_newton_step(n_exponent, pair_index, ra
     with ctx40.workdps():
         for level in levels:
             lo = mp.floor(20 * level.E) / 20
-            root = quantize._hybrid_root(lambda ev: quantize._reader(pair.parity_swapped(), inner, ev),
-                                         (lo, lo + mp.mpf(1) / 20), ctx40.tolerance(5))
+            hi = lo + mp.mpf(1) / 20
+
+            def f(ev):
+                return quantize._reader(pair.parity_swapped(), inner, ev)
+
+            root = quantize._hybrid_root(f, lo, hi, f(lo), f(hi), ctx40.tolerance(5))
             shift = abs(level.E - root)
             assert abs(level.est_error - shift) <= mp.mpf("1e-3") * shift, level.n
 
@@ -379,15 +390,35 @@ def test_est_error_is_inf_when_the_newton_step_leaves_the_bracket(ctx40):
     assert all(mp.isfinite(lv.est_error) for lv in levels[:2])
 
 
-def test_hybrid_root_needs_a_sign_change(pair3, trunc8, ctx40):
-    # D does not change sign between the n=0 and n=1 roots
-    from ptspec.quantize import _hybrid_root
+@pytest.mark.parametrize(
+    "n_exponent, pair_index, radius, n_levels, parity, planted",
+    [(3, 0, 8, 5, "both", False), (7, 2, 3, 4, "both", False), (4, 0, 6, 3, "both", False),
+     (4, 0, 6, 3, "even", False), (4, 0, 6, 3, "odd", False), (2, 1, 8, 5, "both", False),
+     (3, 0, 8, 1, "both", True)],
+)
+def test_spectrum_hands_the_refinement_a_certified_bracket(
+    n_exponent, pair_index, radius, n_levels, parity, planted, ctx40, monkeypatch
+):
+    # _hybrid_root trusts its caller: every bracket spectrum passes runs
+    # lo < hi between grid values that are nonzero and of opposite signs,
+    # also across the planted exact zero that the scan steps over
+    if planted:
+        _plant_a_grid_zero(monkeypatch)
+    calls = []
+    hybrid_root = quantize._hybrid_root
 
-    with ctx40.workdps():
-        polys = quantize._probe_polys(pair3, trunc8, ctx40, series._scale(3))
-        with pytest.raises(BracketError):
-            _hybrid_root(lambda ev: quantize._reader(False, polys, ev),
-                         (mp.mpf(2), mp.mpf(3)), ctx40.tolerance(5))
+    def recorded(f, lo, hi, f_lo, f_hi, tol):
+        calls.append((lo, hi, f_lo, f_hi))
+        return hybrid_root(f, lo, hi, f_lo, f_hi, tol)
+
+    monkeypatch.setattr(quantize, "_hybrid_root", recorded)
+    pair = pt_pairs(n_exponent)[pair_index]
+    levels = spectrum(pair, n_levels, TruncationParams(100, Fraction(radius)), ctx40, parity=parity)
+    assert len(calls) == len(levels) == n_levels
+    for lo, hi, f_lo, f_hi in calls:
+        assert lo < hi
+        assert f_lo != 0 and f_hi != 0
+        assert mp.sign(f_lo) == -mp.sign(f_hi)
 
 
 def test_spectrum_rejects_the_other_parity_pair(trunc8, ctx40):
@@ -476,7 +507,7 @@ def test_level_weights(levels3, trunc8, ctx40):
 
 def test_health_pass_and_fail_cases(trunc8, ctx40):
     def verdicts(n_exponent, trunc):
-        return [health_check(pair, trunc, Fraction(30), ctx40).passed for pair in pt_pairs(n_exponent)]
+        return [health_check(pair, trunc, ctx40).passed for pair in pt_pairs(n_exponent)]
 
     assert verdicts(3, trunc8) == [True]
     assert verdicts(7, trunc8) == [False] * 3
@@ -486,8 +517,7 @@ def test_health_pass_and_fail_cases(trunc8, ctx40):
 
 def test_health_report_structure(trunc8, ctx40):
     (pair,) = pt_pairs(3)
-    report = health_check(pair, trunc8, Fraction(30), ctx40)
-    assert report.e_max == Fraction(30)
+    report = health_check(pair, trunc8, ctx40)
     assert report.pair == pair and report.pair.index == 0
     assert report.passed
     with PrecisionContext(40).workdps():
@@ -495,36 +525,35 @@ def test_health_report_structure(trunc8, ctx40):
         assert report.c_discrepancy < mp.mpf("1e-10")
 
 
-# health_check(7, r = 3, e_max = 32) as the complex collapse at a general
-# point gave it, (tail, c_discrepancy) per pair to 10 digits: with c read
-# at E = 32, and with a pole planted there, so that the second probe at
-# 32*97/96 reads it, above the 2**5 that covers e_max itself
-HEALTH_N7_R3_E32 = {
-    False: [("7.464392452e-70", "1.320251178e-18"), ("4.231466037e-68", "4.090315882e-15"),
-            ("2.168216735e-71", "1.310814921e-21")],
-    True: [("7.464392452e-70", "1.283096374e-18"), ("4.231466037e-68", "4.192499416e-15"),
-           ("2.168216735e-71", "1.219983392e-21")],
-}
+# health_check(7, r = 3) at E = 30, (tail, c_discrepancy) per pair to 10
+# digits, as the code with a second probe at 97/96 of the energy gave it
+HEALTH_N7_R3_E30 = [("1.374069444e-70", "1.568579152e-18"), ("6.710837118e-69", "3.472773045e-15"),
+                    ("4.577008141e-72", "2.027126088e-21")]
 
 
-@pytest.mark.parametrize("pole_at_32", [False, True])
-def test_health_check_covers_its_second_probe(pole_at_32, ctx40, monkeypatch):
-    if pole_at_32:
+@pytest.mark.parametrize("pole_at_30", [False, True])
+def test_health_check_reads_one_energy(pole_at_30, ctx40, monkeypatch):
+    # with a pole of c planted at E = 30 the tail stands, and the pair fails
+    # on an infinite c discrepancy: there is no second probe
+    if pole_at_30:
         c_from_polys = quantize._c_from_polys
 
         def planted(poly_a, poly_b, E, ctx):
-            if E == 32:
+            if E == 30:
                 raise PoleError("planted pole")
             return c_from_polys(poly_a, poly_b, E, ctx)
 
         monkeypatch.setattr(quantize, "_c_from_polys", planted)
     trunc = TruncationParams(100, Fraction(3))
-    for pair, want in zip(pt_pairs(7), HEALTH_N7_R3_E32[pole_at_32], strict=True):
-        report = health_check(pair, trunc, Fraction(32), ctx40)
-        assert report.passed and report.e_max == 32
+    for pair, (tail, c_disc) in zip(pt_pairs(7), HEALTH_N7_R3_E30, strict=True):
+        report = health_check(pair, trunc, ctx40)
+        assert report.passed is not pole_at_30
         with ctx40.workdps():
-            for got, ref in zip((report.tail, report.c_discrepancy), want):
-                assert abs(got - mp.mpf(ref)) <= mp.mpf("1e-9") * mp.mpf(ref)
+            assert abs(report.tail - mp.mpf(tail)) <= mp.mpf("1e-9") * mp.mpf(tail)
+            if pole_at_30:
+                assert report.c_discrepancy == mp.inf
+            else:
+                assert abs(report.c_discrepancy - mp.mpf(c_disc)) <= mp.mpf("1e-9") * mp.mpf(c_disc)
 
 
 def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypatch):
@@ -552,7 +581,7 @@ def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypa
     with pytest.raises(RadiusError):
         spectrum(pair, 1, trunc, ctx40, e_max=Fraction(20))
     assert asked[-2:] == [1, Fraction(21, 20)]
-    report = health_check(pair, trunc, Fraction(30), ctx40)
+    report = health_check(pair, trunc, ctx40)
     assert not report.passed and report.tail == mp.inf
     at, _ = recording(quantize._probe_polys(pair, trunc, ctx40, series._scale(20)), 20)
     at(20)

@@ -33,6 +33,7 @@ from ptspec.series import (
     ScaledPoly,
     _antiderivative,
     _horner,
+    _rim,
     energy_polynomials,
     eval_energy_poly,
     grid_evaluator,
@@ -40,7 +41,6 @@ from ptspec.series import (
     poly_psi,
     poly_psi_d,
     poly_square,
-    rim_peak,
     space_polynomial,
 )
 
@@ -513,7 +513,7 @@ def test_grid_evaluator_validation(table3, ctx40):
 
 
 def test_health_tails_grow_with_radius(ctx40):
-    near, far = ([health_check(pair, TruncationParams(100, Fraction(r)), 30, ctx40)
+    near, far = ([health_check(pair, TruncationParams(100, Fraction(r)), ctx40)
                   for pair in pt_pairs(7)] for r in (3, 8))
     with ctx40.workdps():
         assert all(report.tail < mp.mpf("1e-10") for report in near)
@@ -534,7 +534,7 @@ def test_health_tails_match_definition(table7, ctx40):
             worst = max(mp.mpf(a.numerator) / a.denominator * e_val**q * mp.mpf(radius)**m
                         for a, q, m in rim)
             for pair in pt_pairs(7):
-                report = health_check(pair, trunc, 30, ctx40)
+                report = health_check(pair, trunc, ctx40)
                 assert report.pair == pair
                 z = polar_point(Fraction(radius), pair.theta_right, PrecisionContext(ctx40.digits + 20))
                 want = worst / abs(oracles.direct_psi(table7, z, e_val, ctx40.dps + 20)[0])
@@ -550,7 +550,7 @@ def test_health_tails_match_definition(table7, ctx40):
      (3, Fraction(15, 2), Fraction(23, 2), (Fraction(24, 25), Fraction(7, 25)))],
 )
 def test_rim_keeps_its_relative_precision(n_exponent, radius, e_val, theta, ctx40):
-    # rim_peak and residual against the exact rim terms c[p,q] E**q w**m
+    # the largest rim term and residual against the exact rim terms c[p,q] E**q w**m
     # of brute_tables, to 10**-digits relative, though at N=7 the rim lies
     # 70 digits below psi1; mostly at angles where the rim terms do not
     # cancel, so the relative precision of each term is what shows, and
@@ -563,7 +563,7 @@ def test_rim_keeps_its_relative_precision(n_exponent, radius, e_val, theta, ctx4
     peak = max(a[p, q] * abs(e_val) ** q * radius**m for p, q, m in rim)
     hi = PrecisionContext(ctx40.digits + 30)
     with ctx40.workdps():
-        got = rim_peak(table, ctx40.mpf(radius), ctx40.mpf(e_val), ctx40)
+        got = max(_rim(table, ctx40.mpf(radius), abs(ctx40.mpf(e_val)), "psi1"))
     assert abs(got - hi.mpf(peak)) <= ctx40.tolerance() * hi.mpf(peak)
     if isinstance(theta, tuple):
         with hi.workdps():
