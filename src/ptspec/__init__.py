@@ -7,97 +7,50 @@ eigenvalues of a PT pair of Stokes wedges are the real zeros of the
 truncated spectral determinant, the Wronskian of the solutions that
 decay in its two wedges; nodes and PT expectation values of the
 eigenfunctions come from the same series.
+
+Importing the package loads none of its modules: each public name
+loads its home module on first use (PEP 562), so a command pays only
+for the modules it runs.
 """
 
-from .errors import (
-    DegenerateNormError,
-    DivergenceError,
-    GeometryError,
-    ParameterError,
-    PoleError,
-    PtspecError,
-    RadiusError,
-    TruncationError,
-    WindingError,
-)
-from .nodes import NodeSet, find_nodes, newton_zero, turning_points
-from .observables import (
-    Contour,
-    ExpectationResult,
-    IdentityRow,
-    build_contour,
-    expectation,
-    identity_checks,
-    wavefunction_samples,
-)
-from .precision import ComplexHP, PrecisionContext, RealHP, as_fraction
-from .quantize import (
-    EnergyLevel,
-    HealthReport,
-    ScanPoint,
-    health_check,
-    level_weights,
-    scan_im_c,
-    spectrum,
-)
-from .series import (
-    CoefficientTable,
-    TruncationParams,
-    build_tables,
-    energy_polynomials,
-    eval_psi,
-    residual,
-    space_polynomial,
-    wronskian,
-)
-from .wedges import WedgePair, ground_angle, pt_pairs, pt_reflect, reduce_angle
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "PtspecError",
-    "ParameterError",
-    "PoleError",
-    "RadiusError",
-    "DivergenceError",
-    "GeometryError",
-    "DegenerateNormError",
-    "TruncationError",
-    "WindingError",
-    "PrecisionContext",
-    "ComplexHP",
-    "RealHP",
-    "as_fraction",
-    "CoefficientTable",
-    "TruncationParams",
-    "build_tables",
-    "eval_psi",
-    "residual",
-    "wronskian",
-    "energy_polynomials",
-    "space_polynomial",
-    "WedgePair",
-    "ground_angle",
-    "reduce_angle",
-    "pt_reflect",
-    "pt_pairs",
-    "ScanPoint",
-    "EnergyLevel",
-    "HealthReport",
-    "level_weights",
-    "scan_im_c",
-    "spectrum",
-    "health_check",
-    "NodeSet",
-    "turning_points",
-    "newton_zero",
-    "find_nodes",
-    "Contour",
-    "ExpectationResult",
-    "IdentityRow",
-    "build_contour",
-    "expectation",
-    "identity_checks",
-    "wavefunction_samples",
-    "__version__",
-]
+# each module with the public names it defines, in the order of __all__
+_EXPORTS = {
+    "errors": (
+        "PtspecError", "ParameterError", "PoleError", "RadiusError", "DivergenceError",
+        "GeometryError", "DegenerateNormError", "TruncationError", "WindingError",
+    ),
+    "precision": ("PrecisionContext", "ComplexHP", "RealHP", "as_fraction"),
+    "series": (
+        "CoefficientTable", "TruncationParams", "build_tables", "eval_psi", "residual",
+        "wronskian", "energy_polynomials", "space_polynomial",
+    ),
+    "wedges": ("WedgePair", "ground_angle", "reduce_angle", "pt_reflect", "pt_pairs"),
+    "quantize": (
+        "ScanPoint", "EnergyLevel", "HealthReport", "level_weights", "scan_im_c", "spectrum",
+        "health_check",
+    ),
+    "nodes": ("NodeSet", "turning_points", "newton_zero", "find_nodes"),
+    "observables": (
+        "Contour", "ExpectationResult", "IdentityRow", "build_contour", "expectation",
+        "identity_checks", "wavefunction_samples",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -4,7 +4,9 @@ Every number crosses the process boundary as a decimal string rendered
 at the requested precision, grids and radii are parsed as exact
 fractions, and all collections have fixed ordering, so identical flags
 produce byte-identical output.  Exit codes: 0 success, 1 numeric
-failure, 2 usage error.
+failure, 2 usage error.  The nodes and observables modules are imported
+by the commands that run them, so spectrum, scan and selfcheck never load
+them.
 """
 
 from __future__ import annotations
@@ -19,13 +21,6 @@ from typing import Optional
 import mpmath as mp
 
 from .errors import ParameterError, PtspecError
-from .nodes import find_nodes
-from .observables import (
-    build_contour,
-    expectation,
-    identity_checks,
-    wavefunction_samples,
-)
 from .precision import PrecisionContext, as_fraction, real_str
 from .quantize import HEALTH_ENERGY, health_check, scan_im_c, spectrum
 from .series import (
@@ -247,6 +242,8 @@ def _parse_region(raw: Optional[str]):
 
 
 def _cmd_nodes(args) -> int:
+    from .nodes import find_nodes
+
     level = _resolve_level(args, *_setup(args))
     nodeset = find_nodes(level, _parse_region(args.region))
     points = {
@@ -274,6 +271,8 @@ def _parse_moments(raw: str):
 
 
 def _cmd_expect(args) -> int:
+    from .observables import build_contour, expectation, identity_checks
+
     pair, ctx, trunc = _setup(args)
     lam = min(Fraction(5), trunc.radius) if args.lam is None else args.lam
     contour = build_contour(pair, lam, args.contour)
@@ -311,6 +310,8 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
+    from .observables import wavefunction_samples
+
     level = _resolve_level(args, *_setup(args))
     samples = wavefunction_samples(level, args.xmin, args.xmax, args.step)
     rows = [

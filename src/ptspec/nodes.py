@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath as mp
-from mpmath.libmp import to_float
+from mpmath.libmp import dps_to_prec, from_rational, to_float
 
 from . import series
 from .errors import DivergenceError, ParameterError, RadiusError, WindingError
@@ -40,8 +39,7 @@ _SPLIT = Fraction(1, 2) + Fraction(1, 37)  # off centre: odd-level PT nodes sit 
 _SPLIT_CAP = 60
 
 
-@dataclass(frozen=True)
-class NodeSet:
+class NodeSet(NamedTuple):
     """Classified zeros of one eigenfunction.
 
     axis_nodes lie on the positive imaginary axis; everything else is
@@ -129,9 +127,12 @@ def _winding_counter(poly, ctx: PrecisionContext):
     times its winding number far inside _TURN_TOL, and only a turn that
     close to _MAX_PHASE_STEP could be bisected otherwise."""
 
+    prec = dps_to_prec(ctx.dps)
+
     @functools.cache
-    def phase(pt):
-        value = series.poly_psi(poly, mp.mpc(ctx.mpf(pt[0]), ctx.mpf(pt[1])))
+    def phase(pt):  # each Fraction coordinate rounded once to ctx's precision
+        z = mp.make_mpc(tuple(from_rational(v.numerator, v.denominator, prec, "n") for v in pt))
+        value = series.poly_psi(poly, z)
         if value == 0:
             raise WindingError(f"psi vanishes on a box edge at {complex(*map(float, pt))}")
         parts = value._mpc_  # (sign, mantissa, exponent, bits) of Re and Im

@@ -26,9 +26,8 @@ that pass's rounding bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath as mp
 
@@ -65,8 +64,7 @@ EHRENFEST_TOL = "1e-9"
 VIRIAL_TOL = "1e-8"
 
 
-@dataclass(frozen=True)
-class Contour:
+class Contour(NamedTuple):
     """A path from the left wedge to the right one, held as its two ends:
     the polar points (rho, theta/pi) left and right, exact Fractions at
     rho = lam.  A moment reads only the ends, so the path between them
@@ -121,8 +119,7 @@ def _path_integral(level: EnergyLevel, m: int, contour: Contour, ctx: PrecisionC
         return series.moment_integral(square, m, z0, z1)
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
+class ExpectationResult(NamedTuple):
     """One PT moment <z^m>_n.
 
     est_error bounds the rounding error of the exact endpoint sums at
@@ -167,8 +164,7 @@ def expectation(level: EnergyLevel, m: int, contour: Contour) -> ExpectationResu
         return ExpectationResult(level.n, m, +value, +norm, +est)
 
 
-@dataclass(frozen=True)
-class IdentityRow:
+class IdentityRow(NamedTuple):
     """Ehrenfest and (for N=3) virial residuals of one level."""
 
     n: int

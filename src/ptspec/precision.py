@@ -13,9 +13,8 @@ never as binary floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TypeAlias, Union
+from typing import NamedTuple, TypeAlias, Union
 
 import mpmath as mp
 
@@ -48,15 +47,15 @@ def as_fraction(x: Fractionable) -> Fraction:
     raise ParameterError(f"cannot interpret {x!r} as an exact fraction")
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(NamedTuple("PrecisionContext", [("digits", int)])):
     """Requested output precision in significant decimal digits."""
 
-    digits: int = 40
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.digits, int) or self.digits < 1:
-            raise ParameterError(f"digits must be a positive integer, got {self.digits!r}")
+    def __new__(cls, digits: int = 40):
+        if not isinstance(digits, int) or digits < 1:
+            raise ParameterError(f"digits must be a positive integer, got {digits!r}")
+        return super().__new__(cls, digits)
 
     @property
     def dps(self) -> int:

@@ -43,9 +43,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import mpmath as mp
 from mpmath.libmp import from_rational
@@ -93,8 +92,7 @@ _ROOT_STEPS = 200
 DEFAULT_ENERGY_CAP = Fraction(100)
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     """One grid sample of the connection coefficient."""
 
     E: RealHP
@@ -103,8 +101,7 @@ class ScanPoint:
     flag: str  # "ok" or "pole"
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     """A refined eigenvalue with the truncation and precision it was
     refined at, which the eigenfunction stages reuse.
 
@@ -414,8 +411,7 @@ def spectrum(
             prev = (k, fv, lanes[0])
 
 
-@dataclass(frozen=True)
-class HealthReport:
+class HealthReport(NamedTuple):
     """The truncation's health on one wedge pair at E = HEALTH_ENERGY."""
 
     pair: WedgePair

@@ -81,17 +81,16 @@ import functools
 import math
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_man_exp
 
 from .errors import ParameterError, RadiusError
-from .precision import ComplexHP, PrecisionContext, as_fraction
+from .precision import ComplexHP, Fractionable, PrecisionContext, as_fraction
 
 __all__ = [
     "MEMO_CAP",
@@ -115,27 +114,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncationParams:
+class TruncationParams(NamedTuple("TruncationParams", [("pmax", int), ("radius", Fraction)])):
     """Antidiagonal truncation order and evaluation radius.
 
     The radius is stored exactly (as a Fraction) so reports and memo
     keys never depend on binary float noise.
     """
 
-    pmax: int = 100
-    radius: Fraction = Fraction(8)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.pmax, int) or self.pmax < 1:
-            raise ParameterError(f"pmax must be a positive integer, got {self.pmax!r}")
-        object.__setattr__(self, "radius", as_fraction(self.radius))
-        if self.radius <= 0:
-            raise ParameterError(f"radius must be positive, got {self.radius}")
+    def __new__(cls, pmax: int = 100, radius: Fractionable = Fraction(8)):
+        if not isinstance(pmax, int) or pmax < 1:
+            raise ParameterError(f"pmax must be a positive integer, got {pmax!r}")
+        radius = as_fraction(radius)
+        if radius <= 0:
+            raise ParameterError(f"radius must be positive, got {radius}")
+        return super().__new__(cls, pmax, radius)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """The truncation p + q <= pmax of the series of one N: a value with
     no coefficients.  The evaluators read N and pmax from it and run the
     recursions scaled to their point (see _pass); equal tables share memo
@@ -251,27 +248,36 @@ def _scale(*values) -> int | None:
     return sigma if top <= Fraction(2) ** sigma else sigma + 1
 
 
-@dataclass(frozen=True)
 class ScaledPoly:
     """The polynomial sum_k c_k x**k in fixed point at scale 2**rho:
     c_k * 2**(rho*k) = (re[k] + i*im[k]) * 2**-frac, so |x| <= 2**rho puts
     the variable u = x / 2**rho in the unit disk.  len() is the number of
     coefficients.  bounds holds lower bounds of log2 of the scaled
     coefficients that _horner turns into its working bits, and tail[k] the
-    largest bit length of re[j] and im[j] over j >= k, for kept()."""
+    largest bit length of re[j] and im[j] over j >= k, for kept().  A value:
+    immutable, equal and hashed on (re, im, frac, rho), which fix the rest."""
 
-    re: tuple
-    im: tuple
-    frac: int
-    rho: int
-    bounds: tuple = field(init=False, repr=False, compare=False)
-    tail: memoryview = field(init=False, repr=False, compare=False)
+    __slots__ = ("re", "im", "frac", "rho", "bounds", "tail")
 
-    def __post_init__(self) -> None:
-        sizes = [max(r.bit_length(), i.bit_length()) for r, i in zip(self.re, self.im)]
-        object.__setattr__(self, "bounds", _bounds([b - 1 - self.frac if b else None for b in sizes]))
+    def __init__(self, re: tuple, im: tuple, frac: int, rho: int) -> None:
+        sizes = [max(r.bit_length(), i.bit_length()) for r, i in zip(re, im)]
+        bounds = _bounds([b - 1 - frac if b else None for b in sizes])
         suffix = list(accumulate(reversed(sizes), max))[::-1]
-        object.__setattr__(self, "tail", memoryview(struct.pack(f"{len(suffix)}I", *suffix)).cast("I"))
+        tail = memoryview(struct.pack(f"{len(suffix)}I", *suffix)).cast("I")
+        for name, value in zip(self.__slots__, (re, im, frac, rho, bounds, tail)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a ScaledPoly")
+
+    def _key(self) -> tuple:
+        return self.re, self.im, self.frac, self.rho
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is ScaledPoly else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.re)

@@ -14,8 +14,8 @@ eigenstates are pure psi1 (even) or psi2 (odd).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -72,8 +72,7 @@ def polar_point(rho: Fraction, theta_pi: Fraction, ctx: PrecisionContext):
         return r * mp.mpc(mp.cospi(arg), mp.sinpi(arg))
 
 
-@dataclass(frozen=True)
-class WedgePair:
+class WedgePair(NamedTuple):
     """A PT pair of wedge centers.
 
     theta_right/theta_left are exact multiples of pi (Fractions in

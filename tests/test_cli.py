@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process via main(argv)."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -413,3 +414,64 @@ def test_reruns_are_byte_identical(capsys):
     rc2, out2, _ = run(args, capsys)
     assert (rc1, rc2) == (0, 0)
     assert out1 == out2
+
+
+# --- start-up: the package and the modules each command loads -------------
+
+# run in a fresh process: the modules a bare `import ptspec` and then one
+# command through cli.main add to sys.modules, on the last line of stdout
+_LOAD_PROBE = """
+import sys
+before = set(sys.modules)
+import ptspec
+if sys.argv[1:]:
+    from ptspec import cli
+    assert cli.main(sys.argv[1:]) == 0
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("command, modules", [
+    ("", ()),
+    ("spectrum --N 3 --levels 1", ()),
+    ("scan --N 3 --emax 2", ()),
+    ("selfcheck", ()),
+    ("nodes --N 3 --level 0", ("ptspec.nodes",)),
+    ("expect --N 3 --level 0 --moments 0", ("ptspec.observables",)),
+])
+def test_each_command_loads_only_its_modules(command, modules):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, *command.split()],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "dataclasses" not in loaded
+    assert loaded & {"ptspec.nodes", "ptspec.observables"} == set(modules)
+    if not command:
+        assert {m for m in loaded if m.startswith("ptspec")} == {"ptspec"}
+
+
+def test_public_surface():
+    import ptspec
+    from ptspec import nodes, quantize
+
+    assert ptspec.spectrum is quantize.spectrum and ptspec.NodeSet is nodes.NodeSet
+    assert ptspec.__all__[-1] == "__version__"
+    for name in ptspec.__all__[:-1]:
+        home = importlib.import_module(f"ptspec.{ptspec._HOME[name]}")
+        obj = getattr(ptspec, name)
+        assert obj is getattr(home, name), name
+        if getattr(obj, "__module__", "").startswith("ptspec"):
+            assert obj.__module__ == home.__name__, name  # defined there, not re-exported
+    star = {}
+    exec("from ptspec import *", star)
+    assert set(star) - {"__builtins__"} == set(ptspec.__all__)
+    assert set(ptspec.__all__) <= set(dir(ptspec))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ptspec.no_such_name
+    from ptspec import cli, series as series_module
+    assert cli is sys.modules["ptspec.cli"] and series_module is sys.modules["ptspec.series"]

@@ -1,6 +1,5 @@
 """PT moments, model identities, contour handling, sampling."""
 
-import dataclasses
 from fractions import Fraction
 
 import mpmath as mp
@@ -146,7 +145,7 @@ def test_degenerate_norm_detected(table3, levels3, contour3, trunc8, ctx40):
 
         a, b, c = quad("11", "11"), quad("11", "12"), quad("12", "12")
         beta = (-b + mp.sqrt(b * b - a * c)) / c
-        bad = dataclasses.replace(levels3[0], c=beta)
+        bad = levels3[0]._replace(c=beta)
     with pytest.raises(DegenerateNormError):
         expectation(bad, 0, contour3)
 

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 import oracles
 from ptspec import observables, series
 from ptspec import (
+    CoefficientTable,
     ParameterError,
     PrecisionContext,
     RadiusError,
     TruncationParams,
+    WedgePair,
     build_tables,
     eval_psi,
     health_check,
@@ -179,6 +181,11 @@ def test_build_tables_validation():
         build_tables(3, 0)
     with pytest.raises(ParameterError):
         build_tables("3", 100)
+    for bad in (lambda: PrecisionContext(0), lambda: PrecisionContext(40.0),
+                lambda: TruncationParams(0, 8), lambda: TruncationParams(100, 0),
+                lambda: TruncationParams(100, "-1/2")):
+        with pytest.raises(ParameterError):
+            bad()
 
 
 def test_build_tables_cached():
@@ -210,6 +217,30 @@ def test_memo_shares_equal_arguments(table3):
     assert r1 is not r2 and theta1 is not theta2 and first is not second
     first_polys = energy_polynomials(table3, r1, theta1, first)
     assert energy_polynomials(table3, r2, theta2, second) is first_polys
+
+    # the value classes as keys: equal values share an entry, and the memo
+    # is typed, so a plain tuple of the same fields never does
+    assert all(cached.cache_parameters()["typed"] for cached in series._MEMOS)
+    calls = []
+
+    @series.memo
+    def stage(key):
+        calls.append(key)
+        return object()
+
+    pair = pt_pairs(3)[0]
+    for one, other in ((first, second),
+                       (TruncationParams(100, 8.0), TruncationParams(100, Fraction(8))),
+                       (CoefficientTable(3, 40), CoefficientTable(3, 40)),
+                       (pair, WedgePair(*pair))):
+        assert one is not other and one == other
+        assert stage(one) is stage(other)
+        assert stage(tuple(one)) is not stage(one)
+        with pytest.raises(AttributeError):
+            setattr(one, one._fields[0], None)
+    assert len(calls) == 8
+    with pytest.raises(AttributeError):
+        first_polys[0].frac = 0
 
 
 def test_memo_evicts_the_least_recently_used():
