@@ -393,7 +393,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default json; csv for the plot-data commands scan and wavefunction)",
     )
     common.add_argument("--output", default=None, help="output file (default stdout)")
-    common.add_argument(
+    # for the commands that quantize: spectrum and the level lookups
+    levels = argparse.ArgumentParser(add_help=False, parents=[common])
+    levels.add_argument(
         "--parity",
         choices=("even", "odd", "both"),
         default="both",
@@ -407,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("spectrum", parents=[common], help="first n eigenvalues of a pair")
+    p = sub.add_parser("spectrum", parents=[levels], help="first n eigenvalues of a pair")
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--emax", default="100", help="scan ceiling in E")
     p.add_argument("--step", default="0.05", help="scan grid step")
@@ -418,11 +420,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emax", default="30")
     p.add_argument("--step", default="0.05")
 
-    p = sub.add_parser("nodes", parents=[common], help="zeros of one eigenfunction")
+    p = sub.add_parser("nodes", parents=[levels], help="zeros of one eigenfunction")
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--region", default=None, help="re_min,re_max,im_min,im_max")
 
-    p = sub.add_parser("expect", parents=[common], help="PT expectation values")
+    p = sub.add_parser("expect", parents=[levels], help="PT expectation values")
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--moments", default="1,2,3,4", help="comma list of moment orders")
     p.add_argument("--contour", choices=("real_line", "wedge_rays"), default="real_line")
@@ -431,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("wedges", parents=[common], help="list PT wedge pairs")
 
-    p = sub.add_parser("wavefunction", parents=[common], help="psi samples on the real line")
+    p = sub.add_parser("wavefunction", parents=[levels], help="psi samples on the real line")
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--xmin", default="-5")
     p.add_argument("--xmax", default="5")

@@ -20,15 +20,17 @@ psi1 psi2 and its zeros are the even (psi1) and the odd (psi2) levels
 in one scan.  spectrum serves every pair: it scans D outward from E = 0
 on an exact Fraction grid, reading its sign exactly from
 series.grid_evaluator on the per-angle energy polynomials, and refines
-each sign change at full precision through series.eval_energy_poly,
-attaching c on a PT pair and the even/odd tag on the parity pair.
-Each level's est_error is one Newton step at its root on the same
-reader at 0.9r.  A probe's polynomials come from the radial sums of one
-pass of the coefficient recursion at its radius, shared by every pair
-of N there.  Each request rounds them once, down to its own energy
-scale (series._scale), and reads every value from that copy:
-spectrum's grid and every level's root, est_error and c at its e_max,
-scan_im_c at its window and the health check at HEALTH_ENERGY.
+each sign change at full precision by Newton's method inside its grid
+cell, from the cell's secant point, on D and its slope from the kernel
+(series._horner at order 1), attaching c on a PT pair and the even/odd
+tag on the parity pair.  Each level's est_error is one more step of the
+same rule at its root, on the reader at 0.9r.  A probe's polynomials
+come from the radial sums of one pass of the coefficient recursion at
+its radius, shared by every pair of N there.  Each request rounds them
+once, down to its own energy scale (series._scale), and reads every
+value from that copy: spectrum's grid and every level's root, est_error
+and c at its e_max, scan_im_c at its window and the health check at
+HEALTH_ENERGY.
 
 c itself, with the "pole" rows where psi2 (nearly) vanishes, is left to
 scan_im_c (on the exact grid as well) and the health check.  The health
@@ -86,8 +88,8 @@ HEALTH_ENERGY = Fraction(30)
 _INNER_RADIUS = Fraction(9, 10)
 
 DEFAULT_SCAN_STEP = Fraction(1, 20)
-# evaluations a root refinement may take: far above the 10 to 20 a level
-# takes; bisection alone closes a grid cell of 1/20 to 10**-61 in as many
+# reads a root refinement may take: far above the 2 to 6 a level takes;
+# halving alone closes a grid cell of 1/20 to 10**-61 in as many
 _ROOT_STEPS = 200
 DEFAULT_ENERGY_CAP = Fraction(100)
 
@@ -194,7 +196,7 @@ def scan_im_c(
     if e_max <= e_min:
         raise ParameterError(f"empty energy window [{e_min}, {e_max}]")
     den = math.lcm(e_min.denominator, step.denominator)
-    at, _ = series.grid_evaluator(_probe_polys(pair, trunc, ctx, series._scale(e_min, e_max)), den)
+    at = series.grid_evaluator(_probe_polys(pair, trunc, ctx, series._scale(e_min, e_max)), den)
     t0, dt = int(e_min * den), int(step * den)
     guard = 100 ** (ctx.digits // 2)
     points = []
@@ -211,57 +213,43 @@ def scan_im_c(
     return tuple(points)
 
 
-def _hybrid_root(f: Callable, lo, hi, f_lo, f_hi, tol) -> RealHP:
-    """Root of a smooth real function f on the bracket lo < hi, by
-    Dekker's secant with Brent's safeguard from the bracket ends down to
-    a bracket no wider than tol (on E).  f_lo and f_hi are the values at
-    the ends, nonzero and of opposite signs: spectrum passes those of its
-    exact grid, which steps over an exact zero.
+def _newton_root(f: Callable, lo, hi, x, negative: bool, tol) -> RealHP:
+    """Root of a smooth real function on the bracket lo < hi by Newton's
+    method kept inside it, from the point x of the bracket.  f(x) gives
+    (f, f') there, and negative says whether f < 0 at lo.
 
-    The iterate is the end of the bracket where |f| is smallest.  A
-    secant step from it is taken when it is shorter than half the step
-    before last and than 3/4 of the way to the bracket's midpoint;
-    otherwise the step bisects, so the steps shrink at least by half
-    every two steps.  A step shorter than tol/2 is lengthened to tol/2,
-    so once the secant has settled on the root the next point lands
-    across it and the far end of the bracket moves in.  Returns the
-    secant point of the final bracket.  Raises DivergenceError when the
-    bracket is still wider than tol after _ROOT_STEPS evaluations (tol
+    Each read moves the end of the bracket where f has the same sign to
+    x.  The next point is the Newton step x - f/f' unless that leaves the
+    bracket or is longer than half the step before it (the first: the
+    bracket's width); then it is the bracket's midpoint, so the steps
+    shrink at least by half every two reads.  Returns x - f/f' once
+    |f/f'| <= tol/2.  Returns x when the next point would be a midpoint
+    right after two Newton steps in a row: the steps have stopped
+    shrinking because f is down to its rounding noise, which an
+    ill-conditioned D reaches above tol (N = 12 and 24 at pmax 200).
+    Raises DivergenceError after _ROOT_STEPS reads without either (tol
     below what the working precision resolves).
     """
-    half_tol = tol / 2
-    x_pre, f_pre, x_cur, f_cur = lo, f_lo, hi, f_hi
-    x_far, f_far = x_pre, f_pre  # the other end of the bracket
-    step = step_pre = x_cur - x_pre
+    half_tol, before, settled = tol / 2, hi - lo, 0  # settled: Newton steps in a row
     for _ in range(_ROOT_STEPS):
-        if mp.sign(f_pre) != mp.sign(f_cur):
-            x_far, f_far = x_pre, f_pre
-            step = step_pre = x_cur - x_pre
-        if abs(f_far) < abs(f_cur):
-            x_pre, x_cur, x_far = x_cur, x_far, x_cur
-            f_pre, f_cur, f_far = f_cur, f_far, f_cur
-        to_mid = (x_far - x_cur) / 2
-        if abs(to_mid) <= half_tol:
-            return x_cur - f_cur * (x_far - x_cur) / (f_far - f_cur)
-        if abs(step_pre) > half_tol and abs(f_cur) < abs(f_pre):
-            trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            if 2 * abs(trial) < min(abs(step_pre), 3 * abs(to_mid) - half_tol):
-                step_pre, step = step, trial
-            else:
-                step_pre = step = to_mid
+        value, slope = f(x)
+        if (value < 0) == negative:
+            lo = x
         else:
-            step_pre = step = to_mid
-        x_pre, f_pre = x_cur, f_cur
-        if abs(step) > half_tol:
-            x_cur += step
+            hi = x
+        step = -value / slope if slope else mp.inf
+        if abs(step) <= half_tol:
+            return x + step
+        if lo < x + step < hi and 2 * abs(step) <= abs(before):
+            settled += 1
+        elif settled >= 2:
+            return x  # f is down to its rounding noise
         else:
-            x_cur += half_tol if to_mid > 0 else -half_tol
-        f_cur = f(x_cur)
-        if f_cur == 0:
-            return x_cur
+            step, settled = (lo + hi) / 2 - x, 0
+        x, before = x + step, step
     raise DivergenceError(
-        f"bracket [{mp.nstr(min(x_cur, x_far), 12)}, {mp.nstr(max(x_cur, x_far), 12)}]"
-        f" did not close to tol={mp.nstr(tol, 3)} in {_ROOT_STEPS} steps"
+        f"bracket [{mp.nstr(lo, 12)}, {mp.nstr(hi, 12)}] did not close to"
+        f" tol={mp.nstr(tol, 3)} in {_ROOT_STEPS} reads"
     )
 
 
@@ -279,12 +267,12 @@ def _probes(pair: WedgePair, trunc: TruncationParams, ctx: PrecisionContext, sca
     return _probe_polys(pair, trunc, ctx, scale), _probe_polys(pair, inner, ctx, scale)
 
 
-def _reader(parity: bool, polys, ev, order: int = 0):
-    """A real multiple f of the truncated spectral determinant D(E) =
-    psi1(zR) psi2(zL) - psi1(zL) psi2(zR) at E = ev, from the energy
-    polynomials polys = (psi1, psi2) of the right probe; (f, f') at order
-    1, with P and P' of both polynomials from the kernel, as D is
-    bilinear in psi1 and psi2.
+def _reader(parity: bool, polys, ev):
+    """(f, f') at E = ev for a real multiple f of the truncated spectral
+    determinant D(E) = psi1(zR) psi2(zL) - psi1(zL) psi2(zR), from the
+    energy polynomials polys = (psi1, psi2) of the right probe: P and P'
+    of both polynomials come from the kernel, and D is bilinear in psi1
+    and psi2.
 
     On a PT pair zL = -conj zR, so (psi1, psi2)(zL) = conj (psi1,
     psi2)(zR) at real E and f = D/(2i) = Im(psi1 conj psi2), of the
@@ -297,8 +285,6 @@ def _reader(parity: bool, polys, ev, order: int = 0):
     def det(a, b):
         return _determinant(parity, a.real, a.imag, b.real, b.imag)
 
-    if not order:
-        return det(*(series.eval_energy_poly(poly, ev) for poly in polys))
     (p1, d1), (p2, d2) = (series._horner(poly, ev, 1) for poly in polys)
     return det(p1, p2), det(d1, p2) + det(p1, d2)
 
@@ -310,24 +296,24 @@ def _determinant(parity: bool, p1r, p1i, p2r, p2i):
 
 
 def refine_root(
-    pair: WedgePair, n: int, probes, lo, hi, ends, tol, trunc: TruncationParams,
-    ctx: PrecisionContext, tag=None,
+    pair: WedgePair, n: int, probes, lo, hi, start, negative: bool, tol,
+    trunc: TruncationParams, ctx: PrecisionContext, tag=None,
 ) -> EnergyLevel:
     """Level n of the pair from probes = _probes(...), at the working
     precision: the root E_r of the reader at r in the grid cell (lo, hi)
-    to tol, from ends = (f(lo), f(hi)), the reader's values that the scan
-    passes.
+    to tol, by _newton_root from the point start of the cell, where
+    negative says whether the reader is negative at lo.
 
     est_error is the shift of the root under the reader f at 0.9r, from
-    one Newton step at E_r: |f(E_r)/f'(E_r)|, with (f, f') from the
-    reader at order 1.  It is inf when f' = 0 or when the step leaves the
-    cell.  The level is stable when est_error <= 10**(-digits/2).  It
-    carries the scan's parity tag when given, and c at the root otherwise.
+    one step of the same rule at E_r: |f(E_r)/f'(E_r)|.  It is inf when
+    f' = 0 or when the step leaves the cell.  The level is stable when
+    est_error <= 10**(-digits/2).  It carries the scan's parity tag when
+    given, and c at the root otherwise.
     """
     swapped = pair.parity_swapped()
     outer, inner = probes
-    e_root = _hybrid_root(lambda ev: _reader(swapped, outer, ev), lo, hi, *ends, tol)
-    value, slope = _reader(swapped, inner, e_root, 1)
+    e_root = _newton_root(lambda ev: _reader(swapped, outer, ev), lo, hi, start, negative, tol)
+    value, slope = _reader(swapped, inner, e_root)
     shift = value / slope if slope else mp.inf
     est = abs(shift) if lo <= e_root - shift <= hi else mp.inf
     stable = bool(est <= mp.mpf(10) ** (-(ctx.digits // 2)))
@@ -384,31 +370,34 @@ def spectrum(
     direction = -1 if pair.theta_right == Fraction(1, 2) else 1
     tol = ctx.tolerance(5)
     probes = _probes(pair, trunc, ctx, series._scale(cap))
-    at, unit = series.grid_evaluator(probes[0], step.denominator)
+    den = step.denominator
+    at = series.grid_evaluator(probes[0], den)
     levels: list = []
-    prev = None  # (k, D, Re psi1) at the last grid point where D is not zero
+    prev = None  # (t, D, Re psi1) at the last grid point E = t/den where D is not zero
     with ctx.workdps():
         for k in itertools.count():
             if k * step > cap:
                 raise TruncationError(
                     f"only {len(levels)} of {n_levels} levels found with |E| below e_max={cap}"
                 )
-            lanes = at(direction * k * step.numerator)
+            t = direction * k * step.numerator
+            lanes = at(t)
             fv = _determinant(swapped, *lanes)
             if not fv:
                 continue
             if prev is not None and (prev[1] < 0) != (fv < 0):
-                lo, hi = sorted((prev, (k, fv, lanes[0])), key=lambda point: direction * point[0])
-                tag = ("even" if (lo[2] < 0) != (hi[2] < 0) else "odd") if swapped else None
+                (t_lo, d_lo, re_lo), (t_hi, d_hi, re_hi) = sorted((prev, (t, fv, lanes[0])))
+                tag = ("even" if (re_lo < 0) != (re_hi < 0) else "odd") if swapped else None
                 if not swapped or parity in ("both", tag):
-                    e_lo, e_hi = (ctx.mpf(direction * point[0] * step) for point in (lo, hi))
-                    ends = (_rounded(lo[1], unit * unit), _rounded(hi[1], unit * unit))
-                    levels.append(
-                        refine_root(pair, len(levels), probes, e_lo, e_hi, ends, tol, trunc, ctx, tag)
-                    )
+                    # Newton starts from the secant point of the cell, exact from the grid values
+                    start = _rounded(t_lo * d_hi - t_hi * d_lo, (d_hi - d_lo) * den)
+                    e_lo, e_hi = ctx.mpf(Fraction(t_lo, den)), ctx.mpf(Fraction(t_hi, den))
+                    levels.append(refine_root(
+                        pair, len(levels), probes, e_lo, e_hi, start, d_lo < 0, tol, trunc, ctx, tag
+                    ))
                     if len(levels) == n_levels:
                         return tuple(levels)
-            prev = (k, fv, lanes[0])
+            prev = (t, fv, lanes[0])
 
 
 class HealthReport(NamedTuple):

@@ -254,8 +254,8 @@ class ScaledPoly:
     the variable u = x / 2**rho in the unit disk.  len() is the number of
     coefficients.  bounds holds lower bounds of log2 of the scaled
     coefficients that _horner turns into its working bits, and tail[k] the
-    largest bit length of re[j] and im[j] over j >= k, for kept().  A value:
-    immutable, equal and hashed on (re, im, frac, rho), which fix the rest."""
+    largest bit length of re[j] and im[j] over j >= k, for kept().
+    Immutable, since the memoized ones are shared."""
 
     __slots__ = ("re", "im", "frac", "rho", "bounds", "tail")
 
@@ -269,15 +269,6 @@ class ScaledPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a ScaledPoly")
-
-    def _key(self) -> tuple:
-        return self.re, self.im, self.frac, self.rho
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is ScaledPoly else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.re)
@@ -723,8 +714,9 @@ def moment_integral(square: ScaledPoly, m: int, z0, z1):
 
 
 def grid_evaluator(polys: Sequence[ScaledPoly], den: int):
-    """(at, unit): the exact values of ScaledPolys of one length, frac and
-    scale 2**rho on the grid of points t/den, t an integer.
+    """at: the values of ScaledPolys of one length, frac and scale 2**rho
+    on the grid of points t/den, t an integer, exactly, times one positive
+    integer unit.
 
     at(t) lists Re V(t) and Im V(t) of every polynomial in turn, with
     V(t) = unit * P(t/den) exactly and unit = 2**frac * M**d, M = den *
@@ -761,7 +753,7 @@ def grid_evaluator(polys: Sequence[ScaledPoly], den: int):
             out.append(v)
         return out
 
-    return at, m ** d << first.frac
+    return at
 
 
 def _horner(coeffs: ScaledPoly, x, order: int = 0) -> list:

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import cli_env
 from ptspec import PrecisionContext, TruncationParams, health_check, pt_pairs, series
-from ptspec.cli import main
+from ptspec.cli import _build_parser, main
 from ptspec.precision import real_str
 
 
@@ -339,6 +339,20 @@ def test_lambda_belongs_to_expect(capsys):
     rc, out, err = run(["expect", "--N", "3", "--lambda", "0"], capsys)
     assert rc == 2
     assert "lambda must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "nodes", "expect", "wavefunction", "scan", "wedges"])
+def test_parity_belongs_to_the_commands_that_quantize(command, capsys):
+    # scan samples c and wedges lists the pairs; neither reads a level, so
+    # neither takes --parity, which spectrum and the level lookups do
+    argv = [command, "--N", "4", "--parity", "odd"]
+    if command in ("scan", "wedges"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parity odd" in capsys.readouterr().err
+    else:
+        assert _build_parser().parse_args(argv).parity == "odd"
 
 
 def test_rejects_unknown_format(capsys):

@@ -180,7 +180,7 @@ def test_exact_scan_sign_matches_reader(n_exponent, pair_index, radius, ctx40):
     direction = -1 if pair.theta_right == Fraction(1, 2) else 1
     scale = series._scale(quantize.DEFAULT_ENERGY_CAP)  # spectrum's scale
     polys = quantize._probe_polys(pair, trunc, ctx40, scale)
-    at, _ = series.grid_evaluator(polys, 20)
+    at = series.grid_evaluator(polys, 20)
     changes, prev, k = 0, 0, 0
     with ctx40.workdps():
         while changes < 4:
@@ -190,7 +190,7 @@ def test_exact_scan_sign_matches_reader(n_exponent, pair_index, radius, ctx40):
             prev = sign or prev
             if k % 10 == 0:
                 ev = ctx40.mpf(Fraction(direction * k, 20))
-                assert sign == mp.sign(quantize._reader(pair.parity_swapped(), polys, ev)), k
+                assert sign == mp.sign(quantize._reader(pair.parity_swapped(), polys, ev)[0]), k
             k += 1
             assert k < 2000
 
@@ -259,67 +259,100 @@ def test_spectrum_reads_a_float_step_by_its_decimal_intent(pair3, trunc8, ctx40)
         assert mp.nstr(exact[0].E, 40) == GOLDEN_N3[0][0]
 
 
-def test_hybrid_root_closes_without_rounding_noise():
-    # f(x) = x - 1/3 with 1/3 held to 80 digits: the secant lands on the
-    # root at once and every later value keeps the same sign.  The
-    # bracket must still close in a few steps, not by some 130 halvings
-    # of its far end
-    from ptspec.quantize import _hybrid_root
+def _newton_from_the_secant(f, lo, hi, tol, calls):
+    """quantize._newton_root on f = (value, slope) from the secant point
+    of the bracket, as spectrum starts it, listing the points it reads in
+    calls."""
+    def read(x):
+        calls.append(x)
+        return f(x)
 
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    start = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    return quantize._newton_root(read, lo, hi, start, f_lo < 0, tol)
+
+
+def test_newton_root_closes_without_rounding_noise():
+    # f(x) = x - 1/3 with 1/3 held to 80 digits: the secant point is the
+    # root, and the first read's step is below tol/2
     with mp.workdps(80):
         root = mp.mpf(1) / 3
     calls = []
-
-    def f(x):
-        calls.append(x)
-        return x - root
-
     with mp.workdps(50):
-        lo, hi = mp.mpf(0), mp.mpf("0.5")
-        got = _hybrid_root(f, lo, hi, f(lo), f(hi), mp.mpf("1e-45"))
+        got = _newton_from_the_secant(lambda x: (x - root, 1), mp.mpf(0), mp.mpf("0.5"), mp.mpf("1e-45"), calls)
         assert abs(got - root) < mp.mpf("1e-45")
     assert len(calls) <= 25
 
 
-def test_hybrid_root_does_not_creep_along_a_steep_side():
+def test_newton_root_does_not_creep_along_a_steep_side():
     # f = exp(200 (x - 1/20)) - 1 is flat below its root and steep above:
-    # a secant from the ends lands a little above the flat end each time
-    # and needs some 140 steps to cross 0.05 at 40 digits.  Brent's rule
-    # bisects when the steps stop halving, which closes it in 23
-    from ptspec.quantize import _hybrid_root
-
+    # Newton from the steep side moves by 1/200 a read, some 90 reads from
+    # the midpoint down to 0.05.  The bisection taken when a step is longer
+    # than half the one before closes it in about 20
     calls = []
     with mp.workdps(50):
         root = mp.mpf(1) / 20
 
         def f(x):
-            calls.append(x)
-            return mp.exp(200 * (x - root)) - 1
+            grown = mp.exp(200 * (x - root))
+            return grown - 1, 200 * grown
 
-        lo, hi = mp.mpf(0), mp.mpf(1)
-        got = _hybrid_root(f, lo, hi, f(lo), f(hi), mp.mpf("1e-40"))
+        got = _newton_from_the_secant(f, mp.mpf(0), mp.mpf(1), mp.mpf("1e-40"), calls)
         assert abs(got - root) <= mp.mpf("1e-40")
     assert len(calls) <= 30
 
 
-def test_hybrid_root_raises_when_the_bracket_cannot_close():
-    # tol 1e-60 lies below what 30 digits resolve near 1/3: the bracket
-    # stops shrinking, and the refinement says so instead of returning
-    from ptspec.quantize import _ROOT_STEPS, _hybrid_root
+@pytest.mark.parametrize("steepness, max_reads", [(10, 10), (100, 13), (1000, 16)])
+def test_newton_root_closes_on_a_tanh_step(steepness, max_reads):
+    # tanh(K (x - 3/10)) on [0, 1]: far from the root f' is about
+    # 4K exp(-2K|x - 3/10|), so a Newton step overshoots the bracket and
+    # the midpoint is read instead, until the root is within about 1/K,
+    # some log2(K) reads, and Newton closes it in about six more
+    calls = []
+    with mp.workdps(50):
+        root = mp.mpf(3) / 10
 
+        def f(x):
+            arg = steepness * (x - root)
+            return mp.tanh(arg), steepness / mp.cosh(arg) ** 2
+
+        got = _newton_from_the_secant(f, mp.mpf(0), mp.mpf(1), mp.mpf("1e-45"), calls)
+        assert abs(got - root) <= mp.mpf("1e-45")
+        assert all(0 < x < 1 for x in calls)
+    assert len(calls) <= max_reads
+
+
+def test_newton_root_stops_at_the_rounding_noise_of_f():
+    # tanh(10 (x - 3/10)) rounded down to a multiple of q = 1e-40 and
+    # raised by q/2, so |f| >= q/2 everywhere: like an ill-conditioned D,
+    # f resolves its root only to about q/20, far above tol.  The steps
+    # shrink quadratically down to that level and then stop shrinking,
+    # and the root is returned from there instead of the far end of the
+    # bracket being bisected back in
+    calls = []
+    with mp.workdps(50):
+        root, q = mp.mpf(3) / 10, mp.mpf("1e-40")
+
+        def f(x):
+            arg = 10 * (x - root)
+            return q * mp.floor(mp.tanh(arg) / q) + q / 2, 10 / mp.cosh(arg) ** 2
+
+        got = _newton_from_the_secant(f, mp.mpf(0), mp.mpf(1), mp.mpf("1e-45"), calls)
+        assert abs(got - root) <= q
+    assert len(calls) <= 10
+
+
+def test_newton_root_raises_when_the_bracket_cannot_close():
+    # tol 1e-60 lies below what 30 digits resolve near 1/3, and the secant
+    # point is already as close as they resolve, so no two Newton steps in
+    # a row shrink: the refinement says so instead of returning
     with mp.workdps(80):
         root = mp.mpf(1) / 3
     calls = []
-
-    def f(x):
-        calls.append(x)
-        return x - root
-
     with mp.workdps(30):
-        lo, hi = mp.mpf(0), mp.mpf("0.5")
         with pytest.raises(DivergenceError, match="did not close"):
-            _hybrid_root(f, lo, hi, f(lo), f(hi), mp.mpf("1e-60"))
-    assert len(calls) == 2 + _ROOT_STEPS
+            _newton_from_the_secant(lambda x: (x - root, 1), mp.mpf(0), mp.mpf("0.5"), mp.mpf("1e-60"), calls)
+    assert len(calls) == quantize._ROOT_STEPS
 
 
 @pytest.mark.parametrize("n_exponent, radius, n_levels", [(3, 8, 5), (3, 8, 1), (4, 6, 4), (4, 6, 1)])
@@ -375,9 +408,34 @@ def test_est_error_is_the_root_shift_to_a_newton_step(n_exponent, pair_index, ra
             def f(ev):
                 return quantize._reader(pair.parity_swapped(), inner, ev)
 
-            root = quantize._hybrid_root(f, lo, hi, f(lo), f(hi), ctx40.tolerance(5))
+            root = _newton_from_the_secant(f, lo, hi, ctx40.tolerance(5), [])
             shift = abs(level.E - root)
             assert abs(level.est_error - shift) <= mp.mpf("1e-3") * shift, level.n
+
+
+@pytest.mark.parametrize("n_exponent, pair_index, radius, pmax, n_levels, e_max",
+                         [(3, 0, 8, 100, 5, 100), (16, 8, 2, 200, 3, 300),
+                          (12, 6, Fraction(5, 2), 200, 3, 300)])
+def test_a_level_takes_few_reads_of_the_determinant(
+    n_exponent, pair_index, radius, pmax, n_levels, e_max, ctx40, monkeypatch
+):
+    # Newton from the secant point of a grid cell of 1/20 closes a level in
+    # five reads of D at r, and est_error takes one more at 0.9r: at most
+    # six reads a level, where the secant and bisection steps took eight
+    # or nine.  Level 2 of N=12 reaches the rounding noise of D above tol
+    # and stops there, instead of bisecting the cell back in
+    reads = []
+    reader = quantize._reader
+
+    def counted(*args):
+        reads.append(args[2])
+        return reader(*args)
+
+    monkeypatch.setattr(quantize, "_reader", counted)
+    trunc = TruncationParams(pmax, Fraction(radius))
+    levels = spectrum(pt_pairs(n_exponent)[pair_index], n_levels, trunc, ctx40, e_max=e_max)
+    assert len(levels) == n_levels
+    assert len(reads) <= 6 * n_levels
 
 
 def test_est_error_is_inf_when_the_newton_step_leaves_the_bracket(ctx40):
@@ -399,26 +457,33 @@ def test_est_error_is_inf_when_the_newton_step_leaves_the_bracket(ctx40):
 def test_spectrum_hands_the_refinement_a_certified_bracket(
     n_exponent, pair_index, radius, n_levels, parity, planted, ctx40, monkeypatch
 ):
-    # _hybrid_root trusts its caller: every bracket spectrum passes runs
-    # lo < hi between grid values that are nonzero and of opposite signs,
-    # also across the planted exact zero that the scan steps over
+    # _newton_root trusts its caller: every cell spectrum passes runs lo <
+    # hi between grid values that are nonzero and of opposite signs, also
+    # across the planted exact zero that the scan steps over, with the
+    # grid's sign at lo and a start strictly inside
     if planted:
         _plant_a_grid_zero(monkeypatch)
     calls = []
-    hybrid_root = quantize._hybrid_root
+    newton_root = quantize._newton_root
 
-    def recorded(f, lo, hi, f_lo, f_hi, tol):
-        calls.append((lo, hi, f_lo, f_hi))
-        return hybrid_root(f, lo, hi, f_lo, f_hi, tol)
+    def recorded(f, lo, hi, x, negative, tol):
+        calls.append((lo, hi, x, negative))
+        return newton_root(f, lo, hi, x, negative, tol)
 
-    monkeypatch.setattr(quantize, "_hybrid_root", recorded)
+    monkeypatch.setattr(quantize, "_newton_root", recorded)
     pair = pt_pairs(n_exponent)[pair_index]
-    levels = spectrum(pair, n_levels, TruncationParams(100, Fraction(radius)), ctx40, parity=parity)
+    trunc = TruncationParams(100, Fraction(radius))
+    levels = spectrum(pair, n_levels, trunc, ctx40, parity=parity)
     assert len(calls) == len(levels) == n_levels
-    for lo, hi, f_lo, f_hi in calls:
-        assert lo < hi
-        assert f_lo != 0 and f_hi != 0
-        assert mp.sign(f_lo) == -mp.sign(f_hi)
+    polys = quantize._probe_polys(pair, trunc, ctx40, series._scale(quantize.DEFAULT_ENERGY_CAP))
+    at = series.grid_evaluator(polys, 20)
+    with ctx40.workdps():
+        for lo, hi, x, negative in calls:
+            assert lo < x < hi
+            f_lo, f_hi = (quantize._determinant(pair.parity_swapped(), *at(int(mp.nint(20 * e))))
+                          for e in (lo, hi))
+            assert f_lo != 0 and f_hi != 0
+            assert (f_lo < 0) == negative == (f_hi > 0)
 
 
 def test_spectrum_rejects_the_other_parity_pair(trunc8, ctx40):
@@ -568,13 +633,13 @@ def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypa
     grid_evaluator = series.grid_evaluator
 
     def recording(polys, den):
-        at, unit = grid_evaluator(polys, den)
+        at = grid_evaluator(polys, den)
 
         def recorded(t):
             asked.append(Fraction(t, den))
             return at(t)
 
-        return recorded, unit
+        return recorded
 
     monkeypatch.setattr(series, "grid_evaluator", recording)
     pair, trunc = pt_pairs(3)[0], TruncationParams(40, Fraction(3, 4))
@@ -583,7 +648,7 @@ def test_energy_scale_keeps_the_refusals_beyond_the_radius_scale(ctx40, monkeypa
     assert asked[-2:] == [1, Fraction(21, 20)]
     report = health_check(pair, trunc, ctx40)
     assert not report.passed and report.tail == mp.inf
-    at, _ = recording(quantize._probe_polys(pair, trunc, ctx40, series._scale(20)), 20)
+    at = recording(quantize._probe_polys(pair, trunc, ctx40, series._scale(20)), 20)
     at(20)
     with pytest.raises(RadiusError):
         at(21)

@@ -390,7 +390,7 @@ def test_polys_beyond_their_scale(table3, ctx40):
     # |z| <= 2 refuses the point at |z| = 7.9
     radius, theta = Fraction(79, 10), pt_pairs(3)[0].theta_left
     polys = energy_polynomials(table3, radius, theta, ctx40)
-    at, _ = grid_evaluator(polys, 1)
+    at = grid_evaluator(polys, 1)
     at(512)
     with ctx40.workdps():
         eval_energy_poly(polys[0], 512)
@@ -454,8 +454,11 @@ def _probe_polys(table, pair_index, radius, ctx):
 def assert_grid_matches_horner(polys, den, ts, ctx):
     """Every part of the exact grid values at t/den, rounded once to the
     working precision, is within 2**-prec of the majorant sum_k |c_k|
-    |E|**k of eval_energy_poly there."""
-    at, unit = grid_evaluator(polys, den)
+    |E|**k of eval_energy_poly there, for the unit 2**frac * M**d of
+    grid_evaluator."""
+    at = grid_evaluator(polys, den)
+    d, rho = len(polys[0]) - 1, polys[0].rho
+    unit = (den << max(rho, 0)) ** d << polys[0].frac
     with ctx.workdps():
         prec = mp.mp.prec
         for t in ts:
@@ -506,7 +509,7 @@ def test_grid_evaluator_refuses_what_horner_refuses(ctx40):
     # working precision
     table = build_tables(3, 40)
     polys = _probe_polys(table, 0, Fraction(3, 4), ctx40)
-    at, _ = grid_evaluator(polys, 20)
+    at = grid_evaluator(polys, 20)
     for precision in (ctx40.workdps(), mp.workprec(53)):
         with precision:
             for t in range(-420, 421):

@@ -100,6 +100,8 @@ COMMANDS = (
     "spectrum --N 10 --pair 5 --radius 3 --pmax 200 --levels 3 --emax 300 --force",
     "spectrum --N 10 --pair 5 --radius 3 --levels 3 --emax 300 --force",
     "spectrum --N 16 --pair 8 --radius 2 --pmax 200 --levels 3 --emax 300 --force",
+    "spectrum --N 12 --pair 6 --radius 5/2 --pmax 200 --levels 3 --emax 300 --force",
+    "spectrum --N 24 --pair 12 --radius 7/4 --pmax 200 --levels 2 --emax 2000 --force",
     "nodes --N 2 --pair 1 --level 1",
     "nodes --N 2 --pair 1 --level 3",
     "nodes --N 4 --pair 0 --radius 6 --level 1",
